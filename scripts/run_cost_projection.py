@@ -13,18 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from siftmasks.engine import project_total_cost
-from siftmasks.paramcore import mask_words
-
-METHODS = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central")
-MASKED = ("sift_masks", "tall_masks", "emr")
-
-
-def storage_words(method: str, m: int, num_tasks: int, clusters: int) -> int:
-    per_cluster_tasks = num_tasks // clusters
-    if method in MASKED:
-        return clusters * (m + per_cluster_tasks * mask_words(m))
-    return clusters * m
+from siftmasks.engine import cluster_sizes, project_total_cost, storage_words
+from siftmasks.merging import METHOD_TAGS
 
 
 def main():
@@ -44,9 +34,10 @@ def main():
     print(header)
     print("-" * len(header))
     for clusters in args.clusters:
-        for method in METHODS:
+        sizes = cluster_sizes(args.tasks, clusters)
+        for method in METHOD_TAGS:
             proj = project_total_cost(args.tasks, method, args.steps, clusters)
-            words = storage_words(method, args.model_words, args.tasks, clusters)
+            words = storage_words(method, args.model_words, sizes).words
             print(
                 f"{method:12s} {clusters:8d} {proj.per_event[0]:8d} "
                 f"{proj.total_finetunes:9d} {proj.total_steps:10d} {words:12d}"

@@ -84,8 +84,7 @@ def main():
                                args.input_dim, 2, seed=seed)
         for tag in ("ft_merge", "sift_masks"):
             system, _ = build(LocalizationMethod(tag), tasks, spec, cfg,
-                              base_seed=seed + 1, sign_seed=seed + 2,
-                              cache_task_vectors=True)
+                              base_seed=seed + 1, sign_seed=seed + 2)
             budget = int(args.unlearn_fraction * num_tasks)
             for mode in ("held_in", "held_out"):
                 deletion_rows.append([tag, 0, f"seed{seed}", f"accuracy_{mode}",

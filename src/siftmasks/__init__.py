@@ -3,14 +3,12 @@
 from .config import RunConfig
 from .datasets import HeterogeneityRegime, TaskSpec, load_tasks, save_tasks, synth_generate
 from .engine import (
-    ClusteredSystem,
     CostLedger,
     EvalReport,
     ExactnessReport,
     StorageReport,
     SystemState,
     build,
-    build_clustered,
     cluster_random,
     evaluate,
     project_total_cost,

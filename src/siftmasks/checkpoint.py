@@ -18,15 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ClusteredSystem, CostLedger, SystemState
-from .merging import (
-    EmrArtifacts,
-    LocalizationMethod,
-    MASK_BEARING,
-    MergedState,
-)
-from .paramcore import BitMask, FxpVector, gen_sign_vector, mask_words
-from .trainer import ModelSpec, TrainConfig, init_params
+from .engine import METHODS, CostLedger, Shard, SystemState, new_system
+from .merging import EmrArtifacts, LocalizationMethod, MergedState
+from .paramcore import SCALE_BITS_DEFAULT, BitMask, FxpVector, mask_words
+from .trainer import ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
 VERSION = 1
@@ -293,111 +288,91 @@ def _read_block(fh, ckpt: Checkpoint) -> ClusterBlock:
     return block
 
 
-def _block_from_system(system: SystemState) -> ClusterBlock:
-    if system.is_central:
-        return ClusterBlock(
-            retained=system.retained,
-            unlearned=system.unlearned,
-            accumulator=np.empty(0, dtype=np.int64),
-            digests=dict(system.replay_digests),
-            central_params=system.central_params,
-        )
-    state = system.merged
+def _block_from_shard(system: SystemState, c: int, shard: Shard) -> ClusterBlock:
     block = ClusterBlock(
-        retained=state.retained,
-        unlearned=system.unlearned,
-        accumulator=state.accumulator.values,
-        digests=dict(system.replay_digests),
+        retained=tuple(system.shard_retained(c)),
+        unlearned=tuple(t for t in system.unlearned if system.assignment[t] == c),
+        accumulator=(
+            np.empty(0, dtype=np.int64)
+            if shard.merged is None
+            else shard.merged.accumulator.values
+        ),
+        digests={
+            t: d for t, d in system.replay_digests.items() if system.assignment[t] == c
+        },
+        tall=None if shard.tall is None else dict(shard.tall),
+        ties_vector=shard.ties_vector,
+        central_params=shard.central_params,
     )
-    if system.method.tag in MASK_BEARING:
-        block.masks = dict(state.masks)
-    if system.emr is not None:
-        block.emr_unified = system.emr.unified
-        block.emr_scales = dict(system.emr.scales)
-    if system.tall is not None:
-        block.tall = dict(system.tall)
-    if system.ties_vector is not None:
-        block.ties_vector = system.ties_vector
+    if METHODS[system.method.tag].stores_masks:
+        block.masks = dict(shard.merged.masks)
+    if shard.emr is not None:
+        block.emr_unified = shard.emr.unified
+        block.emr_scales = dict(shard.emr.scales)
     return block
 
 
-def checkpoint_from_system(
-    system: SystemState | ClusteredSystem, ledger: CostLedger
-) -> Checkpoint:
-    if isinstance(system, ClusteredSystem):
-        first = system.systems[0]
-        blocks = [_block_from_system(s) for s in system.systems]
-        assignment = dict(system.assignment)
-    else:
-        first = system
-        blocks = [_block_from_system(system)]
-        assignment = {t: 0 for t in system.registry}
+def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:
+    first = system.shards[0].merged
     return Checkpoint(
-        method=first.method,
-        model_spec=first.model_spec,
-        train_cfg=first.train_cfg,
-        base_seed=first.base_seed,
-        sign_seed=first.sign_seed,
-        central_max_steps=first.central_max_steps,
-        scale_bits=32 if first.merged is None else first.merged.accumulator.scale_bits,
-        assignment=assignment,
-        clusters=blocks,
+        method=system.method,
+        model_spec=system.model_spec,
+        train_cfg=system.train_cfg,
+        base_seed=system.base_seed,
+        sign_seed=system.sign_seed,
+        central_max_steps=system.central_max_steps,
+        scale_bits=SCALE_BITS_DEFAULT if first is None else first.accumulator.scale_bits,
+        assignment=dict(system.assignment),
+        clusters=[_block_from_shard(system, c, s) for c, s in enumerate(system.shards)],
         ledger=ledger,
     )
 
 
-def system_from_checkpoint(
-    ckpt: Checkpoint, tasks
-) -> SystemState | ClusteredSystem:
-    """Reattach task data to a checkpoint. Tasks must cover the registry."""
+def _shard_from_block(ckpt: Checkpoint, block: ClusterBlock) -> Shard:
+    if block.central_params is not None:
+        return Shard(central_params=block.central_params)
+    masks = dict(block.masks) if block.masks is not None else {}
+    merged = MergedState(
+        accumulator=FxpVector(block.accumulator, ckpt.scale_bits),
+        retained=block.retained,
+        masks=masks,
+        method=ckpt.method.tag,
+    )
+    emr = None
+    if block.emr_unified is not None:
+        emr = EmrArtifacts(
+            unified=block.emr_unified, masks=masks, scales=dict(block.emr_scales)
+        )
+    return Shard(
+        merged,
+        emr=emr,
+        tall=None if block.tall is None else dict(block.tall),
+        ties_vector=block.ties_vector,
+    )
+
+
+def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
+    """Reattach task data to a checkpoint. Tasks must cover the registry.
+
+    The file keeps each shard's deletion order but not the order across
+    shards; ``unlearned`` lists the shards' deletions shard by shard.
+    """
     by_id = {t.id: t for t in tasks}
     missing = sorted(set(ckpt.assignment) - set(by_id))
     if missing:
         raise CheckpointFormatError(f"dataset is missing task ids {missing}")
-    systems = []
-    for c, block in enumerate(ckpt.clusters):
-        ids = sorted(t for t, ci in ckpt.assignment.items() if ci == c)
-        registry = {t: by_id[t] for t in ids}
-        m0 = init_params(ckpt.model_spec, ckpt.base_seed)
-        system = SystemState(
-            method=ckpt.method,
-            model_spec=ckpt.model_spec,
-            train_cfg=ckpt.train_cfg,
-            base_seed=ckpt.base_seed,
-            sign_seed=ckpt.sign_seed,
-            central_max_steps=ckpt.central_max_steps,
-            m0=m0,
-            registry=registry,
-            replay_digests=dict(block.digests),
-            unlearned=block.unlearned,
-        )
-        if ckpt.method.tag == "central":
-            system.central_params = block.central_params
-        else:
-            masks = dict(block.masks) if block.masks is not None else {}
-            system.merged = MergedState(
-                accumulator=FxpVector(block.accumulator, ckpt.scale_bits),
-                retained=block.retained,
-                masks=masks,
-                method=ckpt.method.tag,
-                base_seed=ckpt.base_seed,
-                sign_seed=ckpt.sign_seed,
-            )
-            if ckpt.method.tag == "sift_masks":
-                system.sign_vector = gen_sign_vector(
-                    ckpt.sign_seed, ckpt.model_spec.param_count
-                )
-            if block.emr_unified is not None:
-                system.emr = EmrArtifacts(
-                    unified=block.emr_unified,
-                    masks=masks,
-                    scales=dict(block.emr_scales),
-                )
-            if block.tall is not None:
-                system.tall = dict(block.tall)
-            if block.ties_vector is not None:
-                system.ties_vector = block.ties_vector
-        systems.append(system)
-    if len(systems) == 1:
-        return systems[0]
-    return ClusteredSystem(assignment=dict(ckpt.assignment), systems=systems)
+    system = new_system(
+        ckpt.method,
+        ckpt.model_spec,
+        ckpt.train_cfg,
+        {t: by_id[t] for t in sorted(ckpt.assignment)},
+        dict(ckpt.assignment),
+        base_seed=ckpt.base_seed,
+        sign_seed=ckpt.sign_seed,
+        central_max_steps=ckpt.central_max_steps,
+    )
+    for block in ckpt.clusters:
+        system.replay_digests.update(block.digests)
+    system.unlearned = tuple(t for block in ckpt.clusters for t in block.unlearned)
+    system.shards = tuple(_shard_from_block(ckpt, block) for block in ckpt.clusters)
+    return system

@@ -31,19 +31,16 @@ from .datasets import (
     synth_generate,
 )
 from .engine import (
-    ClusteredSystem,
     ReplayMismatchError,
     UnknownTaskError,
     build,
-    build_clustered,
     evaluate,
-    evaluate_clustered,
     project_total_cost,
+    storage_words,
     unlearn,
-    unlearn_clustered,
     verify_exactness,
 )
-from .merging import LocalizationMethod, MERGE_FAMILY
+from .merging import METHOD_TAGS, LocalizationMethod
 from .trainer import ModelSpec, TrainConfig
 
 EXIT_OK = 0
@@ -101,7 +98,6 @@ def _config_options(fn):
         click.option("--alpha-grid", "alpha_grid", type=str, default=None),
         click.option("--ties-density", "ties_density", type=float, default=None),
         click.option("--clusters", type=int, default=None),
-        click.option("--threads", type=int, default=None),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -134,11 +130,9 @@ def _method(cfg: RunConfig) -> LocalizationMethod:
 
 def _tasks_for(cfg: RunConfig, data: str | None):
     if data:
-        return load_tasks(data, num_classes=cfg.num_classes, seed=cfg.data_seed)
+        return load_tasks(data, num_classes=cfg.num_classes)
     if cfg.dataset_source == "file":
-        return load_tasks(
-            cfg.dataset_path, num_classes=cfg.num_classes, seed=cfg.data_seed
-        )
+        return load_tasks(cfg.dataset_path, num_classes=cfg.num_classes)
     regime = HeterogeneityRegime(
         cfg.regime, conflict_rate=cfg.conflict_rate, margin=cfg.margin
     )
@@ -153,18 +147,17 @@ def _tasks_for(cfg: RunConfig, data: str | None):
 
 
 def _build_from_config(cfg: RunConfig, tasks):
-    kwargs = dict(
+    return build(
+        _method(cfg),
+        tasks,
+        _model_spec(cfg),
+        _train_cfg(cfg),
         base_seed=cfg.init_seed,
         sign_seed=cfg.sign_seed,
         central_max_steps=cfg.central_max_steps,
-        threads=cfg.threads,
+        clusters=cfg.clusters,
+        cluster_seed=cfg.cluster_seed,
     )
-    if cfg.clusters > 1:
-        return build_clustered(
-            _method(cfg), tasks, _model_spec(cfg), _train_cfg(cfg),
-            cfg.clusters, cfg.cluster_seed, **kwargs,
-        )
-    return build(_method(cfg), tasks, _model_spec(cfg), _train_cfg(cfg), **kwargs)
 
 
 def _write_rows(path, rows, append: bool = False) -> None:
@@ -283,14 +276,9 @@ def cmd_eval(data, checkpoint, mode, **params):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt, system = _load_system(cfg, data, checkpoint)
-    if isinstance(system, ClusteredSystem):
-        report = evaluate_clustered(system, mode)
-        n_unlearned = sum(len(s.unlearned) for s in system.systems)
-    else:
-        report = evaluate(system, mode)
-        n_unlearned = len(system.unlearned)
+    report = evaluate(system, mode)
     path = out / f"eval_{mode}.csv"
-    _write_rows(path, _eval_rows(ckpt.method.tag, n_unlearned, report))
+    _write_rows(path, _eval_rows(ckpt.method.tag, len(system.unlearned), report))
     click.echo(f"{mode} aggregate accuracy: {report.aggregate:.4f}")
     click.echo(f"wrote {path}")
 
@@ -314,21 +302,14 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
         raise click.UsageError("nothing to unlearn: pass --id or --ids-file")
     ckpt, system = _load_system(cfg, data, checkpoint)
     ledger = ckpt.ledger
+    base_event = len(system.unlearned)
     reports = []
     for u in ids:
-        if isinstance(system, ClusteredSystem):
-            system, report, delta = unlearn_clustered(
-                system, u, threads=cfg.threads, verify=do_verify
-            )
-        else:
-            system, report, delta = unlearn(
-                system, u, threads=cfg.threads, verify=do_verify
-            )
+        system, report, delta = unlearn(system, u, verify=do_verify)
         ledger.add(delta)
         reports.append((u, report, delta))
     save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
     rows = []
-    base_event = len(ckpt.clusters[0].unlearned) if len(ckpt.clusters) == 1 else 0
     for i, (u, report, delta) in enumerate(reports):
         rows.append([ckpt.method.tag, base_event + i + 1, u, "replay_matches", int(report.replay_matches)])
         rows.append([ckpt.method.tag, base_event + i + 1, u, "state_matches_oracle", int(report.state_matches_oracle)])
@@ -353,16 +334,12 @@ def cmd_verify(data, checkpoint, **params):
     """Replay all retained tasks and compare against the stored accumulator."""
     cfg = _config_from(params)
     _, system = _load_system(cfg, data, checkpoint)
-    systems = system.systems if isinstance(system, ClusteredSystem) else [system]
-    ok = True
-    for i, sub in enumerate(systems):
-        report = verify_exactness(sub, threads=cfg.threads)
-        ok &= report.exact
-        click.echo(
-            f"cluster {i}: replay_matches={report.replay_matches} "
-            f"state_matches_oracle={report.state_matches_oracle}"
-        )
-    if not ok:
+    report = verify_exactness(system)
+    click.echo(
+        f"replay_matches={report.replay_matches} "
+        f"state_matches_oracle={report.state_matches_oracle}"
+    )
+    if not report.exact:
         raise ExactnessViolation("stored state does not match a fresh merge")
     click.echo("exactness verified")
 
@@ -382,7 +359,7 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
     if simulate_unlearn_all:
         rows = []
         summary = {}
-        for tag in MERGE_FAMILY + ("central",):
+        for tag in METHOD_TAGS:
             proj = project_total_cost(sim_tasks, tag, sim_steps, sim_clusters)
             summary[tag] = {
                 "total_task_finetunes": proj.total_finetunes,
@@ -417,15 +394,10 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
     ckpt = load_checkpoint(checkpoint)
     blocks = ckpt.clusters
     m = ckpt.model_spec.param_count
-    from .paramcore import mask_words
-
     total_words = 0
     rows = []
     for i, block in enumerate(blocks):
-        masks = (
-            len(block.retained) * mask_words(m) if block.masks is not None else 0
-        )
-        words = m + masks
+        words = storage_words(ckpt.method.tag, m, [len(block.retained)]).words
         total_words += words
         rows.append([ckpt.method.tag, i, "", "storage_words", words])
     led = ckpt.ledger

@@ -49,7 +49,6 @@ class RunConfig:
     ties_density: float = 1.0
     # system
     clusters: int = 1
-    threads: int = 1
 
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
@@ -58,8 +57,8 @@ class RunConfig:
             raise ConfigError(f"dataset_source must be one of {DATASET_SOURCES}")
         if self.dataset_source == "file" and not self.dataset_path:
             raise ConfigError("dataset_source 'file' requires dataset_path")
-        if self.clusters < 1 or self.threads < 1:
-            raise ConfigError("clusters and threads must be >= 1")
+        if self.clusters < 1:
+            raise ConfigError("clusters must be >= 1")
 
     # labeled child seeds; pure functions of the top-level seed
     @property

@@ -47,13 +47,12 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task: examples, a fixed held-out split, and a derived replay seed."""
+    """One task: examples and a fixed held-out split."""
 
     id: int
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64
     eval_indices: np.ndarray  # held-out example indices
-    seed: int
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -105,10 +104,6 @@ class HeterogeneityRegime:
 def _eval_tail(n: int) -> np.ndarray:
     n_eval = math.ceil(0.2 * n)
     return np.arange(n - n_eval, n, dtype=np.int64)
-
-
-def _task_seed(seed: int, task_id: int) -> int:
-    return mix_seed(seed, ("task", task_id))
 
 
 def camp_sign(task_id: int) -> int:
@@ -196,7 +191,6 @@ def _gen_conflicting(regime, num_tasks, n_per_task, d, c, seed):
                 features=features.copy(),
                 labels=labels,
                 eval_indices=_eval_tail(n),
-                seed=_task_seed(seed, t),
             )
         )
     return tasks
@@ -223,7 +217,6 @@ def _gen_distinct(num_tasks, n_per_task, d, c, seed):
                 features=features,
                 labels=labels,
                 eval_indices=_eval_tail(n),
-                seed=_task_seed(seed, t),
             )
         )
     return tasks
@@ -242,7 +235,6 @@ def _gen_similar(regime, num_tasks, n_per_task, d, c, seed):
                 features=features,
                 labels=labels,
                 eval_indices=_eval_tail(n_per_task),
-                seed=_task_seed(seed, t),
             )
         )
     return tasks
@@ -261,7 +253,7 @@ def save_tasks(tasks: list[TaskSpec], path) -> None:
                 fh.write(json.dumps(record) + "\n")
 
 
-def load_tasks(path, num_classes: int | None = None, seed: int = 0) -> list[TaskSpec]:
+def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     """Load a JSONL dataset; groups records by task_id in file order.
 
     The held-out split is the last ceil(20%) of each task's records. When
@@ -306,7 +298,6 @@ def load_tasks(path, num_classes: int | None = None, seed: int = 0) -> list[Task
                 features=features,
                 labels=labels,
                 eval_indices=_eval_tail(len(rows)),
-                seed=_task_seed(seed, task_id),
             )
         )
     return tasks

@@ -14,12 +14,17 @@ one task). Build charges one task-finetune per task. Unlearning charges:
 
 A replay that fails to reproduce the stored digest is a hard error: exactness
 is void once determinism breaks, so the engine refuses to proceed.
+
+Every system is a tuple of shards plus an assignment of task ids to shards; an
+unclustered system is one shard, as in SISA shard retraining. A deletion
+touches only its task's shard. What differs between methods lives in one
+table, ``METHODS``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +33,6 @@ from .datasets import TaskSpec
 from .merging import (
     EmrArtifacts,
     LocalizationMethod,
-    MASK_BEARING,
-    MERGE_FAMILY,
     MergedState,
     emr_build,
     emr_localize,
@@ -42,7 +45,15 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import FxpVector, SignVector, fxp_add, gen_sign_vector, mask_words, quantize
+from .paramcore import (
+    BitMask,
+    FxpVector,
+    SignVector,
+    fxp_add,
+    gen_sign_vector,
+    mask_words,
+    quantize,
+)
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
@@ -128,9 +139,24 @@ class EvalReport:
     aggregate: float
 
 
+@dataclass(frozen=True)
+class Shard:
+    """What one shard serves: its merged state (or central model) and artifacts."""
+
+    merged: MergedState | None = None
+    central_params: np.ndarray | None = None
+    emr: EmrArtifacts | None = None
+    tall: dict[int, tuple[float, float]] | None = None
+    ties_vector: np.ndarray | None = None
+
+
 @dataclass
 class SystemState:
-    """Everything needed to serve, delete from, and audit one built system."""
+    """Everything needed to serve, delete from, and audit one built system.
+
+    The registry, replay digests and unlearned ids are held once, keyed by
+    task id; ``assignment`` routes each task to the shard that serves it.
+    """
 
     method: LocalizationMethod
     model_spec: ModelSpec
@@ -139,26 +165,48 @@ class SystemState:
     sign_seed: int
     central_max_steps: int
     m0: np.ndarray
+    sign_vector: SignVector | None
     registry: dict[int, TaskSpec]
     replay_digests: dict[int, bytes]
+    assignment: dict[int, int]
+    shards: tuple[Shard, ...] = ()
     unlearned: tuple[int, ...] = ()
-    merged: MergedState | None = None
-    central_params: np.ndarray | None = None
-    sign_vector: SignVector | None = None
-    emr: EmrArtifacts | None = None
-    tall: dict[int, tuple[float, float]] | None = None
-    ties_vector: np.ndarray | None = None
-    cached_vectors: dict[int, TaskVector] | None = None
 
     @property
     def retained(self) -> tuple[int, ...]:
-        if self.merged is not None:
-            return self.merged.retained
-        return tuple(t for t in sorted(self.registry) if t not in self.unlearned)
+        gone = set(self.unlearned)
+        return tuple(t for t in sorted(self.registry) if t not in gone)
 
-    @property
-    def is_central(self) -> bool:
-        return self.method.tag == "central"
+    def shard_retained(self, shard: int) -> list[int]:
+        """Retained ids of one shard, ascending."""
+        return [t for t in self.retained if self.assignment[t] == shard]
+
+
+@dataclass(frozen=True)
+class MethodOps:
+    """One method's row in ``METHODS``.
+
+    Entries are small functions that look layer functions up as module
+    globals when called, so a wrapper installed on a layer function (as the
+    benchmark's tracer does) sees every method's calls.
+    """
+
+    # train the given ids of one shard and finish the method's artifacts;
+    # returns the shard and the replay digest of every trained task vector
+    build_shard: Callable[[SystemState, list[int]], tuple[Shard, dict[int, bytes]]]
+    # parameters served for one task that has a stored mask, or for any task
+    # when the method stores none
+    serve: Callable[[SystemState, Shard, int], np.ndarray]
+    # retrain one task exactly as at build time; None when the method trains
+    # on the pooled shard, which is then verified by retraining it
+    train_task: Callable[[SystemState, TaskSpec], tuple[TaskVector, BitMask | None]] | None
+    # a deletion replays the task and subtracts it; otherwise the shard is
+    # rebuilt from its remaining tasks
+    subtracts: bool
+    # per-task masks are stored (M/32 words each) and served
+    stores_masks: bool
+    # tasks train under the global sign vector
+    signed: bool = False
 
 
 def _digest(delta: np.ndarray, scale_bits: int = 32) -> bytes:
@@ -167,122 +215,53 @@ def _digest(delta: np.ndarray, scale_bits: int = 32) -> bytes:
     ).digest()
 
 
-def _train_map(fn, tasks, threads: int):
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
-    """Concatenate training splits in ascending (task id, example index) order."""
-    ordered = sorted(tasks, key=lambda t: t.id)
-    feats = np.concatenate([t.train_xy()[0] for t in ordered])
-    labels = np.concatenate([t.train_xy()[1] for t in ordered])
-    return TaskSpec(
-        id=ordered[0].id,
-        features=feats,
-        labels=labels,
-        eval_indices=np.empty(0, dtype=np.int64),
-        seed=ordered[0].seed,
-    )
-
-
-def _central_steps(cfg: TrainConfig, n_tasks: int, cap: int) -> int:
-    return min(cfg.steps * n_tasks, cap)
-
-
-def _train_central(tasks, m0, spec, cfg, cap) -> np.ndarray:
-    if not tasks:
-        return m0.copy()
-    pooled = _pooled_task(tasks)
-    run_cfg = replace(cfg, steps=_central_steps(cfg, len(tasks), cap))
-    return m0 + ft_finetune(pooled, m0, spec, run_cfg).delta
-
-
-def build(
-    method: LocalizationMethod,
-    tasks: list[TaskSpec],
-    model_spec: ModelSpec,
-    cfg: TrainConfig,
-    *,
-    base_seed: int = 0,
-    sign_seed: int = 0,
-    central_max_steps: int = CENTRAL_MAX_STEPS_DEFAULT,
-    threads: int = 1,
-    cache_task_vectors: bool = False,
-) -> tuple[SystemState, CostLedger]:
-    """Train every task and assemble the serving state for the given method."""
-    if not tasks:
-        raise ValueError("build needs at least one task")
-    ids = [t.id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate task ids")
-    tasks = sorted(tasks, key=lambda t: t.id)
-    for t in tasks:
-        if t.input_dim != model_spec.input_dim:
-            raise ValueError(f"task {t.id} feature dim != model input_dim")
-
-    m0 = init_params(model_spec, base_seed)
-    registry = {t.id: t for t in tasks}
-    ledger = CostLedger()
-    system = SystemState(
-        method=method,
-        model_spec=model_spec,
-        train_cfg=cfg,
-        base_seed=base_seed,
-        sign_seed=sign_seed,
-        central_max_steps=central_max_steps,
-        m0=m0,
-        registry=registry,
-        replay_digests={},
-    )
-
-    if method.tag == "central":
-        system.central_params = _train_central(
-            tasks, m0, model_spec, cfg, central_max_steps
+def _check_digest(system: SystemState, task_id: int, digest: bytes) -> None:
+    if digest != system.replay_digests[task_id]:
+        raise ReplayMismatchError(
+            f"replayed task {task_id} does not reproduce its build-time "
+            "vector; deterministic replay is broken"
         )
-        ledger.record("build", len(tasks), cfg.steps)
-        return system, ledger
 
-    sign_vector = None
-    if method.tag == "sift_masks":
-        sign_vector = gen_sign_vector(sign_seed, model_spec.param_count)
-        system.sign_vector = sign_vector
 
-    def train_one(task):
-        if method.tag == "sift_masks":
-            return sift_finetune(task, m0, model_spec, sign_vector, cfg)
-        return ft_finetune(task, m0, model_spec, cfg), None
+def _train_ft(system: SystemState, task: TaskSpec):
+    return ft_finetune(task, system.m0, system.model_spec, system.train_cfg), None
 
-    results = _train_map(train_one, tasks, threads)
-    vectors = [tv for tv, _ in results]
-    ledger.record("build", len(tasks), cfg.steps)
-    system.replay_digests = {tv.source_task: _digest(tv.delta) for tv in vectors}
 
-    masks = None
-    if method.tag == "sift_masks":
-        masks = {tv.source_task: m for (tv, m) in results}
-    state = merge(
-        vectors, masks, method=method.tag, base_seed=base_seed, sign_seed=sign_seed
+def _train_sift(system: SystemState, task: TaskSpec):
+    return sift_finetune(
+        task, system.m0, system.model_spec, system.sign_vector, system.train_cfg
     )
 
-    if method.tag == "tall_masks":
-        state, system.tall = _tune_tall(vectors, state, system)
-    elif method.tag == "emr":
-        art = emr_build(vectors)
-        state = replace(state, masks=dict(art.masks))
-        system.emr = art
-    elif method.tag == "ties":
-        system.ties_vector = ties_merge(vectors, method.ties_density)
 
-    system.merged = state
-    if cache_task_vectors:
-        system.cached_vectors = {tv.source_task: tv for tv in vectors}
-    return system, ledger
+def _merge_shard(system: SystemState, ids: list[int]):
+    """Train the ids and fold their vectors; returns vectors, state, digests."""
+    train = METHODS[system.method.tag].train_task
+    results = [train(system, system.registry[t]) for t in ids]
+    vectors = [tv for tv, _ in results]
+    masks = {tv.source_task: m for tv, m in results if m is not None}
+    state = merge(
+        vectors,
+        masks or None,
+        method=system.method.tag,
+        length=system.model_spec.param_count,
+    )
+    return vectors, state, {tv.source_task: _digest(tv.delta) for tv in vectors}
 
 
-def _tune_tall(vectors, state, system):
+def _build_merged(system: SystemState, ids: list[int]):
+    _, state, digests = _merge_shard(system, ids)
+    return Shard(state), digests
+
+
+def _build_tall(system: SystemState, ids: list[int]):
+    vectors, state, digests = _merge_shard(system, ids)
+    if not vectors:  # every task deleted: an empty shard keeps no artifacts
+        return Shard(state), digests
+    state, params = _tune_tall(system, vectors, state)
+    return Shard(state, tall=params), digests
+
+
+def _tune_tall(system: SystemState, vectors, state: MergedState):
     """Per-task (lambda, alpha) grid search on the training split."""
     method = system.method
     params: dict[int, tuple[float, float]] = {}
@@ -299,199 +278,254 @@ def _tune_tall(vectors, state, system):
     return replace(state, masks=masks), params
 
 
-def _replay_one(system: SystemState, task_id: int):
-    """Retrain one task exactly as at build time (or serve it from the cache)."""
-    if system.cached_vectors is not None and task_id in system.cached_vectors:
-        cached = system.cached_vectors[task_id]
-        if system.method.tag == "sift_masks" and system.merged is not None:
-            return cached, system.merged.masks.get(task_id)
-        return cached, None
-    task = system.registry[task_id]
-    if system.method.tag == "sift_masks":
-        return sift_finetune(
-            task, system.m0, system.model_spec, system.sign_vector, system.train_cfg
-        )
-    return ft_finetune(task, system.m0, system.model_spec, system.train_cfg), None
+def _build_emr(system: SystemState, ids: list[int]):
+    vectors, state, digests = _merge_shard(system, ids)
+    if not vectors:
+        return Shard(state), digests
+    art = emr_build(vectors)
+    return Shard(replace(state, masks=dict(art.masks)), emr=art), digests
 
 
-def _check_digest(system: SystemState, tv: TaskVector) -> None:
-    if _digest(tv.delta) != system.replay_digests[tv.source_task]:
-        raise ReplayMismatchError(
-            f"replayed task {tv.source_task} does not reproduce its build-time "
-            "vector; deterministic replay is broken"
-        )
+def _build_ties(system: SystemState, ids: list[int]):
+    vectors, state, digests = _merge_shard(system, ids)
+    if vectors:
+        ties_vector = ties_merge(vectors, system.method.ties_density)
+    else:
+        ties_vector = np.zeros(state.length)
+    return Shard(state, ties_vector=ties_vector), digests
+
+
+def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
+    """Concatenate training splits in ascending (task id, example index) order."""
+    ordered = sorted(tasks, key=lambda t: t.id)
+    feats = np.concatenate([t.train_xy()[0] for t in ordered])
+    labels = np.concatenate([t.train_xy()[1] for t in ordered])
+    return TaskSpec(
+        id=ordered[0].id,
+        features=feats,
+        labels=labels,
+        eval_indices=np.empty(0, dtype=np.int64),
+    )
+
+
+def _build_central(system: SystemState, ids: list[int]):
+    if not ids:
+        return Shard(central_params=system.m0.copy()), {}
+    cfg = system.train_cfg
+    pooled = _pooled_task([system.registry[t] for t in ids])
+    run_cfg = replace(cfg, steps=min(cfg.steps * len(ids), system.central_max_steps))
+    delta = ft_finetune(pooled, system.m0, system.model_spec, run_cfg).delta
+    return Shard(central_params=system.m0 + delta), {}
+
+
+def _serve_merged(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    return serve_merged(shard.merged, system.m0)
+
+
+def _serve_sift(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    return localize_sift(shard.merged, task_id, system.m0)
+
+
+def _serve_tall(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    _, alpha = shard.tall[task_id]
+    return localize_masked(shard.merged, shard.merged.masks[task_id], system.m0, alpha)
+
+
+def _serve_emr(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    return emr_localize(shard.emr, task_id, system.m0)
+
+
+def _serve_ties(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    return system.m0 + shard.ties_vector
+
+
+def _serve_central(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
+    return shard.central_params
+
+
+METHODS: dict[str, MethodOps] = {
+    "sift_masks": MethodOps(
+        _build_merged, _serve_sift, _train_sift,
+        subtracts=True, stores_masks=True, signed=True,
+    ),
+    "ft_merge": MethodOps(
+        _build_merged, _serve_merged, _train_ft, subtracts=True, stores_masks=False
+    ),
+    "tall_masks": MethodOps(
+        _build_tall, _serve_tall, _train_ft, subtracts=False, stores_masks=True
+    ),
+    "emr": MethodOps(
+        _build_emr, _serve_emr, _train_ft, subtracts=False, stores_masks=True
+    ),
+    "ties": MethodOps(
+        _build_ties, _serve_ties, _train_ft, subtracts=False, stores_masks=False
+    ),
+    "central": MethodOps(
+        _build_central, _serve_central, None, subtracts=False, stores_masks=False
+    ),
+}
+
+
+def new_system(
+    method: LocalizationMethod,
+    model_spec: ModelSpec,
+    train_cfg: TrainConfig,
+    registry: dict[int, TaskSpec],
+    assignment: dict[int, int],
+    *,
+    base_seed: int,
+    sign_seed: int,
+    central_max_steps: int,
+) -> SystemState:
+    """A system without shards yet; base parameters and signs come from the seeds."""
+    signs = None
+    if METHODS[method.tag].signed:
+        signs = gen_sign_vector(sign_seed, model_spec.param_count)
+    return SystemState(
+        method=method,
+        model_spec=model_spec,
+        train_cfg=train_cfg,
+        base_seed=base_seed,
+        sign_seed=sign_seed,
+        central_max_steps=central_max_steps,
+        m0=init_params(model_spec, base_seed),
+        sign_vector=signs,
+        registry=registry,
+        replay_digests={},
+        assignment=assignment,
+    )
+
+
+def build(
+    method: LocalizationMethod,
+    tasks: list[TaskSpec],
+    model_spec: ModelSpec,
+    cfg: TrainConfig,
+    *,
+    base_seed: int = 0,
+    sign_seed: int = 0,
+    central_max_steps: int = CENTRAL_MAX_STEPS_DEFAULT,
+    clusters: int = 1,
+    cluster_seed: int = 0,
+) -> tuple[SystemState, CostLedger]:
+    """Train every task and assemble the serving state for the given method.
+
+    Tasks are split into ``clusters`` shards by ``cluster_random``.
+    """
+    if not tasks:
+        raise ValueError("build needs at least one task")
+    ids = [t.id for t in tasks]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate task ids")
+    tasks = sorted(tasks, key=lambda t: t.id)
+    for t in tasks:
+        if t.input_dim != model_spec.input_dim:
+            raise ValueError(f"task {t.id} feature dim != model input_dim")
+
+    system = new_system(
+        method,
+        model_spec,
+        cfg,
+        {t.id: t for t in tasks},
+        cluster_random(ids, clusters, cluster_seed),
+        base_seed=base_seed,
+        sign_seed=sign_seed,
+        central_max_steps=central_max_steps,
+    )
+    shards = []
+    for c in range(clusters):
+        shard, digests = METHODS[method.tag].build_shard(system, system.shard_retained(c))
+        system.replay_digests.update(digests)
+        shards.append(shard)
+    system.shards = tuple(shards)
+    ledger = CostLedger()
+    ledger.record("build", len(tasks), cfg.steps)
+    return system, ledger
 
 
 def unlearn(
-    system: SystemState, task_id: int, *, threads: int = 1, verify: bool = False
+    system: SystemState, task_id: int, *, verify: bool = False
 ) -> tuple[SystemState, ExactnessReport, CostLedger]:
     """Delete one task. Returns the new state, an exactness report, and the cost.
 
-    With verify=True the subtraction path is additionally audited against a
-    fresh merge of the retained set (replaying every retained task); the audit
-    is not charged to the ledger.
+    With verify=True the task's shard is additionally audited against a fresh
+    merge of its retained tasks (replaying each of them); the audit is not
+    charged to the ledger.
     """
     if task_id not in system.retained:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
+    ops = METHODS[system.method.tag]
+    c = system.assignment[task_id]
+    shard = system.shards[c]
+    remaining = [t for t in system.shard_retained(c) if t != task_id]
+    steps = system.train_cfg.steps
     ledger = CostLedger()
-    cfg = system.train_cfg
-    remaining = tuple(t for t in system.retained if t != task_id)
-
-    if system.is_central:
-        new_params = _train_central(
-            [system.registry[t] for t in remaining],
-            system.m0,
-            system.model_spec,
-            cfg,
-            system.central_max_steps,
-        )
-        ledger.record("unlearn", len(remaining), cfg.steps)
-        new_system = replace(
-            system,
-            central_params=new_params,
-            unlearned=system.unlearned + (task_id,),
-        )
-        report = ExactnessReport(task_id, True, True)
-        return new_system, report, ledger
-
-    state = system.merged
-    if system.method.tag in ("sift_masks", "ft_merge"):
-        if not remaining:
-            # the accumulator holds exactly this task's vector: drop it for free
-            new_state = replace(
-                state,
-                accumulator=FxpVector.zeros(state.length, state.accumulator.scale_bits),
-                retained=(),
-                masks={},
-            )
-            new_system = replace(
-                system, merged=new_state, unlearned=system.unlearned + (task_id,)
-            )
-            oracle_ok = not np.any(new_state.accumulator.values)
-            return new_system, ExactnessReport(task_id, True, bool(oracle_ok)), ledger
-        tv, _ = _replay_one(system, task_id)
-        _check_digest(system, tv)
-        ledger.record("unlearn", 1, cfg.steps)
-        new_state = unmerge(state, tv)
-        new_system = replace(
-            system, merged=new_state, unlearned=system.unlearned + (task_id,)
-        )
-        if system.cached_vectors is not None:
-            new_system.cached_vectors = {
-                t: v for t, v in system.cached_vectors.items() if t != task_id
-            }
-        if verify:
-            audit = verify_exactness(new_system, threads=threads)
-            report = ExactnessReport(task_id, True, audit.state_matches_oracle)
-        else:
-            # integer subtraction of the digest-verified vector is exactly
-            # inverse to the addition that built the accumulator
-            report = ExactnessReport(task_id, True, True)
-        return new_system, report, ledger
-
-    # rebuild family: masks / elected signs depend on the merged state
-    new_system = replace(system, unlearned=system.unlearned + (task_id,))
-    if system.cached_vectors is not None:
-        new_system.cached_vectors = {
-            t: v for t, v in system.cached_vectors.items() if t != task_id
-        }
-    if not remaining:
-        new_system.merged = replace(
-            state,
-            accumulator=FxpVector.zeros(state.length, state.accumulator.scale_bits),
-            retained=(),
-            masks={},
-        )
-        new_system.emr = None
-        new_system.tall = None
-        if system.ties_vector is not None:
-            new_system.ties_vector = np.zeros_like(system.ties_vector)
-        return new_system, ExactnessReport(task_id, True, True), ledger
-
-    fresh = _train_map(lambda t: _replay_one(system, t), list(remaining), threads)
-    vectors = [tv for tv, _ in fresh]
-    for tv in vectors:
-        _check_digest(system, tv)
-    ledger.record("unlearn", len(remaining), cfg.steps)
-
-    rebuilt = merge(
-        vectors,
-        method=system.method.tag,
-        base_seed=system.base_seed,
-        sign_seed=system.sign_seed,
+    if ops.subtracts and remaining:
+        tv, _ = ops.train_task(system, system.registry[task_id])
+        _check_digest(system, task_id, _digest(tv.delta))
+        ledger.record("unlearn", 1, steps)
+        shard = replace(shard, merged=unmerge(shard.merged, tv))
+    else:
+        # masks / elected signs depend on the merged state, so the shard is
+        # rebuilt; a subtracting method's last task is dropped this way for
+        # free, since the accumulator then holds exactly its vector
+        shard, digests = ops.build_shard(system, remaining)
+        for t, digest in digests.items():
+            _check_digest(system, t, digest)
+        ledger.record("unlearn", len(remaining), steps)
+    shards = list(system.shards)
+    shards[c] = shard
+    after = replace(
+        system, shards=tuple(shards), unlearned=system.unlearned + (task_id,)
     )
-    method = system.method
-    if method.tag == "tall_masks":
-        rebuilt, new_system.tall = _tune_tall(vectors, rebuilt, system)
-    elif method.tag == "emr":
-        art = emr_build(vectors)
-        rebuilt = replace(rebuilt, masks=dict(art.masks))
-        new_system.emr = art
-    elif method.tag == "ties":
-        new_system.ties_vector = ties_merge(vectors, method.ties_density)
-
-    new_system.merged = rebuilt
-    # the rebuilt accumulator is a fresh merge of the retained set by
-    # construction, and every replay matched its stored digest
-    return new_system, ExactnessReport(task_id, True, True), ledger
+    # without the audit the state holds by construction: integer subtraction
+    # of a digest-verified vector is exactly inverse to the addition that
+    # built the accumulator, and a rebuild is a fresh merge of the retained set
+    state_ok = _verify_shard(after, c)[1] if verify else True
+    return after, ExactnessReport(task_id, True, state_ok), ledger
 
 
-def verify_exactness(
-    system: SystemState,
-    task_vectors: dict[int, TaskVector] | None = None,
-    *,
-    threads: int = 1,
-) -> ExactnessReport:
-    """Replay every retained task and compare the fold-add to the stored state.
+def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
+    """(replays match, state matches a fresh merge) for one shard."""
+    ops = METHODS[system.method.tag]
+    shard = system.shards[c]
+    ids = system.shard_retained(c)
+    if ops.train_task is None:
+        fresh, _ = ops.build_shard(system, ids)
+        same = bool(np.array_equal(fresh.central_params, shard.central_params))
+        return same, same
+    acc = shard.merged.accumulator
+    fresh_acc = FxpVector.zeros(len(acc), acc.scale_bits)
+    replays_ok = True
+    for t in ids:
+        tv, _ = ops.train_task(system, system.registry[t])
+        replays_ok &= _digest(tv.delta) == system.replay_digests[t]
+        fresh_acc = fxp_add(fresh_acc, quantize(tv.delta))
+    return replays_ok, bool(np.array_equal(fresh_acc.values, acc.values))
+
+
+def verify_exactness(system: SystemState) -> ExactnessReport:
+    """Replay every retained task and compare each shard to its stored state.
 
     Audit only: nothing is charged to any ledger.
     """
-    retained = system.retained
-    if system.is_central:
-        fresh = _train_central(
-            [system.registry[t] for t in retained],
-            system.m0,
-            system.model_spec,
-            system.train_cfg,
-            system.central_max_steps,
-        )
-        same = bool(np.array_equal(fresh, system.central_params))
-        return ExactnessReport(None, same, same)
-
-    if task_vectors is not None:
-        vectors = [task_vectors[t] for t in retained]
-    else:
-        fresh = _train_map(lambda t: _replay_one(system, t), list(retained), threads)
-        vectors = [tv for tv, _ in fresh]
-    replays_ok = all(
-        _digest(tv.delta) == system.replay_digests[tv.source_task] for tv in vectors
+    checks = [_verify_shard(system, c) for c in range(len(system.shards))]
+    return ExactnessReport(
+        None, all(r for r, _ in checks), all(s for _, s in checks)
     )
-    acc = FxpVector.zeros(system.merged.length, system.merged.accumulator.scale_bits)
-    for tv in vectors:
-        acc = fxp_add(acc, quantize(tv.delta))
-    state_ok = bool(np.array_equal(acc.values, system.merged.accumulator.values))
-    return ExactnessReport(None, replays_ok, state_ok)
 
 
 def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
-    """Parameters used to answer queries for one task under the system's method."""
-    if system.is_central:
-        return system.central_params
-    tag = system.method.tag
-    if tag == "ties":
-        return system.m0 + system.ties_vector
-    if task_id not in system.retained:
-        return serve_merged(system.merged, system.m0)
-    if tag == "sift_masks":
-        return localize_sift(system.merged, task_id, system.m0)
-    if tag == "tall_masks":
-        _, alpha = system.tall[task_id]
-        return localize_masked(
-            system.merged, system.merged.masks[task_id], system.m0, alpha
-        )
-    if tag == "emr":
-        return emr_localize(system.emr, task_id, system.m0)
-    return serve_merged(system.merged, system.m0)  # ft_merge
+    """Parameters used to answer queries for one task under the system's method.
+
+    A task without a stored mask (an unlearned one) gets its shard's maskless
+    average.
+    """
+    ops = METHODS[system.method.tag]
+    shard = system.shards[system.assignment[task_id]]
+    if ops.stores_masks and task_id not in shard.merged.masks:
+        return serve_merged(shard.merged, system.m0)
+    return ops.serve(system, shard, task_id)
 
 
 def evaluate(system: SystemState, mode: str) -> EvalReport:
@@ -502,7 +536,7 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    ids = sorted(system.registry) if mode == "held_out" else sorted(system.retained)
+    ids = sorted(system.registry) if mode == "held_out" else system.retained
     per_task: dict[int, float] = {}
     for t in ids:
         params = serve_for_task(system, t)
@@ -522,13 +556,21 @@ def zeroshot_eval(system: SystemState) -> EvalReport:
     return EvalReport(mode="zeroshot", per_task=per_task, aggregate=aggregate)
 
 
+def storage_words(
+    method_tag: str, param_count: int, retained_per_shard: list[int]
+) -> StorageReport:
+    """Stored words: M per shard, plus ceil(M/32) per retained task with masks."""
+    model = len(retained_per_shard) * param_count
+    masks = 0
+    if METHODS[method_tag].stores_masks:
+        masks = sum(retained_per_shard) * mask_words(param_count)
+    return StorageReport(words=model + masks, model_words=model, mask_words=masks)
+
+
 def storage_report(system: SystemState) -> StorageReport:
-    """Stored words: M for single-model methods, M + T * ceil(M/32) with masks."""
-    m = system.model_spec.param_count
-    if system.method.tag in MASK_BEARING:
-        masks = len(system.retained) * mask_words(m)
-        return StorageReport(words=m + masks, model_words=m, mask_words=masks)
-    return StorageReport(words=m, model_words=m, mask_words=0)
+    """``storage_words`` for a built system."""
+    retained = [len(system.shard_retained(c)) for c in range(len(system.shards))]
+    return storage_words(system.method.tag, system.model_spec.param_count, retained)
 
 
 def cluster_random(task_ids: list[int], n_clusters: int, seed: int) -> dict[int, int]:
@@ -540,75 +582,14 @@ def cluster_random(task_ids: list[int], n_clusters: int, seed: int) -> dict[int,
     return {t: i % n_clusters for i, t in enumerate(order)}
 
 
-@dataclass
-class ClusteredSystem:
-    """Independent per-cluster systems; a deletion touches only its cluster."""
-
-    assignment: dict[int, int]
-    systems: list[SystemState]
-
-    def cluster_of(self, task_id: int) -> int:
-        return self.assignment[task_id]
-
-    @property
-    def retained(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for s in self.systems:
-            out.extend(s.retained)
-        return tuple(sorted(out))
-
-
-def build_clustered(
-    method: LocalizationMethod,
-    tasks: list[TaskSpec],
-    model_spec: ModelSpec,
-    cfg: TrainConfig,
-    n_clusters: int,
-    cluster_seed: int,
-    **kwargs,
-) -> tuple[ClusteredSystem, CostLedger]:
-    assignment = cluster_random([t.id for t in tasks], n_clusters, cluster_seed)
-    by_cluster: list[list[TaskSpec]] = [[] for _ in range(n_clusters)]
-    for t in sorted(tasks, key=lambda t: t.id):
-        by_cluster[assignment[t.id]].append(t)
-    ledger = CostLedger()
-    systems = []
-    for group in by_cluster:
-        sys_i, led_i = build(method, group, model_spec, cfg, **kwargs)
-        systems.append(sys_i)
-        ledger.add(led_i)
-    return ClusteredSystem(assignment=assignment, systems=systems), ledger
-
-
-def unlearn_clustered(
-    clustered: ClusteredSystem, task_id: int, **kwargs
-) -> tuple[ClusteredSystem, ExactnessReport, CostLedger]:
-    if task_id not in clustered.assignment:
-        raise UnknownTaskError(f"task {task_id} is unknown")
-    c = clustered.cluster_of(task_id)
-    new_sub, report, ledger = unlearn(clustered.systems[c], task_id, **kwargs)
-    systems = list(clustered.systems)
-    systems[c] = new_sub
-    return ClusteredSystem(clustered.assignment, systems), report, ledger
-
-
-def evaluate_clustered(clustered: ClusteredSystem, mode: str) -> EvalReport:
-    per_task: dict[int, float] = {}
-    for sub in clustered.systems:
-        per_task.update(evaluate(sub, mode).per_task)
-    per_task = dict(sorted(per_task.items()))
-    aggregate = float(np.mean(list(per_task.values()))) if per_task else 0.0
-    return EvalReport(mode=mode, per_task=per_task, aggregate=aggregate)
-
-
-def storage_clustered(clustered: ClusteredSystem) -> StorageReport:
-    words = model = masks = 0
-    for sub in clustered.systems:
-        rep = storage_report(sub)
-        words += rep.words
-        model += rep.model_words
-        masks += rep.mask_words
-    return StorageReport(words=words, model_words=model, mask_words=masks)
+def cluster_sizes(num_tasks: int, n_clusters: int) -> list[int]:
+    """Cluster sizes that ``cluster_random`` gives ``num_tasks`` tasks."""
+    if not (1 <= n_clusters <= num_tasks):
+        raise ValueError("need 1 <= clusters <= num_tasks")
+    return [
+        num_tasks // n_clusters + (1 if c < num_tasks % n_clusters else 0)
+        for c in range(n_clusters)
+    ]
 
 
 @dataclass(frozen=True)
@@ -646,19 +627,14 @@ def project_total_cost(
     """
     if num_tasks < 1:
         raise ValueError("num_tasks must be >= 1")
-    if method_tag not in MERGE_FAMILY + ("central",):
+    if method_tag not in METHODS:
         raise ValueError(f"unknown method tag {method_tag!r}")
-    if not (1 <= n_clusters <= num_tasks):
-        raise ValueError("need 1 <= clusters <= num_tasks")
-    cheap = method_tag in ("sift_masks", "ft_merge")
-    sizes = [
-        num_tasks // n_clusters + (1 if c < num_tasks % n_clusters else 0)
-        for c in range(n_clusters)
-    ]
+    subtracts = METHODS[method_tag].subtracts
+    sizes = cluster_sizes(num_tasks, n_clusters)
     per_event = []
     for i in range(num_tasks):
         c = i % n_clusters
-        if cheap:
+        if subtracts:
             per_event.append(1 if sizes[c] > 1 else 0)
         else:
             per_event.append(sizes[c] - 1)

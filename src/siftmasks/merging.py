@@ -37,10 +37,7 @@ from .paramcore import (
 )
 from .trainer import ModelSpec, TaskVector, accuracy
 
-MERGE_FAMILY = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties")
-MASK_BEARING = ("sift_masks", "tall_masks", "emr")
-REBUILD_ON_UNLEARN = ("tall_masks", "emr", "ties")
-METHOD_TAGS = MERGE_FAMILY + ("central",)
+METHOD_TAGS = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central")
 
 DENSITY_GRID_DEFAULT = (0.1, 0.3, 0.5, 0.7, 0.9)
 ALPHA_GRID_DEFAULT = (0.8, 1.0, 1.2, 1.4, 1.6)
@@ -74,8 +71,6 @@ class MergedState:
     retained: tuple[int, ...]
     masks: dict[int, BitMask]
     method: str
-    base_seed: int = 0
-    sign_seed: int = 0
 
     @property
     def length(self) -> int:
@@ -91,8 +86,6 @@ def merge(
     masks: dict[int, BitMask] | None = None,
     *,
     method: str = "ft_merge",
-    base_seed: int = 0,
-    sign_seed: int = 0,
     scale_bits: int = SCALE_BITS_DEFAULT,
     length: int | None = None,
 ) -> MergedState:
@@ -120,14 +113,7 @@ def merge(
     if masks is not None and set(masks) != set(ids):
         raise ValueError("masks must cover exactly the merged task ids")
     masks = dict(masks) if masks else {}
-    return MergedState(
-        accumulator=acc,
-        retained=tuple(ids),
-        masks=masks,
-        method=method,
-        base_seed=base_seed,
-        sign_seed=sign_seed,
-    )
+    return MergedState(accumulator=acc, retained=tuple(ids), masks=masks, method=method)
 
 
 def unmerge(state: MergedState, tau_u: TaskVector) -> MergedState:
@@ -147,17 +133,8 @@ def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
     return m0 + dequantize(state.accumulator) / state.n_retained
 
 
-def localize_sift(
-    state: MergedState,
-    task_id: int,
-    m0: np.ndarray,
-    divide_by_overlap: bool = False,
-) -> np.ndarray:
-    """Masked average model for one retained task.
-
-    With divide_by_overlap, each surviving entry is divided by the number of
-    retained masks covering it instead of by the retained count.
-    """
+def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarray:
+    """Masked average model for one retained task."""
     if state.method != "sift_masks":
         raise ValueError(f"sift localization on method {state.method!r}")
     if task_id not in state.masks:
@@ -168,12 +145,7 @@ def localize_sift(
             state.accumulator.scale_bits,
         )
     )
-    if not divide_by_overlap:
-        return m0 + masked / max(state.n_retained, 1)
-    overlap = np.zeros(state.length)
-    for t in state.retained:
-        overlap += state.masks[t].to_bools()
-    return m0 + masked / np.maximum(overlap, 1.0)
+    return m0 + masked / max(state.n_retained, 1)
 
 
 def localize_masked(

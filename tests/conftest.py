@@ -33,5 +33,4 @@ def make_task(task_id, features, labels, n_eval=0):
         features=np.asarray(features, dtype=float),
         labels=np.asarray(labels, dtype=np.int64),
         eval_indices=np.arange(n - n_eval, n, dtype=np.int64),
-        seed=0,
     )

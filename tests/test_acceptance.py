@@ -104,12 +104,12 @@ def test_exactness_oracle_two_orders():
         for u in order:
             system, report, _ = unlearn(system, u)
             assert report.replay_matches
-        finals.append(system.merged.accumulator.values)
+        finals.append(system.shards[0].merged.accumulator.values)
     fresh, _ = build(
         method, [t for t in tasks if t.id not in (0, 2, 5)], spec, cfg,
         base_seed=1, sign_seed=2,
     )
-    oracle = fresh.merged.accumulator.values
+    oracle = fresh.shards[0].merged.accumulator.values
     diff_bits = 0
     for final in finals:
         diff_bits += int(np.count_nonzero(final != oracle))

@@ -35,7 +35,6 @@ def test_generation_deterministic():
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.features, tb.features)
         assert np.array_equal(ta.labels, tb.labels)
-        assert ta.seed == tb.seed
     c = synth_generate(regime, 5, 30, 10, 3, seed=8)
     assert not np.array_equal(a[0].labels, c[0].labels) or not np.array_equal(
         a[0].features, c[0].features
@@ -90,7 +89,7 @@ def test_pooled_bayes_bound_for_balanced_camps():
     accs = []
     for t in tasks:
         x, y = t.train_xy()
-        accs.append(float((predict_labels(system.central_params, spec, x) == y).mean()))
+        accs.append(float((predict_labels(system.shards[0].central_params, spec, x) == y).mean()))
     assert np.mean(accs) <= bayes + slack
 
 

@@ -1,3 +1,9 @@
+import csv
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,19 +13,16 @@ from siftmasks.engine import (
     ReplayMismatchError,
     UnknownTaskError,
     build,
-    build_clustered,
     cluster_random,
     evaluate,
-    evaluate_clustered,
     project_total_cost,
-    storage_clustered,
+    serve_for_task,
     storage_report,
     unlearn,
-    unlearn_clustered,
     verify_exactness,
     zeroshot_eval,
 )
-from siftmasks.merging import LocalizationMethod
+from siftmasks.merging import LocalizationMethod, serve_merged
 from siftmasks.paramcore import FxpVector
 from siftmasks.trainer import ModelSpec, TrainConfig, ft_finetune, init_params
 
@@ -47,15 +50,6 @@ def test_build_rejects_empty_and_duplicates(conflicting_tasks):
         build_system("ft_merge", [])
     with pytest.raises(ValueError, match="duplicate"):
         build_system("ft_merge", [conflicting_tasks[0], conflicting_tasks[0]])
-
-
-def test_threaded_build_bit_identical(conflicting_tasks):
-    seq, _ = build_system("sift_masks", conflicting_tasks)
-    par, _ = build_system("sift_masks", conflicting_tasks, threads=4)
-    assert np.array_equal(
-        seq.merged.accumulator.values, par.merged.accumulator.values
-    )
-    assert seq.merged.masks[3] == par.merged.masks[3]
 
 
 # ---------- storage ----------
@@ -96,10 +90,11 @@ def test_unlearn_matches_fresh_build_bit_exact(conflicting_tasks):
     fresh, _ = build_system(
         "sift_masks", [t for t in conflicting_tasks if t.id not in (0, 2, 5)]
     )
+    (shard,), (fresh_shard,) = system.shards, fresh.shards
     assert np.array_equal(
-        system.merged.accumulator.values, fresh.merged.accumulator.values
+        shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
-    assert system.merged.masks.keys() == fresh.merged.masks.keys()
+    assert shard.merged.masks.keys() == fresh_shard.merged.masks.keys()
 
 
 def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
@@ -112,7 +107,7 @@ def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
         for u in order:
             system, _, delta = unlearn(system, u)
             total.add(delta)
-        finals.append(system.merged.accumulator.values)
+        finals.append(system.shards[0].merged.accumulator.values)
         costs.append(total.unlearn_finetunes)
     assert np.array_equal(finals[0], finals[1])
     assert np.array_equal(finals[0], finals[2])
@@ -135,7 +130,7 @@ def test_unlearn_last_task_is_free(conflicting_tasks):
     system, report, d2 = unlearn(system, 1)
     assert d2.unlearn_finetunes == 0  # accumulator equals the last vector
     assert report.exact
-    assert not system.merged.accumulator.values.any()
+    assert not system.shards[0].merged.accumulator.values.any()
 
 
 def test_unlearn_cost_single_deletion_by_method(conflicting_tasks):
@@ -166,18 +161,19 @@ def test_rebuild_family_matches_fresh_build(tag, conflicting_tasks):
     assert report.exact
     assert delta.unlearn_finetunes == 4
     fresh, _ = build_system(tag, [t for t in tasks if t.id != 2])
+    (shard,), (fresh_shard,) = system.shards, fresh.shards
     assert np.array_equal(
-        system.merged.accumulator.values, fresh.merged.accumulator.values
+        shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
     if tag == "tall_masks":
-        assert system.tall == fresh.tall
+        assert shard.tall == fresh_shard.tall
         for t in fresh.retained:
-            assert system.merged.masks[t] == fresh.merged.masks[t]
+            assert shard.merged.masks[t] == fresh_shard.merged.masks[t]
     elif tag == "emr":
-        assert np.array_equal(system.emr.unified, fresh.emr.unified)
-        assert system.emr.scales == fresh.emr.scales
+        assert np.array_equal(shard.emr.unified, fresh_shard.emr.unified)
+        assert shard.emr.scales == fresh_shard.emr.scales
     else:
-        assert np.array_equal(system.ties_vector, fresh.ties_vector)
+        assert np.array_equal(shard.ties_vector, fresh_shard.ties_vector)
 
 
 def test_central_unlearn_matches_fresh_build(conflicting_tasks):
@@ -186,20 +182,10 @@ def test_central_unlearn_matches_fresh_build(conflicting_tasks):
     system, report, delta = unlearn(system, 3)
     assert delta.unlearn_finetunes == 4
     fresh, _ = build_system("central", [t for t in tasks if t.id != 3])
-    assert np.array_equal(system.central_params, fresh.central_params)
-    assert report.exact
-
-
-def test_cached_vectors_skip_retraining_same_result(conflicting_tasks):
-    tasks = conflicting_tasks[:5]
-    cached, _ = build_system("emr", tasks, cache_task_vectors=True)
-    plain, _ = build_system("emr", tasks)
-    c_after, _, c_cost = unlearn(cached, 1)
-    p_after, _, p_cost = unlearn(plain, 1)
-    assert c_cost.unlearn_finetunes == p_cost.unlearn_finetunes == 4  # ledger unchanged
     assert np.array_equal(
-        c_after.merged.accumulator.values, p_after.merged.accumulator.values
+        system.shards[0].central_params, fresh.shards[0].central_params
     )
+    assert report.exact
 
 
 # ---------- verification ----------
@@ -221,13 +207,13 @@ def test_verify_after_deletions_any_order(conflicting_tasks):
 
 def test_verify_detects_corrupted_accumulator(conflicting_tasks):
     system, _ = build_system("sift_masks", conflicting_tasks[:4])
-    values = system.merged.accumulator.values.copy()
+    (shard,) = system.shards
+    values = shard.merged.accumulator.values.copy()
     values[0] += 1  # flip one word
-    from dataclasses import replace
-
-    system.merged = replace(
-        system.merged, accumulator=FxpVector(values, system.merged.accumulator.scale_bits)
+    merged = replace(
+        shard.merged, accumulator=FxpVector(values, shard.merged.accumulator.scale_bits)
     )
+    system.shards = (replace(shard, merged=merged),)
     report = verify_exactness(system)
     assert report.replay_matches  # replays still reproduce their digests
     assert not report.state_matches_oracle
@@ -236,7 +222,8 @@ def test_verify_detects_corrupted_accumulator(conflicting_tasks):
 def test_verify_central(conflicting_tasks):
     system, _ = build_system("central", conflicting_tasks[:4])
     assert verify_exactness(system).exact
-    system.central_params = system.central_params + 1e-9
+    (shard,) = system.shards
+    system.shards = (replace(shard, central_params=shard.central_params + 1e-9),)
     assert not verify_exactness(system).exact
 
 
@@ -269,11 +256,8 @@ def test_all_unlearned_serves_base_model(conflicting_tasks):
 def test_unlearned_tasks_served_masklessly(conflicting_tasks):
     system, _ = build_system("sift_masks", conflicting_tasks)
     system, _, _ = unlearn(system, 0)
-    from siftmasks.engine import serve_for_task
-    from siftmasks.merging import serve_merged
-
     assert np.array_equal(
-        serve_for_task(system, 0), serve_merged(system.merged, system.m0)
+        serve_for_task(system, 0), serve_merged(system.shards[0].merged, system.m0)
     )
 
 
@@ -301,56 +285,46 @@ def test_cluster_random_shapes_and_determinism():
 
 def test_single_cluster_equals_unclustered(conflicting_tasks):
     plain, plain_led = build_system("sift_masks", conflicting_tasks)
-    clustered, led = build_clustered(
-        LocalizationMethod("sift_masks"), conflicting_tasks, SPEC, CFG,
-        n_clusters=1, cluster_seed=11, base_seed=1, sign_seed=2,
-    )
-    only = clustered.systems[0]
+    one, led = build_system("sift_masks", conflicting_tasks, clusters=1, cluster_seed=11)
+    assert one.assignment == plain.assignment == {t.id: 0 for t in conflicting_tasks}
+    (only,), (plain_shard,) = one.shards, plain.shards
     assert np.array_equal(
-        only.merged.accumulator.values, plain.merged.accumulator.values
+        only.merged.accumulator.values, plain_shard.merged.accumulator.values
     )
+    assert only.merged.masks == plain_shard.merged.masks
     assert led.task_finetunes == plain_led.task_finetunes
-    assert evaluate_clustered(clustered, "held_in").per_task == evaluate(plain, "held_in").per_task
+    assert evaluate(one, "held_in").per_task == evaluate(plain, "held_in").per_task
 
 
 def test_singleton_clusters_central_equals_local_ft(conflicting_tasks):
     tasks = conflicting_tasks[:4]
-    clustered, _ = build_clustered(
-        LocalizationMethod("central"), tasks, SPEC, CFG,
-        n_clusters=4, cluster_seed=11, base_seed=1, sign_seed=2,
-    )
+    system, _ = build_system("central", tasks, clusters=4, cluster_seed=11)
     m0 = init_params(SPEC, 1)
-    for sub in clustered.systems:
-        (tid,) = sub.retained
+    for c, shard in enumerate(system.shards):
+        (tid,) = system.shard_retained(c)
         task = next(t for t in tasks if t.id == tid)
         local = m0 + ft_finetune(task, m0, SPEC, CFG).delta
-        assert np.array_equal(sub.central_params, local)
+        assert np.array_equal(shard.central_params, local)
 
 
 def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
-    clustered, _ = build_clustered(
-        LocalizationMethod("central"), conflicting_tasks, SPEC, CFG,
-        n_clusters=2, cluster_seed=11, base_seed=1, sign_seed=2,
-    )
+    system, _ = build_system("central", conflicting_tasks, clusters=2, cluster_seed=11)
     target = conflicting_tasks[0].id
-    c = clustered.cluster_of(target)
+    c = system.assignment[target]
     other = 1 - c
-    before = clustered.systems[other].central_params.copy()
-    after, report, delta = unlearn_clustered(clustered, target)
-    assert np.array_equal(after.systems[other].central_params, before)
-    cluster_size = sum(1 for t, ci in clustered.assignment.items() if ci == c)
+    before = system.shards[other].central_params.copy()
+    after, report, delta = unlearn(system, target)
+    assert np.array_equal(after.shards[other].central_params, before)
+    cluster_size = sum(1 for t, ci in system.assignment.items() if ci == c)
     assert delta.unlearn_finetunes == cluster_size - 1
     assert report.exact
     with pytest.raises(UnknownTaskError):
-        unlearn_clustered(after, 999)
+        unlearn(after, 999)
 
 
 def test_clustered_storage_sums(conflicting_tasks):
-    clustered, _ = build_clustered(
-        LocalizationMethod("central"), conflicting_tasks, SPEC, CFG,
-        n_clusters=4, cluster_seed=11, base_seed=1, sign_seed=2,
-    )
-    assert storage_clustered(clustered).words == 4 * SPEC.param_count
+    system, _ = build_system("central", conflicting_tasks, clusters=4, cluster_seed=11)
+    assert storage_report(system).words == 4 * SPEC.param_count
 
 
 # ---------- cost projection ----------
@@ -380,6 +354,21 @@ def test_projection_monotone_and_shapes():
     assert proj.total_steps == proj.total_finetunes * 20
 
 
+def test_cost_projection_script_counts_uneven_shards(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_cost_projection.py"
+    subprocess.run(
+        [sys.executable, str(script), "--tasks", "10", "--clusters", "3",
+         "--model-words", "1000", "--out", str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    with open(tmp_path / "cost_table.csv", newline="") as fh:
+        words = {row["method"]: int(row["value"]) for row in csv.DictReader(fh)
+                 if row["metric"] == "storage_words"}
+    # shards of 4/3/3 tasks: 3 * 1000 model words + 10 * ceil(1000/32) mask words
+    assert words["sift_masks"] == words["tall_masks"] == words["emr"] == 3320
+    assert words["ft_merge"] == words["ties"] == words["central"] == 3000
+
+
 @pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "tall_masks", "central"])
 def test_engine_unlearn_all_matches_projection(tag, conflicting_tasks):
     tasks = conflicting_tasks[:6]
@@ -406,17 +395,12 @@ def test_evaluate_every_method_both_modes(tag, conflicting_tasks):
 
 
 def test_verify_with_provided_vectors(conflicting_tasks):
-    tasks = conflicting_tasks[:4]
-    system, _ = build_system("ft_merge", tasks)
-    m0 = init_params(SPEC, 1)
-    vectors = {t.id: ft_finetune(t, m0, SPEC, CFG) for t in tasks}
-    report = verify_exactness(system, vectors)
-    assert report.exact
-    bad = dict(vectors)
-    bad[2] = ft_finetune(tasks[2], m0, SPEC,
-                         TrainConfig(steps=19, batch_size=16, learning_rate=0.05, seed=99))
-    report = verify_exactness(system, bad)
-    assert not report.replay_matches and not report.state_matches_oracle
+    system, _ = build_system("ft_merge", conflicting_tasks[:4])
+    assert verify_exactness(system).exact
+    system.replay_digests[2] = b"\x00" * 32  # corrupt the stored digest
+    report = verify_exactness(system)
+    assert not report.replay_matches and not report.exact
+    assert report.state_matches_oracle  # the accumulator itself is intact
 
 
 def test_projection_rejects_bad_arguments():

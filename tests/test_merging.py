@@ -165,18 +165,6 @@ def test_localize_sift_guards():
         localize_sift(ft_state, 0, np.zeros(3))
 
 
-def test_localize_sift_overlap_divisor_flag():
-    d1 = np.array([0.5, 0.5])
-    d2 = np.array([0.5, 0.0])
-    masks = {0: BitMask.from_bools([1, 1]), 1: BitMask.from_bools([1, 0])}
-    state = merge([tv(d1, 0), tv(d2, 1)], masks, method="sift_masks")
-    m0 = np.zeros(2)
-    default = localize_sift(state, 0, m0)
-    assert np.allclose(default, [0.5, 0.25])  # divided by retained count
-    overlap = localize_sift(state, 0, m0, divide_by_overlap=True)
-    assert np.allclose(overlap, [0.5, 0.5])  # entry 0 shared by 2, entry 1 by 1
-
-
 # ---------- TALL ----------
 
 
