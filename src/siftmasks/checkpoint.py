@@ -8,6 +8,10 @@ snapshot. Task data itself is not stored; it is reattached from the dataset.
 
 Layouts are canonical (ids ascending where order is not semantic), so saving
 a loaded checkpoint reproduces the original bytes.
+
+The version number also identifies the training kernel whose bits the stored
+replay digests pin: version 1 files were trained by the per-example gradient
+loop, version 2 files by the batched kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .paramcore import SCALE_BITS_DEFAULT, BitMask, FxpVector, mask_words
 from .trainer import ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
-VERSION = 1
+VERSION = 2
 
 _METHOD_CODES = {
     "sift_masks": 0,
@@ -81,12 +85,15 @@ def _w(fh, fmt, *vals):
     fh.write(struct.pack("<" + fmt, *vals))
 
 
-def _r(fh, fmt):
-    size = struct.calcsize("<" + fmt)
+def _read_exact(fh, size: int, what: str) -> bytes:
     raw = fh.read(size)
     if len(raw) != size:
-        raise CheckpointFormatError("truncated checkpoint")
-    return struct.unpack("<" + fmt, raw)
+        raise CheckpointFormatError(f"truncated {what}")
+    return raw
+
+
+def _r(fh, fmt):
+    return struct.unpack("<" + fmt, _read_exact(fh, struct.calcsize("<" + fmt), "checkpoint"))
 
 
 def _w_array(fh, arr: np.ndarray, dtype: str) -> None:
@@ -97,10 +104,7 @@ def _w_array(fh, arr: np.ndarray, dtype: str) -> None:
 
 def _r_array(fh, dtype: str) -> np.ndarray:
     (n,) = _r(fh, "Q")
-    itemsize = np.dtype(dtype).itemsize
-    raw = fh.read(n * itemsize)
-    if len(raw) != n * itemsize:
-        raise CheckpointFormatError("truncated array")
+    raw = _read_exact(fh, n * np.dtype(dtype).itemsize, "array")
     return np.frombuffer(raw, dtype=dtype).copy()
 
 
@@ -201,6 +205,12 @@ def load_checkpoint(path) -> Checkpoint:
     if fh.read(4) != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
     (version,) = _r(fh, "I")
+    if version == 1:
+        raise CheckpointFormatError(
+            f"{path}: version-1 checkpoint, trained by the per-example gradient loop; "
+            "its replays cannot match the current trainer, so retrain with "
+            "`siftmasks train`"
+        )
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     method_code, kind_code, _ = _r(fh, "BBH")
@@ -250,6 +260,8 @@ def load_checkpoint(path) -> Checkpoint:
     )
     for _ in range(n_clusters):
         ckpt.clusters.append(_read_block(fh, ckpt))
+    if fh.read(1):
+        raise CheckpointFormatError(f"{path}: trailing bytes after checkpoint")
     return ckpt
 
 
@@ -263,7 +275,7 @@ def _read_block(fh, ckpt: Checkpoint) -> ClusterBlock:
     digests = {}
     for _ in range(n_dig):
         (t,) = _r(fh, "I")
-        digests[t] = fh.read(32)
+        digests[t] = _read_exact(fh, 32, "digest")
     (flags,) = _r(fh, "B")
     m = ckpt.model_spec.param_count
     block = ClusterBlock(retained, unlearned, accumulator, digests)
@@ -271,7 +283,7 @@ def _read_block(fh, ckpt: Checkpoint) -> ClusterBlock:
         block.masks = {}
         nw = mask_words(m)
         for t in retained:
-            raw = fh.read(4 * nw)
+            raw = _read_exact(fh, 4 * nw, "mask")
             block.masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
     if flags & _F_EMR:
         block.emr_unified = _r_array(fh, "<f8")

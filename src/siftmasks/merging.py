@@ -158,15 +158,20 @@ def localize_masked(
     return m0 + alpha * masked / max(state.n_retained, 1)
 
 
+def _tall_terms(tau_t: TaskVector, state: MergedState) -> tuple[np.ndarray, np.ndarray]:
+    """|tau_t| and |tau_bar - tau_t|, the two sides of the TALL comparison."""
+    tau = tau_t.delta
+    if tau.shape[0] != state.length:
+        raise ValueError("length mismatch between task vector and merged state")
+    return np.abs(tau), np.abs(dequantize(state.accumulator) - tau)
+
+
 def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask:
     """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|."""
     if lambda_t < 0:
         raise ValueError("lambda must be >= 0")
-    tau = tau_t.delta
-    if tau.shape[0] != state.length:
-        raise ValueError("length mismatch between task vector and merged state")
-    rest = dequantize(state.accumulator) - tau
-    return BitMask.from_bools(np.abs(tau) >= lambda_t * np.abs(rest))
+    tau, rest = _tall_terms(tau_t, state)
+    return BitMask.from_bools(tau >= lambda_t * rest)
 
 
 def tall_lambda_for_density(
@@ -175,12 +180,15 @@ def tall_lambda_for_density(
     """Bisect lambda so the TALL mask density lands closest to the target.
 
     Mask density is non-increasing in lambda; lambda = 0 gives the full mask.
+    The densities are counted on the comparison tall_mask makes, without
+    building a mask per step.
     """
     if target_density >= 1.0:
         return 0.0
+    tau, rest = _tall_terms(tau_t, state)
 
     def density(lam: float) -> float:
-        return tall_mask(tau_t, state, lam).density
+        return np.count_nonzero(tau >= lam * rest) / tau.shape[0]
 
     lo, hi = 0.0, 1.0
     while density(hi) > target_density and hi < 1e12:

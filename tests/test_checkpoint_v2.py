@@ -1,0 +1,117 @@
+"""Frozen version-2 checkpoints: loading and re-saving must keep their bytes.
+
+The files under data/v2 pin the on-disk format across refactors. Their
+configuration: a logistic 10 -> 3 model (M = 33), the six tasks below,
+TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99), base seed 1,
+sign seed 2, central_max_steps 12, density grid (0.3, 0.7), alpha grid
+(1.0, 1.4), and for the ``_k3`` files three shards from cluster seed 7. Each
+configuration is saved fresh, after deleting task 2, and after deleting every
+task in the order 2, 0, 5, 1, 4, 3. These are the configurations of the
+version-1 files under data/v1, retrained by the batched gradient kernel.
+Nothing is retrained by the tests, so they hold on any machine.
+
+To rewrite the files (only when the format or the trainer changes on purpose,
+together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v2.py``.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from siftmasks.checkpoint import (
+    CheckpointFormatError,
+    checkpoint_from_system,
+    load_checkpoint,
+    save_checkpoint,
+    system_from_checkpoint,
+)
+from siftmasks.cli import main
+from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
+from siftmasks.engine import build, evaluate, unlearn
+from siftmasks.merging import METHOD_TAGS, LocalizationMethod
+from siftmasks.trainer import ModelSpec, TrainConfig
+
+DATA = Path(__file__).resolve().parent / "data" / "v2"
+CONFIGS = (*METHOD_TAGS, "sift_masks_k3", "central_k3")
+STATES = ("fresh", "deleted1", "empty")
+FIXTURES = [f"{c}_{state}" for c in CONFIGS for state in STATES]
+DELETION_ORDER = (2, 0, 5, 1, 4, 3)
+
+
+def make_tasks():
+    regime = HeterogeneityRegime("conflicting", conflict_rate=0.5, margin=1.0)
+    return synth_generate(regime, 6, 20, 10, 3, seed=11)
+
+
+def write_fixtures(out_dir: Path) -> None:
+    """Build every configuration and save its fresh, deleted1 and empty states."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks = make_tasks()
+    spec = ModelSpec("logistic", 10, 3)
+    cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
+    for config in CONFIGS:
+        tag, clusters = (config[:-3], 3) if config.endswith("_k3") else (config, 1)
+        method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
+        system, ledger = build(
+            method, tasks, spec, cfg, base_seed=1, sign_seed=2,
+            central_max_steps=12, clusters=clusters, cluster_seed=7,
+        )
+        save_checkpoint(checkpoint_from_system(system, ledger), out_dir / f"{config}_fresh.sftm")
+        for i, task_id in enumerate(DELETION_ORDER):
+            system, _, cost = unlearn(system, task_id)
+            ledger.add(cost)
+            if i == 0:
+                name = f"{config}_deleted1.sftm"
+                save_checkpoint(checkpoint_from_system(system, ledger), out_dir / name)
+        save_checkpoint(checkpoint_from_system(system, ledger), out_dir / f"{config}_empty.sftm")
+
+
+def cli_data_args(tmp_path: Path) -> list[str]:
+    """Writes the tasks as a dataset file; returns the CLI flags that read it."""
+    data = tmp_path / "dataset.jsonl"
+    save_tasks(make_tasks(), data)
+    return ["--data", str(data), "--input-dim", "10", "--num-classes", "3"]
+
+
+@pytest.fixture(scope="module")
+def tasks():
+    return make_tasks()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_v2_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
+    raw = (DATA / f"{name}.sftm").read_bytes()
+    ckpt = load_checkpoint(DATA / f"{name}.sftm")
+    save_checkpoint(ckpt, tmp_path / "resaved.sftm")
+    assert (tmp_path / "resaved.sftm").read_bytes() == raw
+
+    system = system_from_checkpoint(ckpt, tasks)
+    save_checkpoint(checkpoint_from_system(system, ckpt.ledger), tmp_path / "rebuilt.sftm")
+    assert (tmp_path / "rebuilt.sftm").read_bytes() == raw
+    assert set(evaluate(system, "held_out").per_task) == {t.id for t in tasks}
+
+
+def test_appended_byte_rejected_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "appended.sftm"
+    path.write_bytes((DATA / "sift_masks_fresh.sftm").read_bytes() + b"\x00")
+    with pytest.raises(CheckpointFormatError, match="trailing bytes after checkpoint"):
+        load_checkpoint(path)
+    code = main(["eval", "--mode", "held_in", *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "trailing bytes after checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sift_masks_deleted1", "emr_fresh", "central_k3_fresh"])
+def test_every_truncation_is_a_format_error(name, tmp_path):
+    raw = (DATA / f"{name}.sftm").read_bytes()
+    path = tmp_path / "cut.sftm"
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+
+if __name__ == "__main__":
+    write_fixtures(Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)

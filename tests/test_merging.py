@@ -214,6 +214,49 @@ def test_tall_lambda_bisection_hits_density():
     assert tall_lambda_for_density(vecs[0], state, 1.0) == 0.0
 
 
+def frozen_tall_lambda_for_density(tau_t, state, target_density, iters=60):
+    """Reference: the bisection that built a full TALL mask at every step."""
+    if target_density >= 1.0:
+        return 0.0
+
+    def density(lam):
+        rest = dequantize(state.accumulator) - tau_t.delta
+        return BitMask.from_bools(np.abs(tau_t.delta) >= lam * np.abs(rest)).density
+
+    lo, hi = 0.0, 1.0
+    while density(hi) > target_density and hi < 1e12:
+        hi *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if density(mid) > target_density:
+            lo = mid
+        else:
+            hi = mid
+    return hi if abs(density(hi) - target_density) <= abs(density(lo) - target_density) else lo
+
+
+# small integers and exact halves make ties |tau| == lambda * |rest| common
+_entries = st.one_of(
+    st.floats(-4, 4, allow_nan=False, allow_subnormal=False),
+    st.integers(-4, 4).map(lambda k: k / 2.0),
+)
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda m: st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=1, max_size=4)
+    ),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 0.9])),
+)
+@settings(max_examples=100, deadline=None)
+def test_tall_lambda_matches_frozen_bisection(rows, target):
+    vecs = [tv(r, i) for i, r in enumerate(rows)]
+    state = tall_state(vecs)
+    for v in vecs:
+        got = tall_lambda_for_density(v, state, target)
+        assert got == frozen_tall_lambda_for_density(v, state, target)
+
+
 def _tuning_setup():
     regime = HeterogeneityRegime("conflicting", conflict_rate=0.7, margin=1.0)
     tasks = synth_generate(regime, 4, 40, 10, 2, seed=23)

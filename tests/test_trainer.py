@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,8 @@ from siftmasks.trainer import (
     AdamState,
     ModelSpec,
     TrainConfig,
+    _batches,
+    _views,
     accuracy,
     adam_step,
     ft_finetune,
@@ -30,6 +37,40 @@ def central_difference_grad(params, spec, x, y, indices, h=1e-4):
         lo[i] -= h
         out[i] = (loss_and_grad(hi, spec, x, y)[0] - loss_and_grad(lo, spec, x, y)[0]) / (2 * h)
     return out
+
+
+def loop_loss_and_grad(params, spec, x, y):
+    """Reference: the per-example loop the batched kernel replaced."""
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
+
+    grad = np.zeros_like(params)
+    loss = 0.0
+    if spec.kind == "logistic":
+        w, b = _views(params, spec)
+        gw, gb = _views(grad, spec)
+        for xi, yi in zip(x, y):
+            p = softmax(w @ xi + b)
+            loss -= np.log(p[yi])
+            p[yi] -= 1.0
+            gw += np.outer(p, xi)
+            gb += p
+    else:
+        w1, b1, w2, b2 = _views(params, spec)
+        g1, gb1, g2, gb2 = _views(grad, spec)
+        for xi, yi in zip(x, y):
+            hvec = np.tanh(w1 @ xi + b1)
+            p = softmax(w2 @ hvec + b2)
+            loss -= np.log(p[yi])
+            p[yi] -= 1.0
+            g2 += np.outer(p, hvec)
+            gb2 += p
+            back = (w2.T @ p) * (1.0 - hvec * hvec)
+            g1 += np.outer(back, xi)
+            gb1 += back
+    return loss / len(y), grad / len(y)
 
 
 def test_param_count_formulas():
@@ -66,6 +107,49 @@ def test_gradient_matches_central_differences(kind, hidden):
     fd = central_difference_grad(params, spec, x, y, idx)
     rel = [abs(fd[i] - grad[i]) / max(abs(fd[i]), 1e-12) for i in idx]
     assert max(rel) <= 1e-4
+
+
+@pytest.mark.parametrize("kind,hidden", [("logistic", 0), ("mlp", 8)])
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 64])
+def test_batched_kernel_matches_per_example_loop(kind, hidden, batch_size):
+    # batches come from the training sampler; 64 exceeds the 40-example
+    # training split, so that case is the full-split fallback
+    spec = ModelSpec(kind, 10, 3, hidden_dim=hidden)
+    task = _toy_task(n=48, n_eval=8, seed=batch_size)
+    x, y = _batches(task, TrainConfig(batch_size=batch_size, seed=5))()
+    assert len(y) == min(batch_size, 40)
+    params = np.random.default_rng(batch_size).normal(size=spec.param_count) * 0.4
+    loss, grad = loss_and_grad(params, spec, x, y)
+    ref_loss, ref_grad = loop_loss_and_grad(params, spec, x, y)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+
+
+def test_replay_digest_independent_of_blas_threads():
+    script = (
+        "from siftmasks.datasets import HeterogeneityRegime, synth_generate\n"
+        "from siftmasks.engine import _digest\n"
+        "from siftmasks.paramcore import gen_sign_vector\n"
+        "from siftmasks.trainer import ModelSpec, TrainConfig, init_params, sift_finetune\n"
+        "regime = HeterogeneityRegime('conflicting', conflict_rate=0.5, margin=1.0)\n"
+        "task = synth_generate(regime, 1, 200, 64, 2, seed=3)[0]\n"
+        "spec = ModelSpec('mlp', 64, 2, hidden_dim=256)\n"
+        "cfg = TrainConfig(steps=10, batch_size=128, seed=4)\n"
+        "v = gen_sign_vector(2, spec.param_count)\n"
+        "tv, _ = sift_finetune(task, init_params(spec, 1), spec, v, cfg)\n"
+        "print(_digest(tv.delta).hex(), tv.delta.tobytes().hex())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_logistic_single_example_gradient_closed_form():
