@@ -2,12 +2,17 @@
 
 A checkpoint is everything needed to resume serving/unlearning given the
 dataset file: method and model configuration, the seeds that all randomness
-derives from, retained/unlearned ids, the exact fixed-point accumulator,
-bit-packed masks, per-task replay digests, method artifacts, and a ledger
+derives from, the task-to-shard assignment, and the engine's shards as it
+holds them (exact fixed-point accumulator, bit-packed masks, method
+artifacts), plus the per-task replay digests, the unlearned ids and a ledger
 snapshot. Task data itself is not stored; it is reattached from the dataset.
 
 Layouts are canonical (ids ascending where order is not semantic), so saving
-a loaded checkpoint reproduces the original bytes.
+a loaded checkpoint reproduces the original bytes. Each shard's block lists
+its retained and unlearned ids, which the assignment and the unlearned ids
+already determine; the writer derives both lists with the engine's rule, and
+the reader rejects a file whose lists, or whose digests, disagree with its
+assignment.
 
 The version number also identifies the training kernel whose bits the stored
 replay digests pin: version 1 files were trained by the per-example gradient
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import METHODS, CostLedger, Shard, SystemState, new_system
+from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
 from .merging import EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS_DEFAULT, BitMask, FxpVector, mask_words
 from .trainer import ModelSpec, TrainConfig
@@ -54,20 +59,6 @@ class CheckpointFormatError(ValueError):
 
 
 @dataclass
-class ClusterBlock:
-    retained: tuple[int, ...]
-    unlearned: tuple[int, ...]
-    accumulator: np.ndarray  # int64, empty for central systems
-    digests: dict[int, bytes]
-    masks: dict[int, BitMask] | None = None
-    emr_unified: np.ndarray | None = None
-    emr_scales: dict[int, float] | None = None
-    tall: dict[int, tuple[float, float]] | None = None
-    ties_vector: np.ndarray | None = None
-    central_params: np.ndarray | None = None
-
-
-@dataclass
 class Checkpoint:
     method: LocalizationMethod
     model_spec: ModelSpec
@@ -75,9 +66,10 @@ class Checkpoint:
     base_seed: int
     sign_seed: int
     central_max_steps: int
-    scale_bits: int
-    assignment: dict[int, int]  # task id -> cluster index
-    clusters: list[ClusterBlock]
+    assignment: dict[int, int]  # task id -> shard index
+    replay_digests: dict[int, bytes]
+    unlearned: tuple[int, ...]
+    shards: tuple[Shard, ...]
     ledger: CostLedger = field(default_factory=CostLedger)
 
 
@@ -108,6 +100,17 @@ def _r_array(fh, dtype: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).copy()
 
 
+def _w_ids(fh, ids) -> None:
+    _w(fh, "I", len(ids))
+    for t in ids:
+        _w(fh, "I", t)
+
+
+def _r_ids(fh) -> list[int]:
+    (n,) = _r(fh, "I")
+    return [_r(fh, "I")[0] for _ in range(n)]
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     fh = io.BytesIO()
     fh.write(MAGIC)
@@ -119,7 +122,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ckpt.model_spec.input_dim,
         ckpt.model_spec.hidden_dim,
         ckpt.model_spec.num_classes,
-        ckpt.scale_bits,
+        SCALE_BITS_DEFAULT,
     )
     cfg = ckpt.train_cfg
     _w(fh, "III", cfg.steps, cfg.batch_size, ckpt.central_max_steps)
@@ -141,62 +144,66 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         led.unlearn_finetunes,
         led.unlearn_steps,
     )
-    _w(fh, "I", len(ckpt.clusters))
+    _w(fh, "I", len(ckpt.shards))
     _w(fh, "I", len(ckpt.assignment))
     for task_id in sorted(ckpt.assignment):
         _w(fh, "II", task_id, ckpt.assignment[task_id])
-    for block in ckpt.clusters:
-        _write_block(fh, block, ckpt)
+    ids = shard_ids(ckpt.assignment, ckpt.unlearned)
+    digest_ids = [[] for _ in ckpt.shards]
+    for t in sorted(ckpt.replay_digests):
+        digest_ids[ckpt.assignment[t]].append(t)
+    for c, shard in enumerate(ckpt.shards):
+        _write_shard(fh, ckpt, shard, *ids[c], digest_ids[c])
     with open(path, "wb") as out:
         out.write(fh.getvalue())
 
 
-def _write_block(fh, block: ClusterBlock, ckpt: Checkpoint) -> None:
-    _w(fh, "I", len(block.retained))
-    for t in block.retained:
+def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest_ids) -> None:
+    _w_ids(fh, retained)
+    _w_ids(fh, unlearned)
+    _w_array(
+        fh,
+        np.empty(0, dtype=np.int64) if shard.merged is None else shard.merged.accumulator.values,
+        "<i8",
+    )
+    _w(fh, "I", len(digest_ids))
+    for t in digest_ids:
         _w(fh, "I", t)
-    _w(fh, "I", len(block.unlearned))
-    for t in block.unlearned:
-        _w(fh, "I", t)
-    _w_array(fh, block.accumulator, "<i8")
-    _w(fh, "I", len(block.digests))
-    for t in sorted(block.digests):
-        _w(fh, "I", t)
-        digest = block.digests[t]
+        digest = ckpt.replay_digests[t]
         if len(digest) != 32:
             raise CheckpointFormatError("digests must be 32 bytes")
         fh.write(digest)
+    masks = shard.merged.masks if METHODS[ckpt.method.tag].stores_masks else None
     flags = 0
-    if block.masks is not None:
-        flags |= _F_MASKS
-    if block.emr_unified is not None:
-        flags |= _F_EMR
-    if block.tall is not None:
-        flags |= _F_TALL
-    if block.ties_vector is not None:
-        flags |= _F_TIES
-    if block.central_params is not None:
-        flags |= _F_CENTRAL
+    for bit, part in (
+        (_F_MASKS, masks),
+        (_F_EMR, shard.emr),
+        (_F_TALL, shard.tall),
+        (_F_TIES, shard.ties_vector),
+        (_F_CENTRAL, shard.central_params),
+    ):
+        if part is not None:
+            flags |= bit
     _w(fh, "B", flags)
     m = ckpt.model_spec.param_count
-    if block.masks is not None:
-        for t in block.retained:
-            words = block.masks[t].words
+    if masks is not None:
+        for t in retained:
+            words = masks[t].words
             if words.shape[0] != mask_words(m):
                 raise CheckpointFormatError("mask word count mismatch")
             fh.write(np.ascontiguousarray(words, dtype="<u4").tobytes())
-    if block.emr_unified is not None:
-        _w_array(fh, block.emr_unified, "<f8")
-        for t in block.retained:
-            _w(fh, "d", block.emr_scales[t])
-    if block.tall is not None:
-        for t in block.retained:
-            lam, alpha = block.tall[t]
+    if shard.emr is not None:
+        _w_array(fh, shard.emr.unified, "<f8")
+        for t in retained:
+            _w(fh, "d", shard.emr.scales[t])
+    if shard.tall is not None:
+        for t in retained:
+            lam, alpha = shard.tall[t]
             _w(fh, "dd", lam, alpha)
-    if block.ties_vector is not None:
-        _w_array(fh, block.ties_vector, "<f8")
-    if block.central_params is not None:
-        _w_array(fh, block.central_params, "<f8")
+    if shard.ties_vector is not None:
+        _w_array(fh, shard.ties_vector, "<f8")
+    if shard.central_params is not None:
+        _w_array(fh, shard.central_params, "<f8")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -214,7 +221,15 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     method_code, kind_code, _ = _r(fh, "BBH")
+    if method_code not in _METHOD_TAGS:
+        raise CheckpointFormatError(f"{path}: unknown method code {method_code}")
+    if kind_code not in _KIND_NAMES:
+        raise CheckpointFormatError(f"{path}: unknown model kind code {kind_code}")
     input_dim, hidden_dim, num_classes, scale_bits = _r(fh, "IIII")
+    if scale_bits != SCALE_BITS_DEFAULT:
+        raise CheckpointFormatError(
+            f"{path}: scale_bits {scale_bits}, expected {SCALE_BITS_DEFAULT}"
+        )
     steps, batch_size, central_max_steps = _r(fh, "III")
     lr, beta1, beta2, eps = _r(fh, "dddd")
     base_seed, sign_seed, train_seed = _r(fh, "QQQ")
@@ -224,11 +239,15 @@ def load_checkpoint(path) -> Checkpoint:
     (na,) = _r(fh, "I")
     alpha_grid = tuple(_r(fh, "d")[0] for _ in range(na))
     bf, bs, uf, us = _r(fh, "QQQQ")
-    (n_clusters,) = _r(fh, "I")
+    (n_shards,) = _r(fh, "I")
     (n_assign,) = _r(fh, "I")
     assignment = {}
     for _ in range(n_assign):
         t, c = _r(fh, "II")
+        if c >= n_shards:
+            raise CheckpointFormatError(
+                f"{path}: task {t} assigned to shard {c} of {n_shards}"
+            )
         assignment[t] = c
     method = LocalizationMethod(
         _METHOD_TAGS[method_code],
@@ -253,79 +272,68 @@ def load_checkpoint(path) -> Checkpoint:
         base_seed=base_seed,
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
-        scale_bits=scale_bits,
         assignment=assignment,
-        clusters=[],
+        replay_digests={},
+        unlearned=(),
+        shards=(),
         ledger=CostLedger(bf, bs, uf, us),
     )
-    for _ in range(n_clusters):
-        ckpt.clusters.append(_read_block(fh, ckpt))
+    assigned = shard_ids(assignment, ())
+    shards = []
+    for c in range(n_shards):
+        shards.append(_read_shard(fh, ckpt, c, assigned[c][0]))
+    ckpt.shards = tuple(shards)
     if fh.read(1):
         raise CheckpointFormatError(f"{path}: trailing bytes after checkpoint")
     return ckpt
 
 
-def _read_block(fh, ckpt: Checkpoint) -> ClusterBlock:
-    (n_ret,) = _r(fh, "I")
-    retained = tuple(_r(fh, "I")[0] for _ in range(n_ret))
-    (n_unl,) = _r(fh, "I")
-    unlearned = tuple(_r(fh, "I")[0] for _ in range(n_unl))
+def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
+    """Read shard ``c``, adding its digests and unlearned ids to ``ckpt``.
+
+    ``assigned`` is every task id the assignment routes to the shard,
+    ascending; the block's task lists and digests must agree with it.
+    """
+    retained = _r_ids(fh)
+    unlearned = _r_ids(fh)
+    gone = set(unlearned)
+    if sorted(retained + unlearned) != assigned or retained != [
+        t for t in assigned if t not in gone
+    ]:
+        raise CheckpointFormatError(
+            f"shard {c}: retained and unlearned ids do not match the assignment"
+        )
+    ckpt.unlearned += tuple(unlearned)
     accumulator = _r_array(fh, "<i8")
     (n_dig,) = _r(fh, "I")
-    digests = {}
     for _ in range(n_dig):
         (t,) = _r(fh, "I")
-        digests[t] = _read_exact(fh, 32, "digest")
+        if ckpt.assignment.get(t) != c:
+            raise CheckpointFormatError(f"shard {c}: digest of task {t}, not in this shard")
+        ckpt.replay_digests[t] = _read_exact(fh, 32, "digest")
     (flags,) = _r(fh, "B")
     m = ckpt.model_spec.param_count
-    block = ClusterBlock(retained, unlearned, accumulator, digests)
+    masks = {}
     if flags & _F_MASKS:
-        block.masks = {}
         nw = mask_words(m)
         for t in retained:
             raw = _read_exact(fh, 4 * nw, "mask")
-            block.masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
+            masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
+    emr = None
     if flags & _F_EMR:
-        block.emr_unified = _r_array(fh, "<f8")
-        block.emr_scales = {t: _r(fh, "d")[0] for t in retained}
-    if flags & _F_TALL:
-        block.tall = {}
-        for t in retained:
-            lam, alpha = _r(fh, "dd")
-            block.tall[t] = (lam, alpha)
-    if flags & _F_TIES:
-        block.ties_vector = _r_array(fh, "<f8")
+        unified = _r_array(fh, "<f8")
+        emr = EmrArtifacts(unified, masks, {t: _r(fh, "d")[0] for t in retained})
+    tall = {t: _r(fh, "dd") for t in retained} if flags & _F_TALL else None
+    ties_vector = _r_array(fh, "<f8") if flags & _F_TIES else None
     if flags & _F_CENTRAL:
-        block.central_params = _r_array(fh, "<f8")
-    return block
-
-
-def _block_from_shard(system: SystemState, c: int, shard: Shard) -> ClusterBlock:
-    block = ClusterBlock(
-        retained=tuple(system.shard_retained(c)),
-        unlearned=tuple(t for t in system.unlearned if system.assignment[t] == c),
-        accumulator=(
-            np.empty(0, dtype=np.int64)
-            if shard.merged is None
-            else shard.merged.accumulator.values
-        ),
-        digests={
-            t: d for t, d in system.replay_digests.items() if system.assignment[t] == c
-        },
-        tall=None if shard.tall is None else dict(shard.tall),
-        ties_vector=shard.ties_vector,
-        central_params=shard.central_params,
+        return Shard(central_params=_r_array(fh, "<f8"))
+    merged = MergedState(
+        FxpVector(accumulator, SCALE_BITS_DEFAULT), tuple(retained), masks, ckpt.method.tag
     )
-    if METHODS[system.method.tag].stores_masks:
-        block.masks = dict(shard.merged.masks)
-    if shard.emr is not None:
-        block.emr_unified = shard.emr.unified
-        block.emr_scales = dict(shard.emr.scales)
-    return block
+    return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector)
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:
-    first = system.shards[0].merged
     return Checkpoint(
         method=system.method,
         model_spec=system.model_spec,
@@ -333,33 +341,11 @@ def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoin
         base_seed=system.base_seed,
         sign_seed=system.sign_seed,
         central_max_steps=system.central_max_steps,
-        scale_bits=SCALE_BITS_DEFAULT if first is None else first.accumulator.scale_bits,
         assignment=dict(system.assignment),
-        clusters=[_block_from_shard(system, c, s) for c, s in enumerate(system.shards)],
+        replay_digests=dict(system.replay_digests),
+        unlearned=system.unlearned,
+        shards=system.shards,
         ledger=ledger,
-    )
-
-
-def _shard_from_block(ckpt: Checkpoint, block: ClusterBlock) -> Shard:
-    if block.central_params is not None:
-        return Shard(central_params=block.central_params)
-    masks = dict(block.masks) if block.masks is not None else {}
-    merged = MergedState(
-        accumulator=FxpVector(block.accumulator, ckpt.scale_bits),
-        retained=block.retained,
-        masks=masks,
-        method=ckpt.method.tag,
-    )
-    emr = None
-    if block.emr_unified is not None:
-        emr = EmrArtifacts(
-            unified=block.emr_unified, masks=masks, scales=dict(block.emr_scales)
-        )
-    return Shard(
-        merged,
-        emr=emr,
-        tall=None if block.tall is None else dict(block.tall),
-        ties_vector=block.ties_vector,
     )
 
 
@@ -383,8 +369,7 @@ def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
         sign_seed=ckpt.sign_seed,
         central_max_steps=ckpt.central_max_steps,
     )
-    for block in ckpt.clusters:
-        system.replay_digests.update(block.digests)
-    system.unlearned = tuple(t for block in ckpt.clusters for t in block.unlearned)
-    system.shards = tuple(_shard_from_block(ckpt, block) for block in ckpt.clusters)
+    system.replay_digests = dict(ckpt.replay_digests)
+    system.unlearned = ckpt.unlearned
+    system.shards = ckpt.shards
     return system

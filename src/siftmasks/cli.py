@@ -36,6 +36,7 @@ from .engine import (
     build,
     evaluate,
     project_total_cost,
+    shard_ids,
     storage_words,
     unlearn,
     verify_exactness,
@@ -70,35 +71,10 @@ def _config_from(ctx_params) -> RunConfig:
 
 def _config_options(fn):
     """Flags mirroring RunConfig fields 1:1; unset flags fall back to --config."""
-    opts = [
-        click.option("--config", type=click.Path(exists=True), default=None),
-        click.option("--seed", type=int, default=None),
-        click.option("--method", type=str, default=None),
-        click.option("--out-dir", "out_dir", type=str, default=None),
-        click.option("--dataset-source", "dataset_source", type=str, default=None),
-        click.option("--dataset-path", "dataset_path", type=str, default=None),
-        click.option("--regime", type=str, default=None),
-        click.option("--conflict-rate", "conflict_rate", type=float, default=None),
-        click.option("--margin", type=float, default=None),
-        click.option("--num-tasks", "num_tasks", type=int, default=None),
-        click.option(
-            "--examples-per-task", "examples_per_task", type=int, default=None
-        ),
-        click.option("--input-dim", "input_dim", type=int, default=None),
-        click.option("--num-classes", "num_classes", type=int, default=None),
-        click.option("--model-kind", "model_kind", type=str, default=None),
-        click.option("--hidden-dim", "hidden_dim", type=int, default=None),
-        click.option("--steps", type=int, default=None),
-        click.option("--batch-size", "batch_size", type=int, default=None),
-        click.option("--learning-rate", "learning_rate", type=float, default=None),
-        click.option(
-            "--central-max-steps", "central_max_steps", type=int, default=None
-        ),
-        click.option("--density-grid", "density_grid", type=str, default=None),
-        click.option("--alpha-grid", "alpha_grid", type=str, default=None),
-        click.option("--ties-density", "ties_density", type=float, default=None),
-        click.option("--clusters", type=int, default=None),
-    ]
+    opts = [click.option("--config", type=click.Path(exists=True), default=None)]
+    for f in dataclass_fields(RunConfig):
+        kind = type(f.default) if type(f.default) in (int, float) else str
+        opts.append(click.option("--" + f.name.replace("_", "-"), f.name, type=kind, default=None))
     for opt in reversed(opts):
         fn = opt(fn)
     return fn
@@ -392,21 +368,21 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
     if not checkpoint:
         raise click.UsageError("pass --checkpoint or --simulate-unlearn-all")
     ckpt = load_checkpoint(checkpoint)
-    blocks = ckpt.clusters
+    ids = shard_ids(ckpt.assignment, ckpt.unlearned)
     m = ckpt.model_spec.param_count
     total_words = 0
     rows = []
-    for i, block in enumerate(blocks):
-        words = storage_words(ckpt.method.tag, m, [len(block.retained)]).words
+    for c in range(len(ckpt.shards)):
+        words = storage_words(ckpt.method.tag, m, [len(ids[c][0])]).words
         total_words += words
-        rows.append([ckpt.method.tag, i, "", "storage_words", words])
+        rows.append([ckpt.method.tag, c, "", "storage_words", words])
     led = ckpt.ledger
     summary = {
         "method": ckpt.method.tag,
         "param_count": m,
-        "clusters": len(blocks),
-        "retained": sum(len(b.retained) for b in blocks),
-        "unlearned": sum(len(b.unlearned) for b in blocks),
+        "clusters": len(ckpt.shards),
+        "retained": len(ckpt.assignment) - len(ckpt.unlearned),
+        "unlearned": len(ckpt.unlearned),
         "storage_words": total_words,
         "ledger": {
             "build_finetunes": led.build_finetunes,

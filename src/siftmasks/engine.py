@@ -24,6 +24,7 @@ table, ``METHODS``.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -179,7 +180,25 @@ class SystemState:
 
     def shard_retained(self, shard: int) -> list[int]:
         """Retained ids of one shard, ascending."""
-        return [t for t in self.retained if self.assignment[t] == shard]
+        return shard_ids(self.assignment, self.unlearned)[shard][0]
+
+
+def shard_ids(
+    assignment: dict[int, int], unlearned: tuple[int, ...]
+) -> defaultdict[int, tuple[list[int], list[int]]]:
+    """Each shard's retained ids (ascending) and unlearned ids (deletion order).
+
+    One pass over the tasks whatever the shard count; a shard that holds no
+    task maps to two empty lists.
+    """
+    ids: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    gone = set(unlearned)
+    for t in sorted(assignment):
+        if t not in gone:
+            ids[assignment[t]][0].append(t)
+    for t in unlearned:
+        ids[assignment[t]][1].append(t)
+    return ids
 
 
 @dataclass(frozen=True)

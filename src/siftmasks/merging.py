@@ -139,13 +139,7 @@ def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarra
         raise ValueError(f"sift localization on method {state.method!r}")
     if task_id not in state.masks:
         raise KeyError(f"no stored mask for task {task_id}")
-    masked = dequantize(
-        FxpVector(
-            mask_apply(state.masks[task_id], state.accumulator.values),
-            state.accumulator.scale_bits,
-        )
-    )
-    return m0 + masked / max(state.n_retained, 1)
+    return localize_masked(state, state.masks[task_id], m0)
 
 
 def localize_masked(

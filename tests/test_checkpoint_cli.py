@@ -186,8 +186,7 @@ def test_cli_corrupted_checkpoint_verify_exits_3(tmp_path):
     run_cli("train", "--config", cfg, "--data", data, "--out-dir", out)
     ckpt_path = Path(out, "checkpoint.sftm")
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.clusters[0].accumulator = ckpt.clusters[0].accumulator.copy()
-    ckpt.clusters[0].accumulator[0] += 1
+    ckpt.shards[0].merged.accumulator.values[0] += 1
     save_checkpoint(ckpt, ckpt_path)
     code = run_cli("verify", "--config", cfg, "--data", data,
                    "--checkpoint", str(ckpt_path), "--out-dir", out)
@@ -225,7 +224,9 @@ def test_cli_merge_subset_matches_unlearn(tmp_path):
             "--out-dir", oracle_out)
     after = load_checkpoint(f"{out}/checkpoint.sftm")
     oracle = load_checkpoint(f"{oracle_out}/checkpoint.sftm")
-    assert np.array_equal(after.clusters[0].accumulator, oracle.clusters[0].accumulator)
+    assert np.array_equal(
+        after.shards[0].merged.accumulator.values, oracle.shards[0].merged.accumulator.values
+    )
 
 
 def test_cli_report_simulation_numbers(tmp_path, capsys):
@@ -282,7 +283,7 @@ def test_cli_unlearn_ids_file(tmp_path):
                    "--checkpoint", f"{out}/checkpoint.sftm",
                    "--ids-file", str(ids), "--out-dir", out) == 0
     ckpt = load_checkpoint(f"{out}/checkpoint.sftm")
-    assert ckpt.clusters[0].unlearned == (1, 3)
+    assert ckpt.unlearned == (1, 3)
 
 
 @pytest.mark.parametrize("regime", ["distinct", "similar"])

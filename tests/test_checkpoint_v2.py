@@ -14,6 +14,7 @@ To rewrite the files (only when the format or the trainer changes on purpose,
 together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v2.py``.
 """
 
+import struct
 import sys
 from pathlib import Path
 
@@ -111,6 +112,88 @@ def test_every_truncation_is_a_format_error(name, tmp_path):
         path.write_bytes(raw[:size])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+def corrupt_copy(tmp_path: Path, name: str, old: bytes, new: bytes) -> Path:
+    """Copies a fixture with its one occurrence of ``old`` replaced by ``new``."""
+    raw = (DATA / f"{name}.sftm").read_bytes()
+    assert raw.count(old) == 1
+    path = tmp_path / f"corrupt_{name}.sftm"
+    path.write_bytes(raw.replace(old, new))
+    return path
+
+
+def packed_ids(ids) -> bytes:
+    return struct.pack(f"<I{len(ids)}I", len(ids), *ids)
+
+
+@pytest.mark.parametrize("target", ["other_shard", "missing_shard", "unowned_unlearned"])
+@pytest.mark.parametrize(
+    "command", [["eval"], ["verify"], ["unlearn", "--id", "1"]], ids=["eval", "verify", "unlearn"]
+)
+def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path, capsys):
+    ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
+    table = dict(sorted(ckpt.assignment.items()))
+
+    def layout(unlearned) -> bytes:
+        """The assignment table, then shard 0's retained and unlearned ids."""
+        pairs = b"".join(struct.pack("<II", t, c) for t, c in table.items())
+        return pairs + packed_ids(ckpt.shards[0].merged.retained) + packed_ids(unlearned)
+
+    before = layout(())
+    if target == "unowned_unlearned":  # shard 0 lists task 99, which no shard holds
+        after = layout((99,))
+    else:  # task 1 moves to another shard, or to one past the last
+        table[1] = (table[1] + 1) % 3 if target == "other_shard" else 3
+        after = layout(())
+    path = corrupt_copy(tmp_path, "sift_masks_k3_fresh", before, after)
+    message = "shard 3 of 3" if target == "missing_shard" else "do not match the assignment"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_digest_filed_under_wrong_shard_rejected(tmp_path):
+    ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
+    other = next(t for t, c in ckpt.assignment.items() if c != ckpt.assignment[1])
+    digest = ckpt.replay_digests[1]
+    path = corrupt_copy(
+        tmp_path, "sift_masks_k3_fresh",
+        struct.pack("<I", 1) + digest, struct.pack("<I", other) + digest,
+    )
+    with pytest.raises(CheckpointFormatError, match=f"digest of task {other}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "offset, value, message",
+    [(8, 9, "unknown method code 9"), (9, 7, "unknown model kind code 7")],
+)
+def test_unknown_header_code_report_exits_2(offset, value, message, tmp_path, capsys):
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    raw[offset] = value
+    path = tmp_path / "bad_code.sftm"
+    path.write_bytes(bytes(raw))
+    code = main(["report", "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scale_bits_other_than_32_exits_2(tmp_path, capsys):
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    assert struct.unpack_from("<I", raw, 24) == (32,)
+    struct.pack_into("<I", raw, 24, 31)
+    path = tmp_path / "scale31.sftm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="scale_bits 31"):
+        load_checkpoint(path)
+    code = main(["eval", "--mode", "held_in", *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "scale_bits 31" in capsys.readouterr().err
 
 
 if __name__ == "__main__":
