@@ -94,8 +94,11 @@ def _w_array(fh, arr: np.ndarray, dtype: str) -> None:
     fh.write(data.tobytes())
 
 
-def _r_array(fh, dtype: str) -> np.ndarray:
+def _r_array(fh, dtype: str, length: int, what: str) -> np.ndarray:
+    """An array that must hold ``length`` entries; ``what`` names it in errors."""
     (n,) = _r(fh, "Q")
+    if n != length:
+        raise CheckpointFormatError(f"{what} has {n} entries, expected {length}")
     raw = _read_exact(fh, n * np.dtype(dtype).itemsize, "array")
     return np.frombuffer(raw, dtype=dtype).copy()
 
@@ -292,7 +295,10 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
     """Read shard ``c``, adding its digests and unlearned ids to ``ckpt``.
 
     ``assigned`` is every task id the assignment routes to the shard,
-    ascending; the block's task lists and digests must agree with it.
+    ascending; the block's task lists and digests must agree with it, and
+    its vectors must have the model's parameter count. A method that trains
+    per task keeps an accumulator and one digest per assigned task; central
+    keeps neither.
     """
     retained = _r_ids(fh)
     unlearned = _r_ids(fh)
@@ -304,15 +310,22 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
             f"shard {c}: retained and unlearned ids do not match the assignment"
         )
     ckpt.unlearned += tuple(unlearned)
-    accumulator = _r_array(fh, "<i8")
+    m = ckpt.model_spec.param_count
+    per_task = METHODS[ckpt.method.tag].train_task is not None
+    accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
     (n_dig,) = _r(fh, "I")
+    digest_ids = []
     for _ in range(n_dig):
         (t,) = _r(fh, "I")
         if ckpt.assignment.get(t) != c:
             raise CheckpointFormatError(f"shard {c}: digest of task {t}, not in this shard")
         ckpt.replay_digests[t] = _read_exact(fh, 32, "digest")
+        digest_ids.append(t)
+    if digest_ids != (assigned if per_task else []):
+        raise CheckpointFormatError(
+            f"shard {c}: digests of tasks {digest_ids}, expected {assigned if per_task else []}"
+        )
     (flags,) = _r(fh, "B")
-    m = ckpt.model_spec.param_count
     masks = {}
     if flags & _F_MASKS:
         nw = mask_words(m)
@@ -321,12 +334,14 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
             masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
     emr = None
     if flags & _F_EMR:
-        unified = _r_array(fh, "<f8")
+        unified = _r_array(fh, "<f8", m, f"shard {c}: EMR unified vector")
         emr = EmrArtifacts(unified, masks, {t: _r(fh, "d")[0] for t in retained})
     tall = {t: _r(fh, "dd") for t in retained} if flags & _F_TALL else None
-    ties_vector = _r_array(fh, "<f8") if flags & _F_TIES else None
+    ties_vector = None
+    if flags & _F_TIES:
+        ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
     if flags & _F_CENTRAL:
-        return Shard(central_params=_r_array(fh, "<f8"))
+        return Shard(central_params=_r_array(fh, "<f8", m, f"shard {c}: central parameters"))
     merged = MergedState(
         FxpVector(accumulator, SCALE_BITS_DEFAULT), tuple(retained), masks, ckpt.method.tag
     )

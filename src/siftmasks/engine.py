@@ -61,9 +61,9 @@ from .trainer import (
     TaskVector,
     TrainConfig,
     accuracy,
+    finetune_tasks,
     ft_finetune,
     init_params,
-    sift_finetune,
 )
 
 CENTRAL_MAX_STEPS_DEFAULT = 800
@@ -216,9 +216,12 @@ class MethodOps:
     # parameters served for one task that has a stored mask, or for any task
     # when the method stores none
     serve: Callable[[SystemState, Shard, int], np.ndarray]
-    # retrain one task exactly as at build time; None when the method trains
-    # on the pooled shard, which is then verified by retraining it
-    train_task: Callable[[SystemState, TaskSpec], tuple[TaskVector, BitMask | None]] | None
+    # retrain tasks exactly as at build time, one (vector, mask) per task in
+    # order; None when the method trains on the pooled shard, which is then
+    # verified by retraining it
+    train_task: Callable[
+        [SystemState, list[TaskSpec]], list[tuple[TaskVector, BitMask | None]]
+    ] | None
     # a deletion replays the task and subtracts it; otherwise the shard is
     # rebuilt from its remaining tasks
     subtracts: bool
@@ -242,20 +245,17 @@ def _check_digest(system: SystemState, task_id: int, digest: bytes) -> None:
         )
 
 
-def _train_ft(system: SystemState, task: TaskSpec):
-    return ft_finetune(task, system.m0, system.model_spec, system.train_cfg), None
-
-
-def _train_sift(system: SystemState, task: TaskSpec):
-    return sift_finetune(
-        task, system.m0, system.model_spec, system.sign_vector, system.train_cfg
+def _train_tasks(system: SystemState, tasks: list[TaskSpec]):
+    """Lockstep finetunes; signed methods train under the system's sign vector."""
+    return finetune_tasks(
+        tasks, system.m0, system.model_spec, system.train_cfg, system.sign_vector
     )
 
 
 def _merge_shard(system: SystemState, ids: list[int]):
     """Train the ids and fold their vectors; returns vectors, state, digests."""
     train = METHODS[system.method.tag].train_task
-    results = [train(system, system.registry[t]) for t in ids]
+    results = train(system, [system.registry[t] for t in ids])
     vectors = [tv for tv, _ in results]
     masks = {tv.source_task: m for tv, m in results if m is not None}
     state = merge(
@@ -364,20 +364,20 @@ def _serve_central(system: SystemState, shard: Shard, task_id: int) -> np.ndarra
 
 METHODS: dict[str, MethodOps] = {
     "sift_masks": MethodOps(
-        _build_merged, _serve_sift, _train_sift,
+        _build_merged, _serve_sift, _train_tasks,
         subtracts=True, stores_masks=True, signed=True,
     ),
     "ft_merge": MethodOps(
-        _build_merged, _serve_merged, _train_ft, subtracts=True, stores_masks=False
+        _build_merged, _serve_merged, _train_tasks, subtracts=True, stores_masks=False
     ),
     "tall_masks": MethodOps(
-        _build_tall, _serve_tall, _train_ft, subtracts=False, stores_masks=True
+        _build_tall, _serve_tall, _train_tasks, subtracts=False, stores_masks=True
     ),
     "emr": MethodOps(
-        _build_emr, _serve_emr, _train_ft, subtracts=False, stores_masks=True
+        _build_emr, _serve_emr, _train_tasks, subtracts=False, stores_masks=True
     ),
     "ties": MethodOps(
-        _build_ties, _serve_ties, _train_ft, subtracts=False, stores_masks=False
+        _build_ties, _serve_ties, _train_tasks, subtracts=False, stores_masks=False
     ),
     "central": MethodOps(
         _build_central, _serve_central, None, subtracts=False, stores_masks=False
@@ -480,7 +480,7 @@ def unlearn(
     steps = system.train_cfg.steps
     ledger = CostLedger()
     if ops.subtracts and remaining:
-        tv, _ = ops.train_task(system, system.registry[task_id])
+        [(tv, _)] = ops.train_task(system, [system.registry[task_id]])
         _check_digest(system, task_id, _digest(tv.delta))
         ledger.record("unlearn", 1, steps)
         shard = replace(shard, merged=unmerge(shard.merged, tv))
@@ -516,9 +516,8 @@ def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
     acc = shard.merged.accumulator
     fresh_acc = FxpVector.zeros(len(acc), acc.scale_bits)
     replays_ok = True
-    for t in ids:
-        tv, _ = ops.train_task(system, system.registry[t])
-        replays_ok &= _digest(tv.delta) == system.replay_digests[t]
+    for tv, _ in ops.train_task(system, [system.registry[t] for t in ids]):
+        replays_ok &= _digest(tv.delta) == system.replay_digests[tv.source_task]
         fresh_acc = fxp_add(fresh_acc, quantize(tv.delta))
     return replays_ok, bool(np.array_equal(fresh_acc.values, acc.values))
 

@@ -72,12 +72,17 @@ class PrngStream:
             raise ValueError("block size must be >= 0")
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        offsets = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = np.uint64(self._state) + offsets  # wraps mod 2**64
+        # in place, wrapping mod 2**64: one block-sized temporary at a time
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniform_block(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), 53 random mantissa bits each."""
@@ -101,7 +106,9 @@ class PrngStream:
         """count integers uniform in [0, bound). Modulo bias is < bound/2**64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return (self.u64_block(count) % np.uint64(bound)).astype(np.int64)
+        z = self.u64_block(count)
+        z %= np.uint64(bound)
+        return z.view(np.int64)  # the values astype(np.int64) gives, uncopied
 
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffle of a copy of items."""

@@ -5,6 +5,12 @@ delta from the base parameters directly (the task vector), with Adam, so the
 zero-step case is exactly the zero vector and replays are bit-identical.
 Sign-fixed tuning (SIFT) projects the delta onto the sign constraint after
 every optimizer step; optimizer moments are left untouched.
+
+``finetune_tasks`` trains a list of tasks in lockstep: bounded chunks of
+tasks are stacked along a leading axis and stepped together by one loop,
+whose every operation acts on each task's slice alone, so a task's bits are
+those of training it by itself. ``ft_finetune`` and ``sift_finetune`` are
+one-task calls of the same loop.
 """
 
 from __future__ import annotations
@@ -17,6 +23,13 @@ from .paramcore import BitMask, SignVector, as_param_vector
 from .prng import PrngStream, mix_seed
 
 MODEL_KINDS = ("logistic", "mlp")
+# Bound on the entries of one stacked (tasks, M) training array: lockstep
+# training runs max(1, MAX_STACKED_ENTRIES // M) tasks at a time. Sized on a
+# 2-vCPU Xeon at M = 738 (sift, 20 steps, batch 32): CPU time per finetune
+# fell from 1.9 ms at one task per chunk to 0.72-0.82 ms at 11 and levelled
+# off near 0.71 ms from 16 on, while the chunk's peak memory grows ~65 KB
+# per task (1.1 MB at 11, 4 MB at 48).
+MAX_STACKED_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -64,8 +77,8 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, length: int) -> "AdamState":
-        return cls(np.zeros(length), np.zeros(length), 0)
+    def zeros(cls, shape: int | tuple[int, ...]) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape), 0)
 
 
 @dataclass(frozen=True)
@@ -88,14 +101,28 @@ class TaskVector:
 
 
 def _views(params: np.ndarray, spec: ModelSpec):
+    """Weight and bias views of a vector (M,), or of a stack (K, M) with a
+    leading task axis on every view.
+
+    The vector case serves predictions, so each case keeps plain slices: one
+    form for both (``params[..., a:b]``) doubled the cost of a vector's views.
+    """
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if spec.kind == "logistic":
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
-        return w, b
-    o1 = h * d
+    o1 = c * d if spec.kind == "logistic" else h * d
     o2 = o1 + h
     o3 = o2 + h * c
+    if params.ndim == 2:
+        k = params.shape[0]
+        if spec.kind == "logistic":
+            return params[:, :o1].reshape(k, c, d), params[:, o1:]
+        return (
+            params[:, :o1].reshape(k, h, d),
+            params[:, o1:o2],
+            params[:, o2:o3].reshape(k, c, h),
+            params[:, o3:],
+        )
+    if spec.kind == "logistic":
+        return params[:o1].reshape(c, d), params[o1:]
     return (
         params[:o1].reshape(h, d),
         params[o1:o2],
@@ -125,9 +152,11 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place over ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def predict_logits(params: np.ndarray, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
@@ -155,50 +184,77 @@ def loss_and_grad(
     spec: ModelSpec,
     features: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its analytic gradient.
 
     One batched pass: each gradient block is a single matrix product over the
     batch, so a call's arithmetic depends only on its inputs and repeated
-    calls are bit-identical.
+    calls are bit-identical. A leading task axis stacks independent problems:
+    params (K, M), features (K, n, d) and labels (K, n) give K losses and a
+    (K, M) gradient, each slice bit-identical to the 2-D call on that slice.
+    A 2-D call (params (M,), features (n, d)) is the K = 1 case and returns
+    a float loss and an (M,) gradient.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, d = x.shape
+    stacked = np.ndim(params) == 2
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if not stacked:
+        params = params[None]
+        x = np.atleast_2d(x)[None]
+        y = np.atleast_1d(y)[None]
+    k, n, d = x.shape
     if n == 0:
         raise ValueError("batch must be nonempty")
     if d != spec.input_dim:
         raise ValueError(f"feature dim {d} != model input_dim {spec.input_dim}")
-    if y.shape[0] != n:
+    if y.shape != (k, n):
         raise ValueError("features/labels length mismatch")
     if y.min() < 0 or y.max() >= spec.num_classes:
         bad = int(np.flatnonzero((y < 0) | (y >= spec.num_classes))[0])
-        raise ValueError(f"label {y[bad]} at batch index {bad} outside [0, {spec.num_classes})")
+        raise ValueError(
+            f"label {y.flat[bad]} at batch index {bad % n} outside [0, {spec.num_classes})"
+        )
 
     grad = np.empty_like(params)
-    rows = np.arange(n)
+    picked = (np.arange(k)[:, None], np.arange(n), y)
     if spec.kind == "logistic":
         w, b = _views(params, spec)
         gw, gb = _views(grad, spec)
-        p = _softmax_rows(x @ w.T + b)
-        loss = -np.log(p[rows, y]).sum()
-        p[rows, y] -= 1.0
-        gw[...] = p.T @ x
-        gb[...] = p.sum(axis=0)
+        logits = x @ _t(w)
+        logits += b[:, None]
+        p = _softmax_rows(logits)
+        loss = -np.log(p[picked]).sum(axis=-1)
+        p[picked] -= 1.0
+        np.matmul(_t(p), x, out=gw)
+        gb[...] = p.sum(axis=-2)
     else:
         w1, b1, w2, b2 = _views(params, spec)
         g1, gb1, g2, gb2 = _views(grad, spec)
-        hid = np.tanh(x @ w1.T + b1)
-        p = _softmax_rows(hid @ w2.T + b2)
-        loss = -np.log(p[rows, y]).sum()
-        p[rows, y] -= 1.0
-        g2[...] = p.T @ hid
-        gb2[...] = p.sum(axis=0)
-        back = (p @ w2) * (1.0 - hid * hid)
-        g1[...] = back.T @ x
-        gb1[...] = back.sum(axis=0)
+        hid = x @ _t(w1)
+        hid += b1[:, None]
+        np.tanh(hid, out=hid)
+        logits = hid @ _t(w2)
+        logits += b2[:, None]
+        p = _softmax_rows(logits)
+        loss = -np.log(p[picked]).sum(axis=-1)
+        p[picked] -= 1.0
+        np.matmul(_t(p), hid, out=g2)
+        gb2[...] = p.sum(axis=-2)
+        back = p @ w2
+        hid *= hid
+        np.subtract(1.0, hid, out=hid)
+        back *= hid
+        np.matmul(_t(back), x, out=g1)
+        gb1[...] = back.sum(axis=-2)
     grad /= n
-    return float(loss / n), grad
+    if stacked:
+        return loss / n, grad
+    return float(loss[0] / n), grad[0]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
 
 
 def adam_step(
@@ -210,51 +266,70 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new arrays, inputs untouched."""
+    """One bias-corrected Adam update, in place on params and state.
+
+    Every operation is elementwise, so a stacked (K, M) update gives each
+    row the bits of a lone (M,) update. Returns params and state.
+    """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(m, v, t)
+    state.t += 1
+    m, v = state.m, state.v
+    step = (1.0 - beta1) * grad
+    m *= beta1
+    m += step
+    np.multiply(grad, 1.0 - beta2, out=step)
+    step *= grad
+    v *= beta2
+    v += step
+    denom = v / (1.0 - beta2**state.t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1**state.t, out=step)
+    step *= lr
+    step /= denom
+    params -= step
+    return params, state
 
 
 def project_sign(tau: np.ndarray, v: SignVector) -> np.ndarray:
     """Zero every entry of tau whose sign disagrees with v. Idempotent."""
-    if tau.shape[0] != v.length:
+    if tau.shape[-1] != v.length:
         raise ValueError("length mismatch between delta and sign vector")
-    return np.where(tau * v.signs() < 0.0, 0.0, tau)
+    out = tau.copy()
+    _zero_disagreeing(out, v.signs())
+    return out
 
 
-def _batches(task, cfg: TrainConfig):
-    """Batch sampler: uniform with replacement from the training split.
+def _zero_disagreeing(tau: np.ndarray, signs: np.ndarray) -> None:
+    """In place: +0.0 wherever tau * signs < 0 (as np.where would write)."""
+    np.copyto(tau, 0.0, where=tau * signs < 0.0)
 
-    Falls back to the full training split (no stream draws) when it is
-    smaller than the batch size.
+
+def _batches(task, cfg: TrainConfig) -> np.ndarray:
+    """Every step's batch as row indices into task.features, (steps, rows).
+
+    Batches are uniform with replacement from the training split, drawn in
+    one block: the same SplitMix64 counters as one draw of batch_size per
+    step. A split smaller than the batch size is used whole at every step,
+    with no stream draws.
     """
-    x_train, y_train = task.train_xy()
-    n = len(y_train)
+    train = task.train_indices
+    n = len(train)
     if n == 0:
         raise ValueError(f"task {task.id} has no training examples")
+    if n < cfg.batch_size:
+        return np.broadcast_to(train, (cfg.steps, n))
     stream = PrngStream(mix_seed(cfg.seed, task.id))
-
-    def sample():
-        if n < cfg.batch_size:
-            return x_train, y_train
-        idx = stream.randint_block(cfg.batch_size, n)
-        return x_train[idx], y_train[idx]
-
-    return sample
+    draws = stream.randint_block(cfg.steps * cfg.batch_size, n)
+    return train[draws].reshape(cfg.steps, cfg.batch_size)
 
 
 def ft_finetune(task, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig) -> TaskVector:
     """Plain finetuning; returns the trained delta. Replay-identical."""
-    return _finetune(task, m0, spec, cfg, sign_vector=None)[0]
+    return finetune_tasks([task], m0, spec, cfg)[0][0]
 
 
 def sift_finetune(
@@ -264,25 +339,51 @@ def sift_finetune(
 
     The returned mask is exactly the nonzero support of the delta.
     """
-    if v.length != m0.shape[0]:
+    return finetune_tasks([task], m0, spec, cfg, v)[0]
+
+
+def finetune_tasks(
+    tasks, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig, v: SignVector | None = None
+) -> list[tuple[TaskVector, BitMask | None]]:
+    """Finetune every task from m0; sign-fixed under v when given.
+
+    Returns (vector, mask) per task in input order; the mask is None without
+    v. Tasks train in lockstep, in chunks of tasks with equal batch rows and
+    at most max(1, MAX_STACKED_ENTRIES // M) tasks. Every operation of a step
+    acts on each task's slice alone, so a task's bits do not depend on the
+    other tasks or on how they are chunked.
+    """
+    if v is not None and v.length != m0.shape[0]:
         raise ValueError("sign vector length does not match parameter count")
-    return _finetune(task, m0, spec, cfg, sign_vector=v)
+    signs = None if v is None else v.signs()
+    size = max(1, MAX_STACKED_ENTRIES // m0.shape[0])
+    by_rows: dict[int, list[int]] = {}
+    for i, task in enumerate(tasks):
+        by_rows.setdefault(min(cfg.batch_size, len(task.train_indices)), []).append(i)
+    out: list = [None] * len(tasks)
+    for group in by_rows.values():
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            taus = _finetune_chunk([tasks[i] for i in chunk], m0, spec, cfg, signs)
+            for i, tau in zip(chunk, taus):
+                mask = None if v is None else BitMask.from_bools(tau * signs > 0.0)
+                out[i] = (TaskVector(tau, tasks[i].id, cfg.steps), mask)
+    return out
 
 
-def _finetune(task, m0, spec, cfg, sign_vector):
-    tau = np.zeros_like(m0)
-    state = AdamState.zeros(tau.shape[0])
-    sample = _batches(task, cfg)
-    for _ in range(cfg.steps):
-        xb, yb = sample()
-        _, grad = loss_and_grad(m0 + tau, spec, xb, yb)
-        tau, state = adam_step(
-            tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
-        )
-        if sign_vector is not None:
-            tau = project_sign(tau, sign_vector)
-    if sign_vector is None:
-        return TaskVector(tau, task.id, cfg.steps), None
-    tau = project_sign(tau, sign_vector)  # idempotent; keeps the contract explicit
-    mask = BitMask.from_bools(tau * sign_vector.signs() > 0.0)
-    return TaskVector(tau, task.id, cfg.steps), mask
+def _finetune_chunk(tasks, m0, spec, cfg, signs) -> np.ndarray:
+    """Train K tasks with equal batch rows in lockstep; returns (K, M) deltas."""
+    x_pool = np.concatenate([t.features for t in tasks])
+    y_pool = np.concatenate([t.labels for t in tasks])
+    batches = np.stack([_batches(t, cfg) for t in tasks], axis=1)  # (steps, K, rows)
+    batches += np.cumsum([0] + [t.n_examples for t in tasks[:-1]])[:, None]
+    tau = np.zeros((len(tasks), m0.shape[0]))
+    params = np.empty_like(tau)
+    state = AdamState.zeros(tau.shape)
+    for rows in batches:
+        np.add(m0, tau, out=params)
+        _, grad = loss_and_grad(params, spec, x_pool[rows], y_pool[rows])
+        adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+        if signs is not None:
+            _zero_disagreeing(tau, signs)
+    return tau

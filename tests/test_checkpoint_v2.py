@@ -12,10 +12,16 @@ Nothing is retrained by the tests, so they hold on any machine.
 
 To rewrite the files (only when the format or the trainer changes on purpose,
 together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v2.py``.
+To check that the current code still writes them byte for byte, without
+touching them: ``PYTHONPATH=src python tests/test_checkpoint_v2.py --check``
+(exit 1 naming the first file that differs).
 """
 
+import re
 import struct
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +37,7 @@ from siftmasks.cli import main
 from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
 from siftmasks.engine import build, evaluate, unlearn
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
+from siftmasks.paramcore import FxpVector
 from siftmasks.trainer import ModelSpec, TrainConfig
 
 DATA = Path(__file__).resolve().parent / "data" / "v2"
@@ -196,5 +203,106 @@ def test_scale_bits_other_than_32_exits_2(tmp_path, capsys):
     assert "scale_bits 31" in capsys.readouterr().err
 
 
+def resaved_copy(tmp_path: Path, name: str, change) -> Path:
+    """Loads a fixture, applies ``change`` to the checkpoint and saves a copy."""
+    ckpt = load_checkpoint(DATA / f"{name}.sftm")
+    change(ckpt)
+    path = tmp_path / f"changed_{name}.sftm"
+    save_checkpoint(ckpt, path)
+    return path
+
+
+@pytest.mark.parametrize("command", [["unlearn", "--id", "1"], ["verify"]],
+                         ids=["unlearn", "verify"])
+def test_missing_digest_exits_2(command, tmp_path, capsys):
+    path = resaved_copy(tmp_path, "sift_masks_fresh", lambda c: c.replay_digests.pop(1))
+    message = "digests of tasks [0, 2, 3, 4, 5], expected [0, 1, 2, 3, 4, 5]"
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        load_checkpoint(path)
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_central_digest_rejected(tmp_path):
+    path = resaved_copy(
+        tmp_path, "central_fresh", lambda c: c.replay_digests.update({1: bytes(32)})
+    )
+    with pytest.raises(CheckpointFormatError, match=r"digests of tasks \[1\], expected \[\]"):
+        load_checkpoint(path)
+
+
+def shorten_accumulator(ckpt) -> None:
+    merged = ckpt.shards[0].merged
+    short = FxpVector(merged.accumulator.values[:32], merged.accumulator.scale_bits)
+    ckpt.shards = (replace(ckpt.shards[0], merged=replace(merged, accumulator=short)),)
+
+
+@pytest.mark.parametrize(
+    "command", [["eval"], ["verify"], ["unlearn", "--id", "1"]], ids=["eval", "verify", "unlearn"]
+)
+def test_short_accumulator_exits_2(command, tmp_path, capsys):
+    path = resaved_copy(tmp_path, "sift_masks_fresh", shorten_accumulator)
+    message = "shard 0: accumulator has 32 entries, expected 33"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def shorten_ties(ckpt) -> None:
+    ckpt.shards = (replace(ckpt.shards[0], ties_vector=ckpt.shards[0].ties_vector[:32]),)
+
+
+def shorten_emr(ckpt) -> None:
+    emr = replace(ckpt.shards[0].emr, unified=ckpt.shards[0].emr.unified[:32])
+    ckpt.shards = (replace(ckpt.shards[0], emr=emr),)
+
+
+def shorten_central(ckpt) -> None:
+    ckpt.shards = (replace(ckpt.shards[0], central_params=ckpt.shards[0].central_params[:32]),)
+
+
+@pytest.mark.parametrize(
+    "name, change, what",
+    [("ties_fresh", shorten_ties, "TIES vector"),
+     ("emr_fresh", shorten_emr, "EMR unified vector"),
+     ("central_fresh", shorten_central, "central parameters")],
+    ids=["ties", "emr", "central"],
+)
+def test_short_method_vector_rejected(name, change, what, tmp_path):
+    path = resaved_copy(tmp_path, name, change)
+    message = f"shard 0: {what} has 32 entries, expected 33"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
+def first_mismatch(expected_dir: Path) -> str | None:
+    """Rewrites the fixtures into a temporary directory; names the first file
+    whose bytes differ from (or is missing in) ``expected_dir``, else None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fixtures(Path(tmp))
+        names = sorted({p.name for p in Path(tmp).iterdir()}
+                       | {p.name for p in expected_dir.glob("*.sftm")})
+        for name in names:
+            fresh, kept = Path(tmp) / name, expected_dir / name
+            if not (fresh.exists() and kept.exists()) or fresh.read_bytes() != kept.read_bytes():
+                return name
+    return None
+
+
 if __name__ == "__main__":
-    write_fixtures(Path(sys.argv[1]) if len(sys.argv) > 1 else DATA)
+    args = sys.argv[1:]
+    if args[:1] == ["--check"]:
+        expected = Path(args[1]) if len(args) > 1 else DATA
+        name = first_mismatch(expected)
+        if name is not None:
+            print(f"{expected / name}: differs from what the current code writes",
+                  file=sys.stderr)
+            sys.exit(1)
+        print(f"every fixture in {expected} is reproduced byte for byte")
+    else:
+        write_fixtures(Path(args[0]) if args else DATA)

@@ -116,7 +116,8 @@ def test_batched_kernel_matches_per_example_loop(kind, hidden, batch_size):
     # training split, so that case is the full-split fallback
     spec = ModelSpec(kind, 10, 3, hidden_dim=hidden)
     task = _toy_task(n=48, n_eval=8, seed=batch_size)
-    x, y = _batches(task, TrainConfig(batch_size=batch_size, seed=5))()
+    rows = _batches(task, TrainConfig(batch_size=batch_size, seed=5))[0]
+    x, y = task.features[rows], task.labels[rows]
     assert len(y) == min(batch_size, 40)
     params = np.random.default_rng(batch_size).normal(size=spec.param_count) * 0.4
     loss, grad = loss_and_grad(params, spec, x, y)
@@ -138,6 +139,19 @@ def test_replay_digest_independent_of_blas_threads():
         "v = gen_sign_vector(2, spec.param_count)\n"
         "tv, _ = sift_finetune(task, init_params(spec, 1), spec, v, cfg)\n"
         "print(_digest(tv.delta).hex(), tv.delta.tobytes().hex())\n"
+        # a multi-task build, its four tasks stacked in one lockstep chunk
+        "import hashlib\n"
+        "import siftmasks.trainer as trainer\n"
+        "from siftmasks.engine import build\n"
+        "from siftmasks.merging import LocalizationMethod\n"
+        "trainer.MAX_STACKED_ENTRIES = 4 * spec.param_count\n"
+        "tasks = synth_generate(regime, 4, 200, 64, 2, seed=5)\n"
+        "system, _ = build(LocalizationMethod('sift_masks'), tasks, spec, cfg,\n"
+        "                  base_seed=1, sign_seed=2)\n"
+        "merged = system.shards[0].merged\n"
+        "print(sorted((t, d.hex()) for t, d in system.replay_digests.items()))\n"
+        "print(hashlib.sha256(merged.accumulator.values.tobytes()).hexdigest())\n"
+        "print([merged.masks[t].words.tobytes().hex() for t in sorted(merged.masks)])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
@@ -189,7 +203,7 @@ def test_adam_first_step_closed_form():
 
 def test_adam_zero_gradient_is_identity():
     params = np.array([1.5, -2.0])
-    new, _ = adam_step(params, np.zeros(2), AdamState.zeros(2), lr=0.3)
+    new, _ = adam_step(params.copy(), np.zeros(2), AdamState.zeros(2), lr=0.3)
     assert np.array_equal(new, params)
 
 
@@ -202,8 +216,8 @@ def test_adam_deterministic_replay():
     rng = np.random.default_rng(3)
     p = rng.normal(size=16)
     g = rng.normal(size=16)
-    a1, s1 = adam_step(p, g, AdamState.zeros(16), lr=0.05)
-    a2, s2 = adam_step(p, g, AdamState.zeros(16), lr=0.05)
+    a1, s1 = adam_step(p.copy(), g, AdamState.zeros(16), lr=0.05)
+    a2, s2 = adam_step(p.copy(), g, AdamState.zeros(16), lr=0.05)
     assert np.array_equal(a1, a2)
     b1, _ = adam_step(a1, g * 0.5, s1, lr=0.05)
     b2, _ = adam_step(a2, g * 0.5, s2, lr=0.05)
