@@ -335,16 +335,14 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
     emr = None
     if flags & _F_EMR:
         unified = _r_array(fh, "<f8", m, f"shard {c}: EMR unified vector")
-        emr = EmrArtifacts(unified, masks, {t: _r(fh, "d")[0] for t in retained})
+        emr = EmrArtifacts(unified, {t: _r(fh, "d")[0] for t in retained})
     tall = {t: _r(fh, "dd") for t in retained} if flags & _F_TALL else None
     ties_vector = None
     if flags & _F_TIES:
         ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
     if flags & _F_CENTRAL:
         return Shard(central_params=_r_array(fh, "<f8", m, f"shard {c}: central parameters"))
-    merged = MergedState(
-        FxpVector(accumulator, SCALE_BITS_DEFAULT), tuple(retained), masks, ckpt.method.tag
-    )
+    merged = MergedState(FxpVector(accumulator, SCALE_BITS_DEFAULT), len(retained), masks)
     return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector)
 
 

@@ -34,6 +34,7 @@ from .engine import (
     ReplayMismatchError,
     UnknownTaskError,
     build,
+    cluster_sizes,
     evaluate,
     project_total_cost,
     shard_ids,
@@ -282,6 +283,10 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
     reports = []
     for u in ids:
         system, report, delta = unlearn(system, u, verify=do_verify)
+        if not report.exact:  # keep the checkpoint as it was read
+            raise ExactnessViolation(
+                f"after deleting task {u} the state does not match a fresh merge"
+            )
         ledger.add(delta)
         reports.append((u, report, delta))
     save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
@@ -307,7 +312,7 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 def cmd_verify(data, checkpoint, **params):
-    """Replay all retained tasks and compare against the stored accumulator."""
+    """Replay all retained tasks; compare the stored accumulator and sift masks."""
     cfg = _config_from(params)
     _, system = _load_system(cfg, data, checkpoint)
     report = verify_exactness(system)
@@ -335,22 +340,27 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
     if simulate_unlearn_all:
         rows = []
         summary = {}
+        m = _model_spec(cfg).param_count
+        sizes = cluster_sizes(sim_tasks, sim_clusters)
         for tag in METHOD_TAGS:
             proj = project_total_cost(sim_tasks, tag, sim_steps, sim_clusters)
+            words = storage_words(tag, m, sizes).words
             summary[tag] = {
                 "total_task_finetunes": proj.total_finetunes,
                 "total_finetune_steps": proj.total_steps,
                 "first_event_finetunes": proj.per_event[0],
                 "first_event_steps": proj.first_event_steps,
+                "storage_words": words,
             }
             rows.extend(
                 [tag, i + 1, "", "cumulative_task_finetunes", c]
                 for i, c in enumerate(proj.cumulative)
             )
+            rows.append([tag, "", "", "storage_words", words])
             click.echo(
                 f"{tag}: total {proj.total_finetunes} task-finetunes "
                 f"({proj.total_steps} steps), first deletion {proj.per_event[0]} "
-                f"({proj.first_event_steps} steps)"
+                f"({proj.first_event_steps} steps), {words} stored words at M={m}"
             )
         central = summary["central"]["total_task_finetunes"]
         merge_total = summary["sift_masks"]["total_task_finetunes"]

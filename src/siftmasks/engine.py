@@ -46,15 +46,7 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import (
-    BitMask,
-    FxpVector,
-    SignVector,
-    fxp_add,
-    gen_sign_vector,
-    mask_words,
-    quantize,
-)
+from .paramcore import BitMask, SignVector, gen_sign_vector, mask_words, quantize
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
@@ -258,12 +250,7 @@ def _merge_shard(system: SystemState, ids: list[int]):
     results = train(system, [system.registry[t] for t in ids])
     vectors = [tv for tv, _ in results]
     masks = {tv.source_task: m for tv, m in results if m is not None}
-    state = merge(
-        vectors,
-        masks or None,
-        method=system.method.tag,
-        length=system.model_spec.param_count,
-    )
+    state = merge(vectors, masks or None, length=system.model_spec.param_count)
     return vectors, state, {tv.source_task: _digest(tv.delta) for tv in vectors}
 
 
@@ -301,8 +288,8 @@ def _build_emr(system: SystemState, ids: list[int]):
     vectors, state, digests = _merge_shard(system, ids)
     if not vectors:
         return Shard(state), digests
-    art = emr_build(vectors)
-    return Shard(replace(state, masks=dict(art.masks)), emr=art), digests
+    art, masks = emr_build(vectors)
+    return Shard(replace(state, masks=masks), emr=art), digests
 
 
 def _build_ties(system: SystemState, ids: list[int]):
@@ -351,7 +338,7 @@ def _serve_tall(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
 
 
 def _serve_emr(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return emr_localize(shard.emr, task_id, system.m0)
+    return emr_localize(shard.emr, task_id, shard.merged.masks[task_id], system.m0)
 
 
 def _serve_ties(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
@@ -505,7 +492,11 @@ def unlearn(
 
 
 def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
-    """(replays match, state matches a fresh merge) for one shard."""
+    """(replays match, state matches a fresh merge) for one shard.
+
+    The state compared is the accumulator and every mask the replay itself
+    yields (the sift masks); central compares its retrained parameters.
+    """
     ops = METHODS[system.method.tag]
     shard = system.shards[c]
     ids = system.shard_retained(c)
@@ -513,13 +504,11 @@ def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
         fresh, _ = ops.build_shard(system, ids)
         same = bool(np.array_equal(fresh.central_params, shard.central_params))
         return same, same
-    acc = shard.merged.accumulator
-    fresh_acc = FxpVector.zeros(len(acc), acc.scale_bits)
-    replays_ok = True
-    for tv, _ in ops.train_task(system, [system.registry[t] for t in ids]):
-        replays_ok &= _digest(tv.delta) == system.replay_digests[tv.source_task]
-        fresh_acc = fxp_add(fresh_acc, quantize(tv.delta))
-    return replays_ok, bool(np.array_equal(fresh_acc.values, acc.values))
+    _, fresh, digests = _merge_shard(system, ids)
+    replays_ok = all(digests[t] == system.replay_digests[t] for t in ids)
+    stored = shard.merged
+    masks_ok = all(stored.masks.get(t) == m for t, m in fresh.masks.items())
+    return replays_ok, fresh.accumulator == stored.accumulator and masks_ok
 
 
 def verify_exactness(system: SystemState) -> ExactnessReport:
@@ -640,8 +629,9 @@ def project_total_cost(
 ) -> CostProjection:
     """Ledger projection for an unlearn-all policy; no training happens.
 
-    Clusters are idealized as equal-sized (round-robin assignment) and tasks
-    are deleted in ascending id order.
+    Shards have the sizes ``cluster_random`` gives (``cluster_sizes``: they
+    differ by at most one), and deletion i falls on shard i mod n_clusters
+    until every shard is empty. The totals depend only on the shard sizes.
     """
     if num_tasks < 1:
         raise ValueError("num_tasks must be >= 1")

@@ -1,9 +1,11 @@
 """Merging and unmerging of task vectors, plus localization backends.
 
 The merged state keeps the exact fixed-point sum of quantized task vectors,
-so removing a task by subtraction is bit-identical to never having merged it,
-regardless of order. Serving divides the summed vector by the number of
-currently retained tasks (an unweighted average).
+the number of vectors in it and the served masks; which tasks are in it is
+the caller's record (the engine's assignment and unlearned ids). Removing a
+task by subtraction is bit-identical to never having merged it, regardless
+of order. Serving divides the summed vector by the retained count (an
+unweighted average).
 
 Localization backends:
 
@@ -21,7 +23,7 @@ Localization backends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,27 +67,25 @@ class LocalizationMethod:
 
 @dataclass(frozen=True)
 class MergedState:
-    """Exact accumulator of quantized task vectors plus per-task masks."""
+    """Exact sum of the retained task vectors, their count, and served masks.
+
+    ``n_retained`` is the averaging denominator; ``masks`` holds the mask of
+    each retained task that has one (sift, TALL and EMR masks).
+    """
 
     accumulator: FxpVector
-    retained: tuple[int, ...]
+    n_retained: int
     masks: dict[int, BitMask]
-    method: str
 
     @property
     def length(self) -> int:
         return len(self.accumulator)
-
-    @property
-    def n_retained(self) -> int:
-        return len(self.retained)
 
 
 def merge(
     task_vectors: list[TaskVector],
     masks: dict[int, BitMask] | None = None,
     *,
-    method: str = "ft_merge",
     scale_bits: int = SCALE_BITS_DEFAULT,
     length: int | None = None,
 ) -> MergedState:
@@ -112,18 +112,15 @@ def merge(
 
     if masks is not None and set(masks) != set(ids):
         raise ValueError("masks must cover exactly the merged task ids")
-    masks = dict(masks) if masks else {}
-    return MergedState(accumulator=acc, retained=tuple(ids), masks=masks, method=method)
+    return MergedState(accumulator=acc, n_retained=len(ids), masks=dict(masks or {}))
 
 
 def unmerge(state: MergedState, tau_u: TaskVector) -> MergedState:
-    """Subtract one task's quantized vector and drop its bookkeeping."""
-    if tau_u.source_task not in state.retained:
-        raise KeyError(f"task {tau_u.source_task} is not retained")
+    """Subtract one task's quantized vector and drop its mask; the caller
+    checks that the task is retained."""
     acc = fxp_sub(state.accumulator, quantize(tau_u.delta, state.accumulator.scale_bits))
     masks = {t: m for t, m in state.masks.items() if t != tau_u.source_task}
-    retained = tuple(t for t in state.retained if t != tau_u.source_task)
-    return replace(state, accumulator=acc, retained=retained, masks=masks)
+    return MergedState(acc, state.n_retained - 1, masks)
 
 
 def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
@@ -135,8 +132,6 @@ def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
 
 def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarray:
     """Masked average model for one retained task."""
-    if state.method != "sift_masks":
-        raise ValueError(f"sift localization on method {state.method!r}")
     if task_id not in state.masks:
         raise KeyError(f"no stored mask for task {task_id}")
     return localize_masked(state, state.masks[task_id], m0)
@@ -226,18 +221,21 @@ def tall_tune(
 
 @dataclass(frozen=True)
 class EmrArtifacts:
-    """Sign-elected unified vector with per-task masks and l1 rescales."""
+    """Sign-elected unified vector and per-task l1 rescales.
+
+    The per-task masks are served from the shard's ``MergedState.masks``.
+    """
 
     unified: np.ndarray
-    masks: dict[int, BitMask]
     scales: dict[int, float]
 
 
-def emr_build(task_vectors: list[TaskVector]) -> EmrArtifacts:
+def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, dict[int, BitMask]]:
     """Elect signs from the sum, keep max aligned magnitudes, rescale per task.
 
-    Entries whose summed sign is exactly zero are dropped from the unified
-    vector and from every mask.
+    Returns the artifacts and each task's sign-agreement mask. Entries whose
+    summed sign is exactly zero are dropped from the unified vector and from
+    every mask.
     """
     if not task_vectors:
         raise ValueError("emr needs at least one task vector")
@@ -254,13 +252,11 @@ def emr_build(task_vectors: list[TaskVector]) -> EmrArtifacts:
         scale = float(np.linalg.norm(tv.delta, ord=1) / kept) if kept > 0 else 1.0
         masks[tv.source_task] = mask
         scales[tv.source_task] = scale
-    return EmrArtifacts(unified=unified, masks=masks, scales=scales)
+    return EmrArtifacts(unified=unified, scales=scales), masks
 
 
-def emr_localize(emr: EmrArtifacts, task_id: int, m0: np.ndarray) -> np.ndarray:
-    if task_id not in emr.masks:
-        raise KeyError(f"no emr mask for task {task_id}")
-    return m0 + emr.scales[task_id] * mask_apply(emr.masks[task_id], emr.unified)
+def emr_localize(emr: EmrArtifacts, task_id: int, mask: BitMask, m0: np.ndarray) -> np.ndarray:
+    return m0 + emr.scales[task_id] * mask_apply(mask, emr.unified)
 
 
 def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:

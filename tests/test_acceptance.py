@@ -267,12 +267,12 @@ def _tv(values, task_id):
 
 def test_baseline_formula_conformance():
     # hand-evaluated examples
-    state = merge([_tv([1.0, 0.1], 0), _tv([2.0, 3.0], 1)], method="ft_merge")
+    state = merge([_tv([1.0, 0.1], 0), _tv([2.0, 3.0], 1)])
     assert tall_mask(_tv([1.0, 0.1], 0), state, 0.4).to_bools().tolist() == [True, False]
 
-    art = emr_build([_tv([1.0, -2.0], 0), _tv([3.0, 1.0], 1)])
+    art, masks = emr_build([_tv([1.0, -2.0], 0), _tv([3.0, 1.0], 1)])
     assert art.unified.tolist() == [3.0, -2.0]
-    assert art.masks[0].to_bools().tolist() == [True, True]
+    assert masks[0].to_bools().tolist() == [True, True]
     assert art.scales[0] == pytest.approx(0.6)
 
     assert ties_merge([_tv([2.0, -1.0], 0), _tv([-1.0, -3.0], 1)], 1.0).tolist() == [2.0, -2.0]
@@ -287,12 +287,12 @@ def test_baseline_formula_conformance():
         vecs = [_tv(deltas[i], i) for i in range(n)]
 
         lam = float(rng.random() * 2)
-        state = merge(vecs, method="ft_merge")
+        state = merge(vecs)
         merged_sum = dequantize(state.accumulator)
         expect = [abs(t) >= lam * abs(s - t) for t, s in zip(deltas[0], merged_sum)]
         assert tall_mask(vecs[0], state, lam).to_bools().tolist() == expect
 
-        art = emr_build(vecs)
+        art, _ = emr_build(vecs)
         for j in range(m):
             s = np.sign(deltas[:, j].sum())
             aligned = [abs(d) for d in deltas[:, j] if np.sign(d) == s and s != 0]

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -239,6 +240,20 @@ def test_cli_report_simulation_numbers(tmp_path, capsys):
     assert summary["central"]["total_task_finetunes"] == 124750
     assert summary["sift_masks"]["total_task_finetunes"] == 499
     assert summary["tall_masks"]["first_event_steps"] == 9980
+
+
+def test_cli_report_simulation_counts_uneven_shards(tmp_path):
+    out = tmp_path / "rep"
+    # logistic 499 -> 2 gives M = 1000 words
+    assert run_cli("report", "--simulate-unlearn-all", "--tasks", "10", "--sim-clusters", "3",
+                   "--model-kind", "logistic", "--input-dim", "499", "--num-classes", "2",
+                   "--out-dir", str(out)) == 0
+    with open(out / "cost_projection.csv", newline="") as fh:
+        words = {row["method"]: int(row["value"]) for row in csv.DictReader(fh)
+                 if row["metric"] == "storage_words"}
+    # shards of 4/3/3 tasks: 3 * 1000 model words + 10 * ceil(1000/32) mask words
+    assert words["sift_masks"] == words["tall_masks"] == words["emr"] == 3320
+    assert words["ft_merge"] == words["ties"] == words["central"] == 3000
 
 
 def test_cli_report_checkpoint_summary(tmp_path):

@@ -37,7 +37,7 @@ from siftmasks.cli import main
 from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
 from siftmasks.engine import build, evaluate, unlearn
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
-from siftmasks.paramcore import FxpVector
+from siftmasks.paramcore import BitMask, FxpVector
 from siftmasks.trainer import ModelSpec, TrainConfig
 
 DATA = Path(__file__).resolve().parent / "data" / "v2"
@@ -141,11 +141,12 @@ def packed_ids(ids) -> bytes:
 def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path, capsys):
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
     table = dict(sorted(ckpt.assignment.items()))
+    retained = [t for t, c in table.items() if c == 0]
 
     def layout(unlearned) -> bytes:
         """The assignment table, then shard 0's retained and unlearned ids."""
         pairs = b"".join(struct.pack("<II", t, c) for t, c in table.items())
-        return pairs + packed_ids(ckpt.shards[0].merged.retained) + packed_ids(unlearned)
+        return pairs + packed_ids(retained) + packed_ids(unlearned)
 
     before = layout(())
     if target == "unowned_unlearned":  # shard 0 lists task 99, which no shard holds
@@ -280,6 +281,36 @@ def test_short_method_vector_rejected(name, change, what, tmp_path):
         load_checkpoint(path)
 
 
+def flip_mask_bit(ckpt) -> None:
+    masks = ckpt.shards[0].merged.masks
+    words = masks[1].words.copy()
+    words[0] ^= 1
+    masks[1] = BitMask(words, masks[1].length)
+
+
+def test_verify_exits_3_on_flipped_sift_mask_bit(tmp_path, capsys):
+    path = resaved_copy(tmp_path, "sift_masks_fresh", flip_mask_bit)
+    code = main(["verify", *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "replay_matches=True state_matches_oracle=False" in capsys.readouterr().out
+
+
+def bump_accumulator(ckpt) -> None:
+    ckpt.shards[0].merged.accumulator.values[0] += 1
+
+
+def test_failed_unlearn_audit_exits_3_and_keeps_checkpoint(tmp_path, capsys):
+    path = resaved_copy(tmp_path, "sift_masks_fresh", bump_accumulator)
+    raw = path.read_bytes()
+    code = main(["unlearn", "--id", "1", "--verify", *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "does not match a fresh merge" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+    assert not (tmp_path / "exactness.csv").exists()
+
+
 def first_mismatch(expected_dir: Path) -> str | None:
     """Rewrites the fixtures into a temporary directory; names the first file
     whose bytes differ from (or is missing in) ``expected_dir``, else None."""
@@ -292,6 +323,10 @@ def first_mismatch(expected_dir: Path) -> str | None:
             if not (fresh.exists() and kept.exists()) or fresh.read_bytes() != kept.read_bytes():
                 return name
     return None
+
+
+def test_current_code_rewrites_every_fixture_byte_for_byte():
+    assert first_mismatch(DATA) is None
 
 
 if __name__ == "__main__":

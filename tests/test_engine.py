@@ -1,8 +1,4 @@
-import csv
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,21 +348,6 @@ def test_projection_monotone_and_shapes():
     assert proj.per_event[-1] == 0
     assert list(proj.cumulative) == list(np.cumsum(proj.per_event))
     assert proj.total_steps == proj.total_finetunes * 20
-
-
-def test_cost_projection_script_counts_uneven_shards(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_cost_projection.py"
-    subprocess.run(
-        [sys.executable, str(script), "--tasks", "10", "--clusters", "3",
-         "--model-words", "1000", "--out", str(tmp_path)],
-        check=True, capture_output=True,
-    )
-    with open(tmp_path / "cost_table.csv", newline="") as fh:
-        words = {row["method"]: int(row["value"]) for row in csv.DictReader(fh)
-                 if row["metric"] == "storage_words"}
-    # shards of 4/3/3 tasks: 3 * 1000 model words + 10 * ceil(1000/32) mask words
-    assert words["sift_masks"] == words["tall_masks"] == words["emr"] == 3320
-    assert words["ft_merge"] == words["ties"] == words["central"] == 3000
 
 
 @pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "tall_masks", "central"])

@@ -46,7 +46,7 @@ def test_merge_singleton_is_quantized_vector():
     a = tv([0.5, -0.25, 0.1], 0)
     state = merge([a])
     assert np.array_equal(state.accumulator.values, quantize(a.delta).values)
-    assert state.retained == (0,)
+    assert state.n_retained == 1
 
 
 def test_merge_permutation_invariant():
@@ -58,7 +58,7 @@ def test_merge_permutation_invariant():
 
 def test_merge_empty_and_errors():
     empty = merge([], length=4)
-    assert not empty.accumulator.values.any() and empty.retained == ()
+    assert not empty.accumulator.values.any() and empty.n_retained == 0
     with pytest.raises(ValueError, match="explicit length"):
         merge([])
     with pytest.raises(ValueError, match="duplicate"):
@@ -69,18 +69,18 @@ def test_merge_empty_and_errors():
 
 def test_unmerge_equals_fresh_merge():
     a, b, c = rand_tvs(3, 10)
-    state = merge([a, b, c])
+    state = merge([a, b, c], {t: BitMask.ones(10) for t in (0, 1, 2)})
     after = unmerge(state, b)
     fresh = merge([a, c])
     assert np.array_equal(after.accumulator.values, fresh.accumulator.values)
-    assert after.retained == (0, 2)
+    assert after.n_retained == 2 and set(after.masks) == {0, 2}
 
 
 def test_unmerge_last_task_zeroes_accumulator():
     a = tv(rng.normal(size=6), 0)
     state = unmerge(merge([a]), a)
     assert not state.accumulator.values.any()
-    assert state.retained == ()
+    assert state.n_retained == 0
 
 
 def test_unmerge_is_order_free():
@@ -88,12 +88,6 @@ def test_unmerge_is_order_free():
     s1 = unmerge(unmerge(merge([a, b, c]), a), b)
     s2 = unmerge(unmerge(merge([a, b, c]), b), a)
     assert np.array_equal(s1.accumulator.values, s2.accumulator.values)
-
-
-def test_unmerge_unknown_task():
-    state = merge(rand_tvs(2, 4))
-    with pytest.raises(KeyError, match="not retained"):
-        unmerge(state, tv(np.zeros(4), 7))
 
 
 @given(st.integers(2, 6), st.integers(1, 16), st.data())
@@ -131,7 +125,7 @@ def test_localize_sift_singleton_recovery():
     m0 = rng.normal(size=8)
     delta = rng.normal(size=8) * 0.5
     mask = BitMask.ones(8)
-    state = merge([tv(delta, 0)], {0: mask}, method="sift_masks")
+    state = merge([tv(delta, 0)], {0: mask})
     out = localize_sift(state, 0, m0)
     assert np.max(np.abs(out - (m0 + delta))) <= 2.0**-33
 
@@ -143,7 +137,7 @@ def test_localize_sift_disjoint_masks_halved():
     m1 = BitMask.from_bools([1, 1, 0, 0])
     m2 = BitMask.from_bools([0, 0, 1, 1])
     m0 = np.zeros(4)
-    state = merge([tv(d1, 0), tv(d2, 1)], {0: m1, 1: m2}, method="sift_masks")
+    state = merge([tv(d1, 0), tv(d2, 1)], {0: m1, 1: m2})
     out = localize_sift(state, 0, m0)
     assert np.array_equal(out, d1 / 2)  # grid-exact values divide cleanly
     out2 = localize_sift(state, 1, m0)
@@ -152,24 +146,21 @@ def test_localize_sift_disjoint_masks_halved():
 
 def test_localize_sift_zero_mask_returns_base():
     m0 = rng.normal(size=4)
-    state = merge([tv(rng.normal(size=4), 0)], {0: BitMask.zeros(4)}, method="sift_masks")
+    state = merge([tv(rng.normal(size=4), 0)], {0: BitMask.zeros(4)})
     assert np.array_equal(localize_sift(state, 0, m0), m0)
 
 
 def test_localize_sift_guards():
-    state = merge([tv(np.ones(3), 0)], {0: BitMask.ones(3)}, method="sift_masks")
+    state = merge([tv(np.ones(3), 0)], {0: BitMask.ones(3)})
     with pytest.raises(KeyError, match="no stored mask"):
         localize_sift(state, 9, np.zeros(3))
-    ft_state = merge([tv(np.ones(3), 0)], method="ft_merge")
-    with pytest.raises(ValueError, match="sift localization"):
-        localize_sift(ft_state, 0, np.zeros(3))
 
 
 # ---------- TALL ----------
 
 
 def tall_state(vecs):
-    return merge(vecs, method="ft_merge")
+    return merge(vecs)
 
 
 def test_tall_mask_hand_example():
@@ -294,34 +285,34 @@ def test_tall_tuned_beats_fixed_member_of_grid():
 
 
 def test_emr_hand_example():
-    art = emr_build([tv([1.0, -2.0], 0), tv([3.0, 1.0], 1)])
+    art, masks = emr_build([tv([1.0, -2.0], 0), tv([3.0, 1.0], 1)])
     assert art.unified.tolist() == [3.0, -2.0]
-    assert art.masks[0].to_bools().tolist() == [True, True]
+    assert masks[0].to_bools().tolist() == [True, True]
     assert art.scales[0] == pytest.approx(3 / 5)
-    local = emr_localize(art, 0, np.zeros(2))
+    local = emr_localize(art, 0, masks[0], np.zeros(2))
     assert np.allclose(local, [1.8, -1.2])
 
 
 def test_emr_singleton_exact_recovery():
     delta = rng.normal(size=20)
     delta[3] = 0.0
-    art = emr_build([tv(delta, 0)])
+    art, masks = emr_build([tv(delta, 0)])
     assert np.array_equal(art.unified, delta)
-    assert np.array_equal(art.masks[0].to_bools(), delta != 0)
+    assert np.array_equal(masks[0].to_bools(), delta != 0)
     assert art.scales[0] == 1.0
     m0 = rng.normal(size=20)
-    assert np.array_equal(emr_localize(art, 0, m0), m0 + delta)
+    assert np.array_equal(emr_localize(art, 0, masks[0], m0), m0 + delta)
 
 
 def test_emr_zero_sum_entry_dropped():
-    art = emr_build([tv([1.0, 2.0], 0), tv([-1.0, 1.0], 1)])
+    art, masks = emr_build([tv([1.0, 2.0], 0), tv([-1.0, 1.0], 1)])
     assert art.unified[0] == 0.0
-    assert not art.masks[0].to_bools()[0]
-    assert not art.masks[1].to_bools()[0]
+    assert not masks[0].to_bools()[0]
+    assert not masks[1].to_bools()[0]
 
 
 def test_emr_zero_norm_scale_guard():
-    art = emr_build([tv([1.0, -1.0], 0), tv([-1.0, 1.0], 1)])
+    art, _ = emr_build([tv([1.0, -1.0], 0), tv([-1.0, 1.0], 1)])
     assert not art.unified.any()
     assert art.scales[0] == 1.0
 
@@ -404,16 +395,16 @@ def test_brute_force_equivalence_1000_trials():
         vecs = [tv(deltas[i], i) for i in range(n)]
 
         lam = float(check_rng.random() * 2)
-        state = merge(vecs, method="ft_merge")
+        state = merge(vecs)
         merged_sum = dequantize(state.accumulator)
         got = tall_mask(vecs[0], state, lam).to_bools().tolist()
         assert got == brute_tall_mask(deltas[0], merged_sum, lam)
 
-        art = emr_build(vecs)
+        art, art_masks = emr_build(vecs)
         unified, masks, scales = brute_emr(deltas)
         assert np.allclose(art.unified, unified, atol=1e-12)
         for i in range(n):
-            assert art.masks[i].to_bools().tolist() == masks[i]
+            assert art_masks[i].to_bools().tolist() == masks[i]
             assert art.scales[i] == pytest.approx(scales[i])
 
         density = float(check_rng.uniform(0.05, 1.0))
@@ -436,8 +427,7 @@ def _sift_setup(num_tasks=10, seed=5):
 def test_sift_merge_has_no_sign_conflicts():
     tasks, spec, cfg, m0, v = _sift_setup()
     results = [sift_finetune(t, m0, spec, v, cfg) for t in tasks]
-    state = merge([r[0] for r in results], {t.id: r[1] for t, r in zip(tasks, results)},
-                  method="sift_masks")
+    state = merge([r[0] for r in results], {t.id: r[1] for t, r in zip(tasks, results)})
     acc = dequantize(state.accumulator)
     assert np.all(acc * v.signs() >= 0)
 
@@ -446,8 +436,8 @@ def test_sift_reduces_merged_to_local_distance_in_aggregate():
     tasks, spec, cfg, m0, v = _sift_setup()
     ft_vecs = [ft_finetune(t, m0, spec, cfg) for t in tasks]
     sift_vecs = [sift_finetune(t, m0, spec, v, cfg)[0] for t in tasks]
-    ft_state = merge(ft_vecs, method="ft_merge")
-    sift_state = merge(sift_vecs, method="ft_merge")
+    ft_state = merge(ft_vecs)
+    sift_state = merge(sift_vecs)
     ft_served = serve_merged(ft_state, m0)
     sift_served = serve_merged(sift_state, m0)
     ft_dist = np.mean([np.linalg.norm(ft_served - (m0 + t.delta)) for t in ft_vecs])
