@@ -21,7 +21,9 @@ loop, version 2 files by the batched kernel.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -157,8 +159,27 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         digest_ids[ckpt.assignment[t]].append(t)
     for c, shard in enumerate(ckpt.shards):
         _write_shard(fh, ckpt, shard, *ids[c], digest_ids[c])
-    with open(path, "wb") as out:
-        out.write(fh.getvalue())
+    _write_atomic(path, fh.getvalue())
+
+
+def _write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
+    file beside it, then rename it over the target. On any failure the target
+    keeps its old bytes and the temporary file is removed."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # created like open(path, "wb") creates a file: mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest_ids) -> None:
@@ -291,6 +312,20 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
+def _artifact_flags(tag: str, retains: bool) -> int:
+    """The artifact flags the writer sets on a shard of method ``tag``.
+
+    Masks are stored iff the method stores them; TALL and EMR artifacts are
+    tuned on the retained tasks, so a shard that retains none has none; a
+    TIES or central shard always keeps its vector.
+    """
+    artifact = {"tall_masks": _F_TALL, "emr": _F_EMR, "ties": _F_TIES, "central": _F_CENTRAL}
+    flags = artifact.get(tag, 0)
+    if not retains and flags in (_F_TALL, _F_EMR):
+        flags = 0
+    return flags | (_F_MASKS if METHODS[tag].stores_masks else 0)
+
+
 def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
     """Read shard ``c``, adding its digests and unlearned ids to ``ckpt``.
 
@@ -326,6 +361,12 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
             f"shard {c}: digests of tasks {digest_ids}, expected {assigned if per_task else []}"
         )
     (flags,) = _r(fh, "B")
+    expected = _artifact_flags(ckpt.method.tag, bool(retained))
+    if flags != expected:
+        raise CheckpointFormatError(
+            f"shard {c}: artifact flags {flags:#04x}, expected {expected:#04x} "
+            f"for {ckpt.method.tag}"
+        )
     masks = {}
     if flags & _F_MASKS:
         nw = mask_words(m)

@@ -41,12 +41,11 @@ from .merging import (
     localize_sift,
     merge,
     serve_merged,
-    tall_mask,
     tall_tune,
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, SignVector, gen_sign_vector, mask_words, quantize
+from .paramcore import BitMask, SignVector, dequantize, gen_sign_vector, mask_words, quantize
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
@@ -268,19 +267,19 @@ def _build_tall(system: SystemState, ids: list[int]):
 
 
 def _tune_tall(system: SystemState, vectors, state: MergedState):
-    """Per-task (lambda, alpha) grid search on the training split."""
+    """Per-task (lambda, alpha, mask) grid search on the training split."""
     method = system.method
+    merged_sum = dequantize(state.accumulator)
     params: dict[int, tuple[float, float]] = {}
     masks = {}
     for tv in vectors:
         task = system.registry[tv.source_task]
         x_tr, y_tr = task.train_xy()
-        lam, alpha = tall_tune(
+        lam, alpha, masks[tv.source_task] = tall_tune(
             tv, state, method.density_grid, method.alpha_grid,
-            x_tr, y_tr, system.model_spec, system.m0,
+            x_tr, y_tr, system.model_spec, system.m0, merged_sum,
         )
         params[tv.source_task] = (lam, alpha)
-        masks[tv.source_task] = tall_mask(tv, state, lam)
     return replace(state, masks=masks), params
 
 

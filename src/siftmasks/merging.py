@@ -14,6 +14,9 @@ Localization backends:
   ``m0 + dequantize(mask * accumulator) / n_retained``.
 * TALL masks -- ``bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|``;
   lambda is tuned by targeting mask densities, with an extra rescale alpha.
+  Each entry's bit holds up to an exact threshold lambda, so one sort of the
+  thresholds per task serves every density query of the (unchanged)
+  bisection, and candidates are tried as boolean masks.
 * EMR -- elects the per-entry sign of the summed vector, keeps the largest
   aligned magnitude as a unified vector, masks by sign agreement, and rescales
   to match each task's l1 norm.
@@ -23,6 +26,7 @@ Localization backends:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,37 +151,60 @@ def localize_masked(
     return m0 + alpha * masked / max(state.n_retained, 1)
 
 
-def _tall_terms(tau_t: TaskVector, state: MergedState) -> tuple[np.ndarray, np.ndarray]:
-    """|tau_t| and |tau_bar - tau_t|, the two sides of the TALL comparison."""
+def _tall_terms(tau_t: TaskVector, merged_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|tau_t| and |tau_bar - tau_t|, the two sides of the TALL comparison;
+    ``merged_sum`` is the dequantized accumulator."""
     tau = tau_t.delta
-    if tau.shape[0] != state.length:
+    if tau.shape[0] != merged_sum.shape[0]:
         raise ValueError("length mismatch between task vector and merged state")
-    return np.abs(tau), np.abs(dequantize(state.accumulator) - tau)
+    return np.abs(tau), np.abs(merged_sum - tau)
 
 
-def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask:
-    """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|."""
-    if lambda_t < 0:
-        raise ValueError("lambda must be >= 0")
-    tau, rest = _tall_terms(tau_t, state)
-    return BitMask.from_bools(tau >= lambda_t * rest)
+def _tall_thresholds(tau: np.ndarray, rest: np.ndarray) -> list[float]:
+    """Every entry's TALL threshold, ascending.
+
+    Entry i's threshold is the largest finite float lambda with
+    ``fl(lambda * rest[i]) <= tau[i]``. Rounding is monotone, so entry i is
+    in the mask at lambda iff lambda is at most its threshold, and the mask
+    density at lambda is the share of thresholds >= lambda.
+
+    Non-negative floats order like their bit patterns, so the thresholds are
+    bisected on bit patterns, from a bracket of two ulps either side of
+    ``tau / rest``; an entry whose bracket misses its threshold (as where
+    the products are subnormal) searches all finite floats instead. That
+    takes at most 64 rounds for any finite input.
+    """
+    end = np.float64(np.inf).view(np.int64)  # fails the test: inf * rest is inf or nan
+
+    def holds(bits: np.ndarray) -> np.ndarray:
+        return bits.view(np.float64) * rest <= tau
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = np.fmin(tau / rest, np.finfo(np.float64).max).view(np.int64)
+        lo = np.maximum(guess - 2, 0)
+        lo[~holds(lo)] = 0  # lambda = 0 always holds
+        hi = np.minimum(guess + 2, end)
+        hi[holds(hi)] = end
+        while (gap := hi - lo).max() > 1:
+            mid = lo + gap // 2
+            ok = holds(mid)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+    return np.sort(lo.view(np.float64)).tolist()
 
 
-def tall_lambda_for_density(
-    tau_t: TaskVector, state: MergedState, target_density: float, iters: int = 60
-) -> float:
+def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60) -> float:
     """Bisect lambda so the TALL mask density lands closest to the target.
 
     Mask density is non-increasing in lambda; lambda = 0 gives the full mask.
-    The densities are counted on the comparison tall_mask makes, without
-    building a mask per step.
+    Each density is counted on the sorted thresholds.
     """
     if target_density >= 1.0:
         return 0.0
-    tau, rest = _tall_terms(tau_t, state)
+    n = len(thresholds)
 
     def density(lam: float) -> float:
-        return np.count_nonzero(tau >= lam * rest) / tau.shape[0]
+        return (n - bisect_left(thresholds, lam)) / n
 
     lo, hi = 0.0, 1.0
     while density(hi) > target_density and hi < 1e12:
@@ -191,6 +218,23 @@ def tall_lambda_for_density(
     return hi if abs(density(hi) - target_density) <= abs(density(lo) - target_density) else lo
 
 
+def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask:
+    """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|."""
+    if lambda_t < 0:
+        raise ValueError("lambda must be >= 0")
+    tau, rest = _tall_terms(tau_t, dequantize(state.accumulator))
+    return BitMask.from_bools(tau >= lambda_t * rest)
+
+
+def tall_lambda_for_density(
+    tau_t: TaskVector, state: MergedState, target_density: float, iters: int = 60
+) -> float:
+    """Bisect lambda so the TALL mask density lands closest to the target;
+    the lambda tall_tune tries for that target."""
+    tau, rest = _tall_terms(tau_t, dequantize(state.accumulator))
+    return _tall_lambda(_tall_thresholds(tau, rest), target_density, iters)
+
+
 def tall_tune(
     tau_t: TaskVector,
     state: MergedState,
@@ -200,23 +244,36 @@ def tall_tune(
     labels: np.ndarray,
     spec: ModelSpec,
     m0: np.ndarray,
-) -> tuple[float, float]:
+    merged_sum: np.ndarray | None = None,
+) -> tuple[float, float, BitMask]:
     """Grid-search (lambda, alpha) by accuracy on the given split.
 
     Candidate lambdas hit the density targets; ties break toward the smaller
-    density, then the smaller alpha.
+    density, then the smaller alpha. Returns the winning lambda, alpha and
+    mask. ``merged_sum`` is ``dequantize(state.accumulator)``, passed in by a
+    caller that tunes several tasks of one state.
+
+    Each candidate is served as ``localize_masked`` serves it: the masked
+    accumulator dequantizes to the dequantized accumulator where the bit is
+    set and to 0.0 elsewhere.
     """
     if not density_grid or not alpha_grid:
         raise ValueError("tuning grids must be nonempty")
+    if merged_sum is None:
+        merged_sum = dequantize(state.accumulator)
+    tau, rest = _tall_terms(tau_t, merged_sum)
+    thresholds = _tall_thresholds(tau, rest)
+    n = max(state.n_retained, 1)
     best = None
     for target in sorted(density_grid):
-        lam = tall_lambda_for_density(tau_t, state, target)
-        mask = tall_mask(tau_t, state, lam)
+        lam = _tall_lambda(thresholds, target)
+        bits = tau >= lam * rest
+        masked = np.where(bits, merged_sum, 0.0)
         for alpha in sorted(alpha_grid):
-            acc = accuracy(localize_masked(state, mask, m0, alpha), spec, features, labels)
+            acc = accuracy(m0 + alpha * masked / n, spec, features, labels)
             if best is None or acc > best[0]:
-                best = (acc, lam, alpha)
-    return best[1], best[2]
+                best = (acc, lam, alpha, bits)
+    return best[1], best[2], BitMask.from_bools(best[3])
 
 
 @dataclass(frozen=True)

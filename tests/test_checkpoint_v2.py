@@ -17,6 +17,7 @@ touching them: ``PYTHONPATH=src python tests/test_checkpoint_v2.py --check``
 (exit 1 naming the first file that differs).
 """
 
+import os
 import re
 import struct
 import sys
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from siftmasks.checkpoint import (
+    _F_MASKS,
     CheckpointFormatError,
     checkpoint_from_system,
     load_checkpoint,
@@ -308,6 +310,63 @@ def test_failed_unlearn_audit_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     assert code == 3
     assert "does not match a fresh merge" in capsys.readouterr().err
     assert path.read_bytes() == raw
+    assert not (tmp_path / "exactness.csv").exists()
+
+
+def without_masks(tmp_path: Path, name: str, tail: int) -> Path:
+    """Copies a one-shard fixture with its mask flag cleared and its masks cut;
+    ``tail`` is the byte count of the artifacts stored after the masks."""
+    raw = (DATA / f"{name}.sftm").read_bytes()
+    masks = load_checkpoint(DATA / f"{name}.sftm").shards[0].merged.masks
+    size = sum(m.words.nbytes for m in masks.values())
+    at = len(raw) - tail - size - 1
+    assert raw[at] & _F_MASKS
+    path = tmp_path / f"nomasks_{name}.sftm"
+    path.write_bytes(raw[:at] + bytes([raw[at] & ~_F_MASKS]) + raw[at + 1 + size:])
+    return path
+
+
+def drop_ties(ckpt) -> None:
+    ckpt.shards = (replace(ckpt.shards[0], ties_vector=None),)
+
+
+@pytest.mark.parametrize(
+    "make, flags",
+    [(lambda tmp: without_masks(tmp, "tall_masks_fresh", 6 * 16), "0x04, expected 0x05"),
+     (lambda tmp: without_masks(tmp, "sift_masks_fresh", 0), "0x00, expected 0x01"),
+     (lambda tmp: resaved_copy(tmp, "ties_fresh", drop_ties), "0x00, expected 0x08")],
+    ids=["tall_no_masks", "sift_no_masks", "ties_no_vector"],
+)
+@pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
+def test_artifact_flags_other_than_written_exit_2(make, flags, command, tmp_path, capsys):
+    path = make(tmp_path)
+    message = f"shard 0: artifact flags {flags}"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ckpt" / "sift.sftm"
+    path.parent.mkdir()
+    path.write_bytes((DATA / "sift_masks_fresh.sftm").read_bytes())
+    raw = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(load_checkpoint(path), path)
+    code = main(["unlearn", "--id", "1", *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+    assert [p.name for p in path.parent.iterdir()] == ["sift.sftm"]
     assert not (tmp_path / "exactness.csv").exists()
 
 

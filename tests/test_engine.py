@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from siftmasks import engine, merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
     CostLedger,
@@ -19,7 +20,7 @@ from siftmasks.engine import (
     zeroshot_eval,
 )
 from siftmasks.merging import LocalizationMethod, serve_merged
-from siftmasks.paramcore import FxpVector
+from siftmasks.paramcore import FxpVector, dequantize
 from siftmasks.trainer import ModelSpec, TrainConfig, ft_finetune, init_params
 
 SPEC = ModelSpec("logistic", 10, 3)
@@ -382,6 +383,20 @@ def test_verify_with_provided_vectors(conflicting_tasks):
     report = verify_exactness(system)
     assert not report.replay_matches and not report.exact
     assert report.state_matches_oracle  # the accumulator itself is intact
+
+
+def test_tall_build_dequantizes_accumulator_once(conflicting_tasks, monkeypatch):
+    calls = []
+
+    def counting(v):
+        calls.append(len(v))
+        return dequantize(v)
+
+    for module in (engine, merging):
+        monkeypatch.setattr(module, "dequantize", counting)
+    system, _ = build_system("tall_masks", conflicting_tasks[:5])
+    assert calls == [SPEC.param_count]
+    assert set(system.shards[0].tall) == {0, 1, 2, 3, 4}
 
 
 def test_projection_rejects_bad_arguments():

@@ -1,10 +1,15 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siftmasks import merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
+    _tall_thresholds,
     emr_build,
     emr_localize,
     localize_masked,
@@ -23,6 +28,7 @@ from siftmasks.trainer import (
     ModelSpec,
     TaskVector,
     TrainConfig,
+    accuracy,
     ft_finetune,
     init_params,
     sift_finetune,
@@ -248,6 +254,106 @@ def test_tall_lambda_matches_frozen_bisection(rows, target):
         assert got == frozen_tall_lambda_for_density(v, state, target)
 
 
+def frozen_tall_mask(tau_t, state, lambda_t):
+    """Reference: the TALL mask built from a fresh dequantize per call."""
+    tau = np.abs(tau_t.delta)
+    rest = np.abs(dequantize(state.accumulator) - tau_t.delta)
+    return BitMask.from_bools(tau >= lambda_t * rest)
+
+
+def frozen_tall_tune(tau_t, state, density_grid, alpha_grid, features, labels, spec, m0,
+                     score=accuracy):
+    """Reference: the grid search that bisected and packed a mask per target."""
+    best = None
+    for target in sorted(density_grid):
+        lam = frozen_tall_lambda_for_density(tau_t, state, target)
+        mask = frozen_tall_mask(tau_t, state, lam)
+        for alpha in sorted(alpha_grid):
+            acc = score(localize_masked(state, mask, m0, alpha), spec, features, labels)
+            if best is None or acc > best[0]:
+                best = (acc, lam, alpha)
+    return best[1], best[2]
+
+
+class RecordingScore:
+    """Stands in for accuracy: records each candidate's parameters and scores
+    it by a hash of their bytes, into three levels so that ties are common."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, params, spec, features, labels):
+        self.seen.append(params.copy())
+        return hashlib.sha256(params.tobytes()).digest()[0] % 3 / 2
+
+
+def assert_tune_matches_frozen(vecs, density_grid, alpha_grid=(0.8, 1.0, 1.2, 1.4, 1.6)):
+    """The tuner picks the frozen tuner's lambda, alpha and mask for every task,
+    after scoring bit-identical candidates in the same order."""
+    state = tall_state(vecs)
+    m0 = np.linspace(-1.0, 1.0, state.length)
+    for v in vecs:
+        new, old = RecordingScore(), RecordingScore()
+        with mock.patch.object(merging, "accuracy", new):
+            lam, alpha, mask = tall_tune(v, state, density_grid, alpha_grid, None, None, None, m0)
+        want_lam, want_alpha = frozen_tall_tune(
+            v, state, density_grid, alpha_grid, None, None, None, m0, score=old
+        )
+        assert (lam, alpha) == (want_lam, want_alpha)
+        assert np.array_equal(mask.words, frozen_tall_mask(v, state, lam).words)
+        assert len(new.seen) == len(old.seen)
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                   for a, b in zip(new.seen, old.seen))
+
+
+_magnitudes = st.floats(1e-12, 1e3).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@given(
+    st.integers(1, 60).flatmap(
+        lambda m: st.lists(
+            st.lists(st.one_of(_entries, st.just(0.0), _magnitudes), min_size=m, max_size=m),
+            min_size=1, max_size=5,
+        )
+    ),
+    st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]), min_size=1, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_tall_tune_matches_frozen_tuner(rows, density_grid):
+    assert_tune_matches_frozen([tv(r, i) for i, r in enumerate(rows)], tuple(density_grid))
+
+
+def test_tall_tune_edge_cases_match_frozen():
+    grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    # one task: its vector is the whole sum, so rest == 0 everywhere
+    assert_tune_matches_frozen([tv([0.5, -1.25, 0.0, 3.0], 0)], grid)
+    # tau == 0 where the other task leaves the smallest nonzero rest
+    tiny = 2.0**-32
+    assert_tune_matches_frozen([tv([0.0, 0.0, 1.0, 2.0], 0), tv([tiny, -tiny, 1.0, 0.0], 1)], grid)
+    # |tau| / |rest| is 1/2 or 1/4, lambdas the bisection visits exactly
+    assert_tune_matches_frozen([tv([1.0, 0.5, 0.25, 2.0], 0), tv([2.0, 1.0, 1.0, 4.0], 1)], grid)
+    state = tall_state([tv([1.0, 0.5, 0.25, 2.0], 0), tv([2.0, 1.0, 1.0, 4.0], 1)])
+    assert tall_mask(tv([1.0, 0.5, 0.25, 2.0], 0), state, 0.5).popcount == 3
+
+
+def assert_largest_threshold(tau, rest):
+    (c,) = _tall_thresholds(np.array([tau]), np.array([rest]))
+    assert tau >= c * rest
+    assert c == np.finfo(np.float64).max or tau < np.nextafter(c, np.inf) * rest
+
+
+@given(st.floats(0.0, 1e308), st.floats(0.0, 1e308))
+@settings(max_examples=300, deadline=None)
+def test_tall_threshold_is_largest_passing_lambda(tau, rest):
+    assert_largest_threshold(tau, rest)
+
+
+def test_tall_threshold_extremes_terminate():
+    for tau, rest in [(0.0, 1e-10), (0.0, 5e-324), (5e-324, 1e-300), (1e-320, 3.0),
+                      (1.0, 0.0), (0.0, 0.0), (1e308, 1e-308), (1e-300, 1e300)]:
+        assert_largest_threshold(tau, rest)
+
+
 def _tuning_setup():
     regime = HeterogeneityRegime("conflicting", conflict_rate=0.7, margin=1.0)
     tasks = synth_generate(regime, 4, 40, 10, 2, seed=23)
@@ -262,17 +368,16 @@ def _tuning_setup():
 def test_tall_tune_singleton_grid_returns_it():
     tasks, spec, m0, vecs, state = _tuning_setup()
     x, y = tasks[0].train_xy()
-    lam, alpha = tall_tune(vecs[0], state, (0.5,), (1.2,), x, y, spec, m0)
+    lam, alpha, mask = tall_tune(vecs[0], state, (0.5,), (1.2,), x, y, spec, m0)
     assert alpha == 1.2
     assert lam == tall_lambda_for_density(vecs[0], state, 0.5)
+    assert mask == tall_mask(vecs[0], state, lam)
 
 
 def test_tall_tuned_beats_fixed_member_of_grid():
     tasks, spec, m0, vecs, state = _tuning_setup()
-    from siftmasks.trainer import accuracy
-
     x, y = tasks[0].train_xy()
-    lam, alpha = tall_tune(
+    lam, alpha, _ = tall_tune(
         vecs[0], state, (0.1, 0.3, 0.5, 0.7, 0.9), (0.8, 1.0, 1.2, 1.4, 1.6), x, y, spec, m0
     )
     tuned = accuracy(localize_masked(state, tall_mask(vecs[0], state, lam), m0, alpha), spec, x, y)

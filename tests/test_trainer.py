@@ -20,6 +20,7 @@ from siftmasks.trainer import (
     ft_finetune,
     init_params,
     loss_and_grad,
+    predict_labels,
     project_sign,
     sift_finetune,
 )
@@ -347,3 +348,14 @@ def test_sift_train_accuracy_close_to_ft():
     ft_acc = accuracy(m0 + ft.delta, spec, x, y)
     sift_acc = accuracy(m0 + sift.delta, spec, x, y)
     assert sift_acc >= ft_acc - 0.05
+
+
+def test_accuracy_equals_mean_of_matches_exactly(small_logistic):
+    gen = np.random.default_rng(7)
+    params = gen.normal(size=small_logistic.param_count)
+    features = gen.normal(size=(1000, small_logistic.input_dim))
+    labels = gen.integers(0, small_logistic.num_classes, size=1000)
+    for n in range(1, 1001):
+        x, y = features[:n], labels[:n]
+        want = float(np.mean(predict_labels(params, small_logistic, x) == y))
+        assert accuracy(params, small_logistic, x, y) == want
