@@ -372,7 +372,10 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
         nw = mask_words(m)
         for t in retained:
             raw = _read_exact(fh, 4 * nw, "mask")
-            masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
+            try:
+                masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
+            except ValueError as exc:
+                raise CheckpointFormatError(f"shard {c}, task {t}: {exc}") from None
     emr = None
     if flags & _F_EMR:
         unified = _r_array(fh, "<f8", m, f"shard {c}: EMR unified vector")

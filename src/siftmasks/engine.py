@@ -259,28 +259,21 @@ def _build_merged(system: SystemState, ids: list[int]):
 
 
 def _build_tall(system: SystemState, ids: list[int]):
+    """Merge, then grid-search each task's (lambda, alpha, mask) on its training split."""
     vectors, state, digests = _merge_shard(system, ids)
     if not vectors:  # every task deleted: an empty shard keeps no artifacts
         return Shard(state), digests
-    state, params = _tune_tall(system, vectors, state)
-    return Shard(state, tall=params), digests
-
-
-def _tune_tall(system: SystemState, vectors, state: MergedState):
-    """Per-task (lambda, alpha, mask) grid search on the training split."""
     method = system.method
-    merged_sum = dequantize(state.accumulator)
     params: dict[int, tuple[float, float]] = {}
     masks = {}
     for tv in vectors:
-        task = system.registry[tv.source_task]
-        x_tr, y_tr = task.train_xy()
+        x_tr, y_tr = system.registry[tv.source_task].train_xy()
         lam, alpha, masks[tv.source_task] = tall_tune(
             tv, state, method.density_grid, method.alpha_grid,
-            x_tr, y_tr, system.model_spec, system.m0, merged_sum,
+            x_tr, y_tr, system.model_spec, system.m0,
         )
         params[tv.source_task] = (lam, alpha)
-    return replace(state, masks=masks), params
+    return Shard(replace(state, masks=masks), tall=params), digests
 
 
 def _build_emr(system: SystemState, ids: list[int]):

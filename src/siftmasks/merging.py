@@ -11,12 +11,12 @@ Localization backends:
 
 * sign-fixed masks -- the per-task mask comes out of sign-fixed tuning and
   depends only on local data; localized model is
-  ``m0 + dequantize(mask * accumulator) / n_retained``.
+  ``m0 + (summed * mask / n_retained + 0.0)``, where ``summed`` is the
+  state's cached ``dequantize(accumulator)`` (``+ 0.0`` keeps -0.0 out).
 * TALL masks -- ``bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|``;
   lambda is tuned by targeting mask densities, with an extra rescale alpha.
   Each entry's bit holds up to an exact threshold lambda, so one sort of the
-  thresholds per task serves every density query of the (unchanged)
-  bisection, and candidates are tried as boolean masks.
+  thresholds per task serves every density query of the bisection.
 * EMR -- elects the per-entry sign of the summed vector, keeps the largest
   aligned magnitude as a unified vector, masks by sign agreement, and rescales
   to match each task's l1 norm.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,13 @@ class MergedState:
     def length(self) -> int:
         return len(self.accumulator)
 
+    @cached_property
+    def summed(self) -> np.ndarray:
+        """Read-only ``dequantize(accumulator)``, filled on first use; not a field."""
+        summed = dequantize(self.accumulator)
+        summed.flags.writeable = False
+        return summed
+
 
 def merge(
     task_vectors: list[TaskVector],
@@ -131,7 +139,7 @@ def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
     """Average merged model; the base model when nothing is retained."""
     if state.n_retained == 0:
         return m0.copy()
-    return m0 + dequantize(state.accumulator) / state.n_retained
+    return m0 + state.summed / state.n_retained
 
 
 def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarray:
@@ -145,19 +153,27 @@ def localize_masked(
     state: MergedState, mask: BitMask, m0: np.ndarray, alpha: float = 1.0
 ) -> np.ndarray:
     """Masked average model under an externally supplied mask and rescale."""
-    masked = dequantize(
-        FxpVector(mask_apply(mask, state.accumulator.values), state.accumulator.scale_bits)
-    )
-    return m0 + alpha * masked / max(state.n_retained, 1)
+    if mask.length != state.length:
+        raise ValueError(f"length mismatch: mask {mask.length} vs state {state.length}")
+    return _masked_params(state, mask.to_bools(), m0, alpha)
 
 
-def _tall_terms(tau_t: TaskVector, merged_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|tau_t| and |tau_bar - tau_t|, the two sides of the TALL comparison;
-    ``merged_sum`` is the dequantized accumulator."""
+def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray, alpha: float):
+    """``m0 + alpha * (summed where bits, else +0.0) / n``, served and tuned
+    alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0."""
+    term = state.summed * bits
+    term *= alpha
+    term /= max(state.n_retained, 1)
+    term += 0.0
+    return np.add(m0, term, out=term)
+
+
+def _tall_terms(tau_t: TaskVector, state: MergedState) -> tuple[np.ndarray, np.ndarray]:
+    """|tau_t| and |tau_bar - tau_t|, the two sides of the TALL comparison."""
     tau = tau_t.delta
-    if tau.shape[0] != merged_sum.shape[0]:
+    if tau.shape[0] != state.length:
         raise ValueError("length mismatch between task vector and merged state")
-    return np.abs(tau), np.abs(merged_sum - tau)
+    return np.abs(tau), np.abs(state.summed - tau)
 
 
 def _tall_thresholds(tau: np.ndarray, rest: np.ndarray) -> list[float]:
@@ -222,7 +238,7 @@ def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask
     """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|."""
     if lambda_t < 0:
         raise ValueError("lambda must be >= 0")
-    tau, rest = _tall_terms(tau_t, dequantize(state.accumulator))
+    tau, rest = _tall_terms(tau_t, state)
     return BitMask.from_bools(tau >= lambda_t * rest)
 
 
@@ -231,7 +247,7 @@ def tall_lambda_for_density(
 ) -> float:
     """Bisect lambda so the TALL mask density lands closest to the target;
     the lambda tall_tune tries for that target."""
-    tau, rest = _tall_terms(tau_t, dequantize(state.accumulator))
+    tau, rest = _tall_terms(tau_t, state)
     return _tall_lambda(_tall_thresholds(tau, rest), target_density, iters)
 
 
@@ -244,33 +260,23 @@ def tall_tune(
     labels: np.ndarray,
     spec: ModelSpec,
     m0: np.ndarray,
-    merged_sum: np.ndarray | None = None,
 ) -> tuple[float, float, BitMask]:
     """Grid-search (lambda, alpha) by accuracy on the given split.
 
     Candidate lambdas hit the density targets; ties break toward the smaller
     density, then the smaller alpha. Returns the winning lambda, alpha and
-    mask. ``merged_sum`` is ``dequantize(state.accumulator)``, passed in by a
-    caller that tunes several tasks of one state.
-
-    Each candidate is served as ``localize_masked`` serves it: the masked
-    accumulator dequantizes to the dequantized accumulator where the bit is
-    set and to 0.0 elsewhere.
+    mask. Candidates are built as ``localize_masked`` serves them.
     """
     if not density_grid or not alpha_grid:
         raise ValueError("tuning grids must be nonempty")
-    if merged_sum is None:
-        merged_sum = dequantize(state.accumulator)
-    tau, rest = _tall_terms(tau_t, merged_sum)
+    tau, rest = _tall_terms(tau_t, state)
     thresholds = _tall_thresholds(tau, rest)
-    n = max(state.n_retained, 1)
     best = None
     for target in sorted(density_grid):
         lam = _tall_lambda(thresholds, target)
         bits = tau >= lam * rest
-        masked = np.where(bits, merged_sum, 0.0)
         for alpha in sorted(alpha_grid):
-            acc = accuracy(m0 + alpha * masked / n, spec, features, labels)
+            acc = accuracy(_masked_params(state, bits, m0, alpha), spec, features, labels)
             if best is None or acc > best[0]:
                 best = (acc, lam, alpha, bits)
     return best[1], best[2], BitMask.from_bools(best[3])

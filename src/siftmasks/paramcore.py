@@ -128,7 +128,7 @@ def pack_bits(bits) -> np.ndarray:
 def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
     """Inverse of pack_bits; returns a boolean array of the given length."""
     raw = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:length].astype(bool)
+    return np.unpackbits(raw, count=length, bitorder="little").view(bool)
 
 
 def mask_words(length: int) -> int:
@@ -138,7 +138,8 @@ def mask_words(length: int) -> int:
 
 @dataclass(frozen=True)
 class BitMask:
-    """Bit-packed mask of a parameter vector; stores exactly ceil(M/32) words."""
+    """Bit-packed mask of a parameter vector; stores exactly ceil(M/32) words,
+    whose pad bits are zero."""
 
     words: np.ndarray
     length: int
@@ -152,6 +153,9 @@ class BitMask:
                 f"mask of length {self.length} needs {mask_words(self.length)} words, "
                 f"got {w.shape[0]}"
             )
+        tail = self.length % 32
+        if tail and w[-1] >> tail:
+            raise ValueError(f"mask of length {self.length} has nonzero pad bits")
         if self.popcount < 0:
             object.__setattr__(self, "popcount", int(self.to_bools().sum()))
 

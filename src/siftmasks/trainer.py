@@ -152,8 +152,15 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place over ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place over ``logits``.
+
+    The row max is taken column by column, elementwise: a max is exact in
+    any order, and numpy's reduction over a short last axis is slow.
+    """
+    top = logits[..., :1].copy()
+    for c in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., c:c + 1], out=top)
+    logits -= top
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits

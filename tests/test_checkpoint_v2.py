@@ -313,16 +313,25 @@ def test_failed_unlearn_audit_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "exactness.csv").exists()
 
 
-def without_masks(tmp_path: Path, name: str, tail: int) -> Path:
-    """Copies a one-shard fixture with its mask flag cleared and its masks cut;
-    ``tail`` is the byte count of the artifacts stored after the masks."""
+# byte count of the artifacts a one-shard fixture stores after its masks:
+# TALL (lambda, alpha) pairs; EMR's unified vector (count + 33 floats) and scales
+TAIL = {"sift_masks_fresh": 0, "tall_masks_fresh": 6 * 16, "emr_fresh": 8 + 33 * 8 + 6 * 8}
+
+
+def mask_block(name: str) -> tuple[bytes, int, int]:
+    """A one-shard fixture's bytes, and the offset and size of its masks."""
     raw = (DATA / f"{name}.sftm").read_bytes()
     masks = load_checkpoint(DATA / f"{name}.sftm").shards[0].merged.masks
     size = sum(m.words.nbytes for m in masks.values())
-    at = len(raw) - tail - size - 1
-    assert raw[at] & _F_MASKS
+    return raw, len(raw) - TAIL[name] - size, size
+
+
+def without_masks(tmp_path: Path, name: str) -> Path:
+    """Copies a one-shard fixture with its mask flag cleared and its masks cut."""
+    raw, at, size = mask_block(name)
+    assert raw[at - 1] & _F_MASKS
     path = tmp_path / f"nomasks_{name}.sftm"
-    path.write_bytes(raw[:at] + bytes([raw[at] & ~_F_MASKS]) + raw[at + 1 + size:])
+    path.write_bytes(raw[:at - 1] + bytes([raw[at - 1] & ~_F_MASKS]) + raw[at + size:])
     return path
 
 
@@ -332,8 +341,8 @@ def drop_ties(ckpt) -> None:
 
 @pytest.mark.parametrize(
     "make, flags",
-    [(lambda tmp: without_masks(tmp, "tall_masks_fresh", 6 * 16), "0x04, expected 0x05"),
-     (lambda tmp: without_masks(tmp, "sift_masks_fresh", 0), "0x00, expected 0x01"),
+    [(lambda tmp: without_masks(tmp, "tall_masks_fresh"), "0x04, expected 0x05"),
+     (lambda tmp: without_masks(tmp, "sift_masks_fresh"), "0x00, expected 0x01"),
      (lambda tmp: resaved_copy(tmp, "ties_fresh", drop_ties), "0x00, expected 0x08")],
     ids=["tall_no_masks", "sift_no_masks", "ties_no_vector"],
 )
@@ -341,6 +350,24 @@ def drop_ties(ckpt) -> None:
 def test_artifact_flags_other_than_written_exit_2(make, flags, command, tmp_path, capsys):
     path = make(tmp_path)
     message = f"shard 0: artifact flags {flags}"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(TAIL))
+@pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
+def test_mask_pad_bit_set_exits_2(name, command, tmp_path, capsys):
+    raw, at, _ = mask_block(name)
+    mask = load_checkpoint(DATA / f"{name}.sftm").shards[0].merged.masks[0]
+    assert raw[at:at + 8] == mask.words.tobytes()  # task 0's mask comes first
+    path = tmp_path / f"padbit_{name}.sftm"
+    # bit 63 of 64 stored: past M = 33, a pad bit
+    path.write_bytes(raw[:at + 7] + bytes([raw[at + 7] | 0x80]) + raw[at + 8:])
+    message = "shard 0, task 0: mask of length 33 has nonzero pad bits"
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(path)
     code = main([*command, *cli_data_args(tmp_path),

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging
+from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
     CostLedger,
@@ -22,6 +24,9 @@ from siftmasks.engine import (
 from siftmasks.merging import LocalizationMethod, serve_merged
 from siftmasks.paramcore import FxpVector, dequantize
 from siftmasks.trainer import ModelSpec, TrainConfig, ft_finetune, init_params
+from test_checkpoint_v2 import DATA as V2_DATA
+from test_checkpoint_v2 import FIXTURES as V2_FIXTURES
+from test_checkpoint_v2 import make_tasks as v2_tasks
 
 SPEC = ModelSpec("logistic", 10, 3)
 CFG = TrainConfig(steps=20, batch_size=16, learning_rate=0.05, seed=99)
@@ -256,6 +261,29 @@ def test_unlearned_tasks_served_masklessly(conflicting_tasks):
     assert np.array_equal(
         serve_for_task(system, 0), serve_merged(system.shards[0].merged, system.m0)
     )
+
+
+@pytest.mark.parametrize("name", V2_FIXTURES)
+def test_every_fixture_serves_frozen_bytes(name):
+    system = system_from_checkpoint(load_checkpoint(V2_DATA / f"{name}.sftm"), v2_tasks())
+    for t in sorted(system.registry):  # held-out: unlearned tasks too
+        want = frozen_serve_for_task(system, t).tobytes()
+        assert serve_for_task(system, t).tobytes() == want
+        assert serve_for_task(system, t).tobytes() == want  # from the filled cache
+
+
+@pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "tall_masks"])
+def test_served_after_unlearn_equals_fresh_build(tag, conflicting_tasks):
+    tasks = conflicting_tasks[:5]
+    system, _ = build_system(tag, tasks)
+    for t in system.registry:  # fills the cached sum before the deletion
+        serve_for_task(system, t)
+    system, _, _ = unlearn(system, 3)
+    fresh, _ = build_system(tag, [t for t in tasks if t.id != 3])
+    for t in fresh.retained:
+        assert serve_for_task(system, t).tobytes() == serve_for_task(fresh, t).tobytes()
+    maskless = serve_merged(fresh.shards[0].merged, fresh.m0)
+    assert serve_for_task(system, 3).tobytes() == maskless.tobytes()
 
 
 def test_evaluate_rejects_unknown_mode(conflicting_tasks):

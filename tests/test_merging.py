@@ -1,14 +1,18 @@
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frozen_serve import frozen_localize_masked, frozen_localize_sift, frozen_serve_merged
 from siftmasks import merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
+    ALPHA_GRID_DEFAULT,
+    MergedState,
     _tall_thresholds,
     emr_build,
     emr_localize,
@@ -23,7 +27,7 @@ from siftmasks.merging import (
     ties_trim,
     unmerge,
 )
-from siftmasks.paramcore import BitMask, dequantize, gen_sign_vector, quantize
+from siftmasks.paramcore import BitMask, FxpVector, dequantize, gen_sign_vector, quantize
 from siftmasks.trainer import (
     ModelSpec,
     TaskVector,
@@ -160,6 +164,59 @@ def test_localize_sift_guards():
     state = merge([tv(np.ones(3), 0)], {0: BitMask.ones(3)})
     with pytest.raises(KeyError, match="no stored mask"):
         localize_sift(state, 9, np.zeros(3))
+    with pytest.raises(ValueError, match="length mismatch"):
+        localize_masked(state, BitMask.ones(1), np.zeros(3))  # would broadcast
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_acc_entries = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(1 << 61), 1 << 61)
+)
+_m0_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+@given(
+    st.integers(1, 100).flatmap(
+        lambda m: st.tuples(
+            st.lists(_acc_entries, min_size=m, max_size=m),
+            st.lists(_m0_entries, min_size=m, max_size=m),
+            st.lists(st.booleans(), min_size=m, max_size=m),
+        )
+    ),
+    st.integers(1, 8),
+    st.sampled_from(ALPHA_GRID_DEFAULT),
+)
+# an unset bit over a negative sum, with -0.0 and +0.0 in the base model
+@example(([-5, -5, 0, 0, 7], [-0.0, 0.0, -0.0, 0.0, -0.0], [False] * 4 + [True]), 3, 1.0)
+@settings(max_examples=200, deadline=None)
+def test_served_bytes_match_frozen_serve(case, n, alpha):
+    acc, m0, bits = case
+    m0 = np.array(m0)
+    mask = BitMask.from_bools(bits)
+    state = MergedState(FxpVector(np.array(acc, dtype=np.int64)), n, {0: mask})
+    for _ in range(2):  # the first call fills the cached sum, the second reads it
+        assert same_bytes(
+            localize_masked(state, mask, m0, alpha), frozen_localize_masked(state, mask, m0, alpha)
+        )
+        assert same_bytes(localize_sift(state, 0, m0), frozen_localize_sift(state, 0, m0))
+        assert same_bytes(serve_merged(state, m0), frozen_serve_merged(state, m0))
+    empty = MergedState(FxpVector.zeros(len(acc)), 0, {})
+    assert same_bytes(serve_merged(empty, m0), frozen_serve_merged(empty, m0))
+
+
+def test_merged_state_equality_ignores_the_cached_sum():
+    a, b = rand_tvs(2, 6)
+    state, twin = merge([a, b]), merge([a, b])
+    summed = state.summed
+    assert "summed" in vars(state) and "summed" not in vars(twin)
+    assert state == twin and np.array_equal(summed, dequantize(state.accumulator))
+    assert "summed" not in vars(replace(state, masks={}))
+    assert "summed" not in vars(unmerge(state, b))
+    with pytest.raises(ValueError, match="read-only"):
+        summed[0] = 1.0  # every reader of the state shares the one array
 
 
 # ---------- TALL ----------
@@ -269,7 +326,7 @@ def frozen_tall_tune(tau_t, state, density_grid, alpha_grid, features, labels, s
         lam = frozen_tall_lambda_for_density(tau_t, state, target)
         mask = frozen_tall_mask(tau_t, state, lam)
         for alpha in sorted(alpha_grid):
-            acc = score(localize_masked(state, mask, m0, alpha), spec, features, labels)
+            acc = score(frozen_localize_masked(state, mask, m0, alpha), spec, features, labels)
             if best is None or acc > best[0]:
                 best = (acc, lam, alpha)
     return best[1], best[2]

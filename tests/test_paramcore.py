@@ -170,6 +170,18 @@ def test_sign_vector_pad_bits_zero():
     assert int(sv.words[-1]) >> (37 % 32) == 0
 
 
+@pytest.mark.parametrize("length, bit", [(33, 33), (33, 63), (1, 31), (63, 63)])
+def test_mask_rejects_nonzero_pad_bits(length, bit):
+    words = np.zeros(mask_words(length), dtype="<u4")
+    words[bit // 32] = 1 << (bit % 32)
+    with pytest.raises(ValueError, match="nonzero pad bits"):
+        BitMask(words, length)
+    words[-1] &= (1 << (length % 32)) - 1  # the same mask with its pad cleared
+    assert BitMask(words, length).to_bools().dtype == bool
+    full = np.full(mask_words(64), 0xFFFFFFFF, dtype="<u4")  # no pad bits at all
+    assert BitMask(full, 64).popcount == 64
+
+
 def test_signs_roundtrip_through_words():
     sv = gen_sign_vector(9, 75)
     rebuilt = SignVector(sv.words.copy(), 75, 9)

@@ -14,6 +14,7 @@ from siftmasks.trainer import (
     ModelSpec,
     TrainConfig,
     _batches,
+    _softmax_rows,
     _views,
     accuracy,
     adam_step,
@@ -72,6 +73,18 @@ def loop_loss_and_grad(params, spec, x, y):
             g1 += np.outer(back, xi)
             gb1 += back
     return loss / len(y), grad / len(y)
+
+
+@pytest.mark.parametrize("classes", range(1, 11))
+def test_softmax_rows_matches_numpy_reductions(classes):
+    gen = np.random.default_rng(classes)
+    for shape in ((1, classes), (32, classes), (11, 32, classes)):
+        logits = gen.normal(size=shape) * gen.choice([1e-3, 1.0, 60.0], size=shape)
+        logits[gen.random(shape) < 0.1] = -0.0
+        want = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        assert np.array_equal(_softmax_rows(logits.copy()).view(np.int64), want.view(np.int64))
 
 
 def test_param_count_formulas():
