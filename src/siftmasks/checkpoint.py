@@ -25,7 +25,8 @@ import contextlib
 import io
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class Checkpoint:
 
 
 def _w(fh, fmt, *vals):
+    """Pack ``vals`` little-endian in one call, so a whole table is one write;
+    an integer that does not fit its field raises ``struct.error``."""
     fh.write(struct.pack("<" + fmt, *vals))
 
 
@@ -106,9 +109,7 @@ def _r_array(fh, dtype: str, length: int, what: str) -> np.ndarray:
 
 
 def _w_ids(fh, ids) -> None:
-    _w(fh, "I", len(ids))
-    for t in ids:
-        _w(fh, "I", t)
+    _w(fh, f"I{len(ids)}I", len(ids), *ids)
 
 
 def _r_ids(fh) -> list[int]:
@@ -134,25 +135,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _w(fh, "dddd", cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     _w(fh, "QQQ", ckpt.base_seed, ckpt.sign_seed, cfg.seed)
     _w(fh, "d", ckpt.method.ties_density)
-    _w(fh, "I", len(ckpt.method.density_grid))
-    for v in ckpt.method.density_grid:
-        _w(fh, "d", v)
-    _w(fh, "I", len(ckpt.method.alpha_grid))
-    for v in ckpt.method.alpha_grid:
-        _w(fh, "d", v)
-    led = ckpt.ledger
-    _w(
-        fh,
-        "QQQQ",
-        led.build_finetunes,
-        led.build_steps,
-        led.unlearn_finetunes,
-        led.unlearn_steps,
-    )
+    for grid in (ckpt.method.density_grid, ckpt.method.alpha_grid):
+        _w(fh, f"I{len(grid)}d", len(grid), *grid)
+    _w(fh, "QQQQ", *astuple(ckpt.ledger))  # declaration order, as the reader builds CostLedger
     _w(fh, "I", len(ckpt.shards))
-    _w(fh, "I", len(ckpt.assignment))
-    for task_id in sorted(ckpt.assignment):
-        _w(fh, "II", task_id, ckpt.assignment[task_id])
+    pairs = sorted(ckpt.assignment.items())
+    _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
     ids = shard_ids(ckpt.assignment, ckpt.unlearned)
     digest_ids = [[] for _ in ckpt.shards]
     for t in sorted(ckpt.replay_digests):
@@ -190,13 +178,11 @@ def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest
         np.empty(0, dtype=np.int64) if shard.merged is None else shard.merged.accumulator.values,
         "<i8",
     )
-    _w(fh, "I", len(digest_ids))
-    for t in digest_ids:
-        _w(fh, "I", t)
-        digest = ckpt.replay_digests[t]
-        if len(digest) != 32:
-            raise CheckpointFormatError("digests must be 32 bytes")
-        fh.write(digest)
+    digests = [ckpt.replay_digests[t] for t in digest_ids]
+    if any(len(d) != 32 for d in digests):
+        raise CheckpointFormatError("digests must be 32 bytes")
+    table = chain.from_iterable(zip(digest_ids, digests))
+    _w(fh, "I" + "I32s" * len(digests), len(digests), *table)
     masks = shard.merged.masks if METHODS[ckpt.method.tag].stores_masks else None
     flags = 0
     for bit, part in (
@@ -212,18 +198,15 @@ def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest
     m = ckpt.model_spec.param_count
     if masks is not None:
         for t in retained:
-            words = masks[t].words
+            words = masks[t].words  # contiguous "<u4", as BitMask stores it
             if words.shape[0] != mask_words(m):
                 raise CheckpointFormatError("mask word count mismatch")
-            fh.write(np.ascontiguousarray(words, dtype="<u4").tobytes())
+            fh.write(words)
     if shard.emr is not None:
         _w_array(fh, shard.emr.unified, "<f8")
-        for t in retained:
-            _w(fh, "d", shard.emr.scales[t])
+        _w(fh, f"{len(retained)}d", *(shard.emr.scales[t] for t in retained))
     if shard.tall is not None:
-        for t in retained:
-            lam, alpha = shard.tall[t]
-            _w(fh, "dd", lam, alpha)
+        _w(fh, f"{2 * len(retained)}d", *chain.from_iterable(shard.tall[t] for t in retained))
     if shard.ties_vector is not None:
         _w_array(fh, shard.ties_vector, "<f8")
     if shard.central_params is not None:

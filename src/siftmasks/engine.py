@@ -45,7 +45,7 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, SignVector, dequantize, gen_sign_vector, mask_words, quantize
+from .paramcore import BitMask, SignVector, gen_sign_vector, mask_words, quantize
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,

@@ -210,9 +210,11 @@ class SignVector:
             raise ValueError("sign vector word count does not match length")
 
     def signs(self) -> np.ndarray:
-        """Dense float64 view with entries in {-1.0, +1.0}."""
-        bits = unpack_bits(self.words, self.length)
-        return np.where(bits, 1.0, -1.0)
+        """Dense float64 view with entries in {-1.0, +1.0}: ``bits * 2.0 - 1.0``
+        in place, exact, so the bytes of ``np.where(bits, 1.0, -1.0)``."""
+        out = unpack_bits(self.words, self.length) * 2.0
+        out -= 1.0
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignVector):

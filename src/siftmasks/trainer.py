@@ -4,7 +4,9 @@ Models are flat parameter vectors over a fixed layout. Training optimizes the
 delta from the base parameters directly (the task vector), with Adam, so the
 zero-step case is exactly the zero vector and replays are bit-identical.
 Sign-fixed tuning (SIFT) projects the delta onto the sign constraint after
-every optimizer step; optimizer moments are left untouched.
+every optimizer step; optimizer moments are left untouched. The projection
+is branchless, a multiply by the agreement mask and a ``+ 0.0``, and exact
+because a trained delta never holds -0.0 (see ``_zero_disagreeing``).
 
 ``finetune_tasks`` trains a list of tasks in lockstep: bounded chunks of
 tasks are stacked along a leading axis and stepped together by one loop,
@@ -304,7 +306,8 @@ def adam_step(
 
 
 def project_sign(tau: np.ndarray, v: SignVector) -> np.ndarray:
-    """Zero every entry of tau whose sign disagrees with v. Idempotent."""
+    """Zero every entry of finite tau whose sign disagrees with v. Idempotent.
+    Every zero it returns is +0.0, a -0.0 input entry included."""
     if tau.shape[-1] != v.length:
         raise ValueError("length mismatch between delta and sign vector")
     out = tau.copy()
@@ -313,8 +316,16 @@ def project_sign(tau: np.ndarray, v: SignVector) -> np.ndarray:
 
 
 def _zero_disagreeing(tau: np.ndarray, signs: np.ndarray) -> None:
-    """In place: +0.0 wherever tau * signs < 0 (as np.where would write)."""
-    np.copyto(tau, 0.0, where=tau * signs < 0.0)
+    """In place: +0.0 wherever tau * signs < 0, without a masked write.
+
+    The multiply by the agreement bools leaves -0.0 where a negative entry
+    disagrees, and ``+= 0.0`` makes it +0.0. In the trainer that addition
+    changes no other entry: tau starts at +0.0 and changes only by
+    ``tau -= step`` and this projection, and in round-to-nearest ``x - y``
+    is -0.0 only for x = -0.0 and y = +0.0, so tau never holds -0.0.
+    """
+    np.multiply(tau, tau * signs >= 0.0, out=tau)
+    tau += 0.0
 
 
 def _batches(task, cfg: TrainConfig) -> np.ndarray:

@@ -25,6 +25,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from siftmasks.checkpoint import (
@@ -395,6 +396,17 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
     assert path.read_bytes() == raw
     assert [p.name for p in path.parent.iterdir()] == ["sift.sftm"]
     assert not (tmp_path / "exactness.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [2**32, -1, np.int64(2**32)], ids=["2**32", "-1", "np.int64"])
+def test_save_rejects_id_outside_u32_before_writing(bad, tmp_path):
+    ckpt = load_checkpoint(DATA / "sift_masks_fresh.sftm")
+    ckpt.assignment[bad] = ckpt.assignment.pop(5)
+    ckpt.replay_digests[bad] = ckpt.replay_digests.pop(5)
+    path = tmp_path / "out.sftm"
+    with pytest.raises(struct.error):
+        save_checkpoint(ckpt, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def first_mismatch(expected_dir: Path) -> str | None:

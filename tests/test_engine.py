@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frozen_serve import frozen_serve_for_task
-from siftmasks import engine, merging
+from siftmasks import merging
 from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
@@ -420,8 +420,7 @@ def test_tall_build_dequantizes_accumulator_once(conflicting_tasks, monkeypatch)
         calls.append(len(v))
         return dequantize(v)
 
-    for module in (engine, merging):
-        monkeypatch.setattr(module, "dequantize", counting)
+    monkeypatch.setattr(merging, "dequantize", counting)
     system, _ = build_system("tall_masks", conflicting_tasks[:5])
     assert calls == [SPEC.param_count]
     assert set(system.shards[0].tall) == {0, 1, 2, 3, 4}

@@ -24,7 +24,13 @@ from siftmasks.trainer import (
 
 from conftest import make_task
 
-SPECS = {"logistic": ModelSpec("logistic", 6, 3), "mlp": ModelSpec("mlp", 6, 3, hidden_dim=5)}
+SPECS = {
+    "logistic": ModelSpec("logistic", 6, 3),
+    "mlp": ModelSpec("mlp", 6, 3, hidden_dim=5),
+    # M = 8,203: one task's row exceeds numpy's 8,192-entry buffers, as at
+    # serve-delete's M = 17,154
+    "wide-mlp": ModelSpec("mlp", 6, 3, hidden_dim=820),
+}
 CFG = TrainConfig(steps=7, batch_size=10, learning_rate=0.05, seed=21)
 # training-split sizes: 5 and 7 fall back to the whole split (5 and 7 batch
 # rows, two tasks with 5); the rest sample batches of 10

@@ -182,6 +182,13 @@ def test_mask_rejects_nonzero_pad_bits(length, bit):
     assert BitMask(full, 64).popcount == 64
 
 
+@pytest.mark.parametrize("length", [1, 31, 33, 8_193, 17_154])
+def test_signs_bytes_match_where(length):
+    sv = gen_sign_vector(length, length)
+    expected = np.where(unpack_bits(sv.words, length), 1.0, -1.0)
+    assert sv.signs().tobytes() == expected.tobytes()
+
+
 def test_signs_roundtrip_through_words():
     sv = gen_sign_vector(9, 75)
     rebuilt = SignVector(sv.words.copy(), 75, 9)

@@ -16,6 +16,7 @@ from siftmasks.trainer import (
     _batches,
     _softmax_rows,
     _views,
+    _zero_disagreeing,
     accuracy,
     adam_step,
     ft_finetune,
@@ -245,6 +246,8 @@ def test_project_sign_examples():
     assert np.array_equal(project_sign(tau, v), tau)
     projected = project_sign(-tau, v)  # every entry disagrees
     assert not projected.any()
+    zeros = project_sign(np.array([-0.0, 0.0, -0.0]), v)  # a -0.0 input too
+    assert zeros.tobytes() == np.zeros(3).tobytes()
 
 
 def test_project_sign_direct_formula():
@@ -263,6 +266,39 @@ def test_project_sign_idempotent(values, seed):
     once = project_sign(tau, v)
     assert np.array_equal(project_sign(once, v), once)
     assert np.all(once * v.signs() >= 0)
+
+
+def frozen_zero_disagreeing(tau, signs):
+    """The projection as a masked write, before it was branchless."""
+    np.copyto(tau, 0.0, where=tau * signs < 0.0)
+
+
+def assert_projection_matches_frozen(tau, seed):
+    signs = gen_sign_vector(seed, tau.shape[-1]).signs()
+    expected = tau.copy()
+    frozen_zero_disagreeing(expected, signs)
+    _zero_disagreeing(tau, signs)
+    assert tau.tobytes() == expected.tobytes()
+
+
+# what a trained delta holds: finite values of either sign and +0.0, never -0.0
+delta_entries = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+@given(st.lists(delta_entries, min_size=1, max_size=100), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_zero_disagreeing_matches_masked_write(values, seed):
+    assert_projection_matches_frozen(np.array(values), seed)
+
+
+@given(st.integers(0, 2**32), st.floats(0.0, 1.0))
+@settings(max_examples=20, deadline=None)
+def test_zero_disagreeing_matches_masked_write_at_serve_delete_size(seed, zero_share):
+    # M = 17,154 spans several of numpy's 8,192-entry buffers; two stacked rows
+    rng = np.random.default_rng(seed)
+    tau = rng.normal(scale=1e-3, size=(2, 17_154))
+    tau[rng.random(tau.shape) < zero_share] = 0.0
+    assert_projection_matches_frozen(tau, seed)
 
 
 def _toy_task(task_id=0, n=24, d=10, c=3, seed=0, n_eval=4):
