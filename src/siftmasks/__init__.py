@@ -6,13 +6,11 @@ from .engine import (
     CostLedger,
     EvalReport,
     ExactnessReport,
-    StorageReport,
     SystemState,
     build,
     cluster_random,
     evaluate,
     project_total_cost,
-    storage_report,
     unlearn,
     verify_exactness,
 )

@@ -32,7 +32,7 @@ import numpy as np
 
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
 from .merging import EmrArtifacts, LocalizationMethod, MergedState
-from .paramcore import SCALE_BITS_DEFAULT, BitMask, FxpVector, mask_words
+from .paramcore import SCALE_BITS, BitMask, FxpVector, mask_words
 from .trainer import ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
@@ -128,7 +128,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ckpt.model_spec.input_dim,
         ckpt.model_spec.hidden_dim,
         ckpt.model_spec.num_classes,
-        SCALE_BITS_DEFAULT,
+        SCALE_BITS,
     )
     cfg = ckpt.train_cfg
     _w(fh, "III", cfg.steps, cfg.batch_size, ckpt.central_max_steps)
@@ -233,10 +233,8 @@ def load_checkpoint(path) -> Checkpoint:
     if kind_code not in _KIND_NAMES:
         raise CheckpointFormatError(f"{path}: unknown model kind code {kind_code}")
     input_dim, hidden_dim, num_classes, scale_bits = _r(fh, "IIII")
-    if scale_bits != SCALE_BITS_DEFAULT:
-        raise CheckpointFormatError(
-            f"{path}: scale_bits {scale_bits}, expected {SCALE_BITS_DEFAULT}"
-        )
+    if scale_bits != SCALE_BITS:
+        raise CheckpointFormatError(f"{path}: scale_bits {scale_bits}, expected {SCALE_BITS}")
     steps, batch_size, central_max_steps = _r(fh, "III")
     lr, beta1, beta2, eps = _r(fh, "dddd")
     base_seed, sign_seed, train_seed = _r(fh, "QQQ")
@@ -369,7 +367,7 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
         ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
     if flags & _F_CENTRAL:
         return Shard(central_params=_r_array(fh, "<f8", m, f"shard {c}: central parameters"))
-    merged = MergedState(FxpVector(accumulator, SCALE_BITS_DEFAULT), len(retained), masks)
+    merged = MergedState(FxpVector(accumulator), len(retained), masks)
     return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector)
 
 

@@ -312,7 +312,12 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 def cmd_verify(data, checkpoint, **params):
-    """Replay all retained tasks; compare the stored accumulator and sift masks."""
+    """Replay all retained tasks; compare the stored accumulator and sift masks.
+
+    Central retrains each shard and compares its parameters. Not re-derived:
+    TALL (lambda, alpha, masks), EMR (unified vector, scales, masks) and TIES
+    vectors.
+    """
     cfg = _config_from(params)
     _, system = _load_system(cfg, data, checkpoint)
     report = verify_exactness(system)
@@ -344,7 +349,7 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
         sizes = cluster_sizes(sim_tasks, sim_clusters)
         for tag in METHOD_TAGS:
             proj = project_total_cost(sim_tasks, tag, sim_steps, sim_clusters)
-            words = storage_words(tag, m, sizes).words
+            words = storage_words(tag, m, sizes)
             summary[tag] = {
                 "total_task_finetunes": proj.total_finetunes,
                 "total_finetune_steps": proj.total_steps,
@@ -383,7 +388,7 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
     total_words = 0
     rows = []
     for c in range(len(ckpt.shards)):
-        words = storage_words(ckpt.method.tag, m, [len(ids[c][0])]).words
+        words = storage_words(ckpt.method.tag, m, [len(ids[c][0])])
         total_words += words
         rows.append([ckpt.method.tag, c, "", "storage_words", words])
     led = ckpt.ledger

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .engine import CENTRAL_MAX_STEPS_DEFAULT
 from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, METHOD_TAGS
 from .prng import mix_seed
 
@@ -42,7 +43,7 @@ class RunConfig:
     steps: int = 20
     batch_size: int = 32
     learning_rate: float = 0.05
-    central_max_steps: int = 800
+    central_max_steps: int = CENTRAL_MAX_STEPS_DEFAULT
     # localization
     density_grid: tuple[float, ...] = DENSITY_GRID_DEFAULT
     alpha_grid: tuple[float, ...] = ALPHA_GRID_DEFAULT

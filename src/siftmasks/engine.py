@@ -103,19 +103,9 @@ class CostLedger:
 
 
 @dataclass(frozen=True)
-class StorageReport:
-    """Stored 32-bit words: model words plus per-task mask words."""
-
-    words: int
-    model_words: int
-    mask_words: int
-
-
-@dataclass(frozen=True)
 class ExactnessReport:
     """Outcome of a deletion or audit; exact unlearning holds iff both flags."""
 
-    task_id: int | None
     replay_matches: bool
     state_matches_oracle: bool
 
@@ -222,10 +212,8 @@ class MethodOps:
     signed: bool = False
 
 
-def _digest(delta: np.ndarray, scale_bits: int = 32) -> bytes:
-    return hashlib.sha256(
-        quantize(delta, scale_bits).values.astype("<i8").tobytes()
-    ).digest()
+def _digest(delta: np.ndarray) -> bytes:
+    return hashlib.sha256(quantize(delta).values.astype("<i8").tobytes()).digest()
 
 
 def _check_digest(system: SystemState, task_id: int, digest: bytes) -> None:
@@ -456,12 +444,9 @@ def unlearn(
     c = system.assignment[task_id]
     shard = system.shards[c]
     remaining = [t for t in system.shard_retained(c) if t != task_id]
-    steps = system.train_cfg.steps
-    ledger = CostLedger()
     if ops.subtracts and remaining:
         [(tv, _)] = ops.train_task(system, [system.registry[task_id]])
         _check_digest(system, task_id, _digest(tv.delta))
-        ledger.record("unlearn", 1, steps)
         shard = replace(shard, merged=unmerge(shard.merged, tv))
     else:
         # masks / elected signs depend on the merged state, so the shard is
@@ -470,7 +455,10 @@ def unlearn(
         shard, digests = ops.build_shard(system, remaining)
         for t, digest in digests.items():
             _check_digest(system, t, digest)
-        ledger.record("unlearn", len(remaining), steps)
+    ledger = CostLedger()
+    ledger.record(
+        "unlearn", deletion_finetunes(ops.subtracts, len(remaining)), system.train_cfg.steps
+    )
     shards = list(system.shards)
     shards[c] = shard
     after = replace(
@@ -480,7 +468,14 @@ def unlearn(
     # of a digest-verified vector is exactly inverse to the addition that
     # built the accumulator, and a rebuild is a fresh merge of the retained set
     state_ok = _verify_shard(after, c)[1] if verify else True
-    return after, ExactnessReport(task_id, True, state_ok), ledger
+    return after, ExactnessReport(True, state_ok), ledger
+
+
+def deletion_finetunes(subtracts: bool, remaining: int) -> int:
+    """Task-finetunes one deletion costs when its shard keeps ``remaining``
+    tasks: one replay where the method subtracts and a task remains, else a
+    rebuild from the remaining tasks (free once none remains)."""
+    return 1 if subtracts and remaining else remaining
 
 
 def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
@@ -509,9 +504,7 @@ def verify_exactness(system: SystemState) -> ExactnessReport:
     Audit only: nothing is charged to any ledger.
     """
     checks = [_verify_shard(system, c) for c in range(len(system.shards))]
-    return ExactnessReport(
-        None, all(r for r, _ in checks), all(s for _, s in checks)
-    )
+    return ExactnessReport(all(r for r, _ in checks), all(s for _, s in checks))
 
 
 def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
@@ -545,31 +538,12 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     return EvalReport(mode=mode, per_task=per_task, aggregate=aggregate)
 
 
-def zeroshot_eval(system: SystemState) -> EvalReport:
-    """Accuracy of the base parameters on every task's held-out split."""
-    per_task = {
-        t: accuracy(system.m0, system.model_spec, *system.registry[t].eval_xy())
-        for t in sorted(system.registry)
-    }
-    aggregate = float(np.mean(list(per_task.values()))) if per_task else 0.0
-    return EvalReport(mode="zeroshot", per_task=per_task, aggregate=aggregate)
-
-
-def storage_words(
-    method_tag: str, param_count: int, retained_per_shard: list[int]
-) -> StorageReport:
-    """Stored words: M per shard, plus ceil(M/32) per retained task with masks."""
-    model = len(retained_per_shard) * param_count
-    masks = 0
+def storage_words(method_tag: str, param_count: int, retained_per_shard: list[int]) -> int:
+    """Stored 32-bit words: M per shard, plus ceil(M/32) per retained task with masks."""
+    words = len(retained_per_shard) * param_count
     if METHODS[method_tag].stores_masks:
-        masks = sum(retained_per_shard) * mask_words(param_count)
-    return StorageReport(words=model + masks, model_words=model, mask_words=masks)
-
-
-def storage_report(system: SystemState) -> StorageReport:
-    """``storage_words`` for a built system."""
-    retained = [len(system.shard_retained(c)) for c in range(len(system.shards))]
-    return storage_words(system.method.tag, system.model_spec.param_count, retained)
+        words += sum(retained_per_shard) * mask_words(param_count)
+    return words
 
 
 def cluster_random(task_ids: list[int], n_clusters: int, seed: int) -> dict[int, int]:
@@ -634,11 +608,8 @@ def project_total_cost(
     per_event = []
     for i in range(num_tasks):
         c = i % n_clusters
-        if subtracts:
-            per_event.append(1 if sizes[c] > 1 else 0)
-        else:
-            per_event.append(sizes[c] - 1)
         sizes[c] -= 1
+        per_event.append(deletion_finetunes(subtracts, sizes[c]))
     cumulative = list(np.cumsum(per_event))
     return CostProjection(
         method=method_tag,

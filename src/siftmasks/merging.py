@@ -35,7 +35,6 @@ import numpy as np
 from .paramcore import (
     BitMask,
     FxpVector,
-    SCALE_BITS_DEFAULT,
     dequantize,
     fxp_add,
     fxp_sub,
@@ -98,7 +97,6 @@ def merge(
     task_vectors: list[TaskVector],
     masks: dict[int, BitMask] | None = None,
     *,
-    scale_bits: int = SCALE_BITS_DEFAULT,
     length: int | None = None,
 ) -> MergedState:
     """Fold task vectors into an exact fixed-point sum.
@@ -118,9 +116,9 @@ def merge(
     elif length is None:
         raise ValueError("merging zero vectors requires an explicit length")
 
-    acc = FxpVector.zeros(length, scale_bits)
+    acc = FxpVector.zeros(length)
     for tv in task_vectors:
-        acc = fxp_add(acc, quantize(tv.delta, scale_bits))
+        acc = fxp_add(acc, quantize(tv.delta))
 
     if masks is not None and set(masks) != set(ids):
         raise ValueError("masks must cover exactly the merged task ids")
@@ -130,7 +128,7 @@ def merge(
 def unmerge(state: MergedState, tau_u: TaskVector) -> MergedState:
     """Subtract one task's quantized vector and drop its mask; the caller
     checks that the task is retained."""
-    acc = fxp_sub(state.accumulator, quantize(tau_u.delta, state.accumulator.scale_bits))
+    acc = fxp_sub(state.accumulator, quantize(tau_u.delta))
     masks = {t: m for t, m in state.masks.items() if t != tau_u.source_task}
     return MergedState(acc, state.n_retained - 1, masks)
 
@@ -235,7 +233,8 @@ def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60
 
 
 def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask:
-    """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|."""
+    """Bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|.
+    Kept as the tests' reference for ``tall_tune``'s masks; perfbench/spans.py wraps it."""
     if lambda_t < 0:
         raise ValueError("lambda must be >= 0")
     tau, rest = _tall_terms(tau_t, state)
@@ -246,7 +245,8 @@ def tall_lambda_for_density(
     tau_t: TaskVector, state: MergedState, target_density: float, iters: int = 60
 ) -> float:
     """Bisect lambda so the TALL mask density lands closest to the target;
-    the lambda tall_tune tries for that target."""
+    the lambda tall_tune tries for that target.
+    Kept as the tests' reference for ``tall_tune``'s lambdas; perfbench/spans.py wraps it."""
     tau, rest = _tall_terms(tau_t, state)
     return _tall_lambda(_tall_thresholds(tau, rest), target_density, iters)
 

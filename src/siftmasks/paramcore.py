@@ -1,7 +1,7 @@
 """Exact numeric substrate: flat parameter vectors, fixed-point accumulation,
 bit-packed masks and sign vectors.
 
-Merged task vectors are held as 64-bit integers on a 2**-scale_bits grid so
+Merged task vectors are held as 64-bit integers on a 2**-SCALE_BITS grid so
 that subtracting a task vector is exactly inverse to having added it, in any
 order. Serialization of packed bits follows a fixed layout: little-endian
 32-bit words, bit i stored in word i // 32 at position i % 32, trailing pad
@@ -10,13 +10,13 @@ bits zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .prng import PrngStream
 
-SCALE_BITS_DEFAULT = 32
+SCALE_BITS = 32  # fractional bits of the fixed-point grid
 _ACC_LIMIT = 1 << 62  # accumulator entries must stay below this magnitude
 
 
@@ -24,33 +24,22 @@ class FxpOverflowError(OverflowError):
     """A fixed-point value left the representable range."""
 
 
-def as_param_vector(values, length: int | None = None) -> np.ndarray:
+def as_param_vector(values) -> np.ndarray:
     """Validate and return a flat float64 parameter vector."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"parameter vector must be 1-d, got shape {x.shape}")
-    if length is not None and x.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ValueError(f"non-finite parameter at index {bad}")
     return x
 
 
-def quantize_value(x: float, scale_bits: int = SCALE_BITS_DEFAULT) -> int:
-    """Round-to-nearest-even of x * 2**scale_bits."""
-    if not np.isfinite(x) or abs(x) >= 2.0 ** (62 - scale_bits):
-        raise FxpOverflowError(f"value {x!r} out of range for scale_bits={scale_bits}")
-    # Scaling by a power of two is exact in float64; rint rounds half to even.
-    return int(np.rint(np.float64(x) * np.float64(2.0**scale_bits)))
-
-
 @dataclass(frozen=True)
 class FxpVector:
-    """Signed 64-bit fixed-point vector with scale_bits fractional bits."""
+    """Signed 64-bit fixed-point vector with SCALE_BITS fractional bits."""
 
     values: np.ndarray
-    scale_bits: int = SCALE_BITS_DEFAULT
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.int64)
@@ -65,13 +54,11 @@ class FxpVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FxpVector):
             return NotImplemented
-        return self.scale_bits == other.scale_bits and bool(
-            np.array_equal(self.values, other.values)
-        )
+        return bool(np.array_equal(self.values, other.values))
 
     @classmethod
-    def zeros(cls, length: int, scale_bits: int = SCALE_BITS_DEFAULT) -> "FxpVector":
-        return cls(np.zeros(length, dtype=np.int64), scale_bits)
+    def zeros(cls, length: int) -> "FxpVector":
+        return cls(np.zeros(length, dtype=np.int64))
 
 
 def _check_acc_range(v: np.ndarray) -> None:
@@ -84,36 +71,33 @@ def _check_acc_range(v: np.ndarray) -> None:
 def _check_compatible(a: FxpVector, b: FxpVector) -> None:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if a.scale_bits != b.scale_bits:
-        raise ValueError(f"scale_bits mismatch: {a.scale_bits} vs {b.scale_bits}")
 
 
-def quantize(x, scale_bits: int = SCALE_BITS_DEFAULT) -> FxpVector:
+def quantize(x) -> FxpVector:
     """Quantize a real vector to the fixed-point grid (round half to even)."""
     x = as_param_vector(x)
-    limit = 2.0 ** (62 - scale_bits)
-    over = np.abs(x) >= limit
+    over = np.abs(x) >= 2.0 ** (62 - SCALE_BITS)
     if over.any():
         bad = int(np.flatnonzero(over)[0])
         raise FxpOverflowError(f"value at index {bad} out of quantization range")
-    scaled = np.rint(x * 2.0**scale_bits)
-    return FxpVector(scaled.astype(np.int64), scale_bits)
+    # Scaling by a power of two is exact in float64; rint rounds half to even.
+    return FxpVector(np.rint(x * 2.0**SCALE_BITS).astype(np.int64))
 
 
 def dequantize(v: FxpVector) -> np.ndarray:
-    """Exact value of each entry as value / 2**scale_bits in float64."""
-    return v.values.astype(np.float64) * 2.0**-v.scale_bits
+    """Exact value of each entry as value / 2**SCALE_BITS in float64."""
+    return v.values.astype(np.float64) * 2.0**-SCALE_BITS
 
 
 def fxp_add(a: FxpVector, b: FxpVector) -> FxpVector:
     _check_compatible(a, b)
     # Inputs are below 2**62 in magnitude, so int64 addition cannot wrap.
-    return FxpVector(a.values + b.values, a.scale_bits)
+    return FxpVector(a.values + b.values)
 
 
 def fxp_sub(a: FxpVector, b: FxpVector) -> FxpVector:
     _check_compatible(a, b)
-    return FxpVector(a.values - b.values, a.scale_bits)
+    return FxpVector(a.values - b.values)
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -143,7 +127,6 @@ class BitMask:
 
     words: np.ndarray
     length: int
-    popcount: int = field(default=-1)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.words, dtype="<u4")
@@ -156,28 +139,14 @@ class BitMask:
         tail = self.length % 32
         if tail and w[-1] >> tail:
             raise ValueError(f"mask of length {self.length} has nonzero pad bits")
-        if self.popcount < 0:
-            object.__setattr__(self, "popcount", int(self.to_bools().sum()))
 
     @classmethod
     def from_bools(cls, bits) -> "BitMask":
         bits = np.ascontiguousarray(bits, dtype=bool)
-        return cls(pack_bits(bits), len(bits), int(bits.sum()))
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitMask":
-        return cls(np.zeros(mask_words(length), dtype="<u4"), length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> "BitMask":
-        return cls.from_bools(np.ones(length, dtype=bool))
+        return cls(pack_bits(bits), len(bits))
 
     def to_bools(self) -> np.ndarray:
         return unpack_bits(self.words, self.length)
-
-    @property
-    def density(self) -> float:
-        return self.popcount / self.length if self.length else 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMask):
@@ -201,7 +170,6 @@ class SignVector:
 
     words: np.ndarray
     length: int
-    seed: int
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.words, dtype="<u4")
@@ -235,4 +203,4 @@ def gen_sign_vector(seed: int, length: int) -> SignVector:
     tail = length % 32
     if tail:
         words[-1] &= np.uint32((1 << tail) - 1)
-    return SignVector(words, length, seed)
+    return SignVector(words, length)

@@ -307,7 +307,8 @@ def adam_step(
 
 def project_sign(tau: np.ndarray, v: SignVector) -> np.ndarray:
     """Zero every entry of finite tau whose sign disagrees with v. Idempotent.
-    Every zero it returns is +0.0, a -0.0 input entry included."""
+    Every zero it returns is +0.0, a -0.0 input entry included.
+    Kept as the tests' reference for ``_zero_disagreeing``; perfbench/spans.py wraps it."""
     if tau.shape[-1] != v.length:
         raise ValueError("length mismatch between delta and sign vector")
     out = tau.copy()

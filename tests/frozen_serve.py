@@ -17,9 +17,7 @@ def frozen_serve_merged(state, m0):
 
 
 def frozen_localize_masked(state, mask, m0, alpha=1.0):
-    masked = dequantize(
-        FxpVector(mask_apply(mask, state.accumulator.values), state.accumulator.scale_bits)
-    )
+    masked = dequantize(FxpVector(mask_apply(mask, state.accumulator.values)))
     return m0 + alpha * masked / max(state.n_retained, 1)
 
 

@@ -239,7 +239,7 @@ def test_central_digest_rejected(tmp_path):
 
 def shorten_accumulator(ckpt) -> None:
     merged = ckpt.shards[0].merged
-    short = FxpVector(merged.accumulator.values[:32], merged.accumulator.scale_bits)
+    short = FxpVector(merged.accumulator.values[:32])
     ckpt.shards = (replace(ckpt.shards[0], merged=replace(merged, accumulator=short)),)
 
 

@@ -8,6 +8,7 @@ from siftmasks import merging
 from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
+    METHODS,
     CostLedger,
     ReplayMismatchError,
     UnknownTaskError,
@@ -16,14 +17,13 @@ from siftmasks.engine import (
     evaluate,
     project_total_cost,
     serve_for_task,
-    storage_report,
+    storage_words,
     unlearn,
     verify_exactness,
-    zeroshot_eval,
 )
 from siftmasks.merging import LocalizationMethod, serve_merged
 from siftmasks.paramcore import FxpVector, dequantize
-from siftmasks.trainer import ModelSpec, TrainConfig, ft_finetune, init_params
+from siftmasks.trainer import ModelSpec, TrainConfig, accuracy, ft_finetune, init_params
 from test_checkpoint_v2 import DATA as V2_DATA
 from test_checkpoint_v2 import FIXTURES as V2_FIXTURES
 from test_checkpoint_v2 import make_tasks as v2_tasks
@@ -57,6 +57,12 @@ def test_build_rejects_empty_and_duplicates(conflicting_tasks):
 # ---------- storage ----------
 
 
+def stored_words(system):
+    """``storage_words`` of a built system, from its shards' retained counts."""
+    retained = [len(system.shard_retained(c)) for c in range(len(system.shards))]
+    return storage_words(system.method.tag, system.model_spec.param_count, retained)
+
+
 def test_storage_words_formula_with_ceiling():
     # M = 1000 is not a multiple of 32, so the ceiling term applies
     spec = ModelSpec("logistic", 24, 40)  # 24*40+40 = 1000
@@ -64,20 +70,19 @@ def test_storage_words_formula_with_ceiling():
     tasks = synth_generate(HeterogeneityRegime("similar"), 64, 6, 24, 40, seed=3)
     cfg = TrainConfig(steps=0, batch_size=8, learning_rate=0.1, seed=1)
     system, _ = build(LocalizationMethod("sift_masks"), tasks, spec, cfg)
-    report = storage_report(system)
-    assert report.words == 1000 + 64 * 32 == 3048
+    assert stored_words(system) == 1000 + 64 * 32 == 3048
     ft, _ = build(LocalizationMethod("ft_merge"), tasks, spec, cfg)
-    assert storage_report(ft).words == 1000
+    assert stored_words(ft) == 1000
     central, _ = build(LocalizationMethod("central"), tasks, spec, cfg)
-    assert storage_report(central).words == 1000
+    assert stored_words(central) == 1000
 
 
 def test_storage_monotone_under_unlearning(conflicting_tasks):
     system, _ = build_system("sift_masks", conflicting_tasks)
-    words = [storage_report(system).words]
+    words = [stored_words(system)]
     for u in (0, 3, 6):
         system, _, _ = unlearn(system, u)
-        words.append(storage_report(system).words)
+        words.append(stored_words(system))
     assert all(a >= b for a, b in zip(words, words[1:]))
 
 
@@ -212,9 +217,7 @@ def test_verify_detects_corrupted_accumulator(conflicting_tasks):
     (shard,) = system.shards
     values = shard.merged.accumulator.values.copy()
     values[0] += 1  # flip one word
-    merged = replace(
-        shard.merged, accumulator=FxpVector(values, shard.merged.accumulator.scale_bits)
-    )
+    merged = replace(shard.merged, accumulator=FxpVector(values))
     system.shards = (replace(shard, merged=merged),)
     report = verify_exactness(system)
     assert report.replay_matches  # replays still reproduce their digests
@@ -226,6 +229,21 @@ def test_verify_central(conflicting_tasks):
     assert verify_exactness(system).exact
     (shard,) = system.shards
     system.shards = (replace(shard, central_params=shard.central_params + 1e-9),)
+    assert not verify_exactness(system).exact
+
+
+@pytest.mark.xfail(
+    strict=True, reason="verify does not re-derive TALL lambdas, alphas or masks yet"
+)
+def test_verify_catches_a_doubled_tall_alpha():
+    system = system_from_checkpoint(
+        load_checkpoint(V2_DATA / "tall_masks_fresh.sftm"), v2_tasks()
+    )
+    (shard,) = system.shards
+    tall = dict(shard.tall)
+    lam, alpha = tall[0]
+    tall[0] = (lam, 2 * alpha)
+    system.shards = (replace(shard, tall=tall),)
     assert not verify_exactness(system).exact
 
 
@@ -251,8 +269,10 @@ def test_all_unlearned_serves_base_model(conflicting_tasks):
     for u in (0, 1, 2, 3):
         system, _, _ = unlearn(system, u)
     held_out = evaluate(system, "held_out")
-    zeroshot = zeroshot_eval(system)
-    assert held_out.per_task == zeroshot.per_task
+    zeroshot = {
+        t: accuracy(system.m0, SPEC, *task.eval_xy()) for t, task in system.registry.items()
+    }
+    assert held_out.per_task == zeroshot
 
 
 def test_unlearned_tasks_served_masklessly(conflicting_tasks):
@@ -349,7 +369,7 @@ def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
 
 def test_clustered_storage_sums(conflicting_tasks):
     system, _ = build_system("central", conflicting_tasks, clusters=4, cluster_seed=11)
-    assert storage_report(system).words == 4 * SPEC.param_count
+    assert stored_words(system) == 4 * SPEC.param_count
 
 
 # ---------- cost projection ----------
@@ -390,6 +410,20 @@ def test_engine_unlearn_all_matches_projection(tag, conflicting_tasks):
     proj = project_total_cost(6, tag, CFG.steps)
     assert total.unlearn_finetunes == proj.total_finetunes
     assert total.unlearn_steps == proj.total_steps
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", sorted(METHODS))
+def test_every_deletion_costs_its_projected_event(tag, clusters, conflicting_tasks):
+    """Deletion i falls on shard i mod k, as the projection assumes, and is
+    charged exactly the projection's per-event count."""
+    system, _ = build_system(tag, conflicting_tasks[:6], clusters=clusters, cluster_seed=5)
+    proj = project_total_cost(6, tag, CFG.steps, clusters)
+    for i, expected in enumerate(proj.per_event):
+        victim = system.shard_retained(i % clusters)[0]
+        system, _, delta = unlearn(system, victim)
+        assert delta.unlearn_finetunes == expected, (i, victim)
+    assert system.retained == ()
 
 
 @pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central"])

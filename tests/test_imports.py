@@ -45,3 +45,85 @@ def test_unused_import_check_flags_and_passes():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["line 4: It"]
+
+
+ROOT = SRC.parent.parent
+# where a library name may be used: the library itself, the scripts and the
+# benchmark (whose tracer names layer functions as strings)
+CALLERS = (SRC, ROOT / "scripts", ROOT / "perfbench")
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    """``@<group>.command(...)`` or ``@click.group()``: the CLI calls it by name."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name read, attribute read and identifier-valued
+    string literal in a module."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.append((node.value, node.lineno))
+    return refs
+
+
+def dead_names(modules: dict[Path, str], callers: dict[Path, str]) -> list[str]:
+    """Top-level functions and classes of ``modules`` that no file in
+    ``callers`` names outside the definition itself; click commands are exempt."""
+    refs = {path: _references(ast.parse(src)) for path, src in callers.items()}
+    dead = []
+    for path, source in sorted(modules.items()):
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_click_command(node):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            used = any(
+                name == node.name and not (p == path and first <= line <= node.end_lineno)
+                for p, found in refs.items()
+                for name, line in found
+            )
+            if not used:
+                dead.append(f"{path.stem}.{node.name}")
+    return dead
+
+
+def test_every_library_name_is_used_outside_tests():
+    callers = {
+        p: p.read_text(encoding="utf8")
+        for root in CALLERS
+        for p in sorted(root.rglob("*.py"))
+        if p != SRC / "__init__.py"
+    }
+    modules = {p: s for p, s in callers.items() if p.parent == SRC}
+    assert dead_names(modules, callers) == []
+
+
+def test_dead_name_check_flags_and_passes():
+    lib = Path("lib.py")
+    source = (
+        "import click\n"
+        "@click.group()\n"
+        "def cli():\n"
+        "    pass\n"
+        "@cli.command('run')\n"
+        "def cmd_run():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return helper\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "class Named:\n"
+        "    pass\n"
+    )
+    tracer = "TABLE = ('lib', 'Named')\n"
+    assert dead_names({lib: source}, {lib: source, Path("t.py"): tracer}) == ["lib.recursive"]

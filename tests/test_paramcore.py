@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siftmasks.paramcore import (
+    SCALE_BITS,
     BitMask,
     FxpOverflowError,
     FxpVector,
@@ -16,7 +17,6 @@ from siftmasks.paramcore import (
     mask_words,
     pack_bits,
     quantize,
-    quantize_value,
     unpack_bits,
 )
 
@@ -25,18 +25,16 @@ in_range_floats = st.floats(
 )
 
 
-def test_quantize_value_examples():
-    assert quantize_value(0.5, 32) == 2147483648
-    assert quantize_value(0.0, 32) == 0
-    assert quantize_value(-0.25, 32) == -1073741824
+def test_quantize_examples():
+    assert SCALE_BITS == 32
+    assert quantize([0.5, 0.0, -0.25]).values.tolist() == [2147483648, 0, -1073741824]
 
 
 def test_quantize_rounds_half_to_even():
     # values exactly halfway between grid points
     half = 2.0**-33
-    assert quantize_value(half) == 0  # rounds to even 0
-    assert quantize_value(3 * half) == 2  # rounds to even 2
-    assert quantize_value(-half) == 0
+    # round to even 0, to even 2, and to even 0
+    assert quantize([half, 3 * half, -half]).values.tolist() == [0, 2, 0]
 
 
 def test_quantize_overflow_names_index():
@@ -100,9 +98,6 @@ def test_fxp_mismatch_errors():
     b = FxpVector(np.array([1, 2], dtype=np.int64))
     with pytest.raises(ValueError, match="length mismatch"):
         fxp_add(a, b)
-    c = FxpVector(np.array([1], dtype=np.int64), scale_bits=16)
-    with pytest.raises(ValueError, match="scale_bits"):
-        fxp_add(a, c)
 
 
 def test_fxp_overflow_detected():
@@ -114,9 +109,9 @@ def test_fxp_overflow_detected():
 @given(st.integers(min_value=1, max_value=2000))
 @settings(max_examples=60, deadline=None)
 def test_mask_storage_is_ceil_m_over_32(length):
-    mask = BitMask.ones(length)
+    mask = BitMask.from_bools(np.ones(length, dtype=bool))
     assert mask.words.shape[0] == mask_words(length) == (length + 31) // 32
-    assert mask.popcount == length
+    assert mask.to_bools().all() and mask.to_bools().shape == (length,)
 
 
 def test_bit_layout_little_endian_words():
@@ -135,8 +130,8 @@ def test_mask_apply_examples():
     mask = BitMask.from_bools([1, 0, 1])
     x = np.array([2.0, 3.0, 4.0])
     assert mask_apply(mask, x).tolist() == [2.0, 0.0, 4.0]
-    assert mask_apply(BitMask.ones(3), x).tolist() == x.tolist()
-    assert not mask_apply(BitMask.zeros(3), x).any()
+    assert mask_apply(BitMask.from_bools([1, 1, 1]), x).tolist() == x.tolist()
+    assert not mask_apply(BitMask.from_bools([0, 0, 0]), x).any()
     with pytest.raises(ValueError, match="length mismatch"):
         mask_apply(mask, np.zeros(4))
 
@@ -179,7 +174,7 @@ def test_mask_rejects_nonzero_pad_bits(length, bit):
     words[-1] &= (1 << (length % 32)) - 1  # the same mask with its pad cleared
     assert BitMask(words, length).to_bools().dtype == bool
     full = np.full(mask_words(64), 0xFFFFFFFF, dtype="<u4")  # no pad bits at all
-    assert BitMask(full, 64).popcount == 64
+    assert BitMask(full, 64).to_bools().all()
 
 
 @pytest.mark.parametrize("length", [1, 31, 33, 8_193, 17_154])
@@ -191,7 +186,7 @@ def test_signs_bytes_match_where(length):
 
 def test_signs_roundtrip_through_words():
     sv = gen_sign_vector(9, 75)
-    rebuilt = SignVector(sv.words.copy(), 75, 9)
+    rebuilt = SignVector(sv.words.copy(), 75)
     assert np.array_equal(rebuilt.signs(), sv.signs())
 
 
