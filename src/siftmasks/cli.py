@@ -285,7 +285,7 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
         system, report, delta = unlearn(system, u, verify=do_verify)
         if not report.exact:  # keep the checkpoint as it was read
             raise ExactnessViolation(
-                f"after deleting task {u} the state does not match a fresh merge"
+                f"after deleting task {u} the state does not match a fresh merge: {report}"
             )
         ledger.add(delta)
         reports.append((u, report, delta))
@@ -312,11 +312,11 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 def cmd_verify(data, checkpoint, **params):
-    """Replay all retained tasks; compare the stored accumulator and sift masks.
+    """Rebuild every shard from its retained tasks; compare all it serves.
 
-    Central retrains each shard and compares its parameters. Not re-derived:
-    TALL (lambda, alpha, masks), EMR (unified vector, scales, masks) and TIES
-    vectors.
+    Each replay digest must match, and the accumulator, masks and method
+    artifacts (TALL lambdas and alphas, EMR unified vector and scales, TIES
+    vector, central parameters) must equal the stored ones bit for bit.
     """
     cfg = _config_from(params)
     _, system = _load_system(cfg, data, checkpoint)

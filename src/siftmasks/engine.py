@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -84,16 +84,6 @@ class CostLedger:
     @property
     def finetune_steps(self) -> int:
         return self.build_steps + self.unlearn_steps
-
-    def record(self, phase: str, finetunes: int, steps_per_finetune: int) -> None:
-        if phase == "build":
-            self.build_finetunes += finetunes
-            self.build_steps += finetunes * steps_per_finetune
-        elif phase == "unlearn":
-            self.unlearn_finetunes += finetunes
-            self.unlearn_steps += finetunes * steps_per_finetune
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
 
     def add(self, other: "CostLedger") -> None:
         self.build_finetunes += other.build_finetunes
@@ -198,8 +188,7 @@ class MethodOps:
     # when the method stores none
     serve: Callable[[SystemState, Shard, int], np.ndarray]
     # retrain tasks exactly as at build time, one (vector, mask) per task in
-    # order; None when the method trains on the pooled shard, which is then
-    # verified by retraining it
+    # order; None when the method trains on the pooled shard
     train_task: Callable[
         [SystemState, list[TaskSpec]], list[tuple[TaskVector, BitMask | None]]
     ] | None
@@ -284,12 +273,11 @@ def _build_ties(system: SystemState, ids: list[int]):
 def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
     """Concatenate training splits in ascending (task id, example index) order."""
     ordered = sorted(tasks, key=lambda t: t.id)
-    feats = np.concatenate([t.train_xy()[0] for t in ordered])
-    labels = np.concatenate([t.train_xy()[1] for t in ordered])
+    feats, labels = zip(*(t.train_xy() for t in ordered))
     return TaskSpec(
         id=ordered[0].id,
-        features=feats,
-        labels=labels,
+        features=np.concatenate(feats),
+        labels=np.concatenate(labels),
         eval_indices=np.empty(0, dtype=np.int64),
     )
 
@@ -424,9 +412,8 @@ def build(
         system.replay_digests.update(digests)
         shards.append(shard)
     system.shards = tuple(shards)
-    ledger = CostLedger()
-    ledger.record("build", len(tasks), cfg.steps)
-    return system, ledger
+    n = len(tasks)
+    return system, CostLedger(build_finetunes=n, build_steps=n * cfg.steps)
 
 
 def unlearn(
@@ -434,9 +421,10 @@ def unlearn(
 ) -> tuple[SystemState, ExactnessReport, CostLedger]:
     """Delete one task. Returns the new state, an exactness report, and the cost.
 
-    With verify=True the task's shard is additionally audited against a fresh
-    merge of its retained tasks (replaying each of them); the audit is not
-    charged to the ledger.
+    With verify=True the report holds both flags of ``_verify_shard`` on the
+    task's shard, which is rebuilt from its retained tasks and compared bit
+    for bit; the audit is not charged to the ledger. Without it both flags
+    are True by construction and nothing is compared.
     """
     if task_id not in system.retained:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
@@ -455,20 +443,19 @@ def unlearn(
         shard, digests = ops.build_shard(system, remaining)
         for t, digest in digests.items():
             _check_digest(system, t, digest)
-    ledger = CostLedger()
-    ledger.record(
-        "unlearn", deletion_finetunes(ops.subtracts, len(remaining)), system.train_cfg.steps
-    )
+    n = deletion_finetunes(ops.subtracts, len(remaining))
+    ledger = CostLedger(unlearn_finetunes=n, unlearn_steps=n * system.train_cfg.steps)
     shards = list(system.shards)
     shards[c] = shard
     after = replace(
         system, shards=tuple(shards), unlearned=system.unlearned + (task_id,)
     )
+    if verify:
+        return after, ExactnessReport(*_verify_shard(after, c)), ledger
     # without the audit the state holds by construction: integer subtraction
     # of a digest-verified vector is exactly inverse to the addition that
     # built the accumulator, and a rebuild is a fresh merge of the retained set
-    state_ok = _verify_shard(after, c)[1] if verify else True
-    return after, ExactnessReport(True, state_ok), ledger
+    return after, ExactnessReport(True, True), ledger
 
 
 def deletion_finetunes(subtracts: bool, remaining: int) -> int:
@@ -479,27 +466,38 @@ def deletion_finetunes(subtracts: bool, remaining: int) -> int:
 
 
 def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
-    """(replays match, state matches a fresh merge) for one shard.
+    """(replays match, state matches) for one shard.
 
-    The state compared is the accumulator and every mask the replay itself
-    yields (the sift masks); central compares its retrained parameters.
+    The shard is built afresh from its retained tasks, as a build or a
+    rebuild would; every replay digest must equal the stored one, and every
+    field of the fresh shard must hold the same bits as the stored shard.
     """
-    ops = METHODS[system.method.tag]
-    shard = system.shards[c]
-    ids = system.shard_retained(c)
-    if ops.train_task is None:
-        fresh, _ = ops.build_shard(system, ids)
-        same = bool(np.array_equal(fresh.central_params, shard.central_params))
-        return same, same
-    _, fresh, digests = _merge_shard(system, ids)
-    replays_ok = all(digests[t] == system.replay_digests[t] for t in ids)
-    stored = shard.merged
-    masks_ok = all(stored.masks.get(t) == m for t, m in fresh.masks.items())
-    return replays_ok, fresh.accumulator == stored.accumulator and masks_ok
+    fresh, digests = METHODS[system.method.tag].build_shard(system, system.shard_retained(c))
+    replays_ok = all(d == system.replay_digests[t] for t, d in digests.items())
+    return replays_ok, _same_bits(fresh, system.shards[c])
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two values hold the same bits: floats by their bits, arrays by
+    dtype, shape and bytes, dicts key by key, tuples item by item, and
+    dataclasses (``Shard``, ``MergedState``, ``FxpVector``, ...) field by field."""
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if is_dataclass(a):
+        return all(_same_bits(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
 
 
 def verify_exactness(system: SystemState) -> ExactnessReport:
-    """Replay every retained task and compare each shard to its stored state.
+    """Rebuild every shard and compare it bit for bit to the stored one.
 
     Audit only: nothing is charged to any ledger.
     """

@@ -38,7 +38,7 @@ from siftmasks.checkpoint import (
 )
 from siftmasks.cli import main
 from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
-from siftmasks.engine import build, evaluate, unlearn
+from siftmasks.engine import build, evaluate, unlearn, verify_exactness
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
 from siftmasks.paramcore import BitMask, FxpVector
 from siftmasks.trainer import ModelSpec, TrainConfig
@@ -101,6 +101,7 @@ def test_v2_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
     save_checkpoint(checkpoint_from_system(system, ckpt.ledger), tmp_path / "rebuilt.sftm")
     assert (tmp_path / "rebuilt.sftm").read_bytes() == raw
     assert set(evaluate(system, "held_out").per_task) == {t.id for t in tasks}
+    assert verify_exactness(system).exact
 
 
 def test_appended_byte_rejected_with_exit_2(tmp_path, capsys):
@@ -291,11 +292,25 @@ def flip_mask_bit(ckpt) -> None:
     masks[1] = BitMask(words, masks[1].length)
 
 
-def test_verify_exits_3_on_flipped_sift_mask_bit(tmp_path, capsys):
-    path = resaved_copy(tmp_path, "sift_masks_fresh", flip_mask_bit)
-    code = main(["verify", *cli_data_args(tmp_path),
+def double_tall_alpha(ckpt) -> None:
+    lam, alpha = ckpt.shards[0].tall[1]
+    ckpt.shards[0].tall[1] = (lam, 2 * alpha)
+
+
+def verify_changed(tmp_path: Path, name: str, change) -> int:
+    """Exit code of ``verify`` on a copy of a fixture changed by ``change``."""
+    path = resaved_copy(tmp_path, name, change)
+    return main(["verify", *cli_data_args(tmp_path),
                  "--checkpoint", str(path), "--out-dir", str(tmp_path)])
-    assert code == 3
+
+
+def test_verify_exits_3_on_flipped_sift_mask_bit(tmp_path, capsys):
+    assert verify_changed(tmp_path, "sift_masks_fresh", flip_mask_bit) == 3
+    assert "replay_matches=True state_matches_oracle=False" in capsys.readouterr().out
+
+
+def test_verify_exits_3_on_doubled_tall_alpha(tmp_path, capsys):
+    assert verify_changed(tmp_path, "tall_masks_fresh", double_tall_alpha) == 3
     assert "replay_matches=True state_matches_oracle=False" in capsys.readouterr().out
 
 
@@ -303,15 +318,35 @@ def bump_accumulator(ckpt) -> None:
     ckpt.shards[0].merged.accumulator.values[0] += 1
 
 
-def test_failed_unlearn_audit_exits_3_and_keeps_checkpoint(tmp_path, capsys):
-    path = resaved_copy(tmp_path, "sift_masks_fresh", bump_accumulator)
+def corrupt_remaining_digest(ckpt) -> None:
+    ckpt.replay_digests[3] = bytes(32)  # task 3 stays, so deleting task 1 never replays it
+
+
+def unlearn_verify_changed(tmp_path: Path, change) -> None:
+    """Runs ``unlearn --id 1 --verify`` on a changed copy of the sift fixture
+    and checks that it exits 3, leaving the checkpoint and the exactness log
+    as they were."""
+    path = resaved_copy(tmp_path, "sift_masks_fresh", change)
     raw = path.read_bytes()
+    log = tmp_path / "exactness.csv"
+    log.write_text("earlier rows\n")
     code = main(["unlearn", "--id", "1", "--verify", *cli_data_args(tmp_path),
                  "--checkpoint", str(path), "--out-dir", str(tmp_path)])
     assert code == 3
-    assert "does not match a fresh merge" in capsys.readouterr().err
     assert path.read_bytes() == raw
-    assert not (tmp_path / "exactness.csv").exists()
+    assert log.read_text() == "earlier rows\n"
+
+
+def test_failed_unlearn_audit_exits_3_and_keeps_checkpoint(tmp_path, capsys):
+    unlearn_verify_changed(tmp_path, bump_accumulator)
+    err = capsys.readouterr().err
+    assert "does not match a fresh merge" in err
+    assert "replay_matches=True, state_matches_oracle=False" in err
+
+
+def test_unlearn_audit_catches_a_remaining_replay_mismatch(tmp_path, capsys):
+    unlearn_verify_changed(tmp_path, corrupt_remaining_digest)
+    assert "replay_matches=False, state_matches_oracle=True" in capsys.readouterr().err
 
 
 # byte count of the artifacts a one-shard fixture stores after its masks:

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from siftmasks.engine import (
     unlearn,
     verify_exactness,
 )
-from siftmasks.merging import LocalizationMethod, serve_merged
-from siftmasks.paramcore import FxpVector, dequantize
+from siftmasks.merging import METHOD_TAGS, LocalizationMethod, serve_merged
+from siftmasks.paramcore import BitMask, FxpVector, dequantize
 from siftmasks.trainer import ModelSpec, TrainConfig, accuracy, ft_finetune, init_params
 from test_checkpoint_v2 import DATA as V2_DATA
 from test_checkpoint_v2 import FIXTURES as V2_FIXTURES
@@ -232,9 +233,6 @@ def test_verify_central(conflicting_tasks):
     assert not verify_exactness(system).exact
 
 
-@pytest.mark.xfail(
-    strict=True, reason="verify does not re-derive TALL lambdas, alphas or masks yet"
-)
 def test_verify_catches_a_doubled_tall_alpha():
     system = system_from_checkpoint(
         load_checkpoint(V2_DATA / "tall_masks_fresh.sftm"), v2_tasks()
@@ -247,10 +245,131 @@ def test_verify_catches_a_doubled_tall_alpha():
     assert not verify_exactness(system).exact
 
 
+def with_flipped_mask_bit(shard, t):
+    words = shard.merged.masks[t].words.copy()
+    words[0] ^= 1
+    masks = {**shard.merged.masks, t: BitMask(words, shard.merged.masks[t].length)}
+    return replace(shard, merged=replace(shard.merged, masks=masks))
+
+
+def with_tall(shard, t, change):
+    return replace(shard, tall={**shard.tall, t: change(*shard.tall[t])})
+
+
+def with_emr(shard, **changes):
+    return replace(shard, emr=replace(shard.emr, **changes))
+
+
+def plus_one_at_0(vector):
+    out = vector.copy()
+    out[0] += 1.0
+    return out
+
+
+# (method, served artifact changed in memory for one task of the shard)
+PROBES = {
+    "sift_mask_bit": ("sift_masks", with_flipped_mask_bit),
+    "tall_mask_bit": ("tall_masks", with_flipped_mask_bit),
+    "tall_lambda_ulp": ("tall_masks", lambda s, t: with_tall(
+        s, t, lambda lam, alpha: (float(np.nextafter(lam, np.inf)), alpha))),
+    "tall_alpha_doubled": ("tall_masks", lambda s, t: with_tall(
+        s, t, lambda lam, alpha: (lam, 2 * alpha))),
+    "emr_scale_doubled": ("emr", lambda s, t: with_emr(
+        s, scales={**s.emr.scales, t: 2 * s.emr.scales[t]})),
+    "emr_unified_plus_one": ("emr", lambda s, t: with_emr(
+        s, unified=plus_one_at_0(s.emr.unified))),
+    "emr_mask_bit": ("emr", with_flipped_mask_bit),
+    "ties_entry_plus_one": ("ties", lambda s, t: replace(
+        s, ties_vector=plus_one_at_0(s.ties_vector))),
+}
+
+
+def v2_system(tag, clusters):
+    """The v2 fixture configuration of ``tag``: its one-shard fixture as
+    loaded, or a fresh in-memory build over three shards."""
+    if clusters == 1:
+        return system_from_checkpoint(load_checkpoint(V2_DATA / f"{tag}_fresh.sftm"), v2_tasks())
+    method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
+    cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
+    system, _ = build(method, v2_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
+                      central_max_steps=12, clusters=3, cluster_seed=7)
+    return system
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_verify_catches_every_served_artifact_probe(probe, clusters):
+    tag, change = PROBES[probe]
+    system = v2_system(tag, clusters)
+    assert verify_exactness(system).exact
+    c = 1 if clusters == 3 else 0
+    shards = list(system.shards)
+    shards[c] = change(shards[c], system.shard_retained(c)[0])
+    system.shards = tuple(shards)
+    report = verify_exactness(system)
+    assert report.replay_matches and not report.state_matches_oracle
+
+
+def one_entry_changes(value):
+    """(path, changed copy) for each leaf of a served value, changed at one
+    entry: a float, or a float array's first entry, by one ulp; an int or a
+    fixed-point vector's first entry by one; a mask's first bit. Dataclass
+    fields, dict entries (the first key) and tuple items are followed down
+    to their leaves."""
+    if isinstance(value, BitMask):
+        words = value.words.copy()
+        words[0] ^= 1
+        yield (), BitMask(words, value.length)
+    elif isinstance(value, FxpVector):
+        yield (), FxpVector(plus_one_at_0(value.values))
+    elif is_dataclass(value):
+        for f in dataclass_fields(value):
+            for path, changed in one_entry_changes(getattr(value, f.name)):
+                yield (f.name, *path), replace(value, **{f.name: changed})
+    elif isinstance(value, dict):
+        for k in sorted(value)[:1]:
+            for path, changed in one_entry_changes(value[k]):
+                yield (k, *path), {**value, k: changed}
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for path, changed in one_entry_changes(item):
+                yield (i, *path), value[:i] + (changed,) + value[i + 1:]
+    elif isinstance(value, np.ndarray):
+        out = value.copy()
+        out[0] = np.nextafter(out[0], np.inf)
+        yield (), out
+    elif isinstance(value, float):
+        yield (), float(np.nextafter(value, np.inf))
+    elif isinstance(value, int):
+        yield (), value + 1
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_verify_audits_every_field_of_a_shard(tag):
+    system = v2_system(tag, 1)
+    (shard,) = system.shards
+    changes = dict(one_entry_changes(shard))
+    served = {f.name for f in dataclass_fields(shard) if getattr(shard, f.name) is not None}
+    assert {path[0] for path in changes} == served
+    for path, changed in changes.items():
+        system.shards = (changed,)
+        assert not verify_exactness(system).exact, path
+    system.shards = (shard,)
+    assert verify_exactness(system).exact
+
+
 def test_unlearn_with_inline_verify(conflicting_tasks):
     system, _ = build_system("sift_masks", conflicting_tasks[:4])
     system, report, _ = unlearn(system, 1, verify=True)
-    assert report.state_matches_oracle
+    assert report.exact
+
+
+def test_inline_verify_reports_a_remaining_replay_mismatch():
+    system = v2_system("sift_masks", 1)
+    system.replay_digests[3] = bytes(32)  # a task that stays, never replayed by the deletion
+    after, report, _ = unlearn(system, 1, verify=True)
+    assert not report.replay_matches and report.state_matches_oracle
+    assert verify_exactness(after) == report
 
 
 # ---------- evaluation ----------
