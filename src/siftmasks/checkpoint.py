@@ -327,7 +327,7 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
         )
     ckpt.unlearned += tuple(unlearned)
     m = ckpt.model_spec.param_count
-    per_task = METHODS[ckpt.method.tag].train_task is not None
+    per_task = not (_artifact_flags(ckpt.method.tag, True) & _F_CENTRAL)
     accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
     (n_dig,) = _r(fh, "I")
     digest_ids = []
@@ -388,7 +388,8 @@ def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoin
 
 
 def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
-    """Reattach task data to a checkpoint. Tasks must cover the registry.
+    """Reattach task data to a checkpoint. Tasks must cover the registry and
+    have the model's feature dimension.
 
     The file keeps each shard's deletion order but not the order across
     shards; ``unlearned`` lists the shards' deletions shard by shard.
@@ -397,11 +398,19 @@ def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
     missing = sorted(set(ckpt.assignment) - set(by_id))
     if missing:
         raise CheckpointFormatError(f"dataset is missing task ids {missing}")
+    registry = {t: by_id[t] for t in sorted(ckpt.assignment)}
+    dim = ckpt.model_spec.input_dim
+    for task in registry.values():
+        if task.input_dim != dim:
+            raise CheckpointFormatError(
+                f"task {task.id} has feature dim {task.input_dim}, "
+                f"the checkpoint's model input_dim is {dim}"
+            )
     system = new_system(
         ckpt.method,
         ckpt.model_spec,
         ckpt.train_cfg,
-        {t: by_id[t] for t in sorted(ckpt.assignment)},
+        registry,
         dict(ckpt.assignment),
         base_seed=ckpt.base_seed,
         sign_seed=ckpt.sign_seed,

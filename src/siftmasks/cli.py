@@ -1,5 +1,16 @@
 """Command-line workbench: gen-data, train, merge, eval, unlearn, verify, report.
 
+Each command takes only the settings it reads, as flags that mirror
+``RunConfig`` fields and override ``--config``:
+
+* ``gen-data``, ``train`` and ``merge`` build, so they take every field.
+* ``eval``, ``unlearn`` and ``verify`` act on a checkpoint, which fixes the
+  method, the model and the training settings; they take only the dataset
+  fields (``DATASET_FIELDS``), and the data is read, or regenerated, at the
+  checkpoint's input dimension and class count.
+* ``report`` takes ``out_dir`` and the fields its simulation projects
+  (``SIMULATION_FIELDS``).
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 exactness violation.
 Reports are flat CSV files with columns (method, event_index, task_id,
 metric, value) plus a JSON summary; checkpoints are binary (see checkpoint.py).
@@ -50,6 +61,17 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_EXACTNESS = 3
 
+# the settings that say which tasks a run has; all a checkpoint command reads
+DATASET_FIELDS = (
+    "seed", "out_dir", "dataset_source", "dataset_path", "regime",
+    "conflict_rate", "margin", "num_tasks", "examples_per_task",
+)
+# what `report --simulate-unlearn-all` projects, plus where it writes
+SIMULATION_FIELDS = (
+    "out_dir", "model_kind", "input_dim", "num_classes", "hidden_dim",
+    "num_tasks", "steps", "clusters",
+)
+
 
 class ExactnessViolation(RuntimeError):
     pass
@@ -70,15 +92,24 @@ def _config_from(ctx_params) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _config_options(fn):
-    """Flags mirroring RunConfig fields 1:1; unset flags fall back to --config."""
-    opts = [click.option("--config", type=click.Path(exists=True), default=None)]
-    for f in dataclass_fields(RunConfig):
-        kind = type(f.default) if type(f.default) in (int, float) else str
-        opts.append(click.option("--" + f.name.replace("_", "-"), f.name, type=kind, default=None))
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _config_options(*names):
+    """Flags mirroring the named RunConfig fields 1:1, every field when none is
+    named; unset flags fall back to --config."""
+
+    def decorate(fn):
+        opts = [click.option("--config", type=click.Path(exists=True), default=None)]
+        for f in dataclass_fields(RunConfig):
+            if names and f.name not in names:
+                continue
+            kind = type(f.default) if type(f.default) in (int, float) else str
+            opts.append(
+                click.option("--" + f.name.replace("_", "-"), f.name, type=kind, default=None)
+            )
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
 def _model_spec(cfg: RunConfig) -> ModelSpec:
@@ -105,11 +136,14 @@ def _method(cfg: RunConfig) -> LocalizationMethod:
     )
 
 
-def _tasks_for(cfg: RunConfig, data: str | None):
+def _tasks_for(cfg: RunConfig, data: str | None, input_dim: int, num_classes: int):
+    """The tasks of ``data``, else of the configured file, else of the
+    configured synthetic regime; labels are checked against, and synthetic
+    tasks drawn at, the given dimensions."""
     if data:
-        return load_tasks(data, num_classes=cfg.num_classes)
+        return load_tasks(data, num_classes=num_classes)
     if cfg.dataset_source == "file":
-        return load_tasks(cfg.dataset_path, num_classes=cfg.num_classes)
+        return load_tasks(cfg.dataset_path, num_classes=num_classes)
     regime = HeterogeneityRegime(
         cfg.regime, conflict_rate=cfg.conflict_rate, margin=cfg.margin
     )
@@ -117,8 +151,8 @@ def _tasks_for(cfg: RunConfig, data: str | None):
         regime,
         cfg.num_tasks,
         cfg.examples_per_task,
-        cfg.input_dim,
-        cfg.num_classes,
+        input_dim,
+        num_classes,
         cfg.data_seed,
     )
 
@@ -162,27 +196,27 @@ def cli():
 
 
 @cli.command("gen-data")
-@_config_options
+@_config_options()
 def cmd_gen_data(**params):
     """Write the configured synthetic dataset as JSONL plus its config."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, None)
+    tasks = _tasks_for(cfg, None, cfg.input_dim, cfg.num_classes)
     save_tasks(tasks, out / "dataset.jsonl")
     cfg.save(out / "gen_config.json")
     click.echo(f"wrote {out / 'dataset.jsonl'} ({len(tasks)} tasks)")
 
 
 @cli.command("train")
-@_config_options
+@_config_options()
 @click.option("--data", type=click.Path(exists=True), default=None, help="JSONL dataset")
 def cmd_train(data, **params):
     """Train every task, merge, and write a checkpoint."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, data)
+    tasks = _tasks_for(cfg, data, cfg.input_dim, cfg.num_classes)
     system, ledger = _build_from_config(cfg, tasks)
     save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
     cfg.save(out / "run_config.json")
@@ -194,7 +228,7 @@ def cmd_train(data, **params):
 
 
 @cli.command("merge")
-@_config_options
+@_config_options()
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--retain", type=str, default=None, help="comma-separated ids to keep")
 @click.option(
@@ -206,7 +240,7 @@ def cmd_merge(data, retain, retain_file, **params):
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, data)
+    tasks = _tasks_for(cfg, data, cfg.input_dim, cfg.num_classes)
     keep = _parse_ids(retain, retain_file)
     if keep is not None:
         known = {t.id for t in tasks}
@@ -235,13 +269,15 @@ def _parse_ids(inline: str | None, path: str | None) -> set[int] | None:
 
 
 def _load_system(cfg: RunConfig, data: str | None, checkpoint: str):
-    tasks = _tasks_for(cfg, data)
+    """The checkpoint, then its tasks, read at the checkpoint's model dims."""
     ckpt = load_checkpoint(checkpoint)
+    spec = ckpt.model_spec
+    tasks = _tasks_for(cfg, data, spec.input_dim, spec.num_classes)
     return ckpt, system_from_checkpoint(ckpt, tasks)
 
 
 @cli.command("eval")
-@_config_options
+@_config_options(*DATASET_FIELDS)
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option(
@@ -261,7 +297,7 @@ def cmd_eval(data, checkpoint, mode, **params):
 
 
 @cli.command("unlearn")
-@_config_options
+@_config_options(*DATASET_FIELDS)
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option("--id", "task_ids", type=int, multiple=True, help="task id to delete")
@@ -308,7 +344,7 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
 
 
 @cli.command("verify")
-@_config_options
+@_config_options(*DATASET_FIELDS)
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 def cmd_verify(data, checkpoint, **params):
@@ -331,14 +367,17 @@ def cmd_verify(data, checkpoint, **params):
 
 
 @cli.command("report")
-@_config_options
+@_config_options(*SIMULATION_FIELDS)
 @click.option("--checkpoint", type=click.Path(exists=True), default=None)
 @click.option("--simulate-unlearn-all", is_flag=True, default=False)
-@click.option("--tasks", "sim_tasks", type=int, default=500)
-@click.option("--sim-steps", type=int, default=20)
-@click.option("--sim-clusters", type=int, default=1)
-def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clusters, **params):
-    """Ledger/storage summaries; --simulate-unlearn-all needs no training."""
+def cmd_report(checkpoint, simulate_unlearn_all, **params):
+    """Ledger and storage summary of a checkpoint, or a projection.
+
+    --simulate-unlearn-all needs no training: it projects deleting, one by
+    one, every task of the configured run (num_tasks tasks over clusters
+    shards, steps per finetune) under each method, and counts the words each
+    method stores for the configured model.
+    """
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -346,9 +385,9 @@ def cmd_report(checkpoint, simulate_unlearn_all, sim_tasks, sim_steps, sim_clust
         rows = []
         summary = {}
         m = _model_spec(cfg).param_count
-        sizes = cluster_sizes(sim_tasks, sim_clusters)
+        sizes = cluster_sizes(cfg.num_tasks, cfg.clusters)
         for tag in METHOD_TAGS:
-            proj = project_total_cost(sim_tasks, tag, sim_steps, sim_clusters)
+            proj = project_total_cost(cfg.num_tasks, tag, cfg.steps, cfg.clusters)
             words = storage_words(tag, m, sizes)
             summary[tag] = {
                 "total_task_finetunes": proj.total_finetunes,

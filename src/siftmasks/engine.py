@@ -187,11 +187,6 @@ class MethodOps:
     # parameters served for one task that has a stored mask, or for any task
     # when the method stores none
     serve: Callable[[SystemState, Shard, int], np.ndarray]
-    # retrain tasks exactly as at build time, one (vector, mask) per task in
-    # order; None when the method trains on the pooled shard
-    train_task: Callable[
-        [SystemState, list[TaskSpec]], list[tuple[TaskVector, BitMask | None]]
-    ] | None
     # a deletion replays the task and subtracts it; otherwise the shard is
     # rebuilt from its remaining tasks
     subtracts: bool
@@ -213,8 +208,11 @@ def _check_digest(system: SystemState, task_id: int, digest: bytes) -> None:
         )
 
 
-def _train_tasks(system: SystemState, tasks: list[TaskSpec]):
-    """Lockstep finetunes; signed methods train under the system's sign vector."""
+def _train_tasks(
+    system: SystemState, tasks: list[TaskSpec]
+) -> list[tuple[TaskVector, BitMask | None]]:
+    """Lockstep finetunes, one (vector, mask) per task in order, exactly as at
+    build time; signed methods train under the system's sign vector."""
     return finetune_tasks(
         tasks, system.m0, system.model_spec, system.train_cfg, system.sign_vector
     )
@@ -222,8 +220,7 @@ def _train_tasks(system: SystemState, tasks: list[TaskSpec]):
 
 def _merge_shard(system: SystemState, ids: list[int]):
     """Train the ids and fold their vectors; returns vectors, state, digests."""
-    train = METHODS[system.method.tag].train_task
-    results = train(system, [system.registry[t] for t in ids])
+    results = _train_tasks(system, [system.registry[t] for t in ids])
     vectors = [tv for tv, _ in results]
     masks = {tv.source_task: m for tv, m in results if m is not None}
     state = merge(vectors, masks or None, length=system.model_spec.param_count)
@@ -319,24 +316,13 @@ def _serve_central(system: SystemState, shard: Shard, task_id: int) -> np.ndarra
 
 METHODS: dict[str, MethodOps] = {
     "sift_masks": MethodOps(
-        _build_merged, _serve_sift, _train_tasks,
-        subtracts=True, stores_masks=True, signed=True,
+        _build_merged, _serve_sift, subtracts=True, stores_masks=True, signed=True
     ),
-    "ft_merge": MethodOps(
-        _build_merged, _serve_merged, _train_tasks, subtracts=True, stores_masks=False
-    ),
-    "tall_masks": MethodOps(
-        _build_tall, _serve_tall, _train_tasks, subtracts=False, stores_masks=True
-    ),
-    "emr": MethodOps(
-        _build_emr, _serve_emr, _train_tasks, subtracts=False, stores_masks=True
-    ),
-    "ties": MethodOps(
-        _build_ties, _serve_ties, _train_tasks, subtracts=False, stores_masks=False
-    ),
-    "central": MethodOps(
-        _build_central, _serve_central, None, subtracts=False, stores_masks=False
-    ),
+    "ft_merge": MethodOps(_build_merged, _serve_merged, subtracts=True, stores_masks=False),
+    "tall_masks": MethodOps(_build_tall, _serve_tall, subtracts=False, stores_masks=True),
+    "emr": MethodOps(_build_emr, _serve_emr, subtracts=False, stores_masks=True),
+    "ties": MethodOps(_build_ties, _serve_ties, subtracts=False, stores_masks=False),
+    "central": MethodOps(_build_central, _serve_central, subtracts=False, stores_masks=False),
 }
 
 
@@ -433,7 +419,7 @@ def unlearn(
     shard = system.shards[c]
     remaining = [t for t in system.shard_retained(c) if t != task_id]
     if ops.subtracts and remaining:
-        [(tv, _)] = ops.train_task(system, [system.registry[task_id]])
+        [(tv, _)] = _train_tasks(system, [system.registry[task_id]])
         _check_digest(system, task_id, _digest(tv.delta))
         shard = replace(shard, merged=unmerge(shard.merged, tv))
     else:

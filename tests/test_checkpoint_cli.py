@@ -12,7 +12,7 @@ from siftmasks.checkpoint import (
     save_checkpoint,
     system_from_checkpoint,
 )
-from siftmasks.cli import main
+from siftmasks.cli import cli, main
 from siftmasks.config import ConfigError, RunConfig
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import build, evaluate, unlearn
@@ -232,7 +232,7 @@ def test_cli_merge_subset_matches_unlearn(tmp_path):
 
 def test_cli_report_simulation_numbers(tmp_path, capsys):
     out = str(tmp_path / "rep")
-    assert run_cli("report", "--simulate-unlearn-all", "--tasks", "500",
+    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "500",
                    "--out-dir", out) == 0
     text = capsys.readouterr().out
     assert "central vs merge-family total: 124750 vs 499 (250.0x)" in text
@@ -245,7 +245,7 @@ def test_cli_report_simulation_numbers(tmp_path, capsys):
 def test_cli_report_simulation_counts_uneven_shards(tmp_path):
     out = tmp_path / "rep"
     # logistic 499 -> 2 gives M = 1000 words
-    assert run_cli("report", "--simulate-unlearn-all", "--tasks", "10", "--sim-clusters", "3",
+    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "10", "--clusters", "3",
                    "--model-kind", "logistic", "--input-dim", "499", "--num-classes", "2",
                    "--out-dir", str(out)) == 0
     with open(out / "cost_projection.csv", newline="") as fh:
@@ -254,6 +254,56 @@ def test_cli_report_simulation_counts_uneven_shards(tmp_path):
     # shards of 4/3/3 tasks: 3 * 1000 model words + 10 * ceil(1000/32) mask words
     assert words["sift_masks"] == words["tall_masks"] == words["emr"] == 3320
     assert words["ft_merge"] == words["ties"] == words["central"] == 3000
+
+
+def test_cli_report_simulation_projects_the_configured_run(tmp_path):
+    out = tmp_path / "rep"
+    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "40", "--steps", "5",
+                   "--clusters", "3", "--out-dir", str(out)) == 0
+    with open(out / "cost_projection.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for tag in ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central"):
+        cumulative = [r for r in rows
+                      if r["method"] == tag and r["metric"] == "cumulative_task_finetunes"]
+        assert [int(r["event_index"]) for r in cumulative] == list(range(1, 41))
+    words = {r["method"]: int(r["value"]) for r in rows if r["metric"] == "storage_words"}
+    m = 20 * 32 + 32 + 32 * 2 + 2  # the default MLP 20-32-2: M = 738
+    assert words["ft_merge"] == words["ties"] == words["central"] == 3 * m
+    assert words["sift_masks"] == words["tall_masks"] == words["emr"] == 3 * m + 40 * 24
+    summary = json.loads((out / "cost_projection.json").read_text())
+    assert summary["sift_masks"]["total_task_finetunes"] == 40 - 3  # each shard's last is free
+    # shards of 14/13/13: the first deletion rebuilds 13 tasks of 5 steps
+    assert summary["central"]["first_event_steps"] == 13 * 5
+
+
+EVERY_FIELD = {"config", *RunConfig.__dataclass_fields__}
+DATASET = {
+    "config", "seed", "out_dir", "dataset_source", "dataset_path", "regime",
+    "conflict_rate", "margin", "num_tasks", "examples_per_task",
+}
+OPTIONS = {
+    "gen-data": EVERY_FIELD,
+    "train": EVERY_FIELD | {"data"},
+    "merge": EVERY_FIELD | {"data", "retain", "retain_file"},
+    "eval": DATASET | {"data", "checkpoint", "mode"},
+    "unlearn": DATASET | {"data", "checkpoint", "task_ids", "ids_file", "do_verify"},
+    "verify": DATASET | {"data", "checkpoint"},
+    "report": {
+        "config", "out_dir", "model_kind", "input_dim", "num_classes", "hidden_dim",
+        "num_tasks", "steps", "clusters", "checkpoint", "simulate_unlearn_all",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_cli_command_takes_only_the_settings_it_reads(command):
+    names = [p.name for p in cli.commands[command].params]
+    assert len(names) == len(set(names))
+    assert set(names) == OPTIONS[command]
+
+
+def test_cli_option_total():
+    assert sum(len(c.params) for c in cli.commands.values()) == 124
 
 
 def test_cli_report_checkpoint_summary(tmp_path):
@@ -278,13 +328,11 @@ def test_cli_clustered_pipeline(tmp_path):
                    "--clusters", "2", "--method", "central") == 0
     ckpt = f"{out}/checkpoint.sftm"
     assert run_cli("eval", "--config", cfg, "--data", data, "--checkpoint", ckpt,
-                   "--mode", "held_out", "--out-dir", out, "--clusters", "2",
-                   "--method", "central") == 0
+                   "--mode", "held_out", "--out-dir", out) == 0
     assert run_cli("unlearn", "--config", cfg, "--data", data, "--checkpoint", ckpt,
-                   "--id", "0", "--out-dir", out, "--clusters", "2",
-                   "--method", "central") == 0
+                   "--id", "0", "--out-dir", out) == 0
     assert run_cli("verify", "--config", cfg, "--data", data, "--checkpoint", ckpt,
-                   "--out-dir", out, "--clusters", "2", "--method", "central") == 0
+                   "--out-dir", out) == 0
 
 
 def test_cli_unlearn_ids_file(tmp_path):

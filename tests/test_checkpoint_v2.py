@@ -82,7 +82,7 @@ def cli_data_args(tmp_path: Path) -> list[str]:
     """Writes the tasks as a dataset file; returns the CLI flags that read it."""
     data = tmp_path / "dataset.jsonl"
     save_tasks(make_tasks(), data)
-    return ["--data", str(data), "--input-dim", "10", "--num-classes", "3"]
+    return ["--data", str(data)]
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,55 @@ def test_appended_byte_rejected_with_exit_2(tmp_path, capsys):
                  "--checkpoint", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "trailing bytes after checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sift_masks_fresh", "emr_deleted1", "central_k3_fresh"])
+@pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
+def test_three_class_checkpoint_read_from_data_alone(name, command, tmp_path):
+    """The checkpoint fixes the model (10 -> 3 here), so no dimension flag is
+    needed to read its dataset."""
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(DATA / f"{name}.sftm"), "--out-dir", str(tmp_path)])
+    assert code == 0
+    if command == ["eval"]:
+        rows = (tmp_path / "eval_held_out.csv").read_text().splitlines()
+        assert len(rows) == 1 + 6 + 1  # header, per-task, aggregate
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["eval", "--method", "emr"], ["verify", "--method", "central"],
+     ["unlearn", "--id", "1", "--clusters", "2"], ["eval", "--steps", "3"],
+     ["verify", "--input-dim", "10"], ["eval", "--num-classes", "3"]],
+)
+def test_checkpoint_commands_refuse_what_the_checkpoint_fixes(command, tmp_path, capsys):
+    path = tmp_path / "ck.sftm"
+    path.write_bytes((DATA / "central_fresh.sftm").read_bytes())
+    raw = path.read_bytes()
+    code = main([*command, *cli_data_args(tmp_path),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"No such option '{command[-2]}'" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize(
+    "command", [["eval"], ["verify"], ["unlearn", "--id", "1"]], ids=["eval", "verify", "unlearn"]
+)
+def test_dataset_of_other_feature_dim_exits_2(command, tmp_path, capsys):
+    data = tmp_path / "wide.jsonl"
+    regime = HeterogeneityRegime("conflicting", conflict_rate=0.5, margin=1.0)
+    save_tasks(synth_generate(regime, 6, 20, 12, 3, seed=11), data)
+    path = tmp_path / "ck.sftm"
+    path.write_bytes((DATA / "sift_masks_fresh.sftm").read_bytes())
+    raw = path.read_bytes()
+    code = main([*command, "--data", str(data),
+                 "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "task 0 has feature dim 12, the checkpoint's model input_dim is 10" in (
+        capsys.readouterr().err
+    )
+    assert path.read_bytes() == raw
 
 
 @pytest.mark.parametrize("name", ["sift_masks_deleted1", "emr_fresh", "central_k3_fresh"])
