@@ -1,15 +1,17 @@
-"""Command-line workbench: gen-data, train, merge, eval, unlearn, verify, report.
+"""Command-line workbench: gen-data, train, eval, unlearn, verify, report, simulate.
 
 Each command takes only the settings it reads, as flags that mirror
 ``RunConfig`` fields and override ``--config``:
 
-* ``gen-data``, ``train`` and ``merge`` build, so they take every field.
+* ``gen-data`` and ``train`` build, so they take every field. ``train
+  --retain`` builds a subset, the from-scratch oracle of a deletion.
 * ``eval``, ``unlearn`` and ``verify`` act on a checkpoint, which fixes the
   method, the model and the training settings; they take only the dataset
-  fields (``DATASET_FIELDS``), and the data is read, or regenerated, at the
-  checkpoint's input dimension and class count.
-* ``report`` takes ``out_dir`` and the fields its simulation projects
-  (``SIMULATION_FIELDS``).
+  fields (``DATASET_FIELDS``), and the data is read from ``data``, or
+  regenerated, at the checkpoint's input dimension and class count.
+* ``report`` summarises a checkpoint and takes only ``out_dir``.
+* ``simulate`` projects a run without training and takes the fields it
+  projects (``SIMULATION_FIELDS``).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 exactness violation.
 Reports are flat CSV files with columns (method, event_index, task_id,
@@ -63,10 +65,10 @@ EXIT_EXACTNESS = 3
 
 # the settings that say which tasks a run has; all a checkpoint command reads
 DATASET_FIELDS = (
-    "seed", "out_dir", "dataset_source", "dataset_path", "regime",
-    "conflict_rate", "margin", "num_tasks", "examples_per_task",
+    "seed", "out_dir", "data", "regime", "conflict_rate", "margin",
+    "num_tasks", "examples_per_task",
 )
-# what `report --simulate-unlearn-all` projects, plus where it writes
+# what `simulate` projects, plus where it writes
 SIMULATION_FIELDS = (
     "out_dir", "model_kind", "input_dim", "num_classes", "hidden_dim",
     "num_tasks", "steps", "clusters",
@@ -136,14 +138,12 @@ def _method(cfg: RunConfig) -> LocalizationMethod:
     )
 
 
-def _tasks_for(cfg: RunConfig, data: str | None, input_dim: int, num_classes: int):
-    """The tasks of ``data``, else of the configured file, else of the
-    configured synthetic regime; labels are checked against, and synthetic
-    tasks drawn at, the given dimensions."""
-    if data:
-        return load_tasks(data, num_classes=num_classes)
-    if cfg.dataset_source == "file":
-        return load_tasks(cfg.dataset_path, num_classes=num_classes)
+def _tasks_for(cfg: RunConfig, input_dim: int, num_classes: int):
+    """The tasks of the configured file, else of the configured synthetic
+    regime; labels are checked against, and synthetic tasks drawn at, the
+    given dimensions."""
+    if cfg.data:
+        return load_tasks(cfg.data, num_classes=num_classes)
     regime = HeterogeneityRegime(
         cfg.regime, conflict_rate=cfg.conflict_rate, margin=cfg.margin
     )
@@ -198,11 +198,11 @@ def cli():
 @cli.command("gen-data")
 @_config_options()
 def cmd_gen_data(**params):
-    """Write the configured synthetic dataset as JSONL plus its config."""
+    """Write the configured dataset as JSONL plus its config."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, None, cfg.input_dim, cfg.num_classes)
+    tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
     save_tasks(tasks, out / "dataset.jsonl")
     cfg.save(out / "gen_config.json")
     click.echo(f"wrote {out / 'dataset.jsonl'} ({len(tasks)} tasks)")
@@ -210,13 +210,27 @@ def cmd_gen_data(**params):
 
 @cli.command("train")
 @_config_options()
-@click.option("--data", type=click.Path(exists=True), default=None, help="JSONL dataset")
-def cmd_train(data, **params):
-    """Train every task, merge, and write a checkpoint."""
+@click.option("--retain", type=str, default=None, help="comma-separated ids to keep")
+@click.option(
+    "--retain-file", type=click.Path(exists=True), default=None,
+    help="file with one task id per line",
+)
+def cmd_train(retain, retain_file, **params):
+    """Train every task, merge, and write a checkpoint.
+
+    --retain/--retain-file restrict the build to those task ids: the
+    from-scratch oracle that deletion results are compared against.
+    """
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, data, cfg.input_dim, cfg.num_classes)
+    tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
+    keep = _parse_ids(retain, retain_file)
+    if keep is not None:
+        missing = sorted(keep - {t.id for t in tasks})
+        if missing:
+            raise DataFormatError(f"unknown task ids in --retain: {missing}")
+        tasks = [t for t in tasks if t.id in keep]
     system, ledger = _build_from_config(cfg, tasks)
     save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
     cfg.save(out / "run_config.json")
@@ -225,32 +239,6 @@ def cmd_train(data, **params):
         f"{ledger.task_finetunes} task-finetunes, {ledger.finetune_steps} steps"
     )
     click.echo(f"wrote {out / 'checkpoint.sftm'}")
-
-
-@cli.command("merge")
-@_config_options()
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--retain", type=str, default=None, help="comma-separated ids to keep")
-@click.option(
-    "--retain-file", type=click.Path(exists=True), default=None,
-    help="file with one task id per line",
-)
-def cmd_merge(data, retain, retain_file, **params):
-    """Fresh build restricted to a task subset (the from-scratch oracle)."""
-    cfg = _config_from(params)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, data, cfg.input_dim, cfg.num_classes)
-    keep = _parse_ids(retain, retain_file)
-    if keep is not None:
-        known = {t.id for t in tasks}
-        missing = sorted(set(keep) - known)
-        if missing:
-            raise DataFormatError(f"unknown task ids in --retain: {missing}")
-        tasks = [t for t in tasks if t.id in keep]
-    system, ledger = _build_from_config(cfg, tasks)
-    save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
-    click.echo(f"merged {len(tasks)} tasks into {out / 'checkpoint.sftm'}")
 
 
 def _parse_ids(inline: str | None, path: str | None) -> set[int] | None:
@@ -268,27 +256,26 @@ def _parse_ids(inline: str | None, path: str | None) -> set[int] | None:
     return ids
 
 
-def _load_system(cfg: RunConfig, data: str | None, checkpoint: str):
+def _load_system(cfg: RunConfig, checkpoint: str):
     """The checkpoint, then its tasks, read at the checkpoint's model dims."""
     ckpt = load_checkpoint(checkpoint)
     spec = ckpt.model_spec
-    tasks = _tasks_for(cfg, data, spec.input_dim, spec.num_classes)
+    tasks = _tasks_for(cfg, spec.input_dim, spec.num_classes)
     return ckpt, system_from_checkpoint(ckpt, tasks)
 
 
 @cli.command("eval")
 @_config_options(*DATASET_FIELDS)
-@click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option(
     "--mode", type=click.Choice(["held_in", "held_out"]), default="held_out"
 )
-def cmd_eval(data, checkpoint, mode, **params):
+def cmd_eval(checkpoint, mode, **params):
     """Evaluate the checkpoint; writes a per-task accuracy CSV."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt, system = _load_system(cfg, data, checkpoint)
+    ckpt, system = _load_system(cfg, checkpoint)
     report = evaluate(system, mode)
     path = out / f"eval_{mode}.csv"
     _write_rows(path, _eval_rows(ckpt.method.tag, len(system.unlearned), report))
@@ -298,12 +285,11 @@ def cmd_eval(data, checkpoint, mode, **params):
 
 @cli.command("unlearn")
 @_config_options(*DATASET_FIELDS)
-@click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
 @click.option("--id", "task_ids", type=int, multiple=True, help="task id to delete")
 @click.option("--ids-file", type=click.Path(exists=True), default=None)
 @click.option("--verify/--no-verify", "do_verify", default=False)
-def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
+def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
     """Process deletion requests and rewrite the checkpoint in place."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
@@ -313,7 +299,7 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
         ids.extend(sorted(_parse_ids(None, ids_file)))
     if not ids:
         raise click.UsageError("nothing to unlearn: pass --id or --ids-file")
-    ckpt, system = _load_system(cfg, data, checkpoint)
+    ckpt, system = _load_system(cfg, checkpoint)
     ledger = ckpt.ledger
     base_event = len(system.unlearned)
     reports = []
@@ -345,9 +331,8 @@ def cmd_unlearn(data, checkpoint, task_ids, ids_file, do_verify, **params):
 
 @cli.command("verify")
 @_config_options(*DATASET_FIELDS)
-@click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
-def cmd_verify(data, checkpoint, **params):
+def cmd_verify(checkpoint, **params):
     """Rebuild every shard from its retained tasks; compare all it serves.
 
     Each replay digest must match, and the accumulator, masks and method
@@ -355,7 +340,7 @@ def cmd_verify(data, checkpoint, **params):
     vector, central parameters) must equal the stored ones bit for bit.
     """
     cfg = _config_from(params)
-    _, system = _load_system(cfg, data, checkpoint)
+    _, system = _load_system(cfg, checkpoint)
     report = verify_exactness(system)
     click.echo(
         f"replay_matches={report.replay_matches} "
@@ -366,61 +351,20 @@ def cmd_verify(data, checkpoint, **params):
     click.echo("exactness verified")
 
 
-@cli.command("report")
-@_config_options(*SIMULATION_FIELDS)
-@click.option("--checkpoint", type=click.Path(exists=True), default=None)
-@click.option("--simulate-unlearn-all", is_flag=True, default=False)
-def cmd_report(checkpoint, simulate_unlearn_all, **params):
-    """Ledger and storage summary of a checkpoint, or a projection.
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    --simulate-unlearn-all needs no training: it projects deleting, one by
-    one, every task of the configured run (num_tasks tasks over clusters
-    shards, steps per finetune) under each method, and counts the words each
-    method stores for the configured model.
-    """
+
+@cli.command("report")
+@_config_options("out_dir")
+@click.option("--checkpoint", type=click.Path(exists=True), required=True)
+def cmd_report(checkpoint, **params):
+    """Ledger and storage summary of a checkpoint."""
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if simulate_unlearn_all:
-        rows = []
-        summary = {}
-        m = _model_spec(cfg).param_count
-        sizes = cluster_sizes(cfg.num_tasks, cfg.clusters)
-        for tag in METHOD_TAGS:
-            proj = project_total_cost(cfg.num_tasks, tag, cfg.steps, cfg.clusters)
-            words = storage_words(tag, m, sizes)
-            summary[tag] = {
-                "total_task_finetunes": proj.total_finetunes,
-                "total_finetune_steps": proj.total_steps,
-                "first_event_finetunes": proj.per_event[0],
-                "first_event_steps": proj.first_event_steps,
-                "storage_words": words,
-            }
-            rows.extend(
-                [tag, i + 1, "", "cumulative_task_finetunes", c]
-                for i, c in enumerate(proj.cumulative)
-            )
-            rows.append([tag, "", "", "storage_words", words])
-            click.echo(
-                f"{tag}: total {proj.total_finetunes} task-finetunes "
-                f"({proj.total_steps} steps), first deletion {proj.per_event[0]} "
-                f"({proj.first_event_steps} steps), {words} stored words at M={m}"
-            )
-        central = summary["central"]["total_task_finetunes"]
-        merge_total = summary["sift_masks"]["total_task_finetunes"]
-        if merge_total:
-            click.echo(
-                f"central vs merge-family total: {central} vs {merge_total} "
-                f"({central / merge_total:.1f}x)"
-            )
-        _write_rows(out / "cost_projection.csv", rows)
-        with open(out / "cost_projection.json", "w", encoding="utf8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        click.echo(f"wrote {out / 'cost_projection.csv'}")
-        return
-    if not checkpoint:
-        raise click.UsageError("pass --checkpoint or --simulate-unlearn-all")
     ckpt = load_checkpoint(checkpoint)
     ids = shard_ids(ckpt.assignment, ckpt.unlearned)
     m = ckpt.model_spec.param_count
@@ -450,11 +394,57 @@ def cmd_report(checkpoint, simulate_unlearn_all, **params):
     rows.append([ckpt.method.tag, "", "", "task_finetunes", led.task_finetunes])
     rows.append([ckpt.method.tag, "", "", "finetune_steps", led.finetune_steps])
     _write_rows(out / "report.csv", rows)
-    with open(out / "report.json", "w", encoding="utf8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", summary)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
     click.echo(f"wrote {out / 'report.csv'}")
+
+
+@cli.command("simulate")
+@_config_options(*SIMULATION_FIELDS)
+def cmd_simulate(**params):
+    """Project the cost of deleting every task; needs no training.
+
+    Deletes, one by one, every task of the configured run (num_tasks tasks
+    over clusters shards, steps per finetune) under each method, and counts
+    the words each method stores for the configured model.
+    """
+    cfg = _config_from(params)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    summary = {}
+    m = _model_spec(cfg).param_count
+    sizes = cluster_sizes(cfg.num_tasks, cfg.clusters)
+    for tag in METHOD_TAGS:
+        proj = project_total_cost(cfg.num_tasks, tag, cfg.steps, cfg.clusters)
+        words = storage_words(tag, m, sizes)
+        summary[tag] = {
+            "total_task_finetunes": proj.total_finetunes,
+            "total_finetune_steps": proj.total_steps,
+            "first_event_finetunes": proj.per_event[0],
+            "first_event_steps": proj.first_event_steps,
+            "storage_words": words,
+        }
+        rows.extend(
+            [tag, i + 1, "", "cumulative_task_finetunes", c]
+            for i, c in enumerate(proj.cumulative)
+        )
+        rows.append([tag, "", "", "storage_words", words])
+        click.echo(
+            f"{tag}: total {proj.total_finetunes} task-finetunes "
+            f"({proj.total_steps} steps), first deletion {proj.per_event[0]} "
+            f"({proj.first_event_steps} steps), {words} stored words at M={m}"
+        )
+    central = summary["central"]["total_task_finetunes"]
+    merge_total = summary["sift_masks"]["total_task_finetunes"]
+    if merge_total:
+        click.echo(
+            f"central vs merge-family total: {central} vs {merge_total} "
+            f"({central / merge_total:.1f}x)"
+        )
+    _write_rows(out / "cost_projection.csv", rows)
+    _write_json(out / "cost_projection.json", summary)
+    click.echo(f"wrote {out / 'cost_projection.csv'}")
 
 
 def main(argv=None) -> int:
@@ -481,7 +471,8 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
     ) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # a KeyError's str() quotes its message; an OSError's args[0] is its errno
+        msg = exc.args[0] if isinstance(exc, UnknownTaskError) else exc
         click.echo(f"data error: {msg}", err=True)
         return EXIT_DATA
     except click.exceptions.Exit as exc:

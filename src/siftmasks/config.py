@@ -14,8 +14,6 @@ from .engine import CENTRAL_MAX_STEPS_DEFAULT
 from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, METHOD_TAGS
 from .prng import mix_seed
 
-DATASET_SOURCES = ("synthetic", "file")
-
 
 class ConfigError(ValueError):
     """The run configuration is missing fields or holds invalid values."""
@@ -26,9 +24,8 @@ class RunConfig:
     seed: int = 0
     method: str = "sift_masks"
     out_dir: str = "runs/out"
-    # dataset
-    dataset_source: str = "synthetic"
-    dataset_path: str | None = None
+    # dataset: the JSONL file when set, else the synthetic regime below
+    data: str | None = None
     regime: str = "conflicting"
     conflict_rate: float = 0.5
     margin: float = 1.0
@@ -54,10 +51,6 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.dataset_source not in DATASET_SOURCES:
-            raise ConfigError(f"dataset_source must be one of {DATASET_SOURCES}")
-        if self.dataset_source == "file" and not self.dataset_path:
-            raise ConfigError("dataset_source 'file' requires dataset_path")
         if self.clusters < 1:
             raise ConfigError("clusters must be >= 1")
 

@@ -41,6 +41,7 @@ def test_run_config_roundtrip_lists_every_field():
     cfg = RunConfig(seed=5, method="emr", num_tasks=12)
     doc = json.loads(cfg.to_json())
     assert set(doc) == set(RunConfig.__dataclass_fields__)
+    assert len(doc) == 21 and doc["data"] is None
     back = RunConfig.from_json(cfg.to_json())
     assert back == cfg
 
@@ -52,7 +53,8 @@ def test_run_config_rejects_unknown_and_invalid():
         RunConfig.from_json('{"threads": 1}')
     with pytest.raises(ConfigError, match="unknown method"):
         RunConfig.from_json('{"method": "magic"}')
-    with pytest.raises(ConfigError, match="requires dataset_path"):
+    # the former two dataset fields are one, ``data``
+    with pytest.raises(ConfigError, match="unknown config fields"):
         RunConfig.from_json('{"dataset_source": "file"}')
 
 
@@ -221,8 +223,8 @@ def test_cli_merge_subset_matches_unlearn(tmp_path):
             "--checkpoint", f"{out}/checkpoint.sftm", "--id", "1", "--id", "3",
             "--out-dir", out)
     oracle_out = str(tmp_path / "oracle")
-    run_cli("merge", "--config", cfg, "--data", data, "--retain", "0,2,4",
-            "--out-dir", oracle_out)
+    assert run_cli("train", "--config", cfg, "--data", data, "--retain", "0,2,4",
+                   "--out-dir", oracle_out) == 0
     after = load_checkpoint(f"{out}/checkpoint.sftm")
     oracle = load_checkpoint(f"{oracle_out}/checkpoint.sftm")
     assert np.array_equal(
@@ -232,7 +234,7 @@ def test_cli_merge_subset_matches_unlearn(tmp_path):
 
 def test_cli_report_simulation_numbers(tmp_path, capsys):
     out = str(tmp_path / "rep")
-    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "500",
+    assert run_cli("simulate", "--num-tasks", "500",
                    "--out-dir", out) == 0
     text = capsys.readouterr().out
     assert "central vs merge-family total: 124750 vs 499 (250.0x)" in text
@@ -245,7 +247,7 @@ def test_cli_report_simulation_numbers(tmp_path, capsys):
 def test_cli_report_simulation_counts_uneven_shards(tmp_path):
     out = tmp_path / "rep"
     # logistic 499 -> 2 gives M = 1000 words
-    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "10", "--clusters", "3",
+    assert run_cli("simulate", "--num-tasks", "10", "--clusters", "3",
                    "--model-kind", "logistic", "--input-dim", "499", "--num-classes", "2",
                    "--out-dir", str(out)) == 0
     with open(out / "cost_projection.csv", newline="") as fh:
@@ -258,7 +260,7 @@ def test_cli_report_simulation_counts_uneven_shards(tmp_path):
 
 def test_cli_report_simulation_projects_the_configured_run(tmp_path):
     out = tmp_path / "rep"
-    assert run_cli("report", "--simulate-unlearn-all", "--num-tasks", "40", "--steps", "5",
+    assert run_cli("simulate", "--num-tasks", "40", "--steps", "5",
                    "--clusters", "3", "--out-dir", str(out)) == 0
     with open(out / "cost_projection.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -278,19 +280,19 @@ def test_cli_report_simulation_projects_the_configured_run(tmp_path):
 
 EVERY_FIELD = {"config", *RunConfig.__dataclass_fields__}
 DATASET = {
-    "config", "seed", "out_dir", "dataset_source", "dataset_path", "regime",
-    "conflict_rate", "margin", "num_tasks", "examples_per_task",
+    "config", "seed", "out_dir", "data", "regime", "conflict_rate", "margin",
+    "num_tasks", "examples_per_task",
 }
 OPTIONS = {
     "gen-data": EVERY_FIELD,
-    "train": EVERY_FIELD | {"data"},
-    "merge": EVERY_FIELD | {"data", "retain", "retain_file"},
-    "eval": DATASET | {"data", "checkpoint", "mode"},
-    "unlearn": DATASET | {"data", "checkpoint", "task_ids", "ids_file", "do_verify"},
-    "verify": DATASET | {"data", "checkpoint"},
-    "report": {
+    "train": EVERY_FIELD | {"retain", "retain_file"},
+    "eval": DATASET | {"checkpoint", "mode"},
+    "unlearn": DATASET | {"checkpoint", "task_ids", "ids_file", "do_verify"},
+    "verify": DATASET | {"checkpoint"},
+    "report": {"config", "out_dir", "checkpoint"},
+    "simulate": {
         "config", "out_dir", "model_kind", "input_dim", "num_classes", "hidden_dim",
-        "num_tasks", "steps", "clusters", "checkpoint", "simulate_unlearn_all",
+        "num_tasks", "steps", "clusters",
     },
 }
 
@@ -303,7 +305,8 @@ def test_cli_command_takes_only_the_settings_it_reads(command):
 
 
 def test_cli_option_total():
-    assert sum(len(c.params) for c in cli.commands.values()) == 124
+    assert sorted(cli.commands) == sorted(OPTIONS)
+    assert sum(len(c.params) for c in cli.commands.values()) == 92
 
 
 def test_cli_report_checkpoint_summary(tmp_path):
@@ -383,3 +386,87 @@ def test_cli_unlearn_appends_exactness_log(tmp_path, clusters):
     assert len(lines) == 1 + 2 * 4  # one header, four rows per deletion
     assert lines[1].startswith("sift_masks,1,0,replay_matches,1")
     assert lines[5].startswith("sift_masks,2,1,replay_matches,1")
+
+
+def _aggregate(path):
+    rows = Path(path).read_text().splitlines()
+    return [r.split(",")[4] for r in rows if ",aggregate_" in r]
+
+
+def _train_on_file_with_other_seed(tmp_path):
+    """Trains on a dataset file under a seed whose synthetic tasks differ from
+    the file's; returns the data, run config and checkpoint paths."""
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS)
+    data = f"{out}/dataset.jsonl"
+    assert run_cli("train", "--config", f"{out}/gen_config.json", "--data", data,
+                   "--seed", "7", "--out-dir", out) == 0
+    return data, f"{out}/run_config.json", f"{out}/checkpoint.sftm"
+
+
+def test_cli_eval_reads_the_data_file_of_the_run_config(tmp_path):
+    data, cfg, ckpt = _train_on_file_with_other_seed(tmp_path)
+    with_data, without = str(tmp_path / "with"), str(tmp_path / "without")
+    assert run_cli("eval", "--config", cfg, "--data", data, "--checkpoint", ckpt,
+                   "--mode", "held_in", "--out-dir", with_data) == 0
+    assert run_cli("eval", "--config", cfg, "--checkpoint", ckpt,
+                   "--mode", "held_in", "--out-dir", without) == 0
+    assert _aggregate(f"{without}/eval_held_in.csv") == _aggregate(
+        f"{with_data}/eval_held_in.csv")
+    assert json.loads(Path(cfg).read_text())["data"] == data
+
+
+def test_cli_verify_reads_the_data_file_of_the_run_config(tmp_path):
+    _, cfg, ckpt = _train_on_file_with_other_seed(tmp_path)
+    assert run_cli("verify", "--config", cfg, "--checkpoint", ckpt,
+                   "--out-dir", str(tmp_path)) == 0
+
+
+def test_cli_report_refuses_simulation_flags(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS)
+    run_cli("train", "--config", f"{out}/gen_config.json",
+            "--data", f"{out}/dataset.jsonl", "--out-dir", out)
+    code = run_cli("report", "--checkpoint", f"{out}/checkpoint.sftm",
+                   "--num-tasks", "40", "--out-dir", out)
+    assert code == 1
+    assert "No such option '--num-tasks'" in capsys.readouterr().err
+    assert not Path(out, "report.json").exists()
+    assert run_cli("report", "--out-dir", out) == 1  # --checkpoint is required
+
+
+def test_cli_train_retain_unknown_id_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS)
+    code = run_cli("train", "--config", f"{out}/gen_config.json",
+                   "--data", f"{out}/dataset.jsonl", "--retain", "0,9",
+                   "--out-dir", out)
+    assert code == 2
+    assert "unknown task ids in --retain: [9]" in capsys.readouterr().err
+    assert not Path(out, "checkpoint.sftm").exists()
+
+
+def test_cli_missing_data_file_is_a_data_error_naming_it(tmp_path, capsys):
+    missing = str(tmp_path / "nope.jsonl")
+    code = run_cli("train", *BASE_FLAGS, "--data", missing, "--out-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and missing in err
+
+
+def test_cli_os_error_names_the_path(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "sub")
+    assert run_cli("gen-data", *BASE_FLAGS, "--out-dir", target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and target in err
+
+
+def test_cli_config_with_former_dataset_fields_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text('{"dataset_source": "file", "dataset_path": "d.jsonl"}')
+    assert run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path)) == 1
+    assert "unknown config fields: ['dataset_path', 'dataset_source']" in (
+        capsys.readouterr().err
+    )

@@ -28,7 +28,7 @@ def test_quickstart_runs_verbatim_in_order(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = quickstart_commands()
     assert [argv[0] for argv in commands] == [
-        "gen-data", "train", "eval", "unlearn", "verify", "report", "report",
+        "gen-data", "train", "eval", "unlearn", "verify", "report", "simulate",
     ]
     for argv in commands:
         assert main(argv) == 0, shlex.join(argv)
