@@ -1,11 +1,12 @@
 """Binary checkpoint: magic "SFTM", versioned, little-endian throughout.
 
-A checkpoint is everything needed to resume serving/unlearning given the
-dataset file: method and model configuration, the seeds that all randomness
-derives from, the task-to-shard assignment, and the engine's shards as it
-holds them (exact fixed-point accumulator, bit-packed masks, method
-artifacts), plus the per-task replay digests, the unlearned ids and a ledger
-snapshot. Task data itself is not stored; it is reattached from the dataset.
+A checkpoint is the engine's ``SystemState`` without its task data, plus a
+ledger snapshot. The file stores the method and model configuration, the
+seeds that all randomness derives from, the task-to-shard assignment, and the
+shards as the engine holds them (exact fixed-point accumulator, bit-packed
+masks, method artifacts), plus the per-task replay digests and the unlearned
+ids. A loaded system has an empty registry; ``system_from_checkpoint``
+reattaches the tasks from the dataset.
 
 Layouts are canonical (ids ascending where order is not semantic), so saving
 a loaded checkpoint reproduces the original bytes. Each shard's block lists
@@ -25,7 +26,7 @@ import contextlib
 import io
 import os
 import struct
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -63,17 +64,10 @@ class CheckpointFormatError(ValueError):
 
 @dataclass
 class Checkpoint:
-    method: LocalizationMethod
-    model_spec: ModelSpec
-    train_cfg: TrainConfig
-    base_seed: int
-    sign_seed: int
-    central_max_steps: int
-    assignment: dict[int, int]  # task id -> shard index
-    replay_digests: dict[int, bytes]
-    unlearned: tuple[int, ...]
-    shards: tuple[Shard, ...]
-    ledger: CostLedger = field(default_factory=CostLedger)
+    """A saved system, without task data, and the ledger of the run so far."""
+
+    system: SystemState
+    ledger: CostLedger
 
 
 def _w(fh, fmt, *vals):
@@ -112,41 +106,51 @@ def _w_ids(fh, ids) -> None:
     _w(fh, f"I{len(ids)}I", len(ids), *ids)
 
 
+def _r_table(fh, fmt: str, n: int | None = None) -> list[tuple]:
+    """``n`` entries of ``fmt`` in one read, ``n`` first read as a u32 count
+    when not given; the format is never repeated ``n`` times, since a corrupt
+    count would make that string as long as the count."""
+    if n is None:
+        (n,) = _r(fh, "I")
+    raw = _read_exact(fh, n * struct.calcsize("<" + fmt), "table")
+    return list(struct.iter_unpack("<" + fmt, raw))
+
+
 def _r_ids(fh) -> list[int]:
-    (n,) = _r(fh, "I")
-    return [_r(fh, "I")[0] for _ in range(n)]
+    return [t for (t,) in _r_table(fh, "I")]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    system = ckpt.system
     fh = io.BytesIO()
     fh.write(MAGIC)
     _w(fh, "I", VERSION)
-    _w(fh, "BBH", _METHOD_CODES[ckpt.method.tag], _KIND_CODES[ckpt.model_spec.kind], 0)
+    _w(fh, "BBH", _METHOD_CODES[system.method.tag], _KIND_CODES[system.model_spec.kind], 0)
     _w(
         fh,
         "IIII",
-        ckpt.model_spec.input_dim,
-        ckpt.model_spec.hidden_dim,
-        ckpt.model_spec.num_classes,
+        system.model_spec.input_dim,
+        system.model_spec.hidden_dim,
+        system.model_spec.num_classes,
         SCALE_BITS,
     )
-    cfg = ckpt.train_cfg
-    _w(fh, "III", cfg.steps, cfg.batch_size, ckpt.central_max_steps)
+    cfg = system.train_cfg
+    _w(fh, "III", cfg.steps, cfg.batch_size, system.central_max_steps)
     _w(fh, "dddd", cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-    _w(fh, "QQQ", ckpt.base_seed, ckpt.sign_seed, cfg.seed)
-    _w(fh, "d", ckpt.method.ties_density)
-    for grid in (ckpt.method.density_grid, ckpt.method.alpha_grid):
+    _w(fh, "QQQ", system.base_seed, system.sign_seed, cfg.seed)
+    _w(fh, "d", system.method.ties_density)
+    for grid in (system.method.density_grid, system.method.alpha_grid):
         _w(fh, f"I{len(grid)}d", len(grid), *grid)
     _w(fh, "QQQQ", *astuple(ckpt.ledger))  # declaration order, as the reader builds CostLedger
-    _w(fh, "I", len(ckpt.shards))
-    pairs = sorted(ckpt.assignment.items())
+    _w(fh, "I", len(system.shards))
+    pairs = sorted(system.assignment.items())
     _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
-    ids = shard_ids(ckpt.assignment, ckpt.unlearned)
-    digest_ids = [[] for _ in ckpt.shards]
-    for t in sorted(ckpt.replay_digests):
-        digest_ids[ckpt.assignment[t]].append(t)
-    for c, shard in enumerate(ckpt.shards):
-        _write_shard(fh, ckpt, shard, *ids[c], digest_ids[c])
+    ids = shard_ids(system.assignment, system.unlearned)
+    digest_ids = [[] for _ in system.shards]
+    for t in sorted(system.replay_digests):
+        digest_ids[system.assignment[t]].append(t)
+    for c, shard in enumerate(system.shards):
+        _write_shard(fh, system, shard, *ids[c], digest_ids[c])
     _write_atomic(path, fh.getvalue())
 
 
@@ -170,7 +174,7 @@ def _write_atomic(path, data: bytes) -> None:
         raise
 
 
-def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest_ids) -> None:
+def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, digest_ids) -> None:
     _w_ids(fh, retained)
     _w_ids(fh, unlearned)
     _w_array(
@@ -178,12 +182,12 @@ def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest
         np.empty(0, dtype=np.int64) if shard.merged is None else shard.merged.accumulator.values,
         "<i8",
     )
-    digests = [ckpt.replay_digests[t] for t in digest_ids]
+    digests = [system.replay_digests[t] for t in digest_ids]
     if any(len(d) != 32 for d in digests):
         raise CheckpointFormatError("digests must be 32 bytes")
     table = chain.from_iterable(zip(digest_ids, digests))
     _w(fh, "I" + "I32s" * len(digests), len(digests), *table)
-    masks = shard.merged.masks if METHODS[ckpt.method.tag].stores_masks else None
+    masks = shard.merged.masks if METHODS[system.method.tag].stores_masks else None
     flags = 0
     for bit, part in (
         (_F_MASKS, masks),
@@ -195,7 +199,7 @@ def _write_shard(fh, ckpt: Checkpoint, shard: Shard, retained, unlearned, digest
         if part is not None:
             flags |= bit
     _w(fh, "B", flags)
-    m = ckpt.model_spec.param_count
+    m = system.model_spec.param_count
     if masks is not None:
         for t in retained:
             words = masks[t].words  # contiguous "<u4", as BitMask stores it
@@ -239,58 +243,50 @@ def load_checkpoint(path) -> Checkpoint:
     lr, beta1, beta2, eps = _r(fh, "dddd")
     base_seed, sign_seed, train_seed = _r(fh, "QQQ")
     (ties_density,) = _r(fh, "d")
-    (nd,) = _r(fh, "I")
-    density_grid = tuple(_r(fh, "d")[0] for _ in range(nd))
-    (na,) = _r(fh, "I")
-    alpha_grid = tuple(_r(fh, "d")[0] for _ in range(na))
+    density_grid = tuple(x for (x,) in _r_table(fh, "d"))
+    alpha_grid = tuple(x for (x,) in _r_table(fh, "d"))
     bf, bs, uf, us = _r(fh, "QQQQ")
     (n_shards,) = _r(fh, "I")
-    (n_assign,) = _r(fh, "I")
-    assignment = {}
-    for _ in range(n_assign):
-        t, c = _r(fh, "II")
+    pairs = _r_table(fh, "II")
+    if any(a >= b for (a, _), (b, _) in zip(pairs, pairs[1:])):
+        raise CheckpointFormatError(f"{path}: assignment task ids are not strictly ascending")
+    for t, c in pairs:
         if c >= n_shards:
-            raise CheckpointFormatError(
-                f"{path}: task {t} assigned to shard {c} of {n_shards}"
-            )
-        assignment[t] = c
-    method = LocalizationMethod(
-        _METHOD_TAGS[method_code],
-        density_grid=density_grid,
-        alpha_grid=alpha_grid,
-        ties_density=ties_density,
-    )
+            raise CheckpointFormatError(f"{path}: task {t} assigned to shard {c} of {n_shards}")
     model_spec = ModelSpec(_KIND_NAMES[kind_code], input_dim, num_classes, hidden_dim)
-    cfg = TrainConfig(
-        steps=steps,
-        batch_size=batch_size,
-        learning_rate=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        seed=train_seed,
-    )
-    ckpt = Checkpoint(
-        method=method,
-        model_spec=model_spec,
-        train_cfg=cfg,
+    # every shard stores an M-entry vector; checked before new_system allocates M entries
+    if not 0 < 8 * model_spec.param_count * n_shards <= len(fh.getbuffer()) - fh.tell():
+        raise CheckpointFormatError(
+            f"{path}: {n_shards} shards of {model_spec.param_count} parameters do not fit the file"
+        )
+    system = new_system(
+        LocalizationMethod(
+            _METHOD_TAGS[method_code],
+            density_grid=density_grid,
+            alpha_grid=alpha_grid,
+            ties_density=ties_density,
+        ),
+        model_spec,
+        TrainConfig(
+            steps=steps,
+            batch_size=batch_size,
+            learning_rate=lr,
+            beta1=beta1,
+            beta2=beta2,
+            eps=eps,
+            seed=train_seed,
+        ),
+        {},
+        dict(pairs),
         base_seed=base_seed,
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
-        assignment=assignment,
-        replay_digests={},
-        unlearned=(),
-        shards=(),
-        ledger=CostLedger(bf, bs, uf, us),
     )
-    assigned = shard_ids(assignment, ())
-    shards = []
-    for c in range(n_shards):
-        shards.append(_read_shard(fh, ckpt, c, assigned[c][0]))
-    ckpt.shards = tuple(shards)
+    assigned = shard_ids(system.assignment, ())
+    system.shards = tuple(_read_shard(fh, system, c, assigned[c][0]) for c in range(n_shards))
     if fh.read(1):
         raise CheckpointFormatError(f"{path}: trailing bytes after checkpoint")
-    return ckpt
+    return Checkpoint(system, CostLedger(bf, bs, uf, us))
 
 
 def _artifact_flags(tag: str, retains: bool) -> int:
@@ -307,8 +303,8 @@ def _artifact_flags(tag: str, retains: bool) -> int:
     return flags | (_F_MASKS if METHODS[tag].stores_masks else 0)
 
 
-def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
-    """Read shard ``c``, adding its digests and unlearned ids to ``ckpt``.
+def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
+    """Read shard ``c``, adding its digests and unlearned ids to ``system``.
 
     ``assigned`` is every task id the assignment routes to the shard,
     ascending; the block's task lists and digests must agree with it, and
@@ -325,28 +321,25 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
         raise CheckpointFormatError(
             f"shard {c}: retained and unlearned ids do not match the assignment"
         )
-    ckpt.unlearned += tuple(unlearned)
-    m = ckpt.model_spec.param_count
-    per_task = not (_artifact_flags(ckpt.method.tag, True) & _F_CENTRAL)
+    system.unlearned += tuple(unlearned)
+    tag, m = system.method.tag, system.model_spec.param_count
+    per_task = not (_artifact_flags(tag, True) & _F_CENTRAL)
     accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
-    (n_dig,) = _r(fh, "I")
-    digest_ids = []
-    for _ in range(n_dig):
-        (t,) = _r(fh, "I")
-        if ckpt.assignment.get(t) != c:
+    digests = _r_table(fh, "I32s")
+    digest_ids = [t for t, _ in digests]  # a list, so a repeated id fails the check below
+    for t in digest_ids:
+        if system.assignment.get(t) != c:
             raise CheckpointFormatError(f"shard {c}: digest of task {t}, not in this shard")
-        ckpt.replay_digests[t] = _read_exact(fh, 32, "digest")
-        digest_ids.append(t)
     if digest_ids != (assigned if per_task else []):
         raise CheckpointFormatError(
             f"shard {c}: digests of tasks {digest_ids}, expected {assigned if per_task else []}"
         )
+    system.replay_digests.update(digests)
     (flags,) = _r(fh, "B")
-    expected = _artifact_flags(ckpt.method.tag, bool(retained))
+    expected = _artifact_flags(tag, bool(retained))
     if flags != expected:
         raise CheckpointFormatError(
-            f"shard {c}: artifact flags {flags:#04x}, expected {expected:#04x} "
-            f"for {ckpt.method.tag}"
+            f"shard {c}: artifact flags {flags:#04x}, expected {expected:#04x} for {tag}"
         )
     masks = {}
     if flags & _F_MASKS:
@@ -360,8 +353,9 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
     emr = None
     if flags & _F_EMR:
         unified = _r_array(fh, "<f8", m, f"shard {c}: EMR unified vector")
-        emr = EmrArtifacts(unified, {t: _r(fh, "d")[0] for t in retained})
-    tall = {t: _r(fh, "dd") for t in retained} if flags & _F_TALL else None
+        scales = _r_table(fh, "d", len(retained))
+        emr = EmrArtifacts(unified, {t: x for t, (x,) in zip(retained, scales)})
+    tall = dict(zip(retained, _r_table(fh, "dd", len(retained)))) if flags & _F_TALL else None
     ties_vector = None
     if flags & _F_TIES:
         ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
@@ -372,51 +366,27 @@ def _read_shard(fh, ckpt: Checkpoint, c: int, assigned: list[int]) -> Shard:
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:
-    return Checkpoint(
-        method=system.method,
-        model_spec=system.model_spec,
-        train_cfg=system.train_cfg,
-        base_seed=system.base_seed,
-        sign_seed=system.sign_seed,
-        central_max_steps=system.central_max_steps,
-        assignment=dict(system.assignment),
-        replay_digests=dict(system.replay_digests),
-        unlearned=system.unlearned,
-        shards=system.shards,
-        ledger=ledger,
-    )
+    return Checkpoint(system, ledger)
 
 
 def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
-    """Reattach task data to a checkpoint. Tasks must cover the registry and
+    """Reattach task data to a checkpoint. Tasks must cover the assignment and
     have the model's feature dimension.
 
     The file keeps each shard's deletion order but not the order across
     shards; ``unlearned`` lists the shards' deletions shard by shard.
     """
+    system = ckpt.system
     by_id = {t.id: t for t in tasks}
-    missing = sorted(set(ckpt.assignment) - set(by_id))
+    missing = sorted(set(system.assignment) - set(by_id))
     if missing:
         raise CheckpointFormatError(f"dataset is missing task ids {missing}")
-    registry = {t: by_id[t] for t in sorted(ckpt.assignment)}
-    dim = ckpt.model_spec.input_dim
+    registry = {t: by_id[t] for t in sorted(system.assignment)}
+    dim = system.model_spec.input_dim
     for task in registry.values():
         if task.input_dim != dim:
             raise CheckpointFormatError(
                 f"task {task.id} has feature dim {task.input_dim}, "
                 f"the checkpoint's model input_dim is {dim}"
             )
-    system = new_system(
-        ckpt.method,
-        ckpt.model_spec,
-        ckpt.train_cfg,
-        registry,
-        dict(ckpt.assignment),
-        base_seed=ckpt.base_seed,
-        sign_seed=ckpt.sign_seed,
-        central_max_steps=ckpt.central_max_steps,
-    )
-    system.replay_digests = dict(ckpt.replay_digests)
-    system.unlearned = ckpt.unlearned
-    system.shards = ckpt.shards
-    return system
+    return replace(system, registry=registry)

@@ -3,8 +3,9 @@
 Each command takes only the settings it reads, as flags that mirror
 ``RunConfig`` fields and override ``--config``:
 
-* ``gen-data`` and ``train`` build, so they take every field. ``train
-  --retain`` builds a subset, the from-scratch oracle of a deletion.
+* ``gen-data`` generates, so it takes every field but ``data``. ``train``
+  builds, so it takes every field, and records ``data`` as an absolute path.
+  ``train --retain`` builds a subset, the from-scratch oracle of a deletion.
 * ``eval``, ``unlearn`` and ``verify`` act on a checkpoint, which fixes the
   method, the model and the training settings; they take only the dataset
   fields (``DATASET_FIELDS``), and the data is read from ``data``, or
@@ -22,8 +23,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -68,6 +71,8 @@ DATASET_FIELDS = (
     "seed", "out_dir", "data", "regime", "conflict_rate", "margin",
     "num_tasks", "examples_per_task",
 )
+# every field but the data file, which `gen-data` would only copy
+GENERATION_FIELDS = tuple(f.name for f in dataclass_fields(RunConfig) if f.name != "data")
 # what `simulate` projects, plus where it writes
 SIMULATION_FIELDS = (
     "out_dir", "model_kind", "input_dim", "num_classes", "hidden_dim",
@@ -196,10 +201,12 @@ def cli():
 
 
 @cli.command("gen-data")
-@_config_options()
+@_config_options(*GENERATION_FIELDS)
 def cmd_gen_data(**params):
-    """Write the configured dataset as JSONL plus its config."""
+    """Write the configured synthetic dataset as JSONL plus its config."""
     cfg = _config_from(params)
+    if cfg.data:
+        raise ConfigError("gen-data generates its tasks; the config sets 'data'")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
@@ -222,6 +229,8 @@ def cmd_train(retain, retain_file, **params):
     from-scratch oracle that deletion results are compared against.
     """
     cfg = _config_from(params)
+    if cfg.data:  # recorded absolute, so the run config reads the same file from anywhere
+        cfg = replace(cfg, data=os.path.abspath(cfg.data))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
@@ -259,7 +268,7 @@ def _parse_ids(inline: str | None, path: str | None) -> set[int] | None:
 def _load_system(cfg: RunConfig, checkpoint: str):
     """The checkpoint, then its tasks, read at the checkpoint's model dims."""
     ckpt = load_checkpoint(checkpoint)
-    spec = ckpt.model_spec
+    spec = ckpt.system.model_spec
     tasks = _tasks_for(cfg, spec.input_dim, spec.num_classes)
     return ckpt, system_from_checkpoint(ckpt, tasks)
 
@@ -275,10 +284,10 @@ def cmd_eval(checkpoint, mode, **params):
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt, system = _load_system(cfg, checkpoint)
+    _, system = _load_system(cfg, checkpoint)
     report = evaluate(system, mode)
     path = out / f"eval_{mode}.csv"
-    _write_rows(path, _eval_rows(ckpt.method.tag, len(system.unlearned), report))
+    _write_rows(path, _eval_rows(system.method.tag, len(system.unlearned), report))
     click.echo(f"{mode} aggregate accuracy: {report.aggregate:.4f}")
     click.echo(f"wrote {path}")
 
@@ -312,12 +321,13 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
         ledger.add(delta)
         reports.append((u, report, delta))
     save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
+    tag = system.method.tag
     rows = []
     for i, (u, report, delta) in enumerate(reports):
-        rows.append([ckpt.method.tag, base_event + i + 1, u, "replay_matches", int(report.replay_matches)])
-        rows.append([ckpt.method.tag, base_event + i + 1, u, "state_matches_oracle", int(report.state_matches_oracle)])
-        rows.append([ckpt.method.tag, base_event + i + 1, u, "unlearn_task_finetunes", delta.unlearn_finetunes])
-        rows.append([ckpt.method.tag, base_event + i + 1, u, "unlearn_finetune_steps", delta.unlearn_steps])
+        rows.append([tag, base_event + i + 1, u, "replay_matches", int(report.replay_matches)])
+        rows.append([tag, base_event + i + 1, u, "state_matches_oracle", int(report.state_matches_oracle)])
+        rows.append([tag, base_event + i + 1, u, "unlearn_task_finetunes", delta.unlearn_finetunes])
+        rows.append([tag, base_event + i + 1, u, "unlearn_finetune_steps", delta.unlearn_steps])
     path = out / "exactness.csv"
     _write_rows(path, rows, append=True)
     for u, report, delta in reports:
@@ -366,21 +376,21 @@ def cmd_report(checkpoint, **params):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(checkpoint)
-    ids = shard_ids(ckpt.assignment, ckpt.unlearned)
-    m = ckpt.model_spec.param_count
+    system, led = ckpt.system, ckpt.ledger
+    tag, m = system.method.tag, system.model_spec.param_count
+    ids = shard_ids(system.assignment, system.unlearned)
     total_words = 0
     rows = []
-    for c in range(len(ckpt.shards)):
-        words = storage_words(ckpt.method.tag, m, [len(ids[c][0])])
+    for c in range(len(system.shards)):
+        words = storage_words(tag, m, [len(ids[c][0])])
         total_words += words
-        rows.append([ckpt.method.tag, c, "", "storage_words", words])
-    led = ckpt.ledger
+        rows.append([tag, c, "", "storage_words", words])
     summary = {
-        "method": ckpt.method.tag,
+        "method": tag,
         "param_count": m,
-        "clusters": len(ckpt.shards),
-        "retained": len(ckpt.assignment) - len(ckpt.unlearned),
-        "unlearned": len(ckpt.unlearned),
+        "clusters": len(system.shards),
+        "retained": len(system.retained),
+        "unlearned": len(system.unlearned),
         "storage_words": total_words,
         "ledger": {
             "build_finetunes": led.build_finetunes,
@@ -391,8 +401,8 @@ def cmd_report(checkpoint, **params):
             "finetune_steps": led.finetune_steps,
         },
     }
-    rows.append([ckpt.method.tag, "", "", "task_finetunes", led.task_finetunes])
-    rows.append([ckpt.method.tag, "", "", "finetune_steps", led.finetune_steps])
+    rows.append([tag, "", "", "task_finetunes", led.task_finetunes])
+    rows.append([tag, "", "", "finetune_steps", led.finetune_steps])
     _write_rows(out / "report.csv", rows)
     _write_json(out / "report.json", summary)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

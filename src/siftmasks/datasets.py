@@ -256,8 +256,9 @@ def save_tasks(tasks: list[TaskSpec], path) -> None:
 def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     """Load a JSONL dataset; groups records by task_id in file order.
 
-    The held-out split is the last ceil(20%) of each task's records. When
-    num_classes is given, labels are range-checked against it.
+    The held-out split is the last ceil(20%) of each task's records. Task ids
+    must fit an unsigned 32-bit field. When num_classes is given, labels are
+    range-checked against it.
     """
     groups: dict[int, list[tuple[list[float], int]]] = {}
     dim: int | None = None
@@ -272,6 +273,8 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
                 label = int(rec["label"])
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise DataFormatError(f"line {lineno}: malformed record ({exc})") from None
+            if not 0 <= task_id < 2**32:  # checkpoints store task ids as u32
+                raise DataFormatError(f"line {lineno}: task_id {task_id} outside [0, 2**32)")
             if dim is None:
                 dim = len(feats)
             elif len(feats) != dim:

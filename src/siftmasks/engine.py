@@ -127,7 +127,9 @@ class SystemState:
     """Everything needed to serve, delete from, and audit one built system.
 
     The registry, replay digests and unlearned ids are held once, keyed by
-    task id; ``assignment`` routes each task to the shard that serves it.
+    task id; ``assignment`` routes each task to the shard that serves it and
+    so names the system's tasks. A system loaded from a checkpoint has an
+    empty registry until its tasks are reattached.
     """
 
     method: LocalizationMethod
@@ -147,7 +149,7 @@ class SystemState:
     @property
     def retained(self) -> tuple[int, ...]:
         gone = set(self.unlearned)
-        return tuple(t for t in sorted(self.registry) if t not in gone)
+        return tuple(t for t in sorted(self.assignment) if t not in gone)
 
     def shard_retained(self, shard: int) -> list[int]:
         """Retained ids of one shard, ascending."""
@@ -512,7 +514,7 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    ids = sorted(system.registry) if mode == "held_out" else system.retained
+    ids = sorted(system.assignment) if mode == "held_out" else system.retained
     per_task: dict[int, float] = {}
     for t in ids:
         params = serve_for_task(system, t)

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from siftmasks.checkpoint import (
 )
 from siftmasks.cli import cli, main
 from siftmasks.config import ConfigError, RunConfig
-from siftmasks.datasets import HeterogeneityRegime, synth_generate
+from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
 from siftmasks.engine import build, evaluate, unlearn
 from siftmasks.merging import LocalizationMethod
 from siftmasks.trainer import ModelSpec, TrainConfig
@@ -189,7 +191,7 @@ def test_cli_corrupted_checkpoint_verify_exits_3(tmp_path):
     run_cli("train", "--config", cfg, "--data", data, "--out-dir", out)
     ckpt_path = Path(out, "checkpoint.sftm")
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.shards[0].merged.accumulator.values[0] += 1
+    ckpt.system.shards[0].merged.accumulator.values[0] += 1
     save_checkpoint(ckpt, ckpt_path)
     code = run_cli("verify", "--config", cfg, "--data", data,
                    "--checkpoint", str(ckpt_path), "--out-dir", out)
@@ -228,7 +230,8 @@ def test_cli_merge_subset_matches_unlearn(tmp_path):
     after = load_checkpoint(f"{out}/checkpoint.sftm")
     oracle = load_checkpoint(f"{oracle_out}/checkpoint.sftm")
     assert np.array_equal(
-        after.shards[0].merged.accumulator.values, oracle.shards[0].merged.accumulator.values
+        after.system.shards[0].merged.accumulator.values,
+        oracle.system.shards[0].merged.accumulator.values,
     )
 
 
@@ -284,7 +287,7 @@ DATASET = {
     "num_tasks", "examples_per_task",
 }
 OPTIONS = {
-    "gen-data": EVERY_FIELD,
+    "gen-data": EVERY_FIELD - {"data"},
     "train": EVERY_FIELD | {"retain", "retain_file"},
     "eval": DATASET | {"checkpoint", "mode"},
     "unlearn": DATASET | {"checkpoint", "task_ids", "ids_file", "do_verify"},
@@ -306,7 +309,7 @@ def test_cli_command_takes_only_the_settings_it_reads(command):
 
 def test_cli_option_total():
     assert sorted(cli.commands) == sorted(OPTIONS)
-    assert sum(len(c.params) for c in cli.commands.values()) == 92
+    assert sum(len(c.params) for c in cli.commands.values()) == 91
 
 
 def test_cli_report_checkpoint_summary(tmp_path):
@@ -349,7 +352,7 @@ def test_cli_unlearn_ids_file(tmp_path):
                    "--checkpoint", f"{out}/checkpoint.sftm",
                    "--ids-file", str(ids), "--out-dir", out) == 0
     ckpt = load_checkpoint(f"{out}/checkpoint.sftm")
-    assert ckpt.unlearned == (1, 3)
+    assert ckpt.system.unlearned == (1, 3)
 
 
 @pytest.mark.parametrize("regime", ["distinct", "similar"])
@@ -470,3 +473,46 @@ def test_cli_config_with_former_dataset_fields_exits_1(tmp_path, capsys):
     assert "unknown config fields: ['dataset_path', 'dataset_source']" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32], ids=["-1", "2**32"])
+def test_cli_task_id_outside_u32_is_a_data_error_before_training(bad, tmp_path, capsys):
+    tasks = synth_generate(
+        HeterogeneityRegime("conflicting", conflict_rate=0.5, margin=1.0), 3, 30, 10, 2, seed=11
+    )
+    data = tmp_path / "dataset.jsonl"
+    save_tasks([replace(tasks[0], id=bad), *tasks[1:]], data)
+    out = tmp_path / "run"
+    code = run_cli("train", *BASE_FLAGS, "--data", str(data), "--out-dir", str(out))
+    assert code == 2
+    assert f"line 1: task_id {bad} outside [0, 2**32)" in capsys.readouterr().err
+    assert not (out / "checkpoint.sftm").exists()
+
+
+def test_cli_gen_data_only_generates(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS)
+    assert run_cli("train", "--config", f"{out}/gen_config.json",
+                   "--data", f"{out}/dataset.jsonl", "--out-dir", out) == 0
+    copy = str(tmp_path / "copy")
+    capsys.readouterr()
+    assert run_cli("gen-data", "--config", f"{out}/run_config.json", "--out-dir", copy) == 1
+    assert "config error: gen-data generates its tasks; the config sets 'data'" in (
+        capsys.readouterr().err
+    )
+    assert run_cli("gen-data", "--data", f"{out}/dataset.jsonl", "--out-dir", copy) == 1
+    assert "No such option '--data'" in capsys.readouterr().err
+    assert not Path(copy).exists()
+
+
+def test_cli_run_config_data_path_read_from_another_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen-data", "--out-dir", "run", *BASE_FLAGS)
+    assert run_cli("train", "--config", "run/gen_config.json",
+                   "--data", "run/dataset.jsonl", "--out-dir", "run") == 0
+    recorded = json.loads(Path("run/run_config.json").read_text())["data"]
+    assert os.path.isabs(recorded) and os.path.samefile(recorded, "run/dataset.jsonl")
+    Path("sub").mkdir()
+    monkeypatch.chdir("sub")
+    assert run_cli("eval", "--config", "../run/run_config.json",
+                   "--checkpoint", "../run/checkpoint.sftm", "--out-dir", "../run") == 0

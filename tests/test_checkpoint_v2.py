@@ -104,6 +104,14 @@ def test_v2_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
     assert verify_exactness(system).exact
 
 
+def test_loaded_system_names_its_tasks_but_cannot_serve_them_until_reattached():
+    system = load_checkpoint(DATA / "sift_masks_deleted1.sftm").system
+    assert system.registry == {}
+    assert system.retained == (0, 1, 3, 4, 5)
+    with pytest.raises(KeyError):
+        evaluate(system, "held_out")
+
+
 def test_appended_byte_rejected_with_exit_2(tmp_path, capsys):
     path = tmp_path / "appended.sftm"
     path.write_bytes((DATA / "sift_masks_fresh.sftm").read_bytes() + b"\x00")
@@ -193,7 +201,7 @@ def packed_ids(ids) -> bytes:
 )
 def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path, capsys):
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
-    table = dict(sorted(ckpt.assignment.items()))
+    table = dict(sorted(ckpt.system.assignment.items()))
     retained = [t for t, c in table.items() if c == 0]
 
     def layout(unlearned) -> bytes:
@@ -219,13 +227,68 @@ def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path
 
 def test_digest_filed_under_wrong_shard_rejected(tmp_path):
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
-    other = next(t for t, c in ckpt.assignment.items() if c != ckpt.assignment[1])
-    digest = ckpt.replay_digests[1]
+    table = ckpt.system.assignment
+    other = next(t for t, c in table.items() if c != table[1])
+    digest = ckpt.system.replay_digests[1]
     path = corrupt_copy(
         tmp_path, "sift_masks_k3_fresh",
         struct.pack("<I", 1) + digest, struct.pack("<I", other) + digest,
     )
     with pytest.raises(CheckpointFormatError, match=f"digest of task {other}"):
+        load_checkpoint(path)
+
+
+def assignment_table(pairs) -> bytes:
+    return struct.pack(f"<I{2 * len(pairs)}I", len(pairs), *(x for pair in pairs for x in pair))
+
+
+@pytest.mark.parametrize("change", ["swapped", "repeated"])
+def test_assignment_not_strictly_ascending_exits_2(change, tmp_path, capsys):
+    """Saving such a file would sort and merge its pairs, so it could not
+    reproduce its bytes; the reader rejects it."""
+    ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
+    pairs = sorted(ckpt.system.assignment.items())
+    bad = [pairs[1], pairs[0], *pairs[2:]] if change == "swapped" else [pairs[0], *pairs]
+    path = corrupt_copy(
+        tmp_path, "sift_masks_k3_fresh", assignment_table(pairs), assignment_table(bad)
+    )
+    message = "assignment task ids are not strictly ascending"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    code = main(["report", "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+# offset and value of each table count in sift_masks_deleted1 (one shard, six
+# tasks, task 2 deleted): after the 104-byte header come the two 2-entry grids,
+# the ledger, the shard count and the assignment, then shard 0's retained ids,
+# its unlearned ids and, after its 33-entry accumulator, its digest table
+COUNTS = {
+    "density_grid": (104, 2), "alpha_grid": (124, 2), "assignment": (180, 6),
+    "retained": (232, 5), "unlearned": (256, 1), "digests": (536, 6),
+}
+
+
+@pytest.mark.parametrize("table", sorted(COUNTS))
+def test_count_past_the_file_is_a_format_error(table, tmp_path):
+    raw = bytearray((DATA / "sift_masks_deleted1.sftm").read_bytes())
+    at, count = COUNTS[table]
+    assert struct.unpack_from("<I", raw, at) == (count,)
+    struct.pack_into("<I", raw, at, 0xFFFFFFFF)
+    path = tmp_path / "huge_count.sftm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_model_too_large_for_the_file_rejected_before_allocating(tmp_path):
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    assert struct.unpack_from("<I", raw, 12) == (10,)  # input_dim
+    struct.pack_into("<I", raw, 12, 2**20)
+    path = tmp_path / "wide.sftm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="1 shards of 3145731 parameters"):
         load_checkpoint(path)
 
 
@@ -269,7 +332,7 @@ def resaved_copy(tmp_path: Path, name: str, change) -> Path:
 @pytest.mark.parametrize("command", [["unlearn", "--id", "1"], ["verify"]],
                          ids=["unlearn", "verify"])
 def test_missing_digest_exits_2(command, tmp_path, capsys):
-    path = resaved_copy(tmp_path, "sift_masks_fresh", lambda c: c.replay_digests.pop(1))
+    path = resaved_copy(tmp_path, "sift_masks_fresh", lambda c: c.system.replay_digests.pop(1))
     message = "digests of tasks [0, 2, 3, 4, 5], expected [0, 1, 2, 3, 4, 5]"
     with pytest.raises(CheckpointFormatError, match=re.escape(message)):
         load_checkpoint(path)
@@ -281,16 +344,18 @@ def test_missing_digest_exits_2(command, tmp_path, capsys):
 
 def test_central_digest_rejected(tmp_path):
     path = resaved_copy(
-        tmp_path, "central_fresh", lambda c: c.replay_digests.update({1: bytes(32)})
+        tmp_path, "central_fresh", lambda c: c.system.replay_digests.update({1: bytes(32)})
     )
     with pytest.raises(CheckpointFormatError, match=r"digests of tasks \[1\], expected \[\]"):
         load_checkpoint(path)
 
 
 def shorten_accumulator(ckpt) -> None:
-    merged = ckpt.shards[0].merged
+    merged = ckpt.system.shards[0].merged
     short = FxpVector(merged.accumulator.values[:32])
-    ckpt.shards = (replace(ckpt.shards[0], merged=replace(merged, accumulator=short)),)
+    ckpt.system.shards = (
+        replace(ckpt.system.shards[0], merged=replace(merged, accumulator=short)),
+    )
 
 
 @pytest.mark.parametrize(
@@ -308,16 +373,18 @@ def test_short_accumulator_exits_2(command, tmp_path, capsys):
 
 
 def shorten_ties(ckpt) -> None:
-    ckpt.shards = (replace(ckpt.shards[0], ties_vector=ckpt.shards[0].ties_vector[:32]),)
+    shard = ckpt.system.shards[0]
+    ckpt.system.shards = (replace(shard, ties_vector=shard.ties_vector[:32]),)
 
 
 def shorten_emr(ckpt) -> None:
-    emr = replace(ckpt.shards[0].emr, unified=ckpt.shards[0].emr.unified[:32])
-    ckpt.shards = (replace(ckpt.shards[0], emr=emr),)
+    emr = replace(ckpt.system.shards[0].emr, unified=ckpt.system.shards[0].emr.unified[:32])
+    ckpt.system.shards = (replace(ckpt.system.shards[0], emr=emr),)
 
 
 def shorten_central(ckpt) -> None:
-    ckpt.shards = (replace(ckpt.shards[0], central_params=ckpt.shards[0].central_params[:32]),)
+    shard = ckpt.system.shards[0]
+    ckpt.system.shards = (replace(shard, central_params=shard.central_params[:32]),)
 
 
 @pytest.mark.parametrize(
@@ -335,15 +402,15 @@ def test_short_method_vector_rejected(name, change, what, tmp_path):
 
 
 def flip_mask_bit(ckpt) -> None:
-    masks = ckpt.shards[0].merged.masks
+    masks = ckpt.system.shards[0].merged.masks
     words = masks[1].words.copy()
     words[0] ^= 1
     masks[1] = BitMask(words, masks[1].length)
 
 
 def double_tall_alpha(ckpt) -> None:
-    lam, alpha = ckpt.shards[0].tall[1]
-    ckpt.shards[0].tall[1] = (lam, 2 * alpha)
+    lam, alpha = ckpt.system.shards[0].tall[1]
+    ckpt.system.shards[0].tall[1] = (lam, 2 * alpha)
 
 
 def verify_changed(tmp_path: Path, name: str, change) -> int:
@@ -364,11 +431,11 @@ def test_verify_exits_3_on_doubled_tall_alpha(tmp_path, capsys):
 
 
 def bump_accumulator(ckpt) -> None:
-    ckpt.shards[0].merged.accumulator.values[0] += 1
+    ckpt.system.shards[0].merged.accumulator.values[0] += 1
 
 
 def corrupt_remaining_digest(ckpt) -> None:
-    ckpt.replay_digests[3] = bytes(32)  # task 3 stays, so deleting task 1 never replays it
+    ckpt.system.replay_digests[3] = bytes(32)  # task 3 stays, so deleting task 1 never replays it
 
 
 def unlearn_verify_changed(tmp_path: Path, change) -> None:
@@ -406,7 +473,7 @@ TAIL = {"sift_masks_fresh": 0, "tall_masks_fresh": 6 * 16, "emr_fresh": 8 + 33 *
 def mask_block(name: str) -> tuple[bytes, int, int]:
     """A one-shard fixture's bytes, and the offset and size of its masks."""
     raw = (DATA / f"{name}.sftm").read_bytes()
-    masks = load_checkpoint(DATA / f"{name}.sftm").shards[0].merged.masks
+    masks = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].merged.masks
     size = sum(m.words.nbytes for m in masks.values())
     return raw, len(raw) - TAIL[name] - size, size
 
@@ -421,7 +488,7 @@ def without_masks(tmp_path: Path, name: str) -> Path:
 
 
 def drop_ties(ckpt) -> None:
-    ckpt.shards = (replace(ckpt.shards[0], ties_vector=None),)
+    ckpt.system.shards = (replace(ckpt.system.shards[0], ties_vector=None),)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +514,7 @@ def test_artifact_flags_other_than_written_exit_2(make, flags, command, tmp_path
 @pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
 def test_mask_pad_bit_set_exits_2(name, command, tmp_path, capsys):
     raw, at, _ = mask_block(name)
-    mask = load_checkpoint(DATA / f"{name}.sftm").shards[0].merged.masks[0]
+    mask = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].merged.masks[0]
     assert raw[at:at + 8] == mask.words.tobytes()  # task 0's mask comes first
     path = tmp_path / f"padbit_{name}.sftm"
     # bit 63 of 64 stored: past M = 33, a pad bit
@@ -485,8 +552,8 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("bad", [2**32, -1, np.int64(2**32)], ids=["2**32", "-1", "np.int64"])
 def test_save_rejects_id_outside_u32_before_writing(bad, tmp_path):
     ckpt = load_checkpoint(DATA / "sift_masks_fresh.sftm")
-    ckpt.assignment[bad] = ckpt.assignment.pop(5)
-    ckpt.replay_digests[bad] = ckpt.replay_digests.pop(5)
+    ckpt.system.assignment[bad] = ckpt.system.assignment.pop(5)
+    ckpt.system.replay_digests[bad] = ckpt.system.replay_digests.pop(5)
     path = tmp_path / "out.sftm"
     with pytest.raises(struct.error):
         save_checkpoint(ckpt, path)
