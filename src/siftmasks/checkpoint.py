@@ -253,21 +253,15 @@ def load_checkpoint(path) -> Checkpoint:
     for t, c in pairs:
         if c >= n_shards:
             raise CheckpointFormatError(f"{path}: task {t} assigned to shard {c} of {n_shards}")
-    model_spec = ModelSpec(_KIND_NAMES[kind_code], input_dim, num_classes, hidden_dim)
-    # every shard stores an M-entry vector; checked before new_system allocates M entries
-    if not 0 < 8 * model_spec.param_count * n_shards <= len(fh.getbuffer()) - fh.tell():
-        raise CheckpointFormatError(
-            f"{path}: {n_shards} shards of {model_spec.param_count} parameters do not fit the file"
-        )
-    system = new_system(
-        LocalizationMethod(
+    try:
+        model_spec = ModelSpec(_KIND_NAMES[kind_code], input_dim, num_classes, hidden_dim)
+        method = LocalizationMethod(
             _METHOD_TAGS[method_code],
             density_grid=density_grid,
             alpha_grid=alpha_grid,
             ties_density=ties_density,
-        ),
-        model_spec,
-        TrainConfig(
+        )
+        train_cfg = TrainConfig(
             steps=steps,
             batch_size=batch_size,
             learning_rate=lr,
@@ -275,7 +269,18 @@ def load_checkpoint(path) -> Checkpoint:
             beta2=beta2,
             eps=eps,
             seed=train_seed,
-        ),
+        )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    # every shard stores an M-entry vector; checked before new_system allocates M entries
+    if not 0 < 8 * model_spec.param_count * n_shards <= len(fh.getbuffer()) - fh.tell():
+        raise CheckpointFormatError(
+            f"{path}: {n_shards} shards of {model_spec.param_count} parameters do not fit the file"
+        )
+    system = new_system(
+        method,
+        model_spec,
+        train_cfg,
         {},
         dict(pairs),
         base_seed=base_seed,

@@ -13,6 +13,13 @@ tasks are stacked along a leading axis and stepped together by one loop,
 whose every operation acts on each task's slice alone, so a task's bits are
 those of training it by itself. ``ft_finetune`` and ``sift_finetune`` are
 one-task calls of the same loop.
+
+The gradient arithmetic exists once, in ``_gradient_kernel``. A chunk checks
+its inputs once, every label its steps will draw included, binds the kernel
+to its parameter and gradient buffers, and then each step computes only the
+gradient: no checks, no views and no loss. ``loss_and_grad`` is the kernel's
+other caller; it checks one batch, binds the kernel for one call and adds
+the loss.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from .prng import PrngStream, mix_seed
 MODEL_KINDS = ("logistic", "mlp")
 # Bound on the entries of one stacked (tasks, M) training array: lockstep
 # training runs max(1, MAX_STACKED_ENTRIES // M) tasks at a time. Sized on a
-# 2-vCPU Xeon at M = 738 (sift, 20 steps, batch 32): CPU time per finetune
-# fell from 1.9 ms at one task per chunk to 0.72-0.82 ms at 11 and levelled
-# off near 0.71 ms from 16 on, while the chunk's peak memory grows ~65 KB
-# per task (1.1 MB at 11, 4 MB at 48).
+# 2-vCPU Xeon at M = 738 (sift, 20 steps, batch 32; medians of 40 rounds):
+# CPU time per finetune falls from 1.7 ms at one task per chunk to 0.6 ms at
+# 8 and stays there up to 48 (0.58-0.61 ms at 8, 11, 16, 24 and 48), while
+# the chunk's peak memory grows ~90 KB per task (1.0 MB at 11, 4.4 MB at 48).
 MAX_STACKED_ENTRIES = 8192
 
 
@@ -204,7 +211,8 @@ def loss_and_grad(
     params (K, M), features (K, n, d) and labels (K, n) give K losses and a
     (K, M) gradient, each slice bit-identical to the 2-D call on that slice.
     A 2-D call (params (M,), features (n, d)) is the K = 1 case and returns
-    a float loss and an (M,) gradient.
+    a float loss and an (M,) gradient. The gradient is the training loop's
+    kernel (``_gradient_kernel``), bound for this one call.
     """
     stacked = np.ndim(params) == 2
     x = np.asarray(features, dtype=np.float64)
@@ -216,51 +224,106 @@ def loss_and_grad(
     k, n, d = x.shape
     if n == 0:
         raise ValueError("batch must be nonempty")
-    if d != spec.input_dim:
-        raise ValueError(f"feature dim {d} != model input_dim {spec.input_dim}")
+    _check_input_dim(d, spec)
     if y.shape != (k, n):
         raise ValueError("features/labels length mismatch")
-    if y.min() < 0 or y.max() >= spec.num_classes:
-        bad = int(np.flatnonzero((y < 0) | (y >= spec.num_classes))[0])
-        raise ValueError(
-            f"label {y.flat[bad]} at batch index {bad % n} outside [0, {spec.num_classes})"
-        )
+    _check_labels(y, spec)
 
     grad = np.empty_like(params)
-    picked = (np.arange(k)[:, None], np.arange(n), y)
-    if spec.kind == "logistic":
-        w, b = _views(params, spec)
-        gw, gb = _views(grad, spec)
-        logits = x @ _t(w)
-        logits += b[:, None]
-        p = _softmax_rows(logits)
-        loss = -np.log(p[picked]).sum(axis=-1)
-        p[picked] -= 1.0
-        np.matmul(_t(p), x, out=gw)
-        gb[...] = p.sum(axis=-2)
-    else:
-        w1, b1, w2, b2 = _views(params, spec)
-        g1, gb1, g2, gb2 = _views(grad, spec)
-        hid = x @ _t(w1)
-        hid += b1[:, None]
-        np.tanh(hid, out=hid)
-        logits = hid @ _t(w2)
-        logits += b2[:, None]
-        p = _softmax_rows(logits)
-        loss = -np.log(p[picked]).sum(axis=-1)
-        p[picked] -= 1.0
-        np.matmul(_t(p), hid, out=g2)
-        gb2[...] = p.sum(axis=-2)
-        back = p @ w2
-        hid *= hid
-        np.subtract(1.0, hid, out=hid)
-        back *= hid
-        np.matmul(_t(back), x, out=g1)
-        gb1[...] = back.sum(axis=-2)
-    grad /= n
+    picked = _gradient_kernel(params, grad, spec, n)(x, _class_positions(y, spec))
+    loss = -np.log(picked).sum(axis=-1)
     if stacked:
         return loss / n, grad
     return float(loss[0] / n), grad[0]
+
+
+def _check_input_dim(d: int, spec: ModelSpec) -> None:
+    if d != spec.input_dim:
+        raise ValueError(f"feature dim {d} != model input_dim {spec.input_dim}")
+
+
+def _check_labels(y: np.ndarray, spec: ModelSpec) -> None:
+    """Reject the first label outside [0, C) of batches y (..., rows)."""
+    if y.min() < 0 or y.max() >= spec.num_classes:
+        bad = int(np.flatnonzero((y < 0) | (y >= spec.num_classes))[0])
+        raise ValueError(
+            f"label {y.flat[bad]} at batch index {bad % y.shape[-1]} "
+            f"outside [0, {spec.num_classes})"
+        )
+
+
+def _class_positions(y: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """Flat index of each label's class in a step's (K, rows, C) probabilities,
+    for batches y (..., K, rows)."""
+    c = spec.num_classes
+    return y + np.arange(0, y.shape[-2] * y.shape[-1] * c, c).reshape(y.shape[-2:])
+
+
+def _gradient_kernel(params: np.ndarray, grad: np.ndarray, spec: ModelSpec, rows: int):
+    """The gradient of the mean softmax cross-entropy, bound to stacked
+    buffers params (K, M) and grad (K, M) and to batches of ``rows`` examples.
+
+    Views, transposes, bias broadcasts and the activation buffers are made
+    here, once. The returned ``step(x, positions)`` takes features
+    (K, rows, d) and the ``_class_positions`` of their labels, writes the
+    gradient at the current params into grad and returns the true-class
+    probabilities (K, rows). It checks nothing: its callers check their
+    inputs. A product written into a buffer has the bits of one allocated
+    fresh, so a step's bits depend only on params and its inputs.
+    """
+    k, c = params.shape[0], spec.num_classes
+    p = np.empty((k, rows, c))
+    p_t, p_flat = _t(p), p.reshape(-1)
+
+    def probabilities(positions):
+        """Softmax of the logits in p, less 1 at each true class, in place."""
+        _softmax_rows(p)
+        picked = p_flat[positions]
+        p_flat[positions] = picked - 1.0
+        return picked
+
+    if spec.kind == "logistic":
+        w, b = _views(params, spec)
+        gw, gb = _views(grad, spec)
+        w_t, bias = _t(w), b[:, None]
+
+        def step(x, positions):
+            np.matmul(x, w_t, out=p)
+            np.add(p, bias, out=p)
+            picked = probabilities(positions)
+            np.matmul(p_t, x, out=gw)
+            gb[...] = p.sum(axis=-2)
+            np.divide(grad, rows, out=grad)
+            return picked
+
+        return step
+
+    w1, b1, w2, b2 = _views(params, spec)
+    g1, gb1, g2, gb2 = _views(grad, spec)
+    w1_t, bias1, w2_t, bias2 = _t(w1), b1[:, None], _t(w2), b2[:, None]
+    hid = np.empty((k, rows, spec.hidden_dim))
+    back = np.empty_like(hid)
+    back_t = _t(back)
+
+    def step(x, positions):
+        np.matmul(x, w1_t, out=hid)
+        np.add(hid, bias1, out=hid)
+        np.tanh(hid, out=hid)
+        np.matmul(hid, w2_t, out=p)
+        np.add(p, bias2, out=p)
+        picked = probabilities(positions)
+        np.matmul(p_t, hid, out=g2)
+        gb2[...] = p.sum(axis=-2)
+        np.matmul(p, w2, out=back)
+        np.multiply(hid, hid, out=hid)
+        np.subtract(1.0, hid, out=hid)
+        np.multiply(back, hid, out=back)
+        np.matmul(back_t, x, out=g1)
+        gb1[...] = back.sum(axis=-2)
+        np.divide(grad, rows, out=grad)
+        return picked
+
+    return step
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -393,17 +456,29 @@ def finetune_tasks(
 
 
 def _finetune_chunk(tasks, m0, spec, cfg, signs) -> np.ndarray:
-    """Train K tasks with equal batch rows in lockstep; returns (K, M) deltas."""
+    """Train K tasks with equal batch rows in lockstep; returns (K, M) deltas.
+
+    The inputs are checked once, against every label the steps will draw,
+    and the gradient kernel is bound once to the chunk's buffers.
+    """
     x_pool = np.concatenate([t.features for t in tasks])
     y_pool = np.concatenate([t.labels for t in tasks])
     batches = np.stack([_batches(t, cfg) for t in tasks], axis=1)  # (steps, K, rows)
     batches += np.cumsum([0] + [t.n_examples for t in tasks[:-1]])[:, None]
     tau = np.zeros((len(tasks), m0.shape[0]))
+    if not cfg.steps:
+        return tau
+    _check_input_dim(x_pool.shape[1], spec)
+    drawn = y_pool[batches]
+    _check_labels(drawn, spec)
+    positions = _class_positions(drawn, spec)
     params = np.empty_like(tau)
+    grad = np.empty_like(tau)
+    gradient = _gradient_kernel(params, grad, spec, batches.shape[-1])
     state = AdamState.zeros(tau.shape)
-    for rows in batches:
+    for rows, picks in zip(batches, positions):
         np.add(m0, tau, out=params)
-        _, grad = loss_and_grad(params, spec, x_pool[rows], y_pool[rows])
+        gradient(x_pool[rows], picks)
         adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
         if signs is not None:
             _zero_disagreeing(tau, signs)

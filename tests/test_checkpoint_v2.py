@@ -306,6 +306,29 @@ def test_unknown_header_code_report_exits_2(offset, value, message, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "offset, fmt, old, new, message",
+    [
+        (20, "<I", 3, 1, "need input_dim >= 1 and num_classes >= 2"),
+        (108, "<d", 0.3, 2.0, "density grid values must lie in (0, 1]"),
+    ],
+    ids=["num_classes", "density_grid"],
+)
+def test_invalid_header_value_is_a_format_error_naming_the_file(
+    offset, fmt, old, new, message, tmp_path, capsys
+):
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    assert struct.unpack_from(fmt, raw, offset) == (old,)
+    struct.pack_into(fmt, raw, offset, new)
+    path = tmp_path / "bad_value.sftm"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+    code = main(["report", "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_scale_bits_other_than_32_exits_2(tmp_path, capsys):
     raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
     assert struct.unpack_from("<I", raw, 24) == (32,)

@@ -1,12 +1,16 @@
 """Lockstep training: stacked chunks of tasks give every task the bits of
 training it alone, whatever the chunk size, task order or batch-row mix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siftmasks import trainer
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
-from siftmasks.engine import _digest, build
+from siftmasks.engine import _digest, _pooled_task, build
 from siftmasks.merging import LocalizationMethod
 from siftmasks.paramcore import gen_sign_vector
 from siftmasks.prng import PrngStream, mix_seed
@@ -23,6 +27,7 @@ from siftmasks.trainer import (
 )
 
 from conftest import make_task
+from frozen_train import frozen_loss_and_grad
 
 SPECS = {
     "logistic": ModelSpec("logistic", 6, 3),
@@ -39,7 +44,8 @@ TRAIN_SIZES = {3: 12, 8: 5, 4: 30, 11: 7, 1: 10, 6: 40, 9: 5, 2: 25}
 
 def single_task_reference(task, m0, spec, cfg, v=None):
     """One task at a time as the trainer ran before lockstep: one batch draw
-    per step, a functional Adam update and an ``np.where`` sign projection."""
+    per step, the frozen gradient kernel, a functional Adam update and an
+    ``np.where`` sign projection."""
     x_train, y_train = task.train_xy()
     n = len(y_train)
     stream = PrngStream(mix_seed(cfg.seed, task.id))
@@ -52,7 +58,7 @@ def single_task_reference(task, m0, spec, cfg, v=None):
         else:
             idx = stream.randint_block(cfg.batch_size, n)
             xb, yb = x_train[idx], y_train[idx]
-        _, grad = loss_and_grad(m0 + tau, spec, xb, yb)
+        _, grad = frozen_loss_and_grad(m0 + tau, spec, xb, yb)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         s2 = cfg.beta2 * s2 + (1.0 - cfg.beta2) * grad * grad
         m_hat = m / (1.0 - cfg.beta1**t)
@@ -97,6 +103,54 @@ def test_lockstep_matches_single_task_training(kind, signed, chunk, order, monke
         else:
             assert mask is None
             assert tv == ft_finetune(task, m0, spec, CFG)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_pooled_many_step_training_matches_single_task_reference(kind):
+    """Central's shape: the pooled training splits as one task, trained for
+    hundreds of steps."""
+    spec = SPECS[kind]
+    pooled = _pooled_task(mixed_tasks())
+    cfg = replace(CFG, steps=240, batch_size=32)
+    m0 = init_params(spec, 3)
+    tv = ft_finetune(pooled, m0, spec, cfg)
+    assert tv.delta.tobytes() == single_task_reference(pooled, m0, spec, cfg).tobytes()
+
+
+def with_label(task, index, label):
+    labels = task.labels.copy()
+    labels[index] = label
+    return make_task(task.id, task.features, labels, n_eval=len(task.eval_indices))
+
+
+@pytest.mark.parametrize("label", [3, -1])
+def test_drawn_label_out_of_range_named_in_a_stacked_chunk(label):
+    # tasks 8 and 9 train together on their whole 5-row split at every step
+    tasks = [t if t.id != 9 else with_label(t, 2, label) for t in mixed_tasks()]
+    with pytest.raises(ValueError, match=rf"label {label} at batch index 2 outside \[0, 3\)"):
+        finetune_tasks(tasks, init_params(SPECS["mlp"], 3), SPECS["mlp"], CFG)
+
+
+def test_label_out_of_range_only_in_the_eval_split_still_trains():
+    spec = SPECS["mlp"]
+    m0 = init_params(spec, 3)
+    tasks = mixed_tasks()
+    # each task's last 3 examples are its eval split, never drawn
+    marked = [with_label(t, t.n_examples - 1, 7) for t in tasks]
+    for (got, _), (want, _) in zip(finetune_tasks(marked, m0, spec, CFG),
+                                   finetune_tasks(tasks, m0, spec, CFG)):
+        assert got.delta.tobytes() == want.delta.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_gradient_during_training_raises():
+    tasks = mixed_tasks()
+    task = tasks[0]
+    features = task.features.copy()
+    features[task.train_indices] = np.inf
+    tasks[0] = make_task(task.id, features, task.labels, n_eval=len(task.eval_indices))
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        finetune_tasks(tasks, init_params(SPECS["mlp"], 3), SPECS["mlp"], CFG)
 
 
 def test_chunks_group_equal_batch_rows_up_to_the_bound(monkeypatch):
@@ -144,6 +198,30 @@ def test_stacked_kernel_slices_match_2d_call(kind, hidden, classes, rows, stack)
         loss, grad = loss_and_grad(params[k], spec, x[k], y[k])
         assert losses[k] == loss
         assert grads[k].tobytes() == grad.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "mlp"]),
+    dims=st.tuples(st.integers(1, 24), st.integers(1, 40), st.integers(2, 5)),
+    rows=st.integers(1, 40),
+    stack=st.one_of(st.none(), st.integers(1, 12)),
+    scale=st.sampled_from([0.1, 1.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_grad_bytes_match_the_frozen_kernel(kind, dims, rows, stack, scale, seed):
+    d, h, c = dims
+    spec = ModelSpec(kind, d, c, hidden_dim=h if kind == "mlp" else 0)
+    rng = np.random.default_rng(seed)
+    lead = () if stack is None else (stack,)
+    params = rng.normal(size=(*lead, spec.param_count)) * scale
+    x = rng.normal(size=(*lead, rows, d))
+    y = rng.integers(0, c, size=(*lead, rows))
+    loss, grad = loss_and_grad(params, spec, x, y)
+    want_loss, want_grad = frozen_loss_and_grad(params, spec, x, y)
+    assert type(loss) is type(want_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_stacked_adam_rows_match_lone_updates():
