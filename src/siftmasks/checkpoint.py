@@ -187,33 +187,23 @@ def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, dig
         raise CheckpointFormatError("digests must be 32 bytes")
     table = chain.from_iterable(zip(digest_ids, digests))
     _w(fh, "I" + "I32s" * len(digests), len(digests), *table)
-    masks = shard.merged.masks if METHODS[system.method.tag].stores_masks else None
-    flags = 0
-    for bit, part in (
-        (_F_MASKS, masks),
-        (_F_EMR, shard.emr),
-        (_F_TALL, shard.tall),
-        (_F_TIES, shard.ties_vector),
-        (_F_CENTRAL, shard.central_params),
-    ):
-        if part is not None:
-            flags |= bit
+    flags = _artifact_flags(system.method.tag, bool(retained))
     _w(fh, "B", flags)
     m = system.model_spec.param_count
-    if masks is not None:
+    if flags & _F_MASKS:
         for t in retained:
-            words = masks[t].words  # contiguous "<u4", as BitMask stores it
+            words = shard.merged.masks[t].words  # contiguous "<u4", as BitMask stores it
             if words.shape[0] != mask_words(m):
                 raise CheckpointFormatError("mask word count mismatch")
             fh.write(words)
-    if shard.emr is not None:
+    if flags & _F_EMR:
         _w_array(fh, shard.emr.unified, "<f8")
         _w(fh, f"{len(retained)}d", *(shard.emr.scales[t] for t in retained))
-    if shard.tall is not None:
+    if flags & _F_TALL:
         _w(fh, f"{2 * len(retained)}d", *chain.from_iterable(shard.tall[t] for t in retained))
-    if shard.ties_vector is not None:
+    if flags & _F_TIES:
         _w_array(fh, shard.ties_vector, "<f8")
-    if shard.central_params is not None:
+    if flags & _F_CENTRAL:
         _w_array(fh, shard.central_params, "<f8")
 
 
@@ -295,7 +285,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _artifact_flags(tag: str, retains: bool) -> int:
-    """The artifact flags the writer sets on a shard of method ``tag``.
+    """The artifact flags of a shard of method ``tag``: written, and expected.
 
     Masks are stored iff the method stores them; TALL and EMR artifacts are
     tuned on the retained tasks, so a shard that retains none has none; a
@@ -375,18 +365,19 @@ def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoin
 
 
 def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
-    """Reattach task data to a checkpoint. Tasks must cover the assignment and
-    have the model's feature dimension.
+    """Reattach task data to a checkpoint. Tasks must cover the retained tasks
+    and have the model's feature dimension; a deleted task's data, which only
+    held-out evaluation reads, is attached when given.
 
     The file keeps each shard's deletion order but not the order across
     shards; ``unlearned`` lists the shards' deletions shard by shard.
     """
     system = ckpt.system
     by_id = {t.id: t for t in tasks}
-    missing = sorted(set(system.assignment) - set(by_id))
+    missing = sorted(set(system.retained) - set(by_id))
     if missing:
         raise CheckpointFormatError(f"dataset is missing task ids {missing}")
-    registry = {t: by_id[t] for t in sorted(system.assignment)}
+    registry = {t: by_id[t] for t in sorted(system.assignment) if t in by_id}
     dim = system.model_spec.input_dim
     for task in registry.values():
         if task.input_dim != dim:

@@ -21,7 +21,9 @@ metric, value) plus a JSON summary; checkpoints are binary (see checkpoint.py).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import fcntl
 import json
 import os
 import sys
@@ -94,8 +96,9 @@ def _config_from(ctx_params) -> RunConfig:
     merged = {f.name: getattr(base, f.name) for f in dataclass_fields(RunConfig)}
     merged.update(overrides)
     for grid in ("density_grid", "alpha_grid"):
-        if isinstance(merged[grid], str):
-            merged[grid] = tuple(float(x) for x in merged[grid].split(","))
+        if isinstance(merged[grid], str):  # left a string, which RunConfig rejects, if bad
+            with contextlib.suppress(ValueError):
+                merged[grid] = tuple(float(x) for x in merged[grid].split(","))
     return RunConfig(**merged)
 
 
@@ -117,6 +120,19 @@ def _config_options(*names):
         return fn
 
     return decorate
+
+
+@contextlib.contextmanager
+def _writer_lock(checkpoint):
+    """An exclusive ``flock`` on the checkpoint's directory: writers run one at
+    a time, and the lock dies with its process. Readers take none; the atomic
+    rename gives them the old file or the new one."""
+    fd = os.open(os.path.dirname(os.path.abspath(checkpoint)), os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 def _model_spec(cfg: RunConfig) -> ModelSpec:
@@ -241,7 +257,8 @@ def cmd_train(retain, retain_file, **params):
             raise DataFormatError(f"unknown task ids in --retain: {missing}")
         tasks = [t for t in tasks if t.id in keep]
     system, ledger = _build_from_config(cfg, tasks)
-    save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
+    with _writer_lock(out / "checkpoint.sftm"):
+        save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
     cfg.save(out / "run_config.json")
     click.echo(
         f"built {cfg.method} over {len(tasks)} tasks: "
@@ -308,28 +325,29 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
         ids.extend(sorted(_parse_ids(None, ids_file)))
     if not ids:
         raise click.UsageError("nothing to unlearn: pass --id or --ids-file")
-    ckpt, system = _load_system(cfg, checkpoint)
-    ledger = ckpt.ledger
-    base_event = len(system.unlearned)
-    reports = []
-    for u in ids:
-        system, report, delta = unlearn(system, u, verify=do_verify)
-        if not report.exact:  # keep the checkpoint as it was read
-            raise ExactnessViolation(
-                f"after deleting task {u} the state does not match a fresh merge: {report}"
-            )
-        ledger.add(delta)
-        reports.append((u, report, delta))
-    save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
-    tag = system.method.tag
-    rows = []
-    for i, (u, report, delta) in enumerate(reports):
-        rows.append([tag, base_event + i + 1, u, "replay_matches", int(report.replay_matches)])
-        rows.append([tag, base_event + i + 1, u, "state_matches_oracle", int(report.state_matches_oracle)])
-        rows.append([tag, base_event + i + 1, u, "unlearn_task_finetunes", delta.unlearn_finetunes])
-        rows.append([tag, base_event + i + 1, u, "unlearn_finetune_steps", delta.unlearn_steps])
-    path = out / "exactness.csv"
-    _write_rows(path, rows, append=True)
+    with _writer_lock(checkpoint):  # held from the read through the CSV append
+        ckpt, system = _load_system(cfg, checkpoint)
+        ledger = ckpt.ledger
+        base_event = len(system.unlearned)
+        reports = []
+        for u in ids:
+            system, report, delta = unlearn(system, u, verify=do_verify)
+            if not report.exact:  # keep the checkpoint as it was read
+                raise ExactnessViolation(
+                    f"after deleting task {u} the state does not match a fresh merge: {report}"
+                )
+            ledger.add(delta)
+            reports.append((u, report, delta))
+        save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
+        tag = system.method.tag
+        rows = []
+        for event, (u, report, delta) in enumerate(reports, base_event + 1):
+            rows.append([tag, event, u, "replay_matches", int(report.replay_matches)])
+            rows.append([tag, event, u, "state_matches_oracle", int(report.state_matches_oracle)])
+            rows.append([tag, event, u, "unlearn_task_finetunes", delta.unlearn_finetunes])
+            rows.append([tag, event, u, "unlearn_finetune_steps", delta.unlearn_steps])
+        path = out / "exactness.csv"
+        _write_rows(path, rows, append=True)
     for u, report, delta in reports:
         click.echo(
             f"unlearned task {u}: replay_matches={report.replay_matches} "

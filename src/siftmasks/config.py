@@ -8,7 +8,7 @@ generation, parameter init, the sign vector, batch sampling, and clustering.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .engine import CENTRAL_MAX_STEPS_DEFAULT
 from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, METHOD_TAGS
@@ -49,6 +49,12 @@ class RunConfig:
     clusters: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, f.type):
+                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+            if f.type.startswith("tuple"):
+                object.__setattr__(self, f.name, tuple(value))
         if self.method not in METHOD_TAGS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.clusters < 1:
@@ -76,10 +82,7 @@ class RunConfig:
         return mix_seed(self.seed, "clustering")
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["density_grid"] = list(self.density_grid)
-        doc["alpha_grid"] = list(self.alpha_grid)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"  # tuples as lists
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -93,13 +96,7 @@ class RunConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
-        for grid in ("density_grid", "alpha_grid"):
-            if grid in doc:
-                doc[grid] = tuple(doc[grid])
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**doc)  # every field is known, and __post_init__ checks its type
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -109,3 +106,13 @@ class RunConfig:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf8") as fh:
             fh.write(self.to_json())
+
+
+def _conforms(value, annotation: str) -> bool:
+    """Whether a value has its field's annotated type as JSON gives it: an int
+    field takes an integer, a float field any number, a grid a list or tuple
+    of numbers; a bool is no number."""
+    if annotation.startswith("tuple"):
+        return isinstance(value, (list, tuple)) and all(_conforms(x, "float") for x in value)
+    kinds = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+    return isinstance(value, kinds[annotation]) and not isinstance(value, bool)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .datasets import TaskSpec
+from .datasets import DataFormatError, TaskSpec
 from .merging import (
     EmrArtifacts,
     LocalizationMethod,
@@ -515,6 +515,9 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     ids = sorted(system.assignment) if mode == "held_out" else system.retained
+    missing = [t for t in ids if t not in system.registry]
+    if missing:
+        raise DataFormatError(f"dataset is missing task ids {missing}, read by {mode} evaluation")
     per_task: dict[int, float] = {}
     for t in ids:
         params = serve_for_task(system, t)

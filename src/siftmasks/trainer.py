@@ -1,8 +1,11 @@
 """Deterministic finetuning of small dense classifiers.
 
-Models are flat parameter vectors over a fixed layout. Training optimizes the
-delta from the base parameters directly (the task vector), with Adam, so the
-zero-step case is exactly the zero vector and replays are bit-identical.
+A model is one stack of dense layers, ``ModelSpec.widths`` wide, with tanh
+between layers: the logistic model is the MLP without a hidden layer. Its
+parameters are a flat vector, each layer's weight (out, in) then its bias.
+Training optimizes the delta from the base parameters directly (the task
+vector), with Adam, so the zero-step case is exactly the zero vector and
+replays are bit-identical.
 Sign-fixed tuning (SIFT) projects the delta onto the sign constraint after
 every optimizer step; optimizer moments are left untouched. The projection
 is branchless, a multiply by the agreement mask and a ``+ 0.0``, and exact
@@ -15,16 +18,15 @@ those of training it by itself. ``ft_finetune`` and ``sift_finetune`` are
 one-task calls of the same loop.
 
 The gradient arithmetic exists once, in ``_gradient_kernel``. A chunk checks
-its inputs once, every label its steps will draw included, binds the kernel
-to its parameter and gradient buffers, and then each step computes only the
-gradient: no checks, no views and no loss. ``loss_and_grad`` is the kernel's
-other caller; it checks one batch, binds the kernel for one call and adds
-the loss.
+its inputs once, every label its steps will draw included, and binds the
+kernel to its buffers; each step then computes only the gradient.
+``loss_and_grad`` binds it for one checked batch and adds the loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +59,24 @@ class ModelSpec:
             raise ValueError("mlp requires hidden_dim >= 1")
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths from input to logits."""
+        hidden = (self.hidden_dim,) if self.kind == "mlp" else ()
+        return (self.input_dim, *hidden, self.num_classes)
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
+        """Per layer, the offsets of its weight, bias and end, and the
+        weight's (out, in) shape."""
+        layers, end = [], 0
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            w, b, end = end, end + fan_out * fan_in, end + fan_out * fan_in + fan_out
+            layers.append((w, b, end, (fan_out, fan_in)))
+        return tuple(layers)
+
+    @property
     def param_count(self) -> int:
-        d, c, h = self.input_dim, self.num_classes, self.hidden_dim
-        if self.kind == "logistic":
-            return d * c + c
-        return d * h + h + h * c + c
+        return self._layout[-1][2]
 
 
 @dataclass(frozen=True)
@@ -109,54 +124,31 @@ class TaskVector:
         )
 
 
-def _views(params: np.ndarray, spec: ModelSpec):
-    """Weight and bias views of a vector (M,), or of a stack (K, M) with a
-    leading task axis on every view.
+def _views(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weight, bias) views of a vector (M,), or of a stack
+    (K, M) with a leading task axis on every view.
 
-    The vector case serves predictions, so each case keeps plain slices: one
-    form for both (``params[..., a:b]``) doubled the cost of a vector's views.
+    The vector case serves predictions, so each case keeps plain slices at
+    the spec's precomputed offsets: one form for both (``params[..., a:b]``)
+    doubled the cost of a vector's views.
     """
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    o1 = c * d if spec.kind == "logistic" else h * d
-    o2 = o1 + h
-    o3 = o2 + h * c
+    views = []
     if params.ndim == 2:
         k = params.shape[0]
-        if spec.kind == "logistic":
-            return params[:, :o1].reshape(k, c, d), params[:, o1:]
-        return (
-            params[:, :o1].reshape(k, h, d),
-            params[:, o1:o2],
-            params[:, o2:o3].reshape(k, c, h),
-            params[:, o3:],
-        )
-    if spec.kind == "logistic":
-        return params[:o1].reshape(c, d), params[o1:]
-    return (
-        params[:o1].reshape(h, d),
-        params[o1:o2],
-        params[o2:o3].reshape(c, h),
-        params[o3:],
-    )
+        for w, b, end, shape in spec._layout:
+            views.append((params[:, w:b].reshape(k, *shape), params[:, b:end]))
+    else:
+        for w, b, end, shape in spec._layout:
+            views.append((params[w:b].reshape(shape), params[b:end]))
+    return views
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Gaussian weights scaled by 1/sqrt(fan_in), zero biases; bit-reproducible."""
     stream = PrngStream(seed)
     params = np.zeros(spec.param_count)
-    if spec.kind == "logistic":
-        w, _ = _views(params, spec)
-        w[...] = stream.gaussian_block(w.size).reshape(w.shape) / np.sqrt(
-            spec.input_dim
-        )
-    else:
-        w1, _, w2, _ = _views(params, spec)
-        w1[...] = stream.gaussian_block(w1.size).reshape(w1.shape) / np.sqrt(
-            spec.input_dim
-        )
-        w2[...] = stream.gaussian_block(w2.size).reshape(w2.shape) / np.sqrt(
-            spec.hidden_dim
-        )
+    for w, _ in _views(params, spec):
+        w[...] = stream.gaussian_block(w.size).reshape(w.shape) / np.sqrt(w.shape[1])
     return params
 
 
@@ -177,12 +169,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def predict_logits(params: np.ndarray, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if spec.kind == "logistic":
-        w, b = _views(params, spec)
-        return x @ w.T + b
-    w1, b1, w2, b2 = _views(params, spec)
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2
+    *hidden, (w, b) = _views(params, spec)
+    for w_h, b_h in hidden:
+        x = np.tanh(x @ w_h.T + b_h)
+    return x @ w.T + b
 
 
 def predict_labels(params: np.ndarray, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
@@ -263,63 +253,50 @@ def _gradient_kernel(params: np.ndarray, grad: np.ndarray, spec: ModelSpec, rows
     """The gradient of the mean softmax cross-entropy, bound to stacked
     buffers params (K, M) and grad (K, M) and to batches of ``rows`` examples.
 
-    Views, transposes, bias broadcasts and the activation buffers are made
-    here, once. The returned ``step(x, positions)`` takes features
-    (K, rows, d) and the ``_class_positions`` of their labels, writes the
-    gradient at the current params into grad and returns the true-class
-    probabilities (K, rows). It checks nothing: its callers check their
-    inputs. A product written into a buffer has the bits of one allocated
-    fresh, so a step's bits depend only on params and its inputs.
+    Views, transposes, bias broadcasts, the activation and error buffers and
+    the plan of the backward pass are made here, once. The returned
+    ``step(x, positions)`` takes features (K, rows, d) and the
+    ``_class_positions`` of their labels, writes the gradient at the current
+    params into grad and returns the true-class probabilities (K, rows). It
+    checks nothing: its callers check their inputs. A product written into a
+    buffer has the bits of one allocated fresh, so a step's bits depend only
+    on params and its inputs.
     """
-    k, c = params.shape[0], spec.num_classes
-    p = np.empty((k, rows, c))
-    p_t, p_flat = _t(p), p.reshape(-1)
+    k = params.shape[0]
+    layers, grads = _views(params, spec), _views(grad, spec)
+    acts = [np.empty((k, rows, width)) for width in spec.widths[1:]]
+    p, p_flat = acts[-1], acts[-1].reshape(-1)
+    forward = [(_t(w), b[:, None], a) for (w, b), a in zip(layers, acts)]
+    # the error at each layer's output: the probabilities less one at the
+    # true class for the last, back-propagated through tanh below it; a
+    # hidden layer's weight gradient is its error times its tanh input
+    errs = [np.empty_like(a) for a in acts[:-1]] + [p]
+    backward = [
+        (errs[i], _t(errs[i]), acts[i - 1], layers[i][0], *grads[i], errs[i - 1])
+        for i in range(len(layers) - 1, 0, -1)
+    ]
+    err0, err0_t, (g0, gb0) = errs[0], _t(errs[0]), grads[0]
 
-    def probabilities(positions):
-        """Softmax of the logits in p, less 1 at each true class, in place."""
+    def step(x, positions):
+        a = x
+        for w_t, bias, out in forward:
+            if a is not x:  # tanh between layers
+                np.tanh(a, out=a)
+            np.matmul(a, w_t, out=out)
+            np.add(out, bias, out=out)
+            a = out
         _softmax_rows(p)
         picked = p_flat[positions]
         p_flat[positions] = picked - 1.0
-        return picked
-
-    if spec.kind == "logistic":
-        w, b = _views(params, spec)
-        gw, gb = _views(grad, spec)
-        w_t, bias = _t(w), b[:, None]
-
-        def step(x, positions):
-            np.matmul(x, w_t, out=p)
-            np.add(p, bias, out=p)
-            picked = probabilities(positions)
-            np.matmul(p_t, x, out=gw)
-            gb[...] = p.sum(axis=-2)
-            np.divide(grad, rows, out=grad)
-            return picked
-
-        return step
-
-    w1, b1, w2, b2 = _views(params, spec)
-    g1, gb1, g2, gb2 = _views(grad, spec)
-    w1_t, bias1, w2_t, bias2 = _t(w1), b1[:, None], _t(w2), b2[:, None]
-    hid = np.empty((k, rows, spec.hidden_dim))
-    back = np.empty_like(hid)
-    back_t = _t(back)
-
-    def step(x, positions):
-        np.matmul(x, w1_t, out=hid)
-        np.add(hid, bias1, out=hid)
-        np.tanh(hid, out=hid)
-        np.matmul(hid, w2_t, out=p)
-        np.add(p, bias2, out=p)
-        picked = probabilities(positions)
-        np.matmul(p_t, hid, out=g2)
-        gb2[...] = p.sum(axis=-2)
-        np.matmul(p, w2, out=back)
-        np.multiply(hid, hid, out=hid)
-        np.subtract(1.0, hid, out=hid)
-        np.multiply(back, hid, out=back)
-        np.matmul(back_t, x, out=g1)
-        gb1[...] = back.sum(axis=-2)
+        for err, err_t, h, w, g_w, g_b, back in backward:
+            np.matmul(err_t, h, out=g_w)
+            g_b[...] = err.sum(axis=-2)
+            np.matmul(err, w, out=back)
+            np.multiply(h, h, out=h)
+            np.subtract(1.0, h, out=h)
+            np.multiply(back, h, out=back)
+        np.matmul(err0_t, x, out=g0)
+        gb0[...] = err0.sum(axis=-2)
         np.divide(grad, rows, out=grad)
         return picked
 

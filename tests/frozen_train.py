@@ -1,16 +1,68 @@
-"""Reference copy of the gradient kernel as it was before it was bound once
-per lockstep chunk.
+"""Reference copies of the trainer's model code as it was when each model
+kind had its own branch: the parameter layout, initialization, the forward
+pass and the gradient kernel before it was bound once per lockstep chunk.
 
 ``frozen_loss_and_grad`` checks its inputs, builds its views, transposes and
 index arrays on every call and computes the loss next to the gradient. Tests
-compare the trainer's loss, gradient and trained bytes against it, so the
-reference is not the code under test. Only the parameter layout (``_views``)
-is shared with the library.
+compare the trainer's parameters, logits, loss, gradient and trained bytes
+against these, so no reference imports layout code of the library.
 """
 
 import numpy as np
 
-from siftmasks.trainer import _views
+from siftmasks.prng import PrngStream
+
+
+def _views(params, spec):
+    """(w, b) for logistic, (w1, b1, w2, b2) for the MLP; params (M,) or
+    (K, M), with a leading task axis on every view of a stack."""
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    o1 = c * d if spec.kind == "logistic" else h * d
+    o2 = o1 + h
+    o3 = o2 + h * c
+    if params.ndim == 2:
+        k = params.shape[0]
+        if spec.kind == "logistic":
+            return params[:, :o1].reshape(k, c, d), params[:, o1:]
+        return (
+            params[:, :o1].reshape(k, h, d),
+            params[:, o1:o2],
+            params[:, o2:o3].reshape(k, c, h),
+            params[:, o3:],
+        )
+    if spec.kind == "logistic":
+        return params[:o1].reshape(c, d), params[o1:]
+    return (
+        params[:o1].reshape(h, d),
+        params[o1:o2],
+        params[o2:o3].reshape(c, h),
+        params[o3:],
+    )
+
+
+def frozen_init_params(spec, seed):
+    stream = PrngStream(seed)
+    if spec.kind == "logistic":
+        params = np.zeros(spec.input_dim * spec.num_classes + spec.num_classes)
+        w, _ = _views(params, spec)
+        w[...] = stream.gaussian_block(w.size).reshape(w.shape) / np.sqrt(spec.input_dim)
+        return params
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    params = np.zeros(d * h + h + h * c + c)
+    w1, _, w2, _ = _views(params, spec)
+    w1[...] = stream.gaussian_block(w1.size).reshape(w1.shape) / np.sqrt(spec.input_dim)
+    w2[...] = stream.gaussian_block(w2.size).reshape(w2.shape) / np.sqrt(spec.hidden_dim)
+    return params
+
+
+def frozen_predict_logits(params, spec, features):
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if spec.kind == "logistic":
+        w, b = _views(params, spec)
+        return x @ w.T + b
+    w1, b1, w2, b2 = _views(params, spec)
+    hidden = np.tanh(x @ w1.T + b1)
+    return hidden @ w2.T + b2
 
 
 def _softmax_rows(logits):

@@ -516,3 +516,81 @@ def test_cli_run_config_data_path_read_from_another_directory(tmp_path, monkeypa
     monkeypatch.chdir("sub")
     assert run_cli("eval", "--config", "../run/run_config.json",
                    "--checkpoint", "../run/checkpoint.sftm", "--out-dir", "../run") == 0
+
+
+@pytest.mark.parametrize(
+    "config, flags, field",
+    [('{"steps": "abc"}', [], "steps"),
+     ('{"num_tasks": 2.5}', [], "num_tasks"),
+     ('{"density_grid": 5}', [], "density_grid"),
+     ("{}", ["--density-grid", "0.1,abc"], "density_grid")],
+    ids=["steps-str", "num_tasks-float", "density_grid-int", "density_grid-flag"],
+)
+def test_cli_config_value_of_the_wrong_type_is_a_config_error(
+    config, flags, field, tmp_path, capsys
+):
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--config", str(path), *flags, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field '{field}' must be")
+    assert "Traceback" not in err
+    assert not Path(out, "checkpoint.sftm").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("learning_rate", "0.1"), ("data", 3), ("method", None),
+     ("alpha_grid", [0.5, "x"]), ("alpha_grid", "0.5"), ("num_tasks", np.int64(3))],
+)
+def test_run_config_checks_each_field_against_its_annotation(field, value):
+    with pytest.raises(ConfigError, match=f"config field '{field}'"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_takes_any_number_for_a_float_and_a_list_for_a_grid():
+    cfg = RunConfig(learning_rate=1, density_grid=[0.5, 1], data="d.jsonl")
+    assert cfg.density_grid == (0.5, 1) and cfg == RunConfig.from_json(cfg.to_json())
+
+
+def test_cli_forgetting_needs_no_forgotten_data(tmp_path, capsys):
+    """After task 3 is deleted and its records dropped, only held-out
+    evaluation, which measures what was forgotten, asks for them."""
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS, "--num-tasks", "6")
+    cfg, data = f"{out}/gen_config.json", f"{out}/dataset.jsonl"
+    ckpt = f"{out}/checkpoint.sftm"
+    common = ["--config", cfg, "--data", data, "--checkpoint", ckpt, "--out-dir", out]
+    assert run_cli("train", "--config", cfg, "--data", data, "--out-dir", out) == 0
+    assert run_cli("unlearn", *common, "--id", "3") == 0
+    records = Path(data).read_text().splitlines(keepends=True)
+    kept = [r for r in records if json.loads(r)["task_id"] != 3]
+    assert 0 < len(kept) < len(records)
+    Path(data).write_text("".join(kept))
+    capsys.readouterr()
+    assert run_cli("verify", *common) == 0
+    assert run_cli("eval", *common, "--mode", "held_in") == 0
+    assert run_cli("unlearn", *common, "--id", "5") == 0
+    assert run_cli("verify", *common) == 0
+    capsys.readouterr()
+    assert run_cli("eval", *common, "--mode", "held_out") == 2
+    assert "data error: dataset is missing task ids [3]" in capsys.readouterr().err
+    # a deleted task's data is attached, and read, when it is given
+    Path(data).write_text("".join(records))
+    assert run_cli("eval", *common, "--mode", "held_out") == 0
+    rows = Path(out, "eval_held_out.csv").read_text().splitlines()
+    assert len(rows) == 1 + 6 + 1
+
+
+def test_checkpoint_attaches_a_deleted_task_only_at_the_model_dimension(tmp_path):
+    tasks, system, ledger = small_system("sift_masks")
+    system, _, delta = unlearn(system, 2)
+    ledger.add(delta)
+    path = tmp_path / "ck.sftm"
+    save_checkpoint(checkpoint_from_system(system, ledger), path)
+    retained = [t for t in tasks if t.id != 2]
+    assert sorted(system_from_checkpoint(load_checkpoint(path), retained).registry) == [0, 1, 3]
+    wide = replace(tasks[2], features=np.zeros((tasks[2].n_examples, 11)))
+    with pytest.raises(CheckpointFormatError, match="task 2 has feature dim 11"):
+        system_from_checkpoint(load_checkpoint(path), [*retained, wide])

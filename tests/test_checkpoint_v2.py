@@ -30,6 +30,7 @@ import pytest
 
 from siftmasks.checkpoint import (
     _F_MASKS,
+    _F_TIES,
     CheckpointFormatError,
     checkpoint_from_system,
     load_checkpoint,
@@ -37,7 +38,7 @@ from siftmasks.checkpoint import (
     system_from_checkpoint,
 )
 from siftmasks.cli import main
-from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
+from siftmasks.datasets import DataFormatError, HeterogeneityRegime, save_tasks, synth_generate
 from siftmasks.engine import build, evaluate, unlearn, verify_exactness
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
 from siftmasks.paramcore import BitMask, FxpVector
@@ -108,7 +109,7 @@ def test_loaded_system_names_its_tasks_but_cannot_serve_them_until_reattached():
     system = load_checkpoint(DATA / "sift_masks_deleted1.sftm").system
     assert system.registry == {}
     assert system.retained == (0, 1, 3, 4, 5)
-    with pytest.raises(KeyError):
+    with pytest.raises(DataFormatError, match=r"missing task ids \[0, 1, 2, 3, 4, 5\]"):
         evaluate(system, "held_out")
 
 
@@ -510,15 +511,23 @@ def without_masks(tmp_path: Path, name: str) -> Path:
     return path
 
 
-def drop_ties(ckpt) -> None:
-    ckpt.system.shards = (replace(ckpt.system.shards[0], ties_vector=None),)
+def without_ties_vector(tmp_path: Path) -> Path:
+    """Copies the TIES fixture with its vector flag cleared and its vector
+    (count + 33 floats, the file's last bytes) cut; the writer, which writes
+    the flags of the method, cannot write this file."""
+    raw = (DATA / "ties_fresh.sftm").read_bytes()
+    at = len(raw) - (8 + 33 * 8)
+    assert raw[at - 1] == _F_TIES
+    path = tmp_path / "noties.sftm"
+    path.write_bytes(raw[:at - 1] + bytes([0]))
+    return path
 
 
 @pytest.mark.parametrize(
     "make, flags",
     [(lambda tmp: without_masks(tmp, "tall_masks_fresh"), "0x04, expected 0x05"),
      (lambda tmp: without_masks(tmp, "sift_masks_fresh"), "0x00, expected 0x01"),
-     (lambda tmp: resaved_copy(tmp, "ties_fresh", drop_ties), "0x00, expected 0x08")],
+     (without_ties_vector, "0x00, expected 0x08")],
     ids=["tall_no_masks", "sift_no_masks", "ties_no_vector"],
 )
 @pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])

@@ -27,7 +27,7 @@ from siftmasks.trainer import (
 )
 
 from conftest import make_task
-from frozen_train import frozen_loss_and_grad
+from frozen_train import frozen_init_params, frozen_loss_and_grad, frozen_predict_logits
 
 SPECS = {
     "logistic": ModelSpec("logistic", 6, 3),
@@ -220,6 +220,39 @@ def test_loss_and_grad_bytes_match_the_frozen_kernel(kind, dims, rows, stack, sc
     loss, grad = loss_and_grad(params, spec, x, y)
     want_loss, want_grad = frozen_loss_and_grad(params, spec, x, y)
     assert type(loss) is type(want_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, stack",
+    [
+        (ModelSpec("logistic", 10, 3), None),
+        (ModelSpec("mlp", 6, 3, hidden_dim=1), None),
+        (ModelSpec("mlp", 20, 2, hidden_dim=8), 3),
+        (ModelSpec("mlp", 20, 2, hidden_dim=32), None),
+        # 12 x 738 = 8,856 stacked entries, past numpy's 8,192-entry buffers
+        (ModelSpec("mlp", 20, 2, hidden_dim=32), 12),
+    ],
+    ids=["logistic", "mlp-h1", "mlp-h8-stack3", "mlp-h32", "mlp-h32-stack12"],
+)
+def test_model_bytes_match_the_frozen_layout(spec, stack):
+    """Initial parameters, logits, loss and gradient keep the bytes of the
+    per-kind code, whose layout no fixture pins for the MLP."""
+    m0 = init_params(spec, 17)
+    assert m0.tobytes() == frozen_init_params(spec, 17).tobytes()
+    rng = np.random.default_rng(spec.param_count)
+    x = rng.normal(size=(33, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, size=33)
+    params = m0 + rng.normal(size=m0.shape) * 0.3
+    logits = trainer.predict_logits(params, spec, x)
+    assert logits.tobytes() == frozen_predict_logits(params, spec, x).tobytes()
+    if stack is not None:
+        params = params + rng.normal(size=(stack, spec.param_count)) * 0.3
+        x = np.broadcast_to(x, (stack, *x.shape)) * rng.normal(size=(stack, 1, 1))
+        y = rng.integers(0, spec.num_classes, size=(stack, 33))
+    loss, grad = loss_and_grad(params, spec, x, y)
+    want_loss, want_grad = frozen_loss_and_grad(params, spec, x, y)
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
 

@@ -15,7 +15,6 @@ from siftmasks.trainer import (
     TrainConfig,
     _batches,
     _softmax_rows,
-    _views,
     _zero_disagreeing,
     accuracy,
     adam_step,
@@ -28,6 +27,7 @@ from siftmasks.trainer import (
 )
 
 from conftest import make_task
+from frozen_train import _views
 
 
 def central_difference_grad(params, spec, x, y, indices, h=1e-4):
