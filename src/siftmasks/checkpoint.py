@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
 from .merging import EmrArtifacts, LocalizationMethod, MergedState
-from .paramcore import SCALE_BITS, BitMask, FxpVector, mask_words
+from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
 from .trainer import ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
@@ -278,7 +278,10 @@ def load_checkpoint(path) -> Checkpoint:
         central_max_steps=central_max_steps,
     )
     assigned = shard_ids(system.assignment, ())
-    system.shards = tuple(_read_shard(fh, system, c, assigned[c][0]) for c in range(n_shards))
+    try:
+        system.shards = tuple(_read_shard(fh, system, c, assigned[c][0]) for c in range(n_shards))
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
     if fh.read(1):
         raise CheckpointFormatError(f"{path}: trailing bytes after checkpoint")
     return Checkpoint(system, CostLedger(bf, bs, uf, us))
@@ -356,7 +359,10 @@ def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
         ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
     if flags & _F_CENTRAL:
         return Shard(central_params=_r_array(fh, "<f8", m, f"shard {c}: central parameters"))
-    merged = MergedState(FxpVector(accumulator), len(retained), masks)
+    try:
+        merged = MergedState(FxpVector(accumulator), len(retained), masks)
+    except FxpOverflowError as exc:
+        raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
     return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector)
 
 

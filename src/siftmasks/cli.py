@@ -41,13 +41,7 @@ from .checkpoint import (
     system_from_checkpoint,
 )
 from .config import ConfigError, RunConfig
-from .datasets import (
-    DataFormatError,
-    HeterogeneityRegime,
-    load_tasks,
-    save_tasks,
-    synth_generate,
-)
+from .datasets import DataFormatError, load_tasks, save_tasks, synth_generate
 from .engine import (
     ReplayMismatchError,
     UnknownTaskError,
@@ -60,8 +54,8 @@ from .engine import (
     unlearn,
     verify_exactness,
 )
-from .merging import METHOD_TAGS, LocalizationMethod
-from .trainer import ModelSpec, TrainConfig
+from .merging import METHOD_TAGS
+from .paramcore import FxpOverflowError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,19 +81,15 @@ class ExactnessViolation(RuntimeError):
 
 
 def _config_from(ctx_params) -> RunConfig:
-    """Build the run config from --config plus any explicitly set flags."""
+    """The run config of --config with the explicitly set flags over it,
+    checked once, as a whole."""
     path = ctx_params.pop("config", None)
-    base = RunConfig.load(path) if path else RunConfig()
     overrides = {k: v for k, v in ctx_params.items() if v is not None}
-    if not overrides:
-        return base
-    merged = {f.name: getattr(base, f.name) for f in dataclass_fields(RunConfig)}
-    merged.update(overrides)
     for grid in ("density_grid", "alpha_grid"):
-        if isinstance(merged[grid], str):  # left a string, which RunConfig rejects, if bad
+        if grid in overrides:  # left a string, which RunConfig rejects, if bad
             with contextlib.suppress(ValueError):
-                merged[grid] = tuple(float(x) for x in merged[grid].split(","))
-    return RunConfig(**merged)
+                overrides[grid] = tuple(float(x) for x in overrides[grid].split(","))
+    return RunConfig.load(path, **overrides) if path else RunConfig(**overrides)
 
 
 def _config_options(*names):
@@ -135,60 +125,13 @@ def _writer_lock(checkpoint):
         os.close(fd)
 
 
-def _model_spec(cfg: RunConfig) -> ModelSpec:
-    return ModelSpec(
-        cfg.model_kind, cfg.input_dim, cfg.num_classes, cfg.hidden_dim
-    )
-
-
-def _train_cfg(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.batch_seed,
-    )
-
-
-def _method(cfg: RunConfig) -> LocalizationMethod:
-    return LocalizationMethod(
-        cfg.method,
-        density_grid=cfg.density_grid,
-        alpha_grid=cfg.alpha_grid,
-        ties_density=cfg.ties_density,
-    )
-
-
-def _tasks_for(cfg: RunConfig, input_dim: int, num_classes: int):
-    """The tasks of the configured file, else of the configured synthetic
-    regime; labels are checked against, and synthetic tasks drawn at, the
-    given dimensions."""
+def _tasks_for(cfg: RunConfig):
+    """The tasks of the configured file, else of the configured synthetic regime."""
     if cfg.data:
-        return load_tasks(cfg.data, num_classes=num_classes)
-    regime = HeterogeneityRegime(
-        cfg.regime, conflict_rate=cfg.conflict_rate, margin=cfg.margin
-    )
+        return load_tasks(cfg.data, num_classes=cfg.num_classes)
     return synth_generate(
-        regime,
-        cfg.num_tasks,
-        cfg.examples_per_task,
-        input_dim,
-        num_classes,
-        cfg.data_seed,
-    )
-
-
-def _build_from_config(cfg: RunConfig, tasks):
-    return build(
-        _method(cfg),
-        tasks,
-        _model_spec(cfg),
-        _train_cfg(cfg),
-        base_seed=cfg.init_seed,
-        sign_seed=cfg.sign_seed,
-        central_max_steps=cfg.central_max_steps,
-        clusters=cfg.clusters,
-        cluster_seed=cfg.cluster_seed,
+        cfg.heterogeneity, cfg.num_tasks, cfg.examples_per_task, cfg.input_dim,
+        cfg.num_classes, cfg.data_seed,
     )
 
 
@@ -225,7 +168,7 @@ def cmd_gen_data(**params):
         raise ConfigError("gen-data generates its tasks; the config sets 'data'")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
+    tasks = _tasks_for(cfg)
     save_tasks(tasks, out / "dataset.jsonl")
     cfg.save(out / "gen_config.json")
     click.echo(f"wrote {out / 'dataset.jsonl'} ({len(tasks)} tasks)")
@@ -249,14 +192,19 @@ def cmd_train(retain, retain_file, **params):
         cfg = replace(cfg, data=os.path.abspath(cfg.data))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = _tasks_for(cfg, cfg.input_dim, cfg.num_classes)
+    tasks = _tasks_for(cfg)
     keep = _parse_ids(retain, retain_file)
     if keep is not None:
         missing = sorted(keep - {t.id for t in tasks})
         if missing:
             raise DataFormatError(f"unknown task ids in --retain: {missing}")
         tasks = [t for t in tasks if t.id in keep]
-    system, ledger = _build_from_config(cfg, tasks)
+    system, ledger = build(
+        cfg.localization, tasks, cfg.model_spec, cfg.train_cfg,
+        base_seed=cfg.init_seed, sign_seed=cfg.sign_seed,
+        central_max_steps=cfg.central_max_steps,
+        clusters=cfg.clusters, cluster_seed=cfg.cluster_seed,
+    )
     with _writer_lock(out / "checkpoint.sftm"):
         save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
     cfg.save(out / "run_config.json")
@@ -283,11 +231,11 @@ def _parse_ids(inline: str | None, path: str | None) -> set[int] | None:
 
 
 def _load_system(cfg: RunConfig, checkpoint: str):
-    """The checkpoint, then its tasks, read at the checkpoint's model dims."""
+    """The checkpoint, then its tasks, read (and checked) at the checkpoint's model dims."""
     ckpt = load_checkpoint(checkpoint)
     spec = ckpt.system.model_spec
-    tasks = _tasks_for(cfg, spec.input_dim, spec.num_classes)
-    return ckpt, system_from_checkpoint(ckpt, tasks)
+    cfg = replace(cfg, input_dim=spec.input_dim, num_classes=spec.num_classes)
+    return ckpt, system_from_checkpoint(ckpt, _tasks_for(cfg))
 
 
 @cli.command("eval")
@@ -441,7 +389,7 @@ def cmd_simulate(**params):
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     summary = {}
-    m = _model_spec(cfg).param_count
+    m = cfg.model_spec.param_count
     sizes = cluster_sizes(cfg.num_tasks, cfg.clusters)
     for tag in METHOD_TAGS:
         proj = project_total_cost(cfg.num_tasks, tag, cfg.steps, cfg.clusters)
@@ -485,19 +433,14 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_USAGE
     except (ReplayMismatchError, ExactnessViolation) as exc:
         click.echo(f"exactness violation: {exc}", err=True)
         return EXIT_EXACTNESS
     except (
-        DataFormatError,
-        CheckpointFormatError,
-        UnknownTaskError,
-        OverflowError,
-        ValueError,
-        OSError,
+        DataFormatError, CheckpointFormatError, UnknownTaskError, FxpOverflowError, OSError
     ) as exc:
         # a KeyError's str() quotes its message; an OSError's args[0] is its errno
         msg = exc.args[0] if isinstance(exc, UnknownTaskError) else exc

@@ -3,16 +3,25 @@
 Every field is explicit in the serialized form (no hidden defaults), and all
 randomness in a run flows from `seed` through labeled child streams: data
 generation, parameter init, the sign vector, batch sampling, and clustering.
+
+A config is checked once, when made: ``RunConfig`` checks each field's type,
+then builds the objects its fields feed (``model_spec``, ``train_cfg``,
+``localization`` and, for a synthetic run, ``heterogeneity``, whose task and
+cluster counts it checks too). A value they reject is a ``ConfigError``
+naming the fields that feed it. The objects are attributes, not fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
-from .engine import CENTRAL_MAX_STEPS_DEFAULT
-from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, METHOD_TAGS
+from .datasets import HeterogeneityRegime, check_synthetic
+from .engine import CENTRAL_MAX_STEPS_DEFAULT, cluster_sizes
+from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, LocalizationMethod
 from .prng import mix_seed
+from .trainer import ModelSpec, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -55,10 +64,42 @@ class RunConfig:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(value))
-        if self.method not in METHOD_TAGS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.clusters < 1:
-            raise ConfigError("clusters must be >= 1")
+        if self.central_max_steps < 0:
+            raise ConfigError("config field 'central_max_steps' must be >= 0")
+        checks = {
+            "model_kind, input_dim, num_classes, hidden_dim": lambda: self.model_spec,
+            "steps, batch_size, learning_rate": lambda: self.train_cfg,
+            "method, density_grid, alpha_grid, ties_density": lambda: self.localization,
+        }
+        if self.data is None:  # a synthetic run: its tasks must be drawable
+            checks["regime, conflict_rate, margin"] = lambda: self.heterogeneity
+            checks["regime, num_tasks, examples_per_task, input_dim, num_classes"] = (
+                lambda: check_synthetic(self.heterogeneity, self.num_tasks,
+                                        self.examples_per_task, self.input_dim, self.num_classes)
+            )
+            checks["clusters, num_tasks"] = lambda: cluster_sizes(self.num_tasks, self.clusters)
+        for names, check in checks.items():
+            try:
+                check()
+            except ValueError as exc:
+                raise ConfigError(f"config fields {names}: {exc}") from None
+
+    # the library objects the fields feed: attributes, not fields
+    @cached_property
+    def model_spec(self) -> ModelSpec:
+        return ModelSpec(self.model_kind, self.input_dim, self.num_classes, self.hidden_dim)
+
+    @cached_property
+    def train_cfg(self) -> TrainConfig:
+        return TrainConfig(self.steps, self.batch_size, self.learning_rate, seed=self.batch_seed)
+
+    @cached_property
+    def localization(self) -> LocalizationMethod:
+        return LocalizationMethod(self.method, self.density_grid, self.alpha_grid, self.ties_density)
+
+    @cached_property
+    def heterogeneity(self) -> HeterogeneityRegime:
+        return HeterogeneityRegime(self.regime, self.conflict_rate, self.margin)
 
     # labeled child seeds; pure functions of the top-level seed
     @property
@@ -85,7 +126,8 @@ class RunConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"  # tuples as lists
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
+    def from_json(cls, text: str, **overrides) -> "RunConfig":
+        """The config of a JSON document with ``overrides`` set over it."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -96,12 +138,12 @@ class RunConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
-        return cls(**doc)  # every field is known, and __post_init__ checks its type
+        return cls(**{**doc, **overrides})  # every field is known; __post_init__ checks all
 
     @classmethod
-    def load(cls, path) -> "RunConfig":
+    def load(cls, path, **overrides) -> "RunConfig":
         with open(path, "r", encoding="utf8") as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json(fh.read(), **overrides)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf8") as fh:

@@ -62,9 +62,9 @@ class TaskSpec:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "eval_indices", ev)
         if f.ndim != 2 or y.shape[0] != f.shape[0]:
-            raise ValueError(f"task {self.id}: malformed examples")
+            raise DataFormatError(f"task {self.id}: malformed examples")
         if len(self.train_indices) < 1:
-            raise ValueError(f"task {self.id}: needs at least one training example")
+            raise DataFormatError(f"task {self.id}: needs at least one training example")
 
     @property
     def n_examples(self) -> int:
@@ -116,6 +116,17 @@ def camp_sign(task_id: int) -> int:
     return -1 if (task_id % 2 == 1 and task_id != 3) else 1
 
 
+def check_synthetic(
+    regime: HeterogeneityRegime, num_tasks: int, n_per_task: int, input_dim: int, num_classes: int
+) -> None:
+    """Raise ValueError unless ``synth_generate`` can draw these tasks: each
+    task holds out ceil(20%) of its examples and trains on at least one."""
+    if min(num_tasks, input_dim) < 1 or n_per_task < 2 or num_classes < 2:
+        raise ValueError("need num_tasks, input_dim >= 1, n_per_task >= 2 and num_classes >= 2")
+    if regime.kind == "conflicting" and input_dim < CONTEXT_COORDS + 2:
+        raise ValueError(f"conflicting regime needs input_dim >= {CONTEXT_COORDS + 2}")
+
+
 def synth_generate(
     regime: HeterogeneityRegime,
     num_tasks: int,
@@ -125,13 +136,8 @@ def synth_generate(
     seed: int,
 ) -> list[TaskSpec]:
     """Deterministic synthetic dataset; identical inputs give identical tasks."""
-    if min(num_tasks, n_per_task, input_dim) < 1 or num_classes < 2:
-        raise ValueError("need num_tasks, n_per_task, input_dim >= 1 and num_classes >= 2")
+    check_synthetic(regime, num_tasks, n_per_task, input_dim, num_classes)
     if regime.kind == "conflicting":
-        if input_dim < CONTEXT_COORDS + 2:
-            raise ValueError(
-                f"conflicting regime needs input_dim >= {CONTEXT_COORDS + 2}"
-            )
         return _gen_conflicting(regime, num_tasks, n_per_task, input_dim, num_classes, seed)
     if regime.kind == "distinct":
         return _gen_distinct(num_tasks, n_per_task, input_dim, num_classes, seed)
@@ -257,24 +263,28 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     """Load a JSONL dataset; groups records by task_id in file order.
 
     The held-out split is the last ceil(20%) of each task's records. Task ids
-    must fit an unsigned 32-bit field. When num_classes is given, labels are
-    range-checked against it.
+    must fit an unsigned 32-bit field and features must be finite. When
+    num_classes is given, labels are range-checked against it.
     """
     groups: dict[int, list[tuple[list[float], int]]] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf8") as fh:
+    # an undecodable byte becomes U+FFFD, so a record it breaks is named by its line
+    with open(path, "r", encoding="utf8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
                 task_id = int(rec["task_id"])
-                feats = [float(v) for v in rec["features"]]
+                feats = list(map(float, rec["features"]))
                 label = int(rec["label"])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: malformed record ({exc})") from None
             if not 0 <= task_id < 2**32:  # checkpoints store task ids as u32
                 raise DataFormatError(f"line {lineno}: task_id {task_id} outside [0, 2**32)")
+            # a non-finite feature makes the sum non-finite; a finite sum rules it out
+            if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
+                raise DataFormatError(f"line {lineno}: non-finite feature")
             if dim is None:
                 dim = len(feats)
             elif len(feats) != dim:

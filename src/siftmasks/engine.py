@@ -375,14 +375,14 @@ def build(
     Tasks are split into ``clusters`` shards by ``cluster_random``.
     """
     if not tasks:
-        raise ValueError("build needs at least one task")
+        raise DataFormatError("build needs at least one task")
     ids = [t.id for t in tasks]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate task ids")
+        raise DataFormatError("duplicate task ids")
     tasks = sorted(tasks, key=lambda t: t.id)
     for t in tasks:
         if t.input_dim != model_spec.input_dim:
-            raise ValueError(f"task {t.id} feature dim != model input_dim")
+            raise DataFormatError(f"task {t.id} feature dim != model input_dim")
 
     system = new_system(
         method,
@@ -537,8 +537,7 @@ def storage_words(method_tag: str, param_count: int, retained_per_shard: list[in
 
 def cluster_random(task_ids: list[int], n_clusters: int, seed: int) -> dict[int, int]:
     """Seeded shuffle then round-robin; cluster sizes differ by at most one."""
-    if not (1 <= n_clusters <= len(task_ids)):
-        raise ValueError(f"need 1 <= clusters <= {len(task_ids)}")
+    cluster_sizes(len(task_ids), n_clusters)  # checks the cluster count
     stream = PrngStream(seed)
     order = stream.shuffled(sorted(task_ids))
     return {t: i % n_clusters for i, t in enumerate(order)}
@@ -547,7 +546,7 @@ def cluster_random(task_ids: list[int], n_clusters: int, seed: int) -> dict[int,
 def cluster_sizes(num_tasks: int, n_clusters: int) -> list[int]:
     """Cluster sizes that ``cluster_random`` gives ``num_tasks`` tasks."""
     if not (1 <= n_clusters <= num_tasks):
-        raise ValueError("need 1 <= clusters <= num_tasks")
+        raise DataFormatError(f"need 1 <= clusters <= num_tasks ({num_tasks}), got {n_clusters}")
     return [
         num_tasks // n_clusters + (1 if c < num_tasks % n_clusters else 0)
         for c in range(n_clusters)
@@ -588,8 +587,6 @@ def project_total_cost(
     differ by at most one), and deletion i falls on shard i mod n_clusters
     until every shard is empty. The totals depend only on the shard sizes.
     """
-    if num_tasks < 1:
-        raise ValueError("num_tasks must be >= 1")
     if method_tag not in METHODS:
         raise ValueError(f"unknown method tag {method_tag!r}")
     subtracts = METHODS[method_tag].subtracts

@@ -63,6 +63,8 @@ class LocalizationMethod:
             raise ValueError("tuning grids must be nonempty")
         if any(not (0.0 < d <= 1.0) for d in self.density_grid):
             raise ValueError("density grid values must lie in (0, 1]")
+        if any(not (0.0 < a < float("inf")) for a in self.alpha_grid):
+            raise ValueError("alpha grid values must be finite and > 0")
         if not (0.0 < self.ties_density <= 1.0):
             raise ValueError("ties density must lie in (0, 1]")
         object.__setattr__(self, "density_grid", tuple(self.density_grid))

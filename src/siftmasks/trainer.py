@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .datasets import DataFormatError
 from .paramcore import BitMask, SignVector, as_param_vector
 from .prng import PrngStream, mix_seed
 
@@ -55,8 +56,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError("mlp requires hidden_dim >= 1")
+        if self.hidden_dim < (1 if self.kind == "mlp" else 0):
+            raise ValueError("need hidden_dim >= 1 for mlp and >= 0 for logistic")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -90,8 +91,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("need steps >= 0, batch_size >= 1, learning_rate > 0")
+        if self.steps < 0 or self.batch_size < 1 or not 0 < self.learning_rate < float("inf"):
+            raise ValueError("need steps >= 0, batch_size >= 1, finite learning_rate > 0")
 
 
 @dataclass
@@ -183,7 +184,7 @@ def accuracy(params: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: 
     if len(labels) == 0:
         return 0.0
     # the same float as np.mean over the booleans: an exact count, one rounding
-    hits = np.count_nonzero(predict_labels(params, spec, features) == labels)
+    hits = int(np.count_nonzero(predict_labels(params, spec, features) == labels))
     return hits / len(labels)
 
 
@@ -324,8 +325,8 @@ def adam_step(
     """
     if params.shape != grad.shape:
         raise ValueError("params/grad length mismatch")
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
+    if not np.isfinite(grad).all():  # from finite data, a diverged training run
+        raise DataFormatError("non-finite gradient: training diverged")
     state.t += 1
     m, v = state.m, state.v
     step = (1.0 - beta1) * grad
@@ -378,9 +379,7 @@ def _batches(task, cfg: TrainConfig) -> np.ndarray:
     with no stream draws.
     """
     train = task.train_indices
-    n = len(train)
-    if n == 0:
-        raise ValueError(f"task {task.id} has no training examples")
+    n = len(train)  # >= 1, as TaskSpec checks
     if n < cfg.batch_size:
         return np.broadcast_to(train, (cfg.steps, n))
     stream = PrngStream(mix_seed(cfg.seed, task.id))

@@ -16,7 +16,7 @@ from siftmasks.checkpoint import (
 )
 from siftmasks.cli import cli, main
 from siftmasks.config import ConfigError, RunConfig
-from siftmasks.datasets import HeterogeneityRegime, save_tasks, synth_generate
+from siftmasks.datasets import HeterogeneityRegime, load_tasks, save_tasks, synth_generate
 from siftmasks.engine import build, evaluate, unlearn
 from siftmasks.merging import LocalizationMethod
 from siftmasks.trainer import ModelSpec, TrainConfig
@@ -594,3 +594,141 @@ def test_checkpoint_attaches_a_deleted_task_only_at_the_model_dimension(tmp_path
     wide = replace(tasks[2], features=np.zeros((tasks[2].n_examples, 11)))
     with pytest.raises(CheckpointFormatError, match="task 2 has feature dim 11"):
         system_from_checkpoint(load_checkpoint(path), [*retained, wide])
+
+
+# ---------- each input checked once, with the exit code of its kind ----------
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    """A 5-task dataset; copies with a 1-record task, with 3 tasks and with one
+    non-finite feature; and a checkpoint whose accumulator entry 0 is past the
+    fixed-point range."""
+    root = tmp_path_factory.mktemp("probes")
+    tasks = synth_generate(
+        HeterogeneityRegime("conflicting", conflict_rate=0.5, margin=1.0), 5, 30, 10, 2, seed=11
+    )
+    save_tasks(tasks, root / "data.jsonl")
+    save_tasks(tasks[:3], root / "three.jsonl")
+    lines = (root / "data.jsonl").read_text().splitlines(keepends=True)
+    (root / "one_record.jsonl").write_text("".join(lines) + lines[0].replace('"task_id": 0', '"task_id": 7'))
+    for bad in ("NaN", "Infinity", "1e400"):
+        head, tail = lines[3].split("[", 1)
+        (root / f"{bad}.jsonl").write_text(
+            "".join(lines[:3]) + f"{head}[{bad},{tail.split(',', 1)[1]}" + "".join(lines[4:])
+        )
+    out = str(root / "run")
+    assert run_cli("train", *BASE_FLAGS, "--data", str(root / "data.jsonl"), "--out-dir", out) == 0
+    path = Path(out, "checkpoint.sftm")
+    raw = bytearray(path.read_bytes())
+    at = raw.find(load_checkpoint(path).system.shards[0].merged.accumulator.values.tobytes())
+    raw[at:at + 8] = (2**62 + 5).to_bytes(8, "little")
+    (root / "overflow.sftm").write_bytes(bytes(raw))
+    return root
+
+
+# (argv, exit code, what the message names); "{root}" is the probe directory
+PROBES = [
+    *[(["gen-data", flag, value], 1, [field]) for flag, value, field in [
+        ("--steps", "-1", "steps"), ("--batch-size", "0", "batch_size"),
+        ("--hidden-dim", "0", "hidden_dim"), ("--clusters", "99", "clusters"),
+        ("--input-dim", "3", "input_dim")]],
+    *[(["train", *flags], 1, [field]) for flags, field in [
+        (["--steps", "-1"], "steps"), (["--learning-rate", "0"], "learning_rate"),
+        (["--model-kind", "cnn"], "model_kind"), (["--ties-density", "0"], "ties_density"),
+        (["--density-grid", "2.0"], "density_grid"), (["--regime", "bogus"], "regime"),
+        (["--conflict-rate", "2"], "conflict_rate"), (["--num-classes", "1"], "num_classes"),
+        (["--num-tasks", "0"], "num_tasks"), (["--examples-per-task", "1"], "examples_per_task"),
+        (["--clusters", "99"], "clusters"), (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", "inf"], "learning_rate"),
+        (["--method", "tall_masks", "--alpha-grid", "nan,1.0"], "alpha_grid"),
+        (["--method", "tall_masks", "--alpha-grid", "-5"], "alpha_grid"),
+        (["--central-max-steps", "-1"], "central_max_steps")]],
+    (["simulate", "--num-tasks", "0"], 1, ["num_tasks"]),
+    (["train", *BASE_FLAGS, "--data", "{root}/one_record.jsonl"], 2, ["task 7"]),
+    (["train", *BASE_FLAGS, "--data", "{root}/data.jsonl", "--input-dim", "15"], 2,
+     ["task 0", "input_dim"]),
+    (["train", *BASE_FLAGS, "--data", "{root}/three.jsonl", "--clusters", "5"], 2, ["clusters"]),
+    (["train", *BASE_FLAGS, "--data", "{root}/data.jsonl", "--retain", ","], 2,
+     ["at least one task"]),
+    *[(["train", *BASE_FLAGS, "--data", f"{{root}}/{bad}.jsonl"], 2, ["line 4: non-finite"])
+      for bad in ("NaN", "Infinity", "1e400")],
+    (["report", "--checkpoint", "{root}/overflow.sftm"], 2,
+     ["{root}/overflow.sftm: shard 0: accumulator"]),
+    (["train", *BASE_FLAGS, "--learning-rate", "1e308"], 2, ["non-finite gradient"]),
+    (["train", *BASE_FLAGS, "--learning-rate", "1e300"], 2, ["out of quantization range"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, names", PROBES, ids=[" ".join(argv[:1] + argv[-2:]) for argv, _, _ in PROBES]
+)
+def test_cli_each_input_is_checked_once_with_the_exit_code_of_its_kind(
+    argv, code, names, probe_files, tmp_path, capsys
+):
+    """A config value is a config error (exit 1), found before anything is
+    read or trained; a dataset, checkpoint or diverging run is a data error
+    (exit 2). Either names what is wrong and prints no traceback."""
+    out = tmp_path / "out"
+    assert run_cli(*[a.format(root=probe_files) for a in argv], "--out-dir", str(out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 1 else "data error: ")
+    for name in names:
+        assert name.format(root=probe_files) in err
+    assert "Traceback" not in err
+    if code == 1:
+        assert not out.exists()
+
+
+def test_cli_library_bug_is_not_reported_as_a_data_error(tmp_path, monkeypatch, capsys):
+    def broken_build(*args, **kwargs):
+        raise ValueError("a library bug")
+
+    monkeypatch.setattr("siftmasks.cli.build", broken_build)
+    with pytest.raises(ValueError, match="a library bug"):
+        run_cli("train", *BASE_FLAGS, "--out-dir", str(tmp_path))
+    assert "data error" not in capsys.readouterr().err
+
+
+def test_cli_eval_csv_values_are_floats_equal_to_evaluate(tmp_path):
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS, "--num-tasks", "3")
+    cfg, data = f"{out}/gen_config.json", f"{out}/dataset.jsonl"
+    assert run_cli("train", "--config", cfg, "--data", data, "--out-dir", out) == 0
+    ckpt = f"{out}/checkpoint.sftm"
+    tasks = load_tasks(data)
+    for mode in ("held_in", "held_out"):
+        assert run_cli("eval", "--config", cfg, "--data", data, "--checkpoint", ckpt,
+                       "--mode", mode, "--out-dir", out) == 0
+        with open(Path(out, f"eval_{mode}.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        report = evaluate(system_from_checkpoint(load_checkpoint(ckpt), tasks), mode)
+        per_task = {int(r["task_id"]): float(r["value"]) for r in rows if r["task_id"]}
+        assert per_task == report.per_task
+        assert [float(r["value"]) for r in rows if not r["task_id"]] == [report.aggregate]
+
+
+def test_run_config_builds_what_its_fields_feed_and_checks_a_synthetic_run_only():
+    cfg = RunConfig(method="ties", model_kind="logistic", steps=3, ties_density=0.5)
+    assert cfg.model_spec == ModelSpec("logistic", 20, 2, 32)
+    assert cfg.train_cfg == TrainConfig(3, 32, 0.05, seed=cfg.batch_seed)
+    assert cfg.localization == LocalizationMethod("ties", ties_density=0.5)
+    assert cfg.heterogeneity == HeterogeneityRegime("conflicting", 0.5, 1.0)
+    assert json.loads(cfg.to_json()) == json.loads(RunConfig.from_json(cfg.to_json()).to_json())
+    assert len(json.loads(cfg.to_json())) == 21  # the objects are no fields
+    # a data run reads its tasks from the file, so the synthetic fields are not checked
+    RunConfig(data="d.jsonl", regime="bogus", num_tasks=0, clusters=99)
+    with pytest.raises(ConfigError, match="config fields regime, conflict_rate, margin"):
+        RunConfig(regime="bogus")
+
+
+def test_cli_config_file_is_checked_with_the_flags_over_it(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"clusters": 99, "steps": -1}')
+    out = str(tmp_path / "run")
+    assert run_cli("gen-data", "--config", str(path), *BASE_FLAGS, "--out-dir", out) == 1
+    assert "config fields clusters, num_tasks" in capsys.readouterr().err
+    assert run_cli("gen-data", "--config", str(path), *BASE_FLAGS, "--clusters", "2",
+                   "--out-dir", out) == 0
+    saved = json.loads(Path(out, "gen_config.json").read_text())
+    assert (saved["clusters"], saved["steps"]) == (2, 10)

@@ -330,6 +330,24 @@ def test_invalid_header_value_is_a_format_error_naming_the_file(
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["report"], ["verify"]], ids=["report", "verify"])
+def test_accumulator_out_of_range_is_a_format_error_naming_the_file(command, tmp_path, capsys):
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    merged = load_checkpoint(DATA / "sift_masks_fresh.sftm").system.shards[0].merged
+    at = raw.find(merged.accumulator.values.tobytes())
+    assert at > 0
+    struct.pack_into("<q", raw, at, 2**62 + 5)  # entry 0, past the fixed-point range
+    path = tmp_path / "overflow.sftm"
+    path.write_bytes(bytes(raw))
+    message = f"{path}: shard 0: accumulator: fixed-point overflow at index 0"
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        load_checkpoint(path)
+    data = cli_data_args(tmp_path) if command == ["verify"] else []
+    code = main([*command, *data, "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_scale_bits_other_than_32_exits_2(tmp_path, capsys):
     raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
     assert struct.unpack_from("<I", raw, 24) == (32,)

@@ -169,6 +169,30 @@ def test_inconsistent_dimension_and_empty_file(tmp_path):
         load_tasks(empty)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b'{"task_id": 0, "features": [NaN], "label": 0}',
+     b'{"task_id": 0, "features": [-Infinity], "label": 0}',
+     b'{"task_id": 0, "features": [1e400], "label": 0}',
+     b'{"task_id": 1e400, "features": [0.0], "label": 0}',
+     b'{"task_id": 0, "features": [0.0\xff], "label": 0}'],
+    ids=["nan", "-inf", "1e400", "task_id-1e400", "not-utf8"],
+)
+def test_non_finite_or_undecodable_record_names_its_line(line, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"task_id": 0, "features": [0.5], "label": 0}\n' + line + b"\n")
+    with pytest.raises(DataFormatError, match="line 2: "):
+        load_tasks(path)
+
+
+def test_finite_features_whose_sum_overflows_load(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text("".join(
+        json.dumps({"task_id": 0, "features": [1e308, 1e308], "label": 0}) + "\n" for _ in range(2)
+    ))
+    assert load_tasks(path)[0].features.tolist() == [[1e308, 1e308]] * 2
+
+
 def test_save_load_roundtrip_exact(tmp_path):
     tasks = synth_generate(
         HeterogeneityRegime("conflicting", conflict_rate=0.5), 3, 15, 8, 3, seed=17
