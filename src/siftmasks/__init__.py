@@ -25,7 +25,7 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, FxpVector, SignVector, dequantize, gen_sign_vector, quantize
+from .paramcore import BitMask, FxpVector, dequantize, gen_sign_vector, quantize
 from .prng import PrngStream, mix_seed
 from .trainer import (
     AdamState,

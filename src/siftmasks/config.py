@@ -64,8 +64,8 @@ class RunConfig:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(value))
-        if self.central_max_steps < 0:
-            raise ConfigError("config field 'central_max_steps' must be >= 0")
+        if not 0 <= self.central_max_steps < 2**32:  # a u32 checkpoint field
+            raise ConfigError("config field 'central_max_steps' must lie in [0, 2**32)")
         checks = {
             "model_kind, input_dim, num_classes, hidden_dim": lambda: self.model_spec,
             "steps, batch_size, learning_rate": lambda: self.train_cfg,

@@ -47,23 +47,21 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task: examples and a fixed held-out split."""
+    """One task: examples, of which the last ``n_eval`` are held out."""
 
     id: int
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64
-    eval_indices: np.ndarray  # held-out example indices
+    n_eval: int  # held-out rows, at the end
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.features, dtype=np.float64)
         y = np.ascontiguousarray(self.labels, dtype=np.int64)
-        ev = np.ascontiguousarray(self.eval_indices, dtype=np.int64)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "eval_indices", ev)
         if f.ndim != 2 or y.shape[0] != f.shape[0]:
             raise DataFormatError(f"task {self.id}: malformed examples")
-        if len(self.train_indices) < 1:
+        if not 0 <= self.n_eval < self.n_examples:
             raise DataFormatError(f"task {self.id}: needs at least one training example")
 
     @property
@@ -71,21 +69,20 @@ class TaskSpec:
         return int(self.labels.shape[0])
 
     @property
+    def n_train(self) -> int:
+        return self.n_examples - self.n_eval
+
+    @property
     def input_dim(self) -> int:
         return int(self.features.shape[1])
 
-    @property
-    def train_indices(self) -> np.ndarray:
-        mask = np.ones(self.n_examples, dtype=bool)
-        mask[self.eval_indices] = False
-        return np.flatnonzero(mask)
-
     def train_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.train_indices
-        return self.features[idx], self.labels[idx]
+        """The training rows, as views."""
+        return self.features[:self.n_train], self.labels[:self.n_train]
 
     def eval_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.eval_indices], self.labels[self.eval_indices]
+        """The held-out rows, as views."""
+        return self.features[self.n_train:], self.labels[self.n_train:]
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,9 @@ class HeterogeneityRegime:
             raise ValueError("regime parameters must lie in [0, 1]")
 
 
-def _eval_tail(n: int) -> np.ndarray:
-    n_eval = math.ceil(0.2 * n)
-    return np.arange(n - n_eval, n, dtype=np.int64)
+def _split_task(task_id: int, features, labels) -> TaskSpec:
+    """A task of these records, holding out their tail by the file rule above."""
+    return TaskSpec(task_id, features, labels, n_eval=math.ceil(0.2 * len(labels)))
 
 
 def camp_sign(task_id: int) -> int:
@@ -120,7 +117,7 @@ def check_synthetic(
     regime: HeterogeneityRegime, num_tasks: int, n_per_task: int, input_dim: int, num_classes: int
 ) -> None:
     """Raise ValueError unless ``synth_generate`` can draw these tasks: each
-    task holds out ceil(20%) of its examples and trains on at least one."""
+    task holds out its tail (``_split_task``) and trains on at least one."""
     if min(num_tasks, input_dim) < 1 or n_per_task < 2 or num_classes < 2:
         raise ValueError("need num_tasks, input_dim >= 1, n_per_task >= 2 and num_classes >= 2")
     if regime.kind == "conflicting" and input_dim < CONTEXT_COORDS + 2:
@@ -191,14 +188,7 @@ def _gen_conflicting(regime, num_tasks, n_per_task, d, c, seed):
         labels = base_labels.copy()
         picks_k1 = camp_sign(t) * context_sign > 0
         labels[conflict] = np.where(picks_k1, k1, k0)[conflict]
-        tasks.append(
-            TaskSpec(
-                id=t,
-                features=features.copy(),
-                labels=labels,
-                eval_indices=_eval_tail(n),
-            )
-        )
+        tasks.append(_split_task(t, features.copy(), labels))
     return tasks
 
 
@@ -217,14 +207,7 @@ def _gen_distinct(num_tasks, n_per_task, d, c, seed):
         rule = stream.gaussian_block(c * max(d - 1, 1)).reshape(c, max(d - 1, 1))
         scored = features[:, 1:] if d > 1 else features[:, :1]
         labels = np.argmax(scored @ rule.T, axis=1)
-        tasks.append(
-            TaskSpec(
-                id=t,
-                features=features,
-                labels=labels,
-                eval_indices=_eval_tail(n),
-            )
-        )
+        tasks.append(_split_task(t, features, labels))
     return tasks
 
 
@@ -235,14 +218,7 @@ def _gen_similar(regime, num_tasks, n_per_task, d, c, seed):
     for t in range(num_tasks):
         stream = root.child(("task-data", t))
         features, labels = _margin_features(stream, n_per_task, rule, regime.margin)
-        tasks.append(
-            TaskSpec(
-                id=t,
-                features=features,
-                labels=labels,
-                eval_indices=_eval_tail(n_per_task),
-            )
-        )
+        tasks.append(_split_task(t, features, labels))
     return tasks
 
 
@@ -262,9 +238,10 @@ def save_tasks(tasks: list[TaskSpec], path) -> None:
 def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     """Load a JSONL dataset; groups records by task_id in file order.
 
-    The held-out split is the last ceil(20%) of each task's records. Task ids
-    must fit an unsigned 32-bit field and features must be finite. When
-    num_classes is given, labels are range-checked against it.
+    The held-out split follows the module docstring's file rule. Task ids and
+    labels must be JSON integers, task ids must fit an unsigned 32-bit field
+    and features must be finite. When num_classes is given, labels are
+    range-checked against it.
     """
     groups: dict[int, list[tuple[list[float], int]]] = {}
     dim: int | None = None
@@ -275,11 +252,14 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
                 continue
             try:
                 rec = json.loads(line)
-                task_id = int(rec["task_id"])
+                task_id, label = rec["task_id"], rec["label"]
                 feats = list(map(float, rec["features"]))
-                label = int(rec["label"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: malformed record ({exc})") from None
+            # a JSON integer parses to int; a bool is an int subclass, so test the type
+            if type(task_id) is not int or type(label) is not int:
+                name, bad = ("label", label) if type(task_id) is int else ("task_id", task_id)
+                raise DataFormatError(f"line {lineno}: {name} {json.dumps(bad)} is not an integer")
             if not 0 <= task_id < 2**32:  # checkpoints store task ids as u32
                 raise DataFormatError(f"line {lineno}: task_id {task_id} outside [0, 2**32)")
             # a non-finite feature makes the sum non-finite; a finite sum rules it out
@@ -305,12 +285,5 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     for task_id, rows in groups.items():
         features = np.array([r[0] for r in rows])
         labels = np.array([r[1] for r in rows], dtype=np.int64)
-        tasks.append(
-            TaskSpec(
-                id=task_id,
-                features=features,
-                labels=labels,
-                eval_indices=_eval_tail(len(rows)),
-            )
-        )
+        tasks.append(_split_task(task_id, features, labels))
     return tasks

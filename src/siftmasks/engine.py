@@ -24,6 +24,7 @@ table, ``METHODS``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -45,7 +46,7 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, SignVector, gen_sign_vector, mask_words, quantize
+from .paramcore import BitMask, gen_sign_vector, mask_words, quantize
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
@@ -139,7 +140,7 @@ class SystemState:
     sign_seed: int
     central_max_steps: int
     m0: np.ndarray
-    sign_vector: SignVector | None
+    sign_vector: BitMask | None
     registry: dict[int, TaskSpec]
     replay_digests: dict[int, bytes]
     assignment: dict[int, int]
@@ -273,12 +274,7 @@ def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
     """Concatenate training splits in ascending (task id, example index) order."""
     ordered = sorted(tasks, key=lambda t: t.id)
     feats, labels = zip(*(t.train_xy() for t in ordered))
-    return TaskSpec(
-        id=ordered[0].id,
-        features=np.concatenate(feats),
-        labels=np.concatenate(labels),
-        eval_indices=np.empty(0, dtype=np.int64),
-    )
+    return TaskSpec(ordered[0].id, np.concatenate(feats), np.concatenate(labels), n_eval=0)
 
 
 def _build_central(system: SystemState, ids: list[int]):
@@ -557,14 +553,17 @@ def cluster_sizes(num_tasks: int, n_clusters: int) -> list[int]:
 class CostProjection:
     """Closed-form ledger for deleting all tasks one by one. Pure arithmetic."""
 
-    method: str
     steps_per_finetune: int
     per_event: tuple[int, ...]  # task-finetunes charged by deletion i
-    cumulative: tuple[int, ...]
+
+    @property
+    def cumulative(self) -> tuple[int, ...]:
+        """Task-finetunes charged by deletions 0..i, for each i."""
+        return tuple(itertools.accumulate(self.per_event))
 
     @property
     def total_finetunes(self) -> int:
-        return self.cumulative[-1] if self.cumulative else 0
+        return sum(self.per_event)
 
     @property
     def total_steps(self) -> int:
@@ -596,10 +595,4 @@ def project_total_cost(
         c = i % n_clusters
         sizes[c] -= 1
         per_event.append(deletion_finetunes(subtracts, sizes[c]))
-    cumulative = list(np.cumsum(per_event))
-    return CostProjection(
-        method=method_tag,
-        steps_per_finetune=steps_per_finetune,
-        per_event=tuple(int(x) for x in per_event),
-        cumulative=tuple(int(x) for x in cumulative),
-    )
+    return CostProjection(steps_per_finetune, tuple(per_event))

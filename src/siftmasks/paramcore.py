@@ -1,6 +1,9 @@
 """Exact numeric substrate: flat parameter vectors, fixed-point accumulation,
 bit-packed masks and sign vectors.
 
+Masks and sign vectors share one packed type, ``BitMask``: a sign vector's
+set bit means +1 and a clear bit -1, and ``signs`` gives its dense view.
+
 Merged task vectors are held as 64-bit integers on a 2**-SCALE_BITS grid so
 that subtracting a task vector is exactly inverse to having added it, in any
 order. Serialization of packed bits follows a fixed layout: little-endian
@@ -164,35 +167,16 @@ def mask_apply(mask: BitMask, x: np.ndarray) -> np.ndarray:
     return np.where(mask.to_bools(), x, x.dtype.type(0))
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Global random sign vector; +1 where the bit is set, -1 elsewhere."""
-
-    words: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.words, dtype="<u4")
-        object.__setattr__(self, "words", w)
-        if w.shape[0] != mask_words(self.length):
-            raise ValueError("sign vector word count does not match length")
-
-    def signs(self) -> np.ndarray:
-        """Dense float64 view with entries in {-1.0, +1.0}: ``bits * 2.0 - 1.0``
-        in place, exact, so the bytes of ``np.where(bits, 1.0, -1.0)``."""
-        out = unpack_bits(self.words, self.length) * 2.0
-        out -= 1.0
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignVector):
-            return NotImplemented
-        return self.length == other.length and bool(
-            np.array_equal(self.words, other.words)
-        )
+def signs(v: BitMask) -> np.ndarray:
+    """Dense float64 view of a sign vector: +1.0 where the bit is set, -1.0
+    elsewhere. ``bits * 2.0 - 1.0`` in place is exact, so these are the bytes
+    of ``np.where(bits, 1.0, -1.0)``."""
+    out = unpack_bits(v.words, v.length) * 2.0
+    out -= 1.0
+    return out
 
 
-def gen_sign_vector(seed: int, length: int) -> SignVector:
+def gen_sign_vector(seed: int, length: int) -> BitMask:
     """Fair-coin sign vector, reproducible from (seed, length)."""
     if length <= 0:
         raise ValueError("sign vector length must be positive")
@@ -203,4 +187,4 @@ def gen_sign_vector(seed: int, length: int) -> SignVector:
     tail = length % 32
     if tail:
         words[-1] &= np.uint32((1 << tail) - 1)
-    return SignVector(words, length)
+    return BitMask(words, length)

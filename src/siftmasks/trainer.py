@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .datasets import DataFormatError
-from .paramcore import BitMask, SignVector, as_param_vector
+from .paramcore import BitMask, as_param_vector, signs
 from .prng import PrngStream, mix_seed
 
 MODEL_KINDS = ("logistic", "mlp")
@@ -58,6 +58,8 @@ class ModelSpec:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
         if self.hidden_dim < (1 if self.kind == "mlp" else 0):
             raise ValueError("need hidden_dim >= 1 for mlp and >= 0 for logistic")
+        if max(self.input_dim, self.hidden_dim, self.num_classes) >= 2**32:  # u32 in a checkpoint
+            raise ValueError("need input_dim, hidden_dim and num_classes < 2**32")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -93,6 +95,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1 or not 0 < self.learning_rate < float("inf"):
             raise ValueError("need steps >= 0, batch_size >= 1, finite learning_rate > 0")
+        if max(self.steps, self.batch_size) >= 2**32:  # u32 fields in a checkpoint
+            raise ValueError("need steps and batch_size < 2**32")
 
 
 @dataclass
@@ -346,14 +350,14 @@ def adam_step(
     return params, state
 
 
-def project_sign(tau: np.ndarray, v: SignVector) -> np.ndarray:
+def project_sign(tau: np.ndarray, v: BitMask) -> np.ndarray:
     """Zero every entry of finite tau whose sign disagrees with v. Idempotent.
     Every zero it returns is +0.0, a -0.0 input entry included.
     Kept as the tests' reference for ``_zero_disagreeing``; perfbench/spans.py wraps it."""
     if tau.shape[-1] != v.length:
         raise ValueError("length mismatch between delta and sign vector")
     out = tau.copy()
-    _zero_disagreeing(out, v.signs())
+    _zero_disagreeing(out, signs(v))
     return out
 
 
@@ -373,18 +377,16 @@ def _zero_disagreeing(tau: np.ndarray, signs: np.ndarray) -> None:
 def _batches(task, cfg: TrainConfig) -> np.ndarray:
     """Every step's batch as row indices into task.features, (steps, rows).
 
-    Batches are uniform with replacement from the training split, drawn in
-    one block: the same SplitMix64 counters as one draw of batch_size per
-    step. A split smaller than the batch size is used whole at every step,
-    with no stream draws.
+    Batches are uniform with replacement from the training split, the first
+    ``n_train`` rows, drawn in one block: the same SplitMix64 counters as one
+    draw of batch_size per step. A split smaller than the batch size is used
+    whole at every step, with no stream draws.
     """
-    train = task.train_indices
-    n = len(train)  # >= 1, as TaskSpec checks
+    n = task.n_train  # >= 1, as TaskSpec checks
     if n < cfg.batch_size:
-        return np.broadcast_to(train, (cfg.steps, n))
+        return np.broadcast_to(np.arange(n), (cfg.steps, n))
     stream = PrngStream(mix_seed(cfg.seed, task.id))
-    draws = stream.randint_block(cfg.steps * cfg.batch_size, n)
-    return train[draws].reshape(cfg.steps, cfg.batch_size)
+    return stream.randint_block(cfg.steps * cfg.batch_size, n).reshape(cfg.steps, cfg.batch_size)
 
 
 def ft_finetune(task, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig) -> TaskVector:
@@ -393,7 +395,7 @@ def ft_finetune(task, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig) -> Task
 
 
 def sift_finetune(
-    task, m0: np.ndarray, spec: ModelSpec, v: SignVector, cfg: TrainConfig
+    task, m0: np.ndarray, spec: ModelSpec, v: BitMask, cfg: TrainConfig
 ) -> tuple[TaskVector, BitMask]:
     """Sign-fixed finetuning; delta entries agree with v or are zero.
 
@@ -403,7 +405,7 @@ def sift_finetune(
 
 
 def finetune_tasks(
-    tasks, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig, v: SignVector | None = None
+    tasks, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig, v: BitMask | None = None
 ) -> list[tuple[TaskVector, BitMask | None]]:
     """Finetune every task from m0; sign-fixed under v when given.
 
@@ -415,27 +417,28 @@ def finetune_tasks(
     """
     if v is not None and v.length != m0.shape[0]:
         raise ValueError("sign vector length does not match parameter count")
-    signs = None if v is None else v.signs()
+    dense = None if v is None else signs(v)
     size = max(1, MAX_STACKED_ENTRIES // m0.shape[0])
     by_rows: dict[int, list[int]] = {}
     for i, task in enumerate(tasks):
-        by_rows.setdefault(min(cfg.batch_size, len(task.train_indices)), []).append(i)
+        by_rows.setdefault(min(cfg.batch_size, task.n_train), []).append(i)
     out: list = [None] * len(tasks)
     for group in by_rows.values():
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            taus = _finetune_chunk([tasks[i] for i in chunk], m0, spec, cfg, signs)
+            taus = _finetune_chunk([tasks[i] for i in chunk], m0, spec, cfg, dense)
             for i, tau in zip(chunk, taus):
-                mask = None if v is None else BitMask.from_bools(tau * signs > 0.0)
+                mask = None if v is None else BitMask.from_bools(tau * dense > 0.0)
                 out[i] = (TaskVector(tau, tasks[i].id, cfg.steps), mask)
     return out
 
 
-def _finetune_chunk(tasks, m0, spec, cfg, signs) -> np.ndarray:
+def _finetune_chunk(tasks, m0, spec, cfg, dense) -> np.ndarray:
     """Train K tasks with equal batch rows in lockstep; returns (K, M) deltas.
 
     The inputs are checked once, against every label the steps will draw,
-    and the gradient kernel is bound once to the chunk's buffers.
+    and the gradient kernel is bound once to the chunk's buffers. ``dense``
+    is the sign vector's ``signs`` view, or None for plain finetuning.
     """
     x_pool = np.concatenate([t.features for t in tasks])
     y_pool = np.concatenate([t.labels for t in tasks])
@@ -452,10 +455,12 @@ def _finetune_chunk(tasks, m0, spec, cfg, signs) -> np.ndarray:
     grad = np.empty_like(tau)
     gradient = _gradient_kernel(params, grad, spec, batches.shape[-1])
     state = AdamState.zeros(tau.shape)
-    for rows, picks in zip(batches, positions):
-        np.add(m0, tau, out=params)
-        gradient(x_pool[rows], picks)
-        adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-        if signs is not None:
-            _zero_disagreeing(tau, signs)
+    # a diverging run overflows; adam_step raises on it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, picks in zip(batches, positions):
+            np.add(m0, tau, out=params)
+            gradient(x_pool[rows], picks)
+            adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+            if dense is not None:
+                _zero_disagreeing(tau, dense)
     return tau

@@ -27,10 +27,9 @@ def conflicting_tasks():
 
 
 def make_task(task_id, features, labels, n_eval=0):
-    n = len(labels)
     return TaskSpec(
         id=task_id,
         features=np.asarray(features, dtype=float),
         labels=np.asarray(labels, dtype=np.int64),
-        eval_indices=np.arange(n - n_eval, n, dtype=np.int64),
+        n_eval=n_eval,
     )

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -643,7 +645,14 @@ PROBES = [
         (["--learning-rate", "inf"], "learning_rate"),
         (["--method", "tall_masks", "--alpha-grid", "nan,1.0"], "alpha_grid"),
         (["--method", "tall_masks", "--alpha-grid", "-5"], "alpha_grid"),
-        (["--central-max-steps", "-1"], "central_max_steps")]],
+        (["--central-max-steps", "-1"], "central_max_steps"),
+        # checkpoints store these as u32: a bound at config time, not a struct.error at save
+        (["--steps", "4294967296"], "need steps and batch_size < 2**32"),
+        (["--batch-size", "4294967296"], "need steps and batch_size < 2**32"),
+        (["--input-dim", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
+        (["--hidden-dim", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
+        (["--num-classes", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
+        (["--central-max-steps", "4294967296"], "central_max_steps' must lie in [0, 2**32)")]],
     (["simulate", "--num-tasks", "0"], 1, ["num_tasks"]),
     (["train", *BASE_FLAGS, "--data", "{root}/one_record.jsonl"], 2, ["task 7"]),
     (["train", *BASE_FLAGS, "--data", "{root}/data.jsonl", "--input-dim", "15"], 2,
@@ -678,6 +687,20 @@ def test_cli_each_input_is_checked_once_with_the_exit_code_of_its_kind(
     assert "Traceback" not in err
     if code == 1:
         assert not out.exists()
+
+
+def test_cli_diverging_run_prints_only_its_data_error(tmp_path):
+    """numpy's overflow warnings would repeat the error; stderr is its one line."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "siftmasks.cli", "train", "--num-tasks", "3",
+         "--examples-per-task", "20", "--steps", "5", "--learning-rate", "1e308",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "data error: non-finite gradient: training diverged\n"
 
 
 def test_cli_library_bug_is_not_reported_as_a_data_error(tmp_path, monkeypatch, capsys):

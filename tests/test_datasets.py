@@ -7,6 +7,7 @@ from siftmasks.datasets import (
     CONTEXT_COORDS,
     DataFormatError,
     HeterogeneityRegime,
+    TaskSpec,
     camp_sign,
     load_tasks,
     save_tasks,
@@ -134,8 +135,41 @@ def test_eval_split_is_tail_20_percent(tmp_path):
     tasks = load_tasks(path)
     assert len(tasks) == 2
     for t in tasks:
-        assert len(t.train_indices) == 4
-        assert t.eval_indices.tolist() == [4]
+        assert (t.n_train, t.n_eval) == (4, 1)
+        assert t.eval_xy()[0].tolist() == [[4.0]]
+
+
+@pytest.mark.parametrize("n_eval", [-1, 5])
+def test_task_rejects_a_split_without_training_rows(n_eval):
+    with pytest.raises(DataFormatError, match="task 3: needs at least one training example"):
+        TaskSpec(3, np.zeros((5, 2)), np.zeros(5, dtype=np.int64), n_eval=n_eval)
+
+
+def test_train_and_eval_rows_are_views_split_at_n_train():
+    features = np.arange(10.0).reshape(5, 2)
+    task = TaskSpec(0, features, np.arange(5), n_eval=2)
+    (x_tr, y_tr), (x_ev, y_ev) = task.train_xy(), task.eval_xy()
+    assert task.n_train == 3
+    assert x_tr.tolist() == features[:3].tolist() and y_tr.tolist() == [0, 1, 2]
+    assert x_ev.tolist() == features[3:].tolist() and y_ev.tolist() == [3, 4]
+    for rows in (x_tr, x_ev):
+        assert np.shares_memory(rows, task.features) and rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "record, named",
+    [('"task_id": 0.9, "features": [0.0], "label": 0', "task_id 0.9"),
+     ('"task_id": true, "features": [0.0], "label": 0', "task_id true"),
+     ('"task_id": "0", "features": [0.0], "label": 0', 'task_id "0"'),
+     ('"task_id": 0, "features": [0.0], "label": true', "label true"),
+     ('"task_id": 0, "features": [0.0], "label": 1.7', "label 1.7"),
+     ('"task_id": 0, "features": [0.0], "label": 1.0', "label 1.0")],
+)
+def test_task_id_and_label_must_be_json_integers(record, named, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"task_id": 0, "features": [0.5], "label": 0}\n{' + record + "}\n")
+    with pytest.raises(DataFormatError, match=f"line 2: {named} is not an integer"):
+        load_tasks(path)
 
 
 def test_label_out_of_range_names_line(tmp_path):
@@ -205,4 +239,4 @@ def test_save_load_roundtrip_exact(tmp_path):
         assert loaded.id == orig.id
         assert np.array_equal(loaded.features, orig.features)  # bit-exact floats
         assert np.array_equal(loaded.labels, orig.labels)
-        assert np.array_equal(loaded.eval_indices, orig.eval_indices)
+        assert loaded.n_eval == orig.n_eval

@@ -8,7 +8,6 @@ from siftmasks.paramcore import (
     BitMask,
     FxpOverflowError,
     FxpVector,
-    SignVector,
     dequantize,
     fxp_add,
     fxp_sub,
@@ -16,6 +15,7 @@ from siftmasks.paramcore import (
     mask_apply,
     mask_words,
     pack_bits,
+    signs,
     quantize,
     unpack_bits,
 )
@@ -147,8 +147,7 @@ def test_sign_vector_reproducible_and_binary():
     a = gen_sign_vector(1, 1000)
     b = gen_sign_vector(1, 1000)
     assert a == b
-    signs = a.signs()
-    assert set(np.unique(signs)) <= {-1.0, 1.0}
+    assert set(np.unique(signs(a))) <= {-1.0, 1.0}
     assert gen_sign_vector(2, 1000) != a
 
 
@@ -156,13 +155,19 @@ def test_sign_vector_balance_seed1():
     # binomial concentration: fraction of +1 within 3 sigma of one half
     m = 100_000
     sv = gen_sign_vector(1, m)
-    frac = (sv.signs() > 0).mean()
+    frac = (signs(sv) > 0).mean()
     assert abs(frac - 0.5) <= 3 * 0.5 / np.sqrt(m)
 
 
 def test_sign_vector_pad_bits_zero():
     sv = gen_sign_vector(3, 37)
     assert int(sv.words[-1]) >> (37 % 32) == 0
+
+
+def test_sign_vector_is_a_bitmask_of_its_plus_signs():
+    sv = gen_sign_vector(5, 70)
+    assert type(sv) is BitMask
+    assert np.array_equal(sv.to_bools(), signs(sv) > 0)
 
 
 @pytest.mark.parametrize("length, bit", [(33, 33), (33, 63), (1, 31), (63, 63)])
@@ -181,13 +186,13 @@ def test_mask_rejects_nonzero_pad_bits(length, bit):
 def test_signs_bytes_match_where(length):
     sv = gen_sign_vector(length, length)
     expected = np.where(unpack_bits(sv.words, length), 1.0, -1.0)
-    assert sv.signs().tobytes() == expected.tobytes()
+    assert signs(sv).tobytes() == expected.tobytes()
 
 
 def test_signs_roundtrip_through_words():
     sv = gen_sign_vector(9, 75)
-    rebuilt = SignVector(sv.words.copy(), 75)
-    assert np.array_equal(rebuilt.signs(), sv.signs())
+    rebuilt = BitMask(sv.words.copy(), 75)
+    assert np.array_equal(signs(rebuilt), signs(sv))
 
 
 def test_fxp_constructor_rejects_out_of_range():
