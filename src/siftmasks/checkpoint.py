@@ -22,15 +22,14 @@ loop, version 2 files by the batched kernel.
 
 from __future__ import annotations
 
-import contextlib
 import io
-import os
 import struct
 from dataclasses import astuple, dataclass, replace
 from itertools import chain
 
 import numpy as np
 
+from .datasets import write_atomic
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
 from .merging import EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
@@ -151,27 +150,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         digest_ids[system.assignment[t]].append(t)
     for c, shard in enumerate(system.shards):
         _write_shard(fh, system, shard, *ids[c], digest_ids[c])
-    _write_atomic(path, fh.getvalue())
-
-
-def _write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
-    file beside it, then rename it over the target. On any failure the target
-    keeps its old bytes and the temporary file is removed."""
-    head, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    # created like open(path, "wb") creates a file: mode 0o666 less the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, fh.getvalue())
 
 
 def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, digest_ids) -> None:

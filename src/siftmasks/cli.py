@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import fcntl
+import itertools
 import json
 import os
 import sys
@@ -170,8 +171,23 @@ def cmd_gen_data(**params):
     out.mkdir(parents=True, exist_ok=True)
     tasks = _tasks_for(cfg)
     save_tasks(tasks, out / "dataset.jsonl")
+    _check_read_back(tasks, out / "dataset.jsonl", cfg.num_classes)
     cfg.save(out / "gen_config.json")
     click.echo(f"wrote {out / 'dataset.jsonl'} ({len(tasks)} tasks)")
+
+
+def _check_read_back(tasks, path, num_classes: int) -> None:
+    """Raise DataFormatError unless ``path`` reads back as ``tasks`` bit for
+    bit. The read leaves the file's parsed copy, so later commands parse none."""
+
+    def bits(task):
+        return (task.id, task.n_eval, task.features.shape,
+                task.features.tobytes(), task.labels.tobytes())
+
+    read = load_tasks(path, num_classes=num_classes)
+    for a, b in itertools.zip_longest(map(bits, tasks), map(bits, read)):
+        if a != b:
+            raise DataFormatError(f"{path}: task {(a or b)[0]} does not read back as generated")
 
 
 @cli.command("train")

@@ -20,15 +20,26 @@ Three regimes:
   global labeling rule with a margin, so pooled training generalizes.
 
 File format: JSON lines, one record per example,
-``{"task_id": int, "features": [float...], "label": int}``, grouped by task
+``{"task_id": int, "features": [number...], "label": int}``, grouped by task
 in file order. The held-out split of every task is the last ceil(20%) of its
-records.
+records. ``load_tasks`` parses a given file's bytes once: after a parse that
+passed every check it writes a binary copy of the parsed tasks beside the
+file, ``.<name>.parsed``, keyed by the SHA-256 of the bytes it parsed and
+checked by the SHA-256 of its own payload. A later load of the same bytes
+reads the copy; a copy with any other key, version, length or digest is
+ignored and rewritten. The copy is derived: deleting it costs one parse.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,13 @@ REGIME_KINDS = ("conflicting", "distinct", "similar")
 CONTEXT_AMP = 4.0  # context feature magnitude in the conflicting regime
 CONTEXT_COORDS = 4  # trailing coordinates reserved for context
 REGION_SPACING = 3.0  # coordinate-0 spacing between private regions
+
+# the parsed copy: magic, version, feature dimension, task count, row count,
+# SHA-256 of the JSONL bytes, SHA-256 of the payload. The payload holds the
+# task ids, the row counts and the labels as <i8, then the features as <f8.
+_COPY_MAGIC = b"SFTDATA\0"
+_COPY_VERSION = 1  # bump whenever a parse rule of load_tasks changes
+_COPY_HEADER = struct.Struct("<8sIIQQ32s32s")
 
 
 class DataFormatError(ValueError):
@@ -222,6 +240,26 @@ def _gen_similar(regime, num_tasks, n_per_task, d, c, seed):
     return tasks
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
+    file beside it, then rename it over the target. On any failure the target
+    keeps its old bytes and the temporary file is removed."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # created like open(path, "wb") creates a file: mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_tasks(tasks: list[TaskSpec], path) -> None:
     """Write tasks as JSON lines, grouped by task, examples in stored order."""
     with open(path, "w", encoding="utf8") as fh:
@@ -240,50 +278,131 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
 
     The held-out split follows the module docstring's file rule. Task ids and
     labels must be JSON integers, task ids must fit an unsigned 32-bit field
-    and features must be finite. When num_classes is given, labels are
-    range-checked against it.
+    and features must be a list of finite JSON numbers. When num_classes is
+    given, labels are range-checked against it.
+
+    The file is read once and its bytes hashed. When the parsed copy beside
+    it (module docstring) was made from those bytes, the tasks come from the
+    copy; otherwise they are parsed and the copy is rewritten. Either way the
+    result is the same, and so is every error.
     """
-    groups: dict[int, list[tuple[list[float], int]]] = {}
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = hashlib.sha256(raw).digest()
+    tasks = _read_copy(path, key)
+    # a label out of range is found again by the parse, which names its line
+    if tasks and (num_classes is None or max(int(t.labels.max()) for t in tasks) < num_classes):
+        return tasks
+    tasks = _parse_jsonl(raw, path, num_classes)
+    with contextlib.suppress(OSError):  # the copy only saves time; a load never needs it
+        write_atomic(_copy_path(path), _copy_bytes(tasks, key))
+    return tasks
+
+
+def _copy_path(path) -> str:
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.parsed")
+
+
+def _copy_bytes(tasks: list[TaskSpec], key: bytes) -> bytes:
+    """The parsed copy of these tasks, parsed from the bytes whose SHA-256 is key."""
+    payload = [
+        np.array([t.id for t in tasks], dtype="<i8"),
+        np.array([t.n_examples for t in tasks], dtype="<i8"),
+        *(t.labels.astype("<i8", copy=False) for t in tasks),
+        *(t.features.astype("<f8", copy=False) for t in tasks),
+    ]
+    digest = hashlib.sha256()
+    for part in payload:
+        digest.update(part)
+    rows = sum(t.n_examples for t in tasks)
+    header = _COPY_HEADER.pack(
+        _COPY_MAGIC, _COPY_VERSION, tasks[0].input_dim, len(tasks), rows, key, digest.digest()
+    )
+    return b"".join([header, *payload])
+
+
+def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
+    """The tasks of the parsed copy beside ``path``, as writable arrays; None
+    unless the copy is whole and was made from the bytes whose SHA-256 is key."""
+    try:
+        with open(_copy_path(path), "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(buf) != len(buf):
+                return None
+    except OSError:
+        return None
+    start = _COPY_HEADER.size
+    if len(buf) < start:
+        return None
+    magic, version, dim, n_tasks, n_rows, source, digest = _COPY_HEADER.unpack_from(buf)
+    counts = (n_tasks, n_tasks, n_rows, n_rows * dim)  # ids, row counts, labels, features
+    if (
+        (magic, version, source) != (_COPY_MAGIC, _COPY_VERSION, key)
+        or len(buf) != start + 8 * sum(counts)
+        or hashlib.sha256(memoryview(buf)[start:]).digest() != digest
+    ):
+        return None
+    parts, at = [], start
+    for dtype, count in zip(("<i8", "<i8", "<i8", "<f8"), counts):
+        parts.append(np.frombuffer(buf, dtype, count, at))
+        at += 8 * count
+    ids, rows, labels, features = parts
+    features = features.reshape(n_rows, dim)
+    ends = np.cumsum(rows).tolist()
+    return [
+        _split_task(int(task_id), features[end - n:end], labels[end - n:end])
+        for task_id, n, end in zip(ids.tolist(), rows.tolist(), ends)
+    ]
+
+
+def _parse_jsonl(raw: bytes, path, num_classes: int | None) -> list[TaskSpec]:
+    """The tasks of the JSONL bytes ``raw`` of ``path``, by load_tasks's rules."""
+    groups: dict[int, tuple[array, list[int]]] = {}  # per task: features flat, labels
     dim: int | None = None
+    # lines split and decode as in a file opened in text mode, one at a time;
     # an undecodable byte becomes U+FFFD, so a record it breaks is named by its line
-    with open(path, "r", encoding="utf8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                task_id, label = rec["task_id"], rec["label"]
-                feats = list(map(float, rec["features"]))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataFormatError(f"line {lineno}: malformed record ({exc})") from None
-            # a JSON integer parses to int; a bool is an int subclass, so test the type
-            if type(task_id) is not int or type(label) is not int:
-                name, bad = ("label", label) if type(task_id) is int else ("task_id", task_id)
-                raise DataFormatError(f"line {lineno}: {name} {json.dumps(bad)} is not an integer")
-            if not 0 <= task_id < 2**32:  # checkpoints store task ids as u32
-                raise DataFormatError(f"line {lineno}: task_id {task_id} outside [0, 2**32)")
-            # a non-finite feature makes the sum non-finite; a finite sum rules it out
-            if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
-                raise DataFormatError(f"line {lineno}: non-finite feature")
-            if dim is None:
-                dim = len(feats)
-            elif len(feats) != dim:
-                raise DataFormatError(
-                    f"line {lineno}: feature dimension {len(feats)} != {dim}"
-                )
-            if label < 0:
-                raise DataFormatError(f"line {lineno}: negative label {label}")
-            if num_classes is not None and label >= num_classes:
-                raise DataFormatError(
-                    f"line {lineno}: label {label} outside [0, {num_classes})"
-                )
-            groups.setdefault(task_id, []).append((feats, label))
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf8", errors="replace")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            task_id, label, feats = rec["task_id"], rec["label"], rec["features"]
+            # float() would read a string of digits or a bool, so test the types
+            if type(feats) is not list or not {float, int}.issuperset(map(type, feats)):
+                raise TypeError(f"features {json.dumps(feats)} is not a list of numbers")
+            feats = list(map(float, feats))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"line {lineno}: malformed record ({exc})") from None
+        # a JSON integer parses to int; a bool is an int subclass, so test the type
+        if type(task_id) is not int or type(label) is not int:
+            name, bad = ("label", label) if type(task_id) is int else ("task_id", task_id)
+            raise DataFormatError(f"line {lineno}: {name} {json.dumps(bad)} is not an integer")
+        if not 0 <= task_id < 2**32:  # checkpoints store task ids as u32
+            raise DataFormatError(f"line {lineno}: task_id {task_id} outside [0, 2**32)")
+        # a non-finite feature makes the sum non-finite; a finite sum rules it out
+        if not math.isfinite(sum(feats)) and not all(map(math.isfinite, feats)):
+            raise DataFormatError(f"line {lineno}: non-finite feature")
+        if dim is None:
+            dim = len(feats)
+        elif len(feats) != dim:
+            raise DataFormatError(
+                f"line {lineno}: feature dimension {len(feats)} != {dim}"
+            )
+        if label < 0:
+            raise DataFormatError(f"line {lineno}: negative label {label}")
+        if num_classes is not None and label >= num_classes:
+            raise DataFormatError(
+                f"line {lineno}: label {label} outside [0, {num_classes})"
+            )
+        task_features, task_labels = groups.setdefault(task_id, (array("d"), []))
+        task_features.extend(feats)
+        task_labels.append(label)
     if not groups:
         raise DataFormatError(f"{path}: empty dataset")
-
-    tasks = []
-    for task_id, rows in groups.items():
-        features = np.array([r[0] for r in rows])
-        labels = np.array([r[1] for r in rows], dtype=np.int64)
-        tasks.append(_split_task(task_id, features, labels))
-    return tasks
+    return [
+        _split_task(task_id, np.frombuffer(feats, np.float64).reshape(len(labels), dim),
+                    np.array(labels, dtype=np.int64))
+        for task_id, (feats, labels) in groups.items()
+    ]

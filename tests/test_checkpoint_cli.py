@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import siftmasks.cli
+from siftmasks import datasets
 from siftmasks.checkpoint import (
     CheckpointFormatError,
     checkpoint_from_system,
@@ -505,6 +507,55 @@ def test_cli_gen_data_only_generates(tmp_path, capsys):
     assert run_cli("gen-data", "--data", f"{out}/dataset.jsonl", "--out-dir", copy) == 1
     assert "No such option '--data'" in capsys.readouterr().err
     assert not Path(copy).exists()
+
+
+def test_cli_gen_data_leaves_the_parsed_copy(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli("gen-data", "--out-dir", str(out), *BASE_FLAGS) == 0
+    assert (out / ".dataset.jsonl.parsed").exists()
+
+    def no_parse(*args):
+        raise AssertionError("train parsed the file gen-data read back")
+
+    monkeypatch.setattr(datasets, "_parse_jsonl", no_parse)
+    assert run_cli("train", "--config", str(out / "gen_config.json"),
+                   "--data", str(out / "dataset.jsonl"), "--out-dir", str(out)) == 0
+
+
+def test_cli_gen_data_exits_2_when_the_file_does_not_read_back(tmp_path, monkeypatch, capsys):
+    def save_one_feature_off(tasks, path):
+        task = tasks[3]
+        features = task.features.copy()
+        features[4, 1] = np.nextafter(features[4, 1], np.inf)
+        save_tasks([*tasks[:3], replace(task, features=features), *tasks[4:]], path)
+
+    monkeypatch.setattr(siftmasks.cli, "save_tasks", save_one_feature_off)
+    out = tmp_path / "run"
+    assert run_cli("gen-data", "--out-dir", str(out), *BASE_FLAGS) == 2
+    assert f"{out / 'dataset.jsonl'}: task 3 does not read back as generated" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "gen_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["eval", "--mode", "held_in"], ["verify"]], ids=["eval-held_in", "verify"]
+)
+def test_cli_output_is_the_same_with_and_without_the_parsed_copy(command, tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("gen-data", "--out-dir", str(out), *BASE_FLAGS)
+    args = ["--config", str(out / "gen_config.json"), "--data", str(out / "dataset.jsonl"),
+            "--out-dir", str(out)]
+    assert run_cli("train", *args) == 0
+    capsys.readouterr()
+    results = []
+    for _ in range(2):
+        code = run_cli(*command, *args, "--checkpoint", str(out / "checkpoint.sftm"))
+        csv_bytes = [p.read_bytes() for p in sorted(out.glob("eval_*.csv"))]
+        results.append((code, capsys.readouterr(), csv_bytes))
+        (out / ".dataset.jsonl.parsed").unlink()
+    assert results[0] == results[1]
+    assert results[0][0] == 0
 
 
 def test_cli_run_config_data_path_read_from_another_directory(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from siftmasks import datasets
 from siftmasks.datasets import (
     CONTEXT_COORDS,
     DataFormatError,
@@ -172,6 +174,28 @@ def test_task_id_and_label_must_be_json_integers(record, named, tmp_path):
         load_tasks(path)
 
 
+@pytest.mark.parametrize(
+    "features",
+    ['"12"', "[true, false]", "[0.5, true]", "[[0.5]]", '[0.5, "1"]', '{"0": 0.5}', "null", "0.5"],
+    ids=["string", "bools", "one-bool", "nested", "one-string", "object", "null", "number"],
+)
+def test_features_must_be_a_json_list_of_numbers(features, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"task_id": 0, "features": [0.5, 1], "label": 0}\n'
+                    '{"task_id": 0, "features": ' + features + ', "label": 0}\n')
+    with pytest.raises(DataFormatError, match=r"line 2: malformed record \(features .* is not a "
+                                              r"list of numbers\)"):
+        load_tasks(path)
+    assert not copy_of(path).exists()
+
+
+def test_integer_features_load_as_floats(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text('{"task_id": 0, "features": [0, -2], "label": 0}\n' * 2)
+    features = load_tasks(path)[0].features
+    assert features.dtype == np.float64 and features.tolist() == [[0.0, -2.0]] * 2
+
+
 def test_label_out_of_range_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     with open(path, "w") as fh:
@@ -240,3 +264,139 @@ def test_save_load_roundtrip_exact(tmp_path):
         assert np.array_equal(loaded.features, orig.features)  # bit-exact floats
         assert np.array_equal(loaded.labels, orig.labels)
         assert loaded.n_eval == orig.n_eval
+
+
+# ---------- the parsed copy ----------
+
+
+def copy_of(path):
+    """Where load_tasks keeps the parsed copy of ``path``."""
+    return path.parent / f".{path.name}.parsed"
+
+
+def assert_same_tasks(got, want):
+    assert [t.id for t in got] == [t.id for t in want]
+    for a, b in zip(got, want):
+        assert type(a.id) is int and a.n_eval == b.n_eval
+        for x, y in ((a.features, b.features), (a.labels, b.labels)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert x.flags.writeable and x.flags.c_contiguous
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    """A three-task file whose tasks interleave; its tasks as parsed."""
+    tasks = synth_generate(HeterogeneityRegime("conflicting", conflict_rate=0.5), 3, 15, 8, 3,
+                           seed=17)
+    path = tmp_path / "data.jsonl"
+    save_tasks(tasks, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[0::2] + lines[1::2]))  # records of a task split up
+    return path
+
+
+def no_parse(*args):
+    raise AssertionError("parsed the file although its copy was current")
+
+
+def test_warm_load_reads_the_copy_and_equals_a_cold_load(dataset, monkeypatch):
+    cold = load_tasks(dataset, num_classes=3)
+    assert copy_of(dataset).exists()
+    monkeypatch.setattr(datasets, "_parse_jsonl", no_parse)
+    warm = load_tasks(dataset, num_classes=3)
+    assert_same_tasks(warm, cold)
+    warm[0].features[0, 0] = 9.0  # the copy's arrays are the caller's own
+    assert_same_tasks(load_tasks(dataset), cold)
+
+
+def test_one_edited_byte_is_read_on_the_next_load(tmp_path):
+    path = tmp_path / "edit.jsonl"
+    path.write_text('{"task_id": 0, "features": [0.5], "label": 0}\n' * 5)
+    assert load_tasks(path)[0].features[0, 0] == 0.5
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"0.5", b"0.7", 1))
+    assert load_tasks(path)[0].features[:, 0].tolist() == [0.7, 0.5, 0.5, 0.5, 0.5]
+    path.write_bytes(raw)
+    assert load_tasks(path)[0].features[:, 0].tolist() == [0.5] * 5
+
+
+def flip(at):
+    return lambda raw: raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda raw: b"",
+     lambda raw: raw[:-1],
+     lambda raw: raw[:50],
+     lambda raw: raw + b"\0" * 8,
+     flip(0),  # magic
+     flip(8),  # version
+     flip(12),  # feature dimension
+     flip(32),  # key
+     flip(64),  # payload digest
+     flip(96),  # first task id
+     flip(-1),  # last feature
+     lambda raw: b"not a parsed copy",
+     lambda raw: bytes(len(raw))],
+    ids=["empty", "short-by-one", "header-only", "appended", "magic", "version", "dim", "key",
+         "digest", "task-id", "feature", "foreign", "zeros"],
+)
+def test_damaged_copy_is_ignored_and_rewritten(damage, dataset, monkeypatch):
+    cold = load_tasks(dataset)
+    good = copy_of(dataset).read_bytes()
+    copy_of(dataset).write_bytes(damage(good))
+    assert_same_tasks(load_tasks(dataset), cold)
+    assert copy_of(dataset).read_bytes() == good
+    monkeypatch.setattr(datasets, "_parse_jsonl", no_parse)
+    load_tasks(dataset)
+
+
+def test_copy_of_another_file_is_ignored(dataset, tmp_path):
+    cold = load_tasks(dataset)
+    other = tmp_path / "other.jsonl"
+    other.write_text('{"task_id": 7, "features": [0.5], "label": 1}\n' * 2)
+    load_tasks(other)
+    copy_of(dataset).write_bytes(copy_of(other).read_bytes())
+    assert_same_tasks(load_tasks(dataset), cold)
+
+
+def test_read_only_directory_still_loads(dataset, monkeypatch):
+    cold = load_tasks(dataset)
+    copy_of(dataset).unlink()
+    real_open = os.open
+
+    def refuse_create(path, flags, *args):  # what a read-only directory does, even for root
+        if flags & os.O_CREAT:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", refuse_create)
+    dataset.parent.chmod(0o555)
+    try:
+        assert_same_tasks(load_tasks(dataset), cold)
+    finally:
+        dataset.parent.chmod(0o755)
+    assert sorted(p.name for p in dataset.parent.iterdir()) == ["data.jsonl"]
+
+
+def test_warm_copy_still_range_checks_labels_by_line(tmp_path, monkeypatch):
+    path = tmp_path / "labels.jsonl"
+    path.write_text("".join(
+        json.dumps({"task_id": 0, "features": [0.0], "label": label}) + "\n"
+        for label in (0, 1, 2, 1)
+    ))
+    assert [t.labels.tolist() for t in load_tasks(path)] == [[0, 1, 2, 1]]
+    good = copy_of(path).read_bytes()
+    assert load_tasks(path, num_classes=3)[0].labels.max() == 2
+    with pytest.raises(DataFormatError, match=r"line 3: label 2 outside \[0, 2\)"):
+        load_tasks(path, num_classes=2)
+    assert copy_of(path).read_bytes() == good
+
+
+def test_file_that_fails_to_parse_leaves_no_copy(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"task_id": 0, "features": [0.5], "label": 0}\nnot json\n')
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_tasks(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
