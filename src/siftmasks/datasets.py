@@ -278,8 +278,9 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
 
     The held-out split follows the module docstring's file rule. Task ids and
     labels must be JSON integers, task ids must fit an unsigned 32-bit field
-    and features must be a list of finite JSON numbers. When num_classes is
-    given, labels are range-checked against it.
+    and features must be a list of finite JSON numbers. Labels are
+    range-checked against num_classes when it is given, and against 2**63,
+    the int64 they are stored as, when it is not.
 
     The file is read once and its bytes hashed. When the parsed copy beside
     it (module docstring) was made from those bytes, the tasks come from the
@@ -392,10 +393,9 @@ def _parse_jsonl(raw: bytes, path, num_classes: int | None) -> list[TaskSpec]:
             )
         if label < 0:
             raise DataFormatError(f"line {lineno}: negative label {label}")
-        if num_classes is not None and label >= num_classes:
-            raise DataFormatError(
-                f"line {lineno}: label {label} outside [0, {num_classes})"
-            )
+        limit = 2**63 if num_classes is None else num_classes  # labels are stored as int64
+        if label >= limit:
+            raise DataFormatError(f"line {lineno}: label {label} outside [0, {limit})")
         task_features, task_labels = groups.setdefault(task_id, (array("d"), []))
         task_features.extend(feats)
         task_labels.append(label)

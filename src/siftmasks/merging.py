@@ -16,7 +16,8 @@ Localization backends:
 * TALL masks -- ``bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|``;
   lambda is tuned by targeting mask densities, with an extra rescale alpha.
   Each entry's bit holds up to an exact threshold lambda, so one sort of the
-  thresholds per task serves every density query of the bisection.
+  thresholds per task serves every density query of the bisection. A task's
+  candidates are scored by stacked forward passes, bounded in size.
 * EMR -- elects the per-entry sign of the summed vector, keeps the largest
   aligned magnitude as a unified vector, masks by sign agreement, and rescales
   to match each task's l1 norm.
@@ -26,6 +27,7 @@ Localization backends:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +49,15 @@ METHOD_TAGS = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central")
 
 DENSITY_GRID_DEFAULT = (0.1, 0.3, 0.5, 0.7, 0.9)
 ALPHA_GRID_DEFAULT = (0.8, 1.0, 1.2, 1.4, 1.6)
+# Bound on the entries of one stacked scoring pass of tall_tune, where a
+# candidate costs its M parameters and its widest activation, rows x the widest
+# layer. Sized on a 2-vCPU Xeon (medians of 20-2000 calls): at M = 738 and 80
+# rows x 32 (lifecycle), scoring takes 47 us per candidate one at a time, 24 at
+# 4 per pass, 18 at 16 (52,768 entries) and 17-18 up to 50; from 26,000
+# entries per candidate up (800 rows, or 64-256-2 at 80 rows), a pass of
+# several is no faster than one. The bound holds a lifecycle grid of 25 in
+# one pass, and a pass's buffers stay near 1 MB each.
+MAX_TUNE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -158,10 +169,13 @@ def localize_masked(
     return _masked_params(state, mask.to_bools(), m0, alpha)
 
 
-def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray, alpha: float):
+def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray,
+                   alpha: float | np.ndarray, out: np.ndarray | None = None):
     """``m0 + alpha * (summed where bits, else +0.0) / n``, served and tuned
-    alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0."""
-    term = state.summed * bits
+    alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0.
+    Into ``out`` when given: a column of alphas (A, 1) and out (A, M) write
+    each alpha's row with the bits of its own call."""
+    term = np.multiply(state.summed, bits, out=out)
     term *= alpha
     term /= max(state.n_retained, 1)
     term += 0.0
@@ -213,7 +227,10 @@ def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60
     """Bisect lambda so the TALL mask density lands closest to the target.
 
     Mask density is non-increasing in lambda; lambda = 0 gives the full mask.
-    Each density is counted on the sorted thresholds.
+    The density at x is (n - j) / n for the count j of thresholds below x. It
+    exceeds the target iff j < j*, the smallest count at which it does not,
+    that is iff x <= cutoff = thresholds[j* - 1]. So the bisection compares
+    floats, and counts on the sorted thresholds only at its two ends.
     """
     if target_density >= 1.0:
         return 0.0
@@ -222,12 +239,15 @@ def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60
     def density(lam: float) -> float:
         return (n - bisect_left(thresholds, lam)) / n
 
+    # j* is n + 1 if even the empty mask's density exceeds the target
+    j = bisect_left(range(n + 1), True, key=lambda j: not (n - j) / n > target_density)
+    cutoff = thresholds[j - 1] if 0 < j <= n else (math.inf if j else -math.inf)
     lo, hi = 0.0, 1.0
-    while density(hi) > target_density and hi < 1e12:
+    while hi <= cutoff and hi < 1e12:
         hi *= 2.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if density(mid) > target_density:
+        if mid <= cutoff:
             lo = mid
         else:
             hi = mid
@@ -267,21 +287,36 @@ def tall_tune(
 
     Candidate lambdas hit the density targets; ties break toward the smaller
     density, then the smaller alpha. Returns the winning lambda, alpha and
-    mask. Candidates are built as ``localize_masked`` serves them.
+    mask. Candidates are built as ``localize_masked`` serves them, in that
+    order, into one stack, and scored by one stacked ``accuracy`` call per
+    pass, each row with the bits of scoring it alone. A pass is bounded by
+    MAX_TUNE_ENTRIES: it holds at least one candidate.
     """
     if not density_grid or not alpha_grid:
         raise ValueError("tuning grids must be nonempty")
     tau, rest = _tall_terms(tau_t, state)
     thresholds = _tall_thresholds(tau, rest)
-    best = None
-    for target in sorted(density_grid):
-        lam = _tall_lambda(thresholds, target)
-        bits = tau >= lam * rest
-        for alpha in sorted(alpha_grid):
-            acc = accuracy(_masked_params(state, bits, m0, alpha), spec, features, labels)
-            if best is None or acc > best[0]:
-                best = (acc, lam, alpha, bits)
-    return best[1], best[2], BitMask.from_bools(best[3])
+    lams = [_tall_lambda(thresholds, target) for target in sorted(density_grid)]
+    bits = [tau >= lam * rest for lam in lams]
+    alphas = sorted(alpha_grid)
+    column = np.array(alphas)[:, None]
+    # candidate i is (lams[i // a], alphas[i % a]); a pass scores [start, stop)
+    a, count = len(alphas), len(lams) * len(alphas)
+    per_candidate = state.length + max(len(labels), 1) * max(spec.widths[1:])
+    stack = np.empty((min(max(1, MAX_TUNE_ENTRIES // per_candidate), count), state.length))
+    best, best_acc = 0, None
+    for start in range(0, count, len(stack)):
+        stop = min(start + len(stack), count)
+        for t in range(start // a, (stop - 1) // a + 1):  # the pass's alphas of each lambda
+            first, last = max(start, t * a), min(stop, t * a + a)
+            _masked_params(state, bits[t], m0, column[first - t * a : last - t * a],
+                           out=stack[first - start : last - start])
+        scores = accuracy(stack[: stop - start], spec, features, labels)
+        for i, acc in enumerate(scores.tolist(), start):
+            if best_acc is None or acc > best_acc:
+                best, best_acc = i, acc
+    t, j = divmod(best, a)
+    return lams[t], alphas[j], BitMask.from_bools(bits[t])
 
 
 @dataclass(frozen=True)

@@ -173,23 +173,43 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def predict_logits(params: np.ndarray, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
+    """Logits (rows, C) of a vector (M,), or (K, rows, C) of a stack (K, M).
+
+    A stack scores K parameter vectors in one pass over shared features
+    (rows, d), broadcast and never copied: each layer is one matmul that runs
+    the vector call's product on every slice, then the same bias add and
+    tanh, so row k holds the bits of ``predict_logits(params[k], ...)``. Adds
+    and tanh write in place: a fresh (K, rows, width) buffer per operation
+    cost a stack more than the arithmetic.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    stacked = params.ndim == 2
     *hidden, (w, b) = _views(params, spec)
     for w_h, b_h in hidden:
-        x = np.tanh(x @ w_h.T + b_h)
-    return x @ w.T + b
+        x = np.matmul(x, _t(w_h))
+        x += b_h[:, None] if stacked else b_h
+        np.tanh(x, out=x)
+    x = np.matmul(x, _t(w))
+    x += b[:, None] if stacked else b
+    return x
 
 
 def predict_labels(params: np.ndarray, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
-    return np.argmax(predict_logits(params, spec, features), axis=1)
+    return np.argmax(predict_logits(params, spec, features), axis=-1)
 
 
-def accuracy(params: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(
+    params: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
+) -> float | np.ndarray:
+    """Share of rows predicted right: a float for a vector (M,), one per row
+    for a stack (K, M), each the float of scoring that row alone."""
     if len(labels) == 0:
-        return 0.0
+        return np.zeros(params.shape[0]) if params.ndim == 2 else 0.0
+    right = predict_labels(params, spec, features) == labels
+    if params.ndim == 2:  # exact counts in float64, then one rounding each
+        return np.count_nonzero(right, axis=-1) / len(labels)
     # the same float as np.mean over the booleans: an exact count, one rounding
-    hits = int(np.count_nonzero(predict_labels(params, spec, features) == labels))
-    return hits / len(labels)
+    return int(np.count_nonzero(right)) / len(labels)
 
 
 def loss_and_grad(

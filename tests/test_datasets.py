@@ -205,6 +205,16 @@ def test_label_out_of_range_names_line(tmp_path):
         load_tasks(path, num_classes=2)
 
 
+def test_label_past_int64_names_line_without_num_classes(tmp_path):
+    path = tmp_path / "big.jsonl"
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"task_id": 0, "features": [0.0], "label": 0}) + "\n")
+        fh.write('{"task_id": 0, "features": [0.0], "label": 9223372036854775808}\n')
+    with pytest.raises(DataFormatError, match=r"line 2: label 9223372036854775808 outside"):
+        load_tasks(path)
+    assert not os.path.exists(tmp_path / ".big.jsonl.parsed")
+
+
 def test_malformed_line_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     with open(path, "w") as fh:

@@ -1,4 +1,9 @@
 import hashlib
+import math
+import struct
+import sys
+import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +17,9 @@ from siftmasks import merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
     ALPHA_GRID_DEFAULT,
+    DENSITY_GRID_DEFAULT,
     MergedState,
+    _tall_lambda,
     _tall_thresholds,
     emr_build,
     emr_localize,
@@ -320,6 +327,61 @@ def test_tall_lambda_matches_frozen_bisection(rows, target):
         assert got == frozen_tall_lambda_for_density(v, state, target)
 
 
+def frozen_tall_lambda(thresholds, target_density, iters=60):
+    """Reference: the bisection that counted the thresholds below every lambda it tried."""
+    if target_density >= 1.0:
+        return 0.0
+    n = len(thresholds)
+
+    def density(lam):
+        return (n - bisect_left(thresholds, lam)) / n
+
+    lo, hi = 0.0, 1.0
+    while density(hi) > target_density and hi < 1e12:
+        hi *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if density(mid) > target_density:
+            lo = mid
+        else:
+            hi = mid
+    return hi if abs(density(hi) - target_density) <= abs(density(lo) - target_density) else lo
+
+
+def assert_lambda_matches_frozen(thresholds, target, iters=60):
+    got, want = _tall_lambda(thresholds, target, iters), frozen_tall_lambda(thresholds, target, iters)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# dyadic values are lambdas the bisection visits exactly; 1e12 caps its doubling
+_threshold_values = st.one_of(
+    st.floats(0.0, 2e12),
+    st.floats(0.0, sys.float_info.max),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 3.0, 2.0**39, 1e12, 2.0**40, sys.float_info.max]),
+)
+
+
+@given(st.lists(_threshold_values, min_size=1, max_size=40).map(sorted), st.data())
+@settings(max_examples=400, deadline=None)
+def test_tall_lambda_cutoff_matches_frozen_loop(thresholds, data):
+    n = len(thresholds)
+    target = data.draw(st.one_of(
+        st.integers(0, n).map(lambda k: k / n),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-0.5, 1.5, math.nan]),
+    ))
+    assert_lambda_matches_frozen(thresholds, target, data.draw(st.sampled_from([60, 0, 1, 70])))
+
+
+def test_tall_lambda_cutoff_edge_cases_match_frozen_loop():
+    big = sys.float_info.max
+    for thresholds in ([0.0], [big], [1.0], [0.5] * 5, [0.0, 0.0, 1.0, 1.0, big, big],
+                       [0.0] * 3 + [big] * 3, [0.25, 0.5, 0.5, 0.75, 1e12, 2.0**40]):
+        n = len(thresholds)
+        for target in [k / n for k in range(n + 1)] + [0.0, 0.1, 0.9]:
+            assert_lambda_matches_frozen(thresholds, target)
+
+
 def frozen_tall_mask(tau_t, state, lambda_t):
     """Reference: the TALL mask built from a fresh dequantize per call."""
     tau = np.abs(tau_t.delta)
@@ -343,33 +405,46 @@ def frozen_tall_tune(tau_t, state, density_grid, alpha_grid, features, labels, s
 
 class RecordingScore:
     """Stands in for accuracy: records each candidate's parameters and scores
-    it by a hash of their bytes, into three levels so that ties are common."""
+    it by a hash of their bytes, into three levels so that ties are common.
+    A stack (K, M) is scored row by row, and its size kept in ``passes``."""
 
     def __init__(self):
         self.seen = []
+        self.passes = []
 
     def __call__(self, params, spec, features, labels):
+        if params.ndim == 2:
+            self.passes.append(len(params))
+            return np.array([self(row, spec, features, labels) for row in params])
         self.seen.append(params.copy())
         return hashlib.sha256(params.tobytes()).digest()[0] % 3 / 2
 
 
 def assert_tune_matches_frozen(vecs, density_grid, alpha_grid=(0.8, 1.0, 1.2, 1.4, 1.6)):
     """The tuner picks the frozen tuner's lambda, alpha and mask for every task,
-    after scoring bit-identical candidates in the same order."""
+    after scoring bit-identical candidates in the same order: all of them in
+    one pass, one per pass, and seven per pass."""
     state = tall_state(vecs)
     m0 = np.linspace(-1.0, 1.0, state.length)
+    # one row of a one-input model: a candidate costs M + 2 entries of a pass
+    x, y, spec = np.zeros((1, 1)), np.zeros(1, dtype=np.int64), ModelSpec("logistic", 1, 2)
+    count = len(density_grid) * len(alpha_grid)
     for v in vecs:
-        new, old = RecordingScore(), RecordingScore()
-        with mock.patch.object(merging, "accuracy", new):
-            lam, alpha, mask = tall_tune(v, state, density_grid, alpha_grid, None, None, None, m0)
+        old = RecordingScore()
         want_lam, want_alpha = frozen_tall_tune(
             v, state, density_grid, alpha_grid, None, None, None, m0, score=old
         )
-        assert (lam, alpha) == (want_lam, want_alpha)
-        assert np.array_equal(mask.words, frozen_tall_mask(v, state, lam).words)
-        assert len(new.seen) == len(old.seen)
-        assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
-                   for a, b in zip(new.seen, old.seen))
+        for per_pass in (count, 1, 7):
+            new = RecordingScore()
+            with mock.patch.object(merging, "accuracy", new), \
+                    mock.patch.object(merging, "MAX_TUNE_ENTRIES", per_pass * (state.length + 2)):
+                lam, alpha, mask = tall_tune(v, state, density_grid, alpha_grid, x, y, spec, m0)
+            assert (lam, alpha) == (want_lam, want_alpha)
+            assert np.array_equal(mask.words, frozen_tall_mask(v, state, lam).words)
+            assert new.passes == [min(per_pass, count - i) for i in range(0, count, per_pass)]
+            assert len(new.seen) == len(old.seen)
+            assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                       for a, b in zip(new.seen, old.seen))
 
 
 _magnitudes = st.floats(1e-12, 1e3).flatmap(lambda x: st.sampled_from([x, -x]))
@@ -418,6 +493,50 @@ def test_tall_threshold_extremes_terminate():
     for tau, rest in [(0.0, 1e-10), (0.0, 5e-324), (5e-324, 1e-300), (1e-320, 3.0),
                       (1.0, 0.0), (0.0, 0.0), (1e308, 1e-308), (1e-300, 1e300)]:
         assert_largest_threshold(tau, rest)
+
+
+def test_mlp_tall_tune_matches_frozen_tuner_on_accuracy():
+    regime = HeterogeneityRegime("conflicting", conflict_rate=0.7, margin=1.0)
+    tasks = synth_generate(regime, 6, 60, 10, 3, seed=31)
+    spec = ModelSpec("mlp", 10, 3, hidden_dim=8)
+    cfg = TrainConfig(steps=20, batch_size=16, learning_rate=0.1, seed=7)
+    m0 = init_params(spec, 2)
+    vecs = [ft_finetune(t, m0, spec, cfg) for t in tasks]
+    state = tall_state(vecs)
+    grids = (DENSITY_GRID_DEFAULT, ALPHA_GRID_DEFAULT)
+    winners = set()
+    for task, v in zip(tasks, vecs):
+        x, y = task.train_xy()
+        want = frozen_tall_tune(v, state, *grids, x, y, spec, m0)
+        for per_pass in (25, 1, 7):
+            bound = per_pass * (spec.param_count + len(y) * 8)  # 8: the widest layer
+            with mock.patch.object(merging, "MAX_TUNE_ENTRIES", bound):
+                lam, alpha, mask = tall_tune(v, state, *grids, x, y, spec, m0)
+            assert (lam, alpha) == want
+            assert mask == frozen_tall_mask(v, state, lam)
+        winners.add(want)
+    assert len(winners) > 1  # the scores, not the tie-break, pick the winners
+
+
+def test_tall_tune_peak_memory_stays_near_one_candidate_at_a_time():
+    """A 20,000-row split is scored one candidate per pass, as the frozen tuner does."""
+    spec = ModelSpec("mlp", 20, 2, hidden_dim=64)
+    gen = np.random.default_rng(5)
+    vecs = [tv(gen.normal(size=spec.param_count) * 0.1, i) for i in range(2)]
+    state = tall_state(vecs)
+    state.summed  # filled before tracing, for both tuners
+    m0 = init_params(spec, 3)
+    x, y = gen.normal(size=(20_000, 20)), gen.integers(0, 2, 20_000)
+
+    def peak(tune):
+        tracemalloc.start()
+        try:
+            tune(vecs[0], state, DENSITY_GRID_DEFAULT, ALPHA_GRID_DEFAULT, x, y, spec, m0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(tall_tune) <= 1.5 * peak(frozen_tall_tune)
 
 
 def _tuning_setup():

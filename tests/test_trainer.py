@@ -22,6 +22,7 @@ from siftmasks.trainer import (
     init_params,
     loss_and_grad,
     predict_labels,
+    predict_logits,
     project_sign,
     sift_finetune,
 )
@@ -407,3 +408,40 @@ def test_accuracy_equals_mean_of_matches_exactly(small_logistic):
         x, y = features[:n], labels[:n]
         want = float(np.mean(predict_labels(params, small_logistic, x) == y))
         assert accuracy(params, small_logistic, x, y) == want
+
+
+@given(
+    st.sampled_from(["logistic", "mlp"]),
+    st.integers(1, 30),
+    st.one_of(st.just(1), st.integers(1, 100)),
+    st.integers(2, 4),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_predict_matches_each_row(kind, k, rows, classes, width, halves, seed):
+    """Row k of a stacked forward pass has the bits of the vector call on
+    stack[k]; with small halves as parameters, logits tie often."""
+    spec = ModelSpec(kind, 1 + seed % 24, classes, width if kind == "mlp" else 0)
+    gen = np.random.default_rng(seed)
+    if halves:
+        stack = gen.integers(-2, 3, size=(k, spec.param_count)) / 2.0
+        x = gen.integers(-2, 3, size=(rows, spec.input_dim)) / 2.0
+    else:
+        stack = gen.normal(size=(k, spec.param_count))
+        x = gen.normal(size=(rows, spec.input_dim)) * 3.0
+    y = gen.integers(0, classes, size=rows)
+    logits, accs = predict_logits(stack, spec, x), accuracy(stack, spec, x, y)
+    assert logits.shape == (k, rows, classes) and accs.shape == (k,)
+    for i in range(k):
+        assert logits[i].tobytes() == predict_logits(stack[i], spec, x).tobytes()
+        one = accuracy(stack[i], spec, x, y)
+        assert type(one) is float and accs[i] == one
+
+
+def test_stacked_accuracy_of_no_rows_is_zero_per_row(small_mlp):
+    stack = np.ones((3, small_mlp.param_count))
+    x, y = np.empty((0, small_mlp.input_dim)), np.empty(0, dtype=np.int64)
+    assert accuracy(stack, small_mlp, x, y).tolist() == [0.0, 0.0, 0.0]
+    assert accuracy(stack[0], small_mlp, x, y) == 0.0
