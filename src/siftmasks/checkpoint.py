@@ -300,7 +300,7 @@ def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
         )
     system.unlearned += tuple(unlearned)
     tag, m = system.method.tag, system.model_spec.param_count
-    per_task = not (_artifact_flags(tag, True) & _F_CENTRAL)
+    per_task = METHODS[tag].per_task
     accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
     digests = _r_table(fh, "I32s")
     digest_ids = [t for t, _ in digests]  # a list, so a repeated id fails the check below

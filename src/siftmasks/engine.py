@@ -17,8 +17,10 @@ is void once determinism breaks, so the engine refuses to proceed.
 
 Every system is a tuple of shards plus an assignment of task ids to shards; an
 unclustered system is one shard, as in SISA shard retraining. A deletion
-touches only its task's shard. What differs between methods lives in one
-table, ``METHODS``.
+touches only its task's shard. Shards are made in one place,
+``_fresh_shards``: a build, a rebuild and an audit each train every task they
+need, across shards, in one lockstep call. What differs between methods lives
+in one table, ``METHODS``.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ class MethodOps:
     benchmark's tracer does) sees every method's calls.
     """
 
-    # train the given ids of one shard and finish the method's artifacts;
-    # returns the shard and the replay digest of every trained task vector
-    build_shard: Callable[[SystemState, list[int]], tuple[Shard, dict[int, bytes]]]
+    # one shard's served state from its retained ids and, for a method that
+    # trains per task, their trained vectors (id order) and merged state;
+    # TALL, EMR and TIES add their artifacts, central trains its pooled task
+    finish: Callable[[SystemState, list[int], list[TaskVector], MergedState | None], Shard]
     # parameters served for one task that has a stored mask, or for any task
     # when the method stores none
     serve: Callable[[SystemState, Shard, int], np.ndarray]
@@ -197,49 +200,48 @@ class MethodOps:
     stores_masks: bool
     # tasks train under the global sign vector
     signed: bool = False
+    # each retained task trains alone, in its operation's one lockstep call,
+    # and keeps a replay digest; otherwise ``finish`` gets no vectors
+    per_task: bool = True
 
 
 def _digest(delta: np.ndarray) -> bytes:
     return hashlib.sha256(quantize(delta).values.astype("<i8").tobytes()).digest()
 
 
-def _check_digest(system: SystemState, task_id: int, digest: bytes) -> None:
-    if digest != system.replay_digests[task_id]:
-        raise ReplayMismatchError(
-            f"replayed task {task_id} does not reproduce its build-time "
-            "vector; deterministic replay is broken"
-        )
+def _fresh_shards(system: SystemState, shards, replay: tuple[int, ...] = ()):
+    """The given shards built afresh from their retained tasks, the replay
+    digest of every task trained, and the vectors of the ``replay`` ids.
+
+    All of these tasks train in one lockstep ``finetune_tasks`` call, signed
+    methods under the sign vector. A task's bits do not depend on the tasks
+    beside it, so pooling shards changes none.
+    """
+    ops = METHODS[system.method.tag]
+    ids = shard_ids(system.assignment, system.unlearned)
+    train = [*replay, *(t for c in shards for t in ids[c][0])] if ops.per_task else []
+    trained = dict(zip(train, finetune_tasks(
+        [system.registry[t] for t in train], system.m0, system.model_spec,
+        system.train_cfg, system.sign_vector,
+    ) if train else ()))
+    fresh = []
+    for c in shards:
+        vectors = [trained[t][0] for t in ids[c][0]] if ops.per_task else []
+        masks = {t: trained[t][1] for t in ids[c][0]} if ops.signed else None
+        state = merge(vectors, masks or None, length=len(system.m0)) if ops.per_task else None
+        fresh.append(ops.finish(system, ids[c][0], vectors, state))
+    digests = {t: _digest(tv.delta) for t, (tv, _) in trained.items()}
+    return fresh, digests, [trained[t][0] for t in replay]
 
 
-def _train_tasks(
-    system: SystemState, tasks: list[TaskSpec]
-) -> list[tuple[TaskVector, BitMask | None]]:
-    """Lockstep finetunes, one (vector, mask) per task in order, exactly as at
-    build time; signed methods train under the system's sign vector."""
-    return finetune_tasks(
-        tasks, system.m0, system.model_spec, system.train_cfg, system.sign_vector
-    )
+def _finish_merged(system, ids, vectors, state):
+    return Shard(state)
 
 
-def _merge_shard(system: SystemState, ids: list[int]):
-    """Train the ids and fold their vectors; returns vectors, state, digests."""
-    results = _train_tasks(system, [system.registry[t] for t in ids])
-    vectors = [tv for tv, _ in results]
-    masks = {tv.source_task: m for tv, m in results if m is not None}
-    state = merge(vectors, masks or None, length=system.model_spec.param_count)
-    return vectors, state, {tv.source_task: _digest(tv.delta) for tv in vectors}
-
-
-def _build_merged(system: SystemState, ids: list[int]):
-    _, state, digests = _merge_shard(system, ids)
-    return Shard(state), digests
-
-
-def _build_tall(system: SystemState, ids: list[int]):
-    """Merge, then grid-search each task's (lambda, alpha, mask) on its training split."""
-    vectors, state, digests = _merge_shard(system, ids)
+def _finish_tall(system, ids, vectors, state):
+    """Grid-search each task's (lambda, alpha, mask) on its training split."""
     if not vectors:  # every task deleted: an empty shard keeps no artifacts
-        return Shard(state), digests
+        return Shard(state)
     method = system.method
     params: dict[int, tuple[float, float]] = {}
     masks = {}
@@ -250,24 +252,20 @@ def _build_tall(system: SystemState, ids: list[int]):
             x_tr, y_tr, system.model_spec, system.m0,
         )
         params[tv.source_task] = (lam, alpha)
-    return Shard(replace(state, masks=masks), tall=params), digests
+    return Shard(replace(state, masks=masks), tall=params)
 
 
-def _build_emr(system: SystemState, ids: list[int]):
-    vectors, state, digests = _merge_shard(system, ids)
+def _finish_emr(system, ids, vectors, state):
     if not vectors:
-        return Shard(state), digests
+        return Shard(state)
     art, masks = emr_build(vectors)
-    return Shard(replace(state, masks=masks), emr=art), digests
+    return Shard(replace(state, masks=masks), emr=art)
 
 
-def _build_ties(system: SystemState, ids: list[int]):
-    vectors, state, digests = _merge_shard(system, ids)
+def _finish_ties(system, ids, vectors, state):
     if vectors:
-        ties_vector = ties_merge(vectors, system.method.ties_density)
-    else:
-        ties_vector = np.zeros(state.length)
-    return Shard(state, ties_vector=ties_vector), digests
+        return Shard(state, ties_vector=ties_merge(vectors, system.method.ties_density))
+    return Shard(state, ties_vector=np.zeros(state.length))
 
 
 def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
@@ -277,14 +275,14 @@ def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
     return TaskSpec(ordered[0].id, np.concatenate(feats), np.concatenate(labels), n_eval=0)
 
 
-def _build_central(system: SystemState, ids: list[int]):
+def _finish_central(system, ids, vectors, state):
     if not ids:
-        return Shard(central_params=system.m0.copy()), {}
+        return Shard(central_params=system.m0.copy())
     cfg = system.train_cfg
     pooled = _pooled_task([system.registry[t] for t in ids])
     run_cfg = replace(cfg, steps=min(cfg.steps * len(ids), system.central_max_steps))
     delta = ft_finetune(pooled, system.m0, system.model_spec, run_cfg).delta
-    return Shard(central_params=system.m0 + delta), {}
+    return Shard(central_params=system.m0 + delta)
 
 
 def _serve_merged(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
@@ -314,13 +312,15 @@ def _serve_central(system: SystemState, shard: Shard, task_id: int) -> np.ndarra
 
 METHODS: dict[str, MethodOps] = {
     "sift_masks": MethodOps(
-        _build_merged, _serve_sift, subtracts=True, stores_masks=True, signed=True
+        _finish_merged, _serve_sift, subtracts=True, stores_masks=True, signed=True
     ),
-    "ft_merge": MethodOps(_build_merged, _serve_merged, subtracts=True, stores_masks=False),
-    "tall_masks": MethodOps(_build_tall, _serve_tall, subtracts=False, stores_masks=True),
-    "emr": MethodOps(_build_emr, _serve_emr, subtracts=False, stores_masks=True),
-    "ties": MethodOps(_build_ties, _serve_ties, subtracts=False, stores_masks=False),
-    "central": MethodOps(_build_central, _serve_central, subtracts=False, stores_masks=False),
+    "ft_merge": MethodOps(_finish_merged, _serve_merged, subtracts=True, stores_masks=False),
+    "tall_masks": MethodOps(_finish_tall, _serve_tall, subtracts=False, stores_masks=True),
+    "emr": MethodOps(_finish_emr, _serve_emr, subtracts=False, stores_masks=True),
+    "ties": MethodOps(_finish_ties, _serve_ties, subtracts=False, stores_masks=False),
+    "central": MethodOps(
+        _finish_central, _serve_central, subtracts=False, stores_masks=False, per_task=False
+    ),
 }
 
 
@@ -390,11 +390,7 @@ def build(
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    shards = []
-    for c in range(clusters):
-        shard, digests = METHODS[method.tag].build_shard(system, system.shard_retained(c))
-        system.replay_digests.update(digests)
-        shards.append(shard)
+    shards, system.replay_digests, _ = _fresh_shards(system, range(clusters))
     system.shards = tuple(shards)
     n = len(tasks)
     return system, CostLedger(build_finetunes=n, build_steps=n * cfg.steps)
@@ -405,41 +401,45 @@ def unlearn(
 ) -> tuple[SystemState, ExactnessReport, CostLedger]:
     """Delete one task. Returns the new state, an exactness report, and the cost.
 
-    With verify=True the report holds both flags of ``_verify_shard`` on the
-    task's shard, which is rebuilt from its retained tasks and compared bit
-    for bit; the audit is not charged to the ledger. Without it both flags
-    are True by construction and nothing is compared.
+    With verify=True the task's shard is audited as ``verify_exactness``
+    audits it: built afresh from its retained tasks and compared bit for bit.
+    The replay and the audit's tasks train in one lockstep call; a rebuilt
+    shard is already that fresh build, whose digests the rebuild checked. The
+    audit is not charged to the ledger. Without it both flags are True by
+    construction and nothing is compared.
     """
     if task_id not in system.retained:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
     ops = METHODS[system.method.tag]
     c = system.assignment[task_id]
-    shard = system.shards[c]
-    remaining = [t for t in system.shard_retained(c) if t != task_id]
-    if ops.subtracts and remaining:
-        [(tv, _)] = _train_tasks(system, [system.registry[task_id]])
-        _check_digest(system, task_id, _digest(tv.delta))
-        shard = replace(shard, merged=unmerge(shard.merged, tv))
+    after = replace(system, unlearned=system.unlearned + (task_id,))
+    remaining = after.shard_retained(c)
+    subtracts = ops.subtracts and bool(remaining)
+    fresh, digests, replayed = _fresh_shards(
+        after, [c] if verify or not subtracts else [], (task_id,) if subtracts else ()
+    )
+    # every replay of the deletion itself must match; the audit's are reported
+    for t in [task_id] if subtracts else list(digests):
+        if digests.pop(t) != system.replay_digests[t]:
+            raise ReplayMismatchError(
+                f"replayed task {t} does not reproduce its build-time "
+                "vector; deterministic replay is broken"
+            )
+    if subtracts:
+        shard = replace(system.shards[c], merged=unmerge(system.shards[c].merged, *replayed))
     else:
         # masks / elected signs depend on the merged state, so the shard is
         # rebuilt; a subtracting method's last task is dropped this way for
         # free, since the accumulator then holds exactly its vector
-        shard, digests = ops.build_shard(system, remaining)
-        for t, digest in digests.items():
-            _check_digest(system, t, digest)
+        shard = fresh[0]
     n = deletion_finetunes(ops.subtracts, len(remaining))
     ledger = CostLedger(unlearn_finetunes=n, unlearn_steps=n * system.train_cfg.steps)
-    shards = list(system.shards)
-    shards[c] = shard
-    after = replace(
-        system, shards=tuple(shards), unlearned=system.unlearned + (task_id,)
-    )
-    if verify:
-        return after, ExactnessReport(*_verify_shard(after, c)), ledger
+    after.shards = system.shards[:c] + (shard,) + system.shards[c + 1:]
     # without the audit the state holds by construction: integer subtraction
     # of a digest-verified vector is exactly inverse to the addition that
     # built the accumulator, and a rebuild is a fresh merge of the retained set
-    return after, ExactnessReport(True, True), ledger
+    report = _audit(after, [c], fresh, digests) if verify else ExactnessReport(True, True)
+    return after, report, ledger
 
 
 def deletion_finetunes(subtracts: bool, remaining: int) -> int:
@@ -449,16 +449,14 @@ def deletion_finetunes(subtracts: bool, remaining: int) -> int:
     return 1 if subtracts and remaining else remaining
 
 
-def _verify_shard(system: SystemState, c: int) -> tuple[bool, bool]:
-    """(replays match, state matches) for one shard.
-
-    The shard is built afresh from its retained tasks, as a build or a
-    rebuild would; every replay digest must equal the stored one, and every
-    field of the fresh shard must hold the same bits as the stored shard.
-    """
-    fresh, digests = METHODS[system.method.tag].build_shard(system, system.shard_retained(c))
-    replays_ok = all(d == system.replay_digests[t] for t, d in digests.items())
-    return replays_ok, _same_bits(fresh, system.shards[c])
+def _audit(system: SystemState, shards, fresh: list[Shard], digests) -> ExactnessReport:
+    """Both flags for the given shards and their fresh builds: every replay
+    digest must equal the stored one, and every field of each fresh shard
+    must hold the same bits as the stored shard."""
+    return ExactnessReport(
+        all(d == system.replay_digests[t] for t, d in digests.items()),
+        all(_same_bits(f, system.shards[c]) for c, f in zip(shards, fresh)),
+    )
 
 
 def _same_bits(a, b) -> bool:
@@ -483,10 +481,11 @@ def _same_bits(a, b) -> bool:
 def verify_exactness(system: SystemState) -> ExactnessReport:
     """Rebuild every shard and compare it bit for bit to the stored one.
 
-    Audit only: nothing is charged to any ledger.
+    Every task of every shard trains in one lockstep call. Audit only:
+    nothing is charged to any ledger.
     """
-    checks = [_verify_shard(system, c) for c in range(len(system.shards))]
-    return ExactnessReport(all(r for r, _ in checks), all(s for _, s in checks))
+    shards = range(len(system.shards))
+    return _audit(system, shards, *_fresh_shards(system, shards)[:2])
 
 
 def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:

@@ -18,13 +18,15 @@ those of training it by itself. ``ft_finetune`` and ``sift_finetune`` are
 one-task calls of the same loop.
 
 The gradient arithmetic exists once, in ``_gradient_kernel``. A chunk checks
-its inputs once, every label its steps will draw included, and binds the
-kernel to its buffers; each step then computes only the gradient.
-``loss_and_grad`` binds it for one checked batch and adds the loss.
+its features once and binds the kernel to its buffers; its batches are drawn
+and their labels checked in bounded blocks of steps, inside the step loop, so
+memory does not grow with the step count. Each step then computes only the
+gradient. ``loss_and_grad`` binds it for one checked batch and adds the loss.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +43,9 @@ MODEL_KINDS = ("logistic", "mlp")
 # CPU time per finetune falls from 1.7 ms at one task per chunk to 0.6 ms at
 # 8 and stays there up to 48 (0.58-0.61 ms at 8, 11, 16, 24 and 48), while
 # the chunk's peak memory grows ~90 KB per task (1.0 MB at 11, 4.4 MB at 48).
+# A chunk's batches are drawn in blocks of max(1, MAX_STACKED_ENTRIES // (K x
+# rows)) steps, so a block's index arrays hold at most max(MAX_STACKED_ENTRIES,
+# K x rows) entries whatever the step count.
 MAX_STACKED_ENTRIES = 8192
 
 
@@ -394,19 +399,34 @@ def _zero_disagreeing(tau: np.ndarray, signs: np.ndarray) -> None:
     tau += 0.0
 
 
-def _batches(task, cfg: TrainConfig) -> np.ndarray:
-    """Every step's batch as row indices into task.features, (steps, rows).
+def _batch_blocks(tasks, cfg: TrainConfig, spec: ModelSpec):
+    """Every step's batches of K tasks with equal batch rows, block by block.
 
-    Batches are uniform with replacement from the training split, the first
-    ``n_train`` rows, drawn in one block: the same SplitMix64 counters as one
-    draw of batch_size per step. A split smaller than the batch size is used
-    whole at every step, with no stream draws.
+    Yields (rows, positions), both (steps, K, rows), for blocks of at most
+    max(1, MAX_STACKED_ENTRIES // (K * rows)) steps: each batch's indices
+    into the tasks' concatenated examples, and the ``_class_positions`` of
+    their labels, every label checked. Batches are uniform with replacement
+    from the training split, the first ``n_train`` rows, drawn from one
+    stream per task: draws are split-invariant, so the blocks hold the same
+    SplitMix64 counters as one draw of batch_size per step. A split smaller
+    than the batch size is used whole at every step, with no stream draws.
     """
-    n = task.n_train  # >= 1, as TaskSpec checks
-    if n < cfg.batch_size:
-        return np.broadcast_to(np.arange(n), (cfg.steps, n))
-    stream = PrngStream(mix_seed(cfg.seed, task.id))
-    return stream.randint_block(cfg.steps * cfg.batch_size, n).reshape(cfg.steps, cfg.batch_size)
+    rows = min(cfg.batch_size, tasks[0].n_train)
+    y_pool = np.concatenate([t.labels for t in tasks])
+    offsets = np.cumsum([0] + [t.n_examples for t in tasks[:-1]])[:, None]
+    streams = [PrngStream(mix_seed(cfg.seed, t.id)) for t in tasks]
+    block = max(1, MAX_STACKED_ENTRIES // (len(tasks) * rows))
+    for start in range(0, cfg.steps, block):
+        steps = min(block, cfg.steps - start)
+        batches = np.stack([
+            np.broadcast_to(np.arange(rows), (steps, rows)) if t.n_train < cfg.batch_size
+            else stream.randint_block(steps * rows, t.n_train).reshape(steps, rows)
+            for t, stream in zip(tasks, streams)
+        ], axis=1)
+        batches += offsets
+        drawn = y_pool[batches]
+        _check_labels(drawn, spec)
+        yield batches, _class_positions(drawn, spec)
 
 
 def ft_finetune(task, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig) -> TaskVector:
@@ -456,31 +476,34 @@ def finetune_tasks(
 def _finetune_chunk(tasks, m0, spec, cfg, dense) -> np.ndarray:
     """Train K tasks with equal batch rows in lockstep; returns (K, M) deltas.
 
-    The inputs are checked once, against every label the steps will draw,
-    and the gradient kernel is bound once to the chunk's buffers. ``dense``
-    is the sign vector's ``signs`` view, or None for plain finetuning.
+    The features are checked once and the gradient kernel is bound once to
+    the chunk's buffers. Batches come block by block from ``_batch_blocks``,
+    inside the step loop, so memory does not grow with the step count; a
+    block's labels are checked before any of its steps. ``dense`` is the
+    sign vector's ``signs`` view, or None for plain finetuning.
     """
     x_pool = np.concatenate([t.features for t in tasks])
-    y_pool = np.concatenate([t.labels for t in tasks])
-    batches = np.stack([_batches(t, cfg) for t in tasks], axis=1)  # (steps, K, rows)
-    batches += np.cumsum([0] + [t.n_examples for t in tasks[:-1]])[:, None]
     tau = np.zeros((len(tasks), m0.shape[0]))
     if not cfg.steps:
         return tau
     _check_input_dim(x_pool.shape[1], spec)
-    drawn = y_pool[batches]
-    _check_labels(drawn, spec)
-    positions = _class_positions(drawn, spec)
+    # the first block is drawn before the step buffers are allocated: drawn
+    # after them, it changed glibc's heap layout so that a 50-task call took
+    # ~30% more page faults (800 against 600) and ~3% longer with two BLAS
+    # threads, at lifecycle shape
+    blocks = _batch_blocks(tasks, cfg, spec)
+    first = next(blocks)
     params = np.empty_like(tau)
     grad = np.empty_like(tau)
-    gradient = _gradient_kernel(params, grad, spec, batches.shape[-1])
+    gradient = _gradient_kernel(params, grad, spec, min(cfg.batch_size, tasks[0].n_train))
     state = AdamState.zeros(tau.shape)
     # a diverging run overflows; adam_step raises on it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, picks in zip(batches, positions):
-            np.add(m0, tau, out=params)
-            gradient(x_pool[rows], picks)
-            adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-            if dense is not None:
-                _zero_disagreeing(tau, dense)
+        for batches, positions in itertools.chain([first], blocks):
+            for rows, picks in zip(batches, positions):
+                np.add(m0, tau, out=params)
+                gradient(x_pool[rows], picks)
+                adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+                if dense is not None:
+                    _zero_disagreeing(tau, dense)
     return tau

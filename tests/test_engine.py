@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frozen_serve import frozen_serve_for_task
-from siftmasks import merging
+from siftmasks import engine, merging
 from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
@@ -13,6 +13,7 @@ from siftmasks.engine import (
     CostLedger,
     ReplayMismatchError,
     UnknownTaskError,
+    _same_bits,
     build,
     cluster_random,
     evaluate,
@@ -484,6 +485,65 @@ def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
     assert report.exact
     with pytest.raises(UnknownTaskError):
         unlearn(after, 999)
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_each_operation_trains_in_one_call_across_shards(tag, conflicting_tasks, monkeypatch):
+    """Over three shards, a per-task method's build, audit, inline-verified
+    deletion and plain deletion each train every task they need in one
+    ``finetune_tasks`` call; central trains one pooled task per non-empty
+    shard that the operation builds."""
+    per_task = METHODS[tag].per_task
+    name = "finetune_tasks" if per_task else "ft_finetune"
+    train, calls = getattr(engine, name), []
+
+    def recording(tasks, *args):
+        calls.append(sorted(t.id for t in tasks) if per_task else tasks.id)
+        return train(tasks, *args)
+
+    monkeypatch.setattr(engine, name, recording)
+    system, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
+    everything = sorted(t.id for t in conflicting_tasks)
+    assert calls == ([everything] if per_task else [min(system.shard_retained(c)) for c in range(3)])
+    calls.clear()
+    assert verify_exactness(system).exact
+    assert len(calls) == (1 if per_task else 3)
+    for c, verify in ((0, True), (1, False)):
+        calls.clear()
+        victim, *remaining = system.shard_retained(c)
+        system, report, _ = unlearn(system, victim, verify=verify)
+        assert report.exact
+        if not per_task:
+            assert calls == [min(remaining)]
+        elif METHODS[tag].subtracts:  # the replay, with the audit's tasks when verifying
+            assert calls == [sorted([victim, *remaining]) if verify else [victim]]
+        else:
+            assert calls == [remaining]
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_pooled_shards_match_one_shard_builds(tag, conflicting_tasks):
+    """Pooling three shards' tasks into one training call leaks nothing
+    between them: each shard holds the bits and digests of a one-shard build
+    of its own tasks, fresh and after one deletion in every shard."""
+    system, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
+    alone = [
+        build_system(tag, [t for t in conflicting_tasks if system.assignment[t.id] == c])[0]
+        for c in range(3)
+    ]
+
+    def assert_same():
+        for c, one in enumerate(alone):
+            assert _same_bits(system.shards[c], one.shards[0]), c
+        assert system.replay_digests == {t: d for one in alone for t, d in one.replay_digests.items()}
+
+    assert_same()
+    for c in range(3):
+        victim = system.shard_retained(c)[1]
+        system, _, _ = unlearn(system, victim)
+        alone[c], _, _ = unlearn(alone[c], victim)
+    assert_same()
+    assert verify_exactness(system).exact
 
 
 def test_clustered_storage_sums(conflicting_tasks):

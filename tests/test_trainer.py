@@ -13,7 +13,7 @@ from siftmasks.trainer import (
     AdamState,
     ModelSpec,
     TrainConfig,
-    _batches,
+    _batch_blocks,
     _softmax_rows,
     _zero_disagreeing,
     accuracy,
@@ -132,7 +132,8 @@ def test_batched_kernel_matches_per_example_loop(kind, hidden, batch_size):
     # training split, so that case is the full-split fallback
     spec = ModelSpec(kind, 10, 3, hidden_dim=hidden)
     task = _toy_task(n=48, n_eval=8, seed=batch_size)
-    rows = _batches(task, TrainConfig(batch_size=batch_size, seed=5))[0]
+    batches, _ = next(_batch_blocks([task], TrainConfig(batch_size=batch_size, seed=5), spec))
+    rows = batches[0, 0]  # the first step's batch of the one task
     x, y = task.features[rows], task.labels[rows]
     assert len(y) == min(batch_size, 40)
     params = np.random.default_rng(batch_size).normal(size=spec.param_count) * 0.4
