@@ -19,8 +19,10 @@ Every system is a tuple of shards plus an assignment of task ids to shards; an
 unclustered system is one shard, as in SISA shard retraining. A deletion
 touches only its task's shard. Shards are made in one place,
 ``_fresh_shards``: a build, a rebuild and an audit each train every task they
-need, across shards, in one lockstep call. What differs between methods lives
-in one table, ``METHODS``.
+need, across shards, in one lockstep call. Serving is stacked: a method's
+serve gives K tasks of one shard their parameters at once, ``serve_for_task``
+is its one-id call, and ``evaluate`` serves and scores in bounded stacked
+passes. What differs between methods lives in one table, ``METHODS``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .merging import (
     MergedState,
     emr_build,
     emr_localize,
-    localize_masked,
-    localize_sift,
+    localize_stack,
     merge,
+    pass_size,
     serve_merged,
     tall_tune,
     ties_merge,
@@ -190,9 +192,9 @@ class MethodOps:
     # trains per task, their trained vectors (id order) and merged state;
     # TALL, EMR and TIES add their artifacts, central trains its pooled task
     finish: Callable[[SystemState, list[int], list[TaskVector], MergedState | None], Shard]
-    # parameters served for one task that has a stored mask, or for any task
-    # when the method stores none
-    serve: Callable[[SystemState, Shard, int], np.ndarray]
+    # parameters (K, M) served for K tasks of one shard, each with a stored
+    # mask, or any tasks when the method stores none; row k is task k's
+    serve: Callable[[SystemState, Shard, list[int]], np.ndarray]
     # a deletion replays the task and subtracts it; otherwise the shard is
     # rebuilt from its remaining tasks
     subtracts: bool
@@ -209,16 +211,16 @@ def _digest(delta: np.ndarray) -> bytes:
     return hashlib.sha256(quantize(delta).values.astype("<i8").tobytes()).digest()
 
 
-def _fresh_shards(system: SystemState, shards, replay: tuple[int, ...] = ()):
+def _fresh_shards(system: SystemState, ids, shards, replay: tuple[int, ...] = ()):
     """The given shards built afresh from their retained tasks, the replay
-    digest of every task trained, and the vectors of the ``replay`` ids.
+    digest of every task trained, and the vectors of the ``replay`` ids;
+    ``ids`` is the system's ``shard_ids``.
 
     All of these tasks train in one lockstep ``finetune_tasks`` call, signed
     methods under the sign vector. A task's bits do not depend on the tasks
     beside it, so pooling shards changes none.
     """
     ops = METHODS[system.method.tag]
-    ids = shard_ids(system.assignment, system.unlearned)
     train = [*replay, *(t for c in shards for t in ids[c][0])] if ops.per_task else []
     trained = dict(zip(train, finetune_tasks(
         [system.registry[t] for t in train], system.m0, system.model_spec,
@@ -285,29 +287,34 @@ def _finish_central(system, ids, vectors, state):
     return Shard(central_params=system.m0 + delta)
 
 
-def _serve_merged(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return serve_merged(shard.merged, system.m0)
+def _serve_merged(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    return _broadcast(serve_merged(shard.merged, system.m0), ids)
 
 
-def _serve_sift(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return localize_sift(shard.merged, task_id, system.m0)
+def _serve_sift(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    return localize_stack(shard.merged, [shard.merged.masks[t] for t in ids], system.m0)
 
 
-def _serve_tall(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    _, alpha = shard.tall[task_id]
-    return localize_masked(shard.merged, shard.merged.masks[task_id], system.m0, alpha)
+def _serve_tall(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    alphas = np.array([shard.tall[t][1] for t in ids])[:, None]
+    return localize_stack(shard.merged, [shard.merged.masks[t] for t in ids], system.m0, alphas)
 
 
-def _serve_emr(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return emr_localize(shard.emr, task_id, shard.merged.masks[task_id], system.m0)
+def _serve_emr(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    return emr_localize(shard.emr, ids, [shard.merged.masks[t] for t in ids], system.m0)
 
 
-def _serve_ties(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return system.m0 + shard.ties_vector
+def _serve_ties(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    return _broadcast(system.m0 + shard.ties_vector, ids)
 
 
-def _serve_central(system: SystemState, shard: Shard, task_id: int) -> np.ndarray:
-    return shard.central_params
+def _serve_central(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
+    return _broadcast(shard.central_params, ids)
+
+
+def _broadcast(params: np.ndarray, ids: list[int]) -> np.ndarray:
+    """One served vector as the K rows of a read-only stack, not copied."""
+    return np.broadcast_to(params, (len(ids), len(params)))
 
 
 METHODS: dict[str, MethodOps] = {
@@ -390,7 +397,9 @@ def build(
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    shards, system.replay_digests, _ = _fresh_shards(system, range(clusters))
+    shards, system.replay_digests, _ = _fresh_shards(
+        system, shard_ids(system.assignment, ()), range(clusters)
+    )
     system.shards = tuple(shards)
     n = len(tasks)
     return system, CostLedger(build_finetunes=n, build_steps=n * cfg.steps)
@@ -408,15 +417,16 @@ def unlearn(
     audit is not charged to the ledger. Without it both flags are True by
     construction and nothing is compared.
     """
-    if task_id not in system.retained:
+    if task_id not in system.assignment or task_id in system.unlearned:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
     ops = METHODS[system.method.tag]
     c = system.assignment[task_id]
     after = replace(system, unlearned=system.unlearned + (task_id,))
-    remaining = after.shard_retained(c)
+    ids = shard_ids(after.assignment, after.unlearned)
+    remaining = ids[c][0]
     subtracts = ops.subtracts and bool(remaining)
     fresh, digests, replayed = _fresh_shards(
-        after, [c] if verify or not subtracts else [], (task_id,) if subtracts else ()
+        after, ids, [c] if verify or not subtracts else [], (task_id,) if subtracts else ()
     )
     # every replay of the deletion itself must match; the audit's are reported
     for t in [task_id] if subtracts else list(digests):
@@ -485,20 +495,29 @@ def verify_exactness(system: SystemState) -> ExactnessReport:
     nothing is charged to any ledger.
     """
     shards = range(len(system.shards))
-    return _audit(system, shards, *_fresh_shards(system, shards)[:2])
+    ids = shard_ids(system.assignment, system.unlearned)
+    return _audit(system, shards, *_fresh_shards(system, ids, shards)[:2])
 
 
 def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
-    """Parameters used to answer queries for one task under the system's method.
+    """Parameters used to answer queries for one task under the system's
+    method: row 0 of its one-id stacked serve, read-only where the method
+    serves one vector to every task of the shard.
 
     A task without a stored mask (an unlearned one) gets its shard's maskless
     average.
     """
     ops = METHODS[system.method.tag]
     shard = system.shards[system.assignment[task_id]]
+    return _serve_of(ops, shard, task_id)(system, shard, [task_id])[0]
+
+
+def _serve_of(ops: MethodOps, shard: Shard, task_id: int):
+    """The stacked serve of one task of the shard: its method's, or the
+    maskless average where the method stores masks and the task has none."""
     if ops.stores_masks and task_id not in shard.merged.masks:
-        return serve_merged(shard.merged, system.m0)
-    return ops.serve(system, shard, task_id)
+        return _serve_merged
+    return ops.serve
 
 
 def evaluate(system: SystemState, mode: str) -> EvalReport:
@@ -506,18 +525,35 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
 
     held_in covers retained tasks, each served by its localized model;
     held_out covers every task, with unlearned tasks served masklessly.
+    Tasks are grouped by shard, serve and eval row count, and each group is
+    served and scored in stacked passes of ``pass_size`` tasks: one stacked
+    serve and one ``accuracy`` call on the tasks' own rows per pass, each
+    row with the bits of serving and scoring its task alone.
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    ids = sorted(system.assignment) if mode == "held_out" else system.retained
-    missing = [t for t in ids if t not in system.registry]
+    ops = METHODS[system.method.tag]
+    by_shard = {
+        c: kept + gone if mode == "held_out" else kept
+        for c, (kept, gone) in shard_ids(system.assignment, system.unlearned).items()
+    }
+    missing = sorted(t for ids in by_shard.values() for t in ids if t not in system.registry)
     if missing:
         raise DataFormatError(f"dataset is missing task ids {missing}, read by {mode} evaluation")
-    per_task: dict[int, float] = {}
-    for t in ids:
-        params = serve_for_task(system, t)
-        x_ev, y_ev = system.registry[t].eval_xy()
-        per_task[t] = accuracy(params, system.model_spec, x_ev, y_ev)
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
+    for c, ids in by_shard.items():
+        for t in ids:
+            groups[c, _serve_of(ops, system.shards[c], t), system.registry[t].n_eval].append(t)
+    scores: dict[int, float] = {}
+    for (c, serve, rows), ids in groups.items():
+        size = pass_size(system.model_spec, len(system.m0), rows)
+        for start in range(0, len(ids), size):
+            part = ids[start : start + size]
+            x, y = zip(*(system.registry[t].eval_xy() for t in part))
+            params = serve(system, system.shards[c], part)
+            right = accuracy(params, system.model_spec, np.stack(x), np.stack(y))
+            scores.update(zip(part, right.tolist()))
+    per_task = {t: scores[t] for t in sorted(scores)}  # id order, as aggregate reads it
     aggregate = float(np.mean(list(per_task.values()))) if per_task else 0.0
     return EvalReport(mode=mode, per_task=per_task, aggregate=aggregate)
 

@@ -23,6 +23,9 @@ Localization backends:
   to match each task's l1 norm.
 * TIES -- trims each vector to its top-density entries by magnitude, elects a
   global per-entry sign, and averages the entries that agree with it.
+
+Masked models are served as stacks (K, M) of K tasks, from one unpack of
+their masks' words; row k has the bits of serving task k alone.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .paramcore import (
     fxp_sub,
     mask_apply,
     quantize,
+    unpack_bits,
 )
 from .trainer import ModelSpec, TaskVector, accuracy
 
@@ -49,15 +53,17 @@ METHOD_TAGS = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central")
 
 DENSITY_GRID_DEFAULT = (0.1, 0.3, 0.5, 0.7, 0.9)
 ALPHA_GRID_DEFAULT = (0.8, 1.0, 1.2, 1.4, 1.6)
-# Bound on the entries of one stacked scoring pass of tall_tune, where a
-# candidate costs its M parameters and its widest activation, rows x the widest
-# layer. Sized on a 2-vCPU Xeon (medians of 20-2000 calls): at M = 738 and 80
-# rows x 32 (lifecycle), scoring takes 47 us per candidate one at a time, 24 at
-# 4 per pass, 18 at 16 (52,768 entries) and 17-18 up to 50; from 26,000
-# entries per candidate up (800 rows, or 64-256-2 at 80 rows), a pass of
-# several is no faster than one. The bound holds a lifecycle grid of 25 in
-# one pass, and a pass's buffers stay near 1 MB each.
-MAX_TUNE_ENTRIES = 1 << 17
+# Bound on the entries of one stacked scoring pass, where a parameter vector
+# costs its M entries and its widest activation, rows x the widest layer. It
+# bounds both users: tall_tune's passes over a task's candidates and
+# engine.evaluate's passes over a shard's tasks. Sized on a 2-vCPU Xeon
+# (medians of 20-2000 calls): at M = 738 and 80 rows x 32 (lifecycle),
+# scoring takes 47 us per candidate one at a time, 24 at 4 per pass, 18 at 16
+# (52,768 entries) and 17-18 up to 50; from 26,000 entries per candidate up
+# (800 rows, or 64-256-2 at 80 rows), a pass of several is no faster than one.
+# The bound holds a lifecycle grid of 25, or 50 tasks of 20 eval rows, in one
+# pass, and a pass's buffers stay near 1 MB each.
+MAX_SCORE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -161,22 +167,50 @@ def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarra
 
 
 def localize_masked(
-    state: MergedState, mask: BitMask, m0: np.ndarray, alpha: float = 1.0
+    state: MergedState, mask: BitMask, m0: np.ndarray, alpha: float | None = None
 ) -> np.ndarray:
-    """Masked average model under an externally supplied mask and rescale."""
-    if mask.length != state.length:
-        raise ValueError(f"length mismatch: mask {mask.length} vs state {state.length}")
-    return _masked_params(state, mask.to_bools(), m0, alpha)
+    """Masked average model under an externally supplied mask and rescale:
+    the one-mask call of ``localize_stack``."""
+    return localize_stack(state, [mask], m0, alpha)[0]
+
+
+def localize_stack(
+    state: MergedState, masks: list[BitMask], m0: np.ndarray,
+    alpha: float | np.ndarray | None = None,
+) -> np.ndarray:
+    """Masked average models (K, M) of K masks, from one unpack of their words
+    and one ``_masked_params`` call; ``alpha`` is one rescale, a column (K, 1)
+    of them, or None for none."""
+    return _masked_params(state, _mask_rows(masks, state.length), m0, alpha)
+
+
+def _mask_rows(masks: list[BitMask], length: int) -> np.ndarray:
+    """The (K, length) bools of K masks, unpacked in one call; one mask's
+    words are viewed, not copied."""
+    for mask in masks:
+        if mask.length != length:
+            raise ValueError(f"length mismatch: mask {mask.length} vs state {length}")
+    words = masks[0].words[None] if len(masks) == 1 else np.array([m.words for m in masks])
+    return unpack_bits(words, length)
+
+
+def pass_size(spec: ModelSpec, length: int, rows: int) -> int:
+    """Parameter vectors of ``length`` entries per stacked scoring pass on
+    ``rows`` rows each, bounded by MAX_SCORE_ENTRIES; at least one."""
+    return max(1, MAX_SCORE_ENTRIES // (length + max(rows, 1) * max(spec.widths[1:])))
 
 
 def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray,
-                   alpha: float | np.ndarray, out: np.ndarray | None = None):
+                   alpha: float | np.ndarray | None, out: np.ndarray | None = None):
     """``m0 + alpha * (summed where bits, else +0.0) / n``, served and tuned
     alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0.
     Into ``out`` when given: a column of alphas (A, 1) and out (A, M) write
-    each alpha's row with the bits of its own call."""
+    each alpha's row with the bits of its own call. Without an alpha the
+    multiply is skipped, a pass over the stack: a product by 1.0 changes no
+    bit, so the bytes are those of alpha 1.0."""
     term = np.multiply(state.summed, bits, out=out)
-    term *= alpha
+    if alpha is not None:
+        term *= alpha
     term /= max(state.n_retained, 1)
     term += 0.0
     return np.add(m0, term, out=term)
@@ -289,8 +323,8 @@ def tall_tune(
     density, then the smaller alpha. Returns the winning lambda, alpha and
     mask. Candidates are built as ``localize_masked`` serves them, in that
     order, into one stack, and scored by one stacked ``accuracy`` call per
-    pass, each row with the bits of scoring it alone. A pass is bounded by
-    MAX_TUNE_ENTRIES: it holds at least one candidate.
+    pass, each row with the bits of scoring it alone. A pass holds
+    ``pass_size`` candidates.
     """
     if not density_grid or not alpha_grid:
         raise ValueError("tuning grids must be nonempty")
@@ -302,8 +336,7 @@ def tall_tune(
     column = np.array(alphas)[:, None]
     # candidate i is (lams[i // a], alphas[i % a]); a pass scores [start, stop)
     a, count = len(alphas), len(lams) * len(alphas)
-    per_candidate = state.length + max(len(labels), 1) * max(spec.widths[1:])
-    stack = np.empty((min(max(1, MAX_TUNE_ENTRIES // per_candidate), count), state.length))
+    stack = np.empty((min(pass_size(spec, state.length, len(labels)), count), state.length))
     best, best_acc = 0, None
     for start in range(0, count, len(stack)):
         stop = min(start + len(stack), count)
@@ -355,8 +388,14 @@ def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, dict[int, B
     return EmrArtifacts(unified=unified, scales=scales), masks
 
 
-def emr_localize(emr: EmrArtifacts, task_id: int, mask: BitMask, m0: np.ndarray) -> np.ndarray:
-    return m0 + emr.scales[task_id] * mask_apply(mask, emr.unified)
+def emr_localize(
+    emr: EmrArtifacts, task_ids: list[int], masks: list[BitMask], m0: np.ndarray
+) -> np.ndarray:
+    """EMR models (K, M) of K tasks under their masks, from one unpack: row k
+    holds the bytes of ``m0 + scale * mask_apply(mask, unified)``."""
+    term = np.where(_mask_rows(masks, len(emr.unified)), emr.unified, 0.0)
+    term *= np.array([emr.scales[t] for t in task_ids])[:, None]
+    return np.add(m0, term, out=term)
 
 
 def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:

@@ -113,9 +113,10 @@ def pack_bits(bits) -> np.ndarray:
     return packed.view("<u4").copy()
 
 def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a boolean array of the given length."""
+    """Inverse of pack_bits; returns a boolean array of the given length, or
+    from a stack of packed rows (K, words) the (K, length) rows in one call."""
     raw = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
-    return np.unpackbits(raw, count=length, bitorder="little").view(bool)
+    return np.unpackbits(raw, axis=-1, count=length, bitorder="little").view(bool)
 
 
 def mask_words(length: int) -> int:

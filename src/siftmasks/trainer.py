@@ -181,9 +181,10 @@ def predict_logits(params: np.ndarray, spec: ModelSpec, features: np.ndarray) ->
     """Logits (rows, C) of a vector (M,), or (K, rows, C) of a stack (K, M).
 
     A stack scores K parameter vectors in one pass over shared features
-    (rows, d), broadcast and never copied: each layer is one matmul that runs
-    the vector call's product on every slice, then the same bias add and
-    tanh, so row k holds the bits of ``predict_logits(params[k], ...)``. Adds
+    (rows, d), broadcast and never copied, or over features (K, rows, d),
+    slice k for vector k: each layer is one matmul that runs the vector
+    call's product on every slice, then the same bias add and tanh, so row k
+    holds the bits of ``predict_logits(params[k], ...)`` on its features. Adds
     and tanh write in place: a fresh (K, rows, width) buffer per operation
     cost a stack more than the arithmetic.
     """
@@ -207,14 +208,17 @@ def accuracy(
     params: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
 ) -> float | np.ndarray:
     """Share of rows predicted right: a float for a vector (M,), one per row
-    for a stack (K, M), each the float of scoring that row alone."""
-    if len(labels) == 0:
+    for a stack (K, M), each the float of scoring that row alone. A stack
+    takes shared rows, features (rows, d) and labels (rows,), or rows of its
+    own per parameter vector, features (K, rows, d) and labels (K, rows)."""
+    rows = np.shape(labels)[-1]
+    if rows == 0:
         return np.zeros(params.shape[0]) if params.ndim == 2 else 0.0
     right = predict_labels(params, spec, features) == labels
     if params.ndim == 2:  # exact counts in float64, then one rounding each
-        return np.count_nonzero(right, axis=-1) / len(labels)
+        return np.count_nonzero(right, axis=-1) / rows
     # the same float as np.mean over the booleans: an exact count, one rounding
-    return int(np.count_nonzero(right)) / len(labels)
+    return int(np.count_nonzero(right)) / rows
 
 
 def loss_and_grad(

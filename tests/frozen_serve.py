@@ -25,6 +25,10 @@ def frozen_localize_sift(state, task_id, m0):
     return frozen_localize_masked(state, state.masks[task_id], m0)
 
 
+def frozen_emr_localize(emr, task_id, mask, m0):
+    return m0 + emr.scales[task_id] * mask_apply(mask, emr.unified)
+
+
 def frozen_serve_for_task(system, task_id):
     """The engine's per-method dispatch, on the frozen functions above."""
     tag = system.method.tag
@@ -41,4 +45,4 @@ def frozen_serve_for_task(system, task_id):
         return frozen_localize_sift(shard.merged, task_id, m0)
     if tag == "tall_masks":
         return frozen_localize_masked(shard.merged, masks[task_id], m0, shard.tall[task_id][1])
-    return m0 + shard.emr.scales[task_id] * mask_apply(masks[task_id], shard.emr.unified)
+    return frozen_emr_localize(shard.emr, task_id, masks[task_id], m0)

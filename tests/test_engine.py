@@ -125,10 +125,10 @@ def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
 
 def test_unlearn_unknown_or_repeated_id(conflicting_tasks):
     system, _ = build_system("ft_merge", conflicting_tasks[:3])
-    with pytest.raises(UnknownTaskError):
+    with pytest.raises(UnknownTaskError, match="task 99 is unknown or already unlearned"):
         unlearn(system, 99)
     system, _, _ = unlearn(system, 1)
-    with pytest.raises(UnknownTaskError):
+    with pytest.raises(UnknownTaskError, match="task 1 is unknown or already unlearned"):
         unlearn(system, 1)
 
 
@@ -615,6 +615,49 @@ def test_evaluate_every_method_both_modes(tag, conflicting_tasks):
         assert all(0.0 <= v <= 1.0 for v in report.per_task.values())
     assert set(evaluate(system, "held_in").per_task) == {0, 2, 3, 4}
     assert set(evaluate(system, "held_out").per_task) == {0, 1, 2, 3, 4}
+
+
+EVAL_ROWS = (5, 8, 0, 5, 3, 8, 5)  # unequal held-out splits, one of them empty
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+@pytest.mark.parametrize("clusters", [1, 3])
+def test_stacked_evaluate_equals_per_task_scoring(tag, clusters, conflicting_tasks, monkeypatch):
+    """Every score and the aggregate have the bits of serving and scoring each
+    task alone, in id order; by default each group of a shard's tasks with
+    one serve and one eval row count is one pass, and under a bound of one
+    entry every task is its own pass."""
+    tasks = [replace(t, n_eval=n) for t, n in zip(conflicting_tasks, EVAL_ROWS)]
+    system, _ = build_system(tag, tasks, clusters=clusters)
+    system, _, _ = unlearn(system, 1)
+    passes = []
+
+    def recording(params, *args):
+        passes.append(len(params))
+        return accuracy(params, *args)
+
+    monkeypatch.setattr(engine, "accuracy", recording)
+    for bound in (merging.MAX_SCORE_ENTRIES, 1):
+        monkeypatch.setattr(merging, "MAX_SCORE_ENTRIES", bound)
+        for mode in ("held_in", "held_out"):
+            ids = sorted(system.assignment) if mode == "held_out" else list(system.retained)
+            want = [accuracy(frozen_serve_for_task(system, t), SPEC, *system.registry[t].eval_xy())
+                    for t in ids]
+            passes.clear()
+            report = evaluate(system, mode)
+            assert list(report.per_task) == ids
+            assert [np.float64(v).tobytes() for v in report.per_task.values()] == [
+                np.float64(v).tobytes() for v in want]
+            assert all(type(v) is float for v in report.per_task.values())
+            assert report.aggregate == float(np.mean(want)) and 0.0 in report.per_task.values()
+            if bound == 1:
+                assert passes == [1] * len(ids)
+            else:  # one pass per (shard, served with a mask, eval rows) group
+                shards = [system.assignment[t] for t in ids]
+                masked = [METHODS[tag].stores_masks and t in system.retained for t in ids]
+                rows = [system.registry[t].n_eval for t in ids]
+                assert len(passes) == len(set(zip(shards, masked, rows)))
+                assert sum(passes) == len(ids)
 
 
 def test_verify_with_provided_vectors(conflicting_tasks):

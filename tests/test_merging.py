@@ -12,12 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frozen_serve import frozen_localize_masked, frozen_localize_sift, frozen_serve_merged
+from frozen_serve import (
+    frozen_emr_localize,
+    frozen_localize_masked,
+    frozen_localize_sift,
+    frozen_serve_merged,
+)
 from siftmasks import merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
     ALPHA_GRID_DEFAULT,
     DENSITY_GRID_DEFAULT,
+    EmrArtifacts,
     MergedState,
     _tall_lambda,
     _tall_thresholds,
@@ -25,6 +31,7 @@ from siftmasks.merging import (
     emr_localize,
     localize_masked,
     localize_sift,
+    localize_stack,
     merge,
     serve_merged,
     tall_lambda_for_density,
@@ -204,13 +211,15 @@ _m0_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
     st.integers(1, 8),
     st.sampled_from(ALPHA_GRID_DEFAULT),
 )
-# an unset bit over a negative sum, with -0.0 and +0.0 in the base model
+# an unset bit over a negative sum (and, for EMR, a negative unified entry),
+# with -0.0 and +0.0 in the base model
 @example(([-5, -5, 0, 0, 7], [-0.0, 0.0, -0.0, 0.0, -0.0], [False] * 4 + [True]), 3, 1.0)
 @settings(max_examples=200, deadline=None)
 def test_served_bytes_match_frozen_serve(case, n, alpha):
     acc, m0, bits = case
     m0 = np.array(m0)
     mask = BitMask.from_bools(bits)
+    other = BitMask.from_bools(np.logical_not(bits))
     state = MergedState(FxpVector(np.array(acc, dtype=np.int64)), n, {0: mask})
     for _ in range(2):  # the first call fills the cached sum, the second reads it
         assert same_bytes(
@@ -218,8 +227,17 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
         )
         assert same_bytes(localize_sift(state, 0, m0), frozen_localize_sift(state, 0, m0))
         assert same_bytes(serve_merged(state, m0), frozen_serve_merged(state, m0))
+        # a stack's rows: each mask with its own alpha, as served one at a time
+        rows = localize_stack(state, [mask, other, mask], m0, np.array([[alpha], [1.0], [1.6]]))
+        for row, (m, a) in zip(rows, [(mask, alpha), (other, 1.0), (mask, 1.6)]):
+            assert same_bytes(row, frozen_localize_masked(state, m, m0, a))
     empty = MergedState(FxpVector.zeros(len(acc)), 0, {})
     assert same_bytes(serve_merged(empty, m0), frozen_serve_merged(empty, m0))
+    # EMR: the sum's entries as the unified vector and alpha as a scale
+    emr = EmrArtifacts(dequantize(state.accumulator), {0: alpha, 1: 1.0 / n})
+    rows = emr_localize(emr, [0, 1], [mask, other], m0)
+    assert same_bytes(rows[0], frozen_emr_localize(emr, 0, mask, m0))
+    assert same_bytes(rows[1], frozen_emr_localize(emr, 1, other, m0))
 
 
 def test_merged_state_equality_ignores_the_cached_sum():
@@ -437,7 +455,7 @@ def assert_tune_matches_frozen(vecs, density_grid, alpha_grid=(0.8, 1.0, 1.2, 1.
         for per_pass in (count, 1, 7):
             new = RecordingScore()
             with mock.patch.object(merging, "accuracy", new), \
-                    mock.patch.object(merging, "MAX_TUNE_ENTRIES", per_pass * (state.length + 2)):
+                    mock.patch.object(merging, "MAX_SCORE_ENTRIES", per_pass * (state.length + 2)):
                 lam, alpha, mask = tall_tune(v, state, density_grid, alpha_grid, x, y, spec, m0)
             assert (lam, alpha) == (want_lam, want_alpha)
             assert np.array_equal(mask.words, frozen_tall_mask(v, state, lam).words)
@@ -510,7 +528,7 @@ def test_mlp_tall_tune_matches_frozen_tuner_on_accuracy():
         want = frozen_tall_tune(v, state, *grids, x, y, spec, m0)
         for per_pass in (25, 1, 7):
             bound = per_pass * (spec.param_count + len(y) * 8)  # 8: the widest layer
-            with mock.patch.object(merging, "MAX_TUNE_ENTRIES", bound):
+            with mock.patch.object(merging, "MAX_SCORE_ENTRIES", bound):
                 lam, alpha, mask = tall_tune(v, state, *grids, x, y, spec, m0)
             assert (lam, alpha) == want
             assert mask == frozen_tall_mask(v, state, lam)
@@ -579,7 +597,7 @@ def test_emr_hand_example():
     assert art.unified.tolist() == [3.0, -2.0]
     assert masks[0].to_bools().tolist() == [True, True]
     assert art.scales[0] == pytest.approx(3 / 5)
-    local = emr_localize(art, 0, masks[0], np.zeros(2))
+    (local,) = emr_localize(art, [0], [masks[0]], np.zeros(2))
     assert np.allclose(local, [1.8, -1.2])
 
 
@@ -591,7 +609,7 @@ def test_emr_singleton_exact_recovery():
     assert np.array_equal(masks[0].to_bools(), delta != 0)
     assert art.scales[0] == 1.0
     m0 = rng.normal(size=20)
-    assert np.array_equal(emr_localize(art, 0, masks[0], m0), m0 + delta)
+    assert np.array_equal(emr_localize(art, [0], [masks[0]], m0)[0], m0 + delta)
 
 
 def test_emr_zero_sum_entry_dropped():

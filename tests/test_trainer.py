@@ -423,22 +423,26 @@ def test_accuracy_equals_mean_of_matches_exactly(small_logistic):
 @settings(max_examples=120, deadline=None)
 def test_stacked_predict_matches_each_row(kind, k, rows, classes, width, halves, seed):
     """Row k of a stacked forward pass has the bits of the vector call on
-    stack[k]; with small halves as parameters, logits tie often."""
+    stack[k], over shared rows and over rows of its own; with small halves as
+    parameters, logits tie often."""
     spec = ModelSpec(kind, 1 + seed % 24, classes, width if kind == "mlp" else 0)
     gen = np.random.default_rng(seed)
     if halves:
         stack = gen.integers(-2, 3, size=(k, spec.param_count)) / 2.0
-        x = gen.integers(-2, 3, size=(rows, spec.input_dim)) / 2.0
+        xs = gen.integers(-2, 3, size=(k, rows, spec.input_dim)) / 2.0
     else:
         stack = gen.normal(size=(k, spec.param_count))
-        x = gen.normal(size=(rows, spec.input_dim)) * 3.0
-    y = gen.integers(0, classes, size=rows)
-    logits, accs = predict_logits(stack, spec, x), accuracy(stack, spec, x, y)
-    assert logits.shape == (k, rows, classes) and accs.shape == (k,)
-    for i in range(k):
-        assert logits[i].tobytes() == predict_logits(stack[i], spec, x).tobytes()
-        one = accuracy(stack[i], spec, x, y)
-        assert type(one) is float and accs[i] == one
+        xs = gen.normal(size=(k, rows, spec.input_dim)) * 3.0
+    ys = gen.integers(0, classes, size=(k, rows))
+    # shared rows (rows, d) and (rows,), then each vector's own (K, rows, d) and (K, rows)
+    for x, y, row_of in ((xs[0], ys[0], lambda a, i: a), (xs, ys, lambda a, i: a[i])):
+        logits, accs = predict_logits(stack, spec, x), accuracy(stack, spec, x, y)
+        assert logits.shape == (k, rows, classes) and accs.shape == (k,)
+        for i in range(k):
+            x_i, y_i = row_of(x, i), row_of(y, i)
+            assert logits[i].tobytes() == predict_logits(stack[i], spec, x_i).tobytes()
+            one = accuracy(stack[i], spec, x_i, y_i)
+            assert type(one) is float and accs[i] == one
 
 
 def test_stacked_accuracy_of_no_rows_is_zero_per_row(small_mlp):
@@ -446,3 +450,5 @@ def test_stacked_accuracy_of_no_rows_is_zero_per_row(small_mlp):
     x, y = np.empty((0, small_mlp.input_dim)), np.empty(0, dtype=np.int64)
     assert accuracy(stack, small_mlp, x, y).tolist() == [0.0, 0.0, 0.0]
     assert accuracy(stack[0], small_mlp, x, y) == 0.0
+    own_x, own_y = np.empty((3, 0, small_mlp.input_dim)), np.empty((3, 0), dtype=np.int64)
+    assert accuracy(stack, small_mlp, own_x, own_y).tolist() == [0.0, 0.0, 0.0]
