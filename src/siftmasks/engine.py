@@ -19,7 +19,12 @@ Every system is a tuple of shards plus an assignment of task ids to shards; an
 unclustered system is one shard, as in SISA shard retraining. A deletion
 touches only its task's shard. Shards are made in one place,
 ``_fresh_shards``: a build, a rebuild and an audit each train every task they
-need, across shards, in one lockstep call. Serving is stacked: a method's
+need, across shards, in one lockstep call, and fold each chunk into its
+shards as it finishes. Each vector is quantized once, for its digest and its
+shard's sum, so a subtracting method's memory is bounded by the model and the
+chunk, not by the task count; a deletion subtracts the replay's quantized
+vector. TALL, EMR and TIES keep every vector of a shard they build, since
+their ``finish`` reads them all. Serving is stacked: a method's
 serve gives K tasks of one shard their parameters at once, ``serve_for_task``
 is its one-id call, and ``evaluate`` serves and scores in bounded stacked
 passes. What differs between methods lives in one table, ``METHODS``.
@@ -42,6 +47,7 @@ from .merging import (
     MergedState,
     emr_build,
     emr_localize,
+    fold,
     localize_stack,
     merge,
     pass_size,
@@ -50,14 +56,14 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, gen_sign_vector, mask_words, quantize
+from .paramcore import BitMask, FxpVector, gen_sign_vector, mask_words, quantize
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
     TaskVector,
     TrainConfig,
     accuracy,
-    finetune_tasks,
+    finetune_stream,
     ft_finetune,
     init_params,
 )
@@ -207,33 +213,56 @@ class MethodOps:
     per_task: bool = True
 
 
-def _digest(delta: np.ndarray) -> bytes:
-    return hashlib.sha256(quantize(delta).values.astype("<i8").tobytes()).digest()
+def _digest(quantized: FxpVector) -> bytes:
+    """A task's replay digest: the SHA-256 of its quantized vector."""
+    return hashlib.sha256(quantized.values.astype("<i8").tobytes()).digest()
 
 
 def _fresh_shards(system: SystemState, ids, shards, replay: tuple[int, ...] = ()):
     """The given shards built afresh from their retained tasks, the replay
-    digest of every task trained, and the vectors of the ``replay`` ids;
-    ``ids`` is the system's ``shard_ids``.
+    digest of every task trained, and the quantized vectors of the ``replay``
+    ids; ``ids`` is the system's ``shard_ids``.
 
-    All of these tasks train in one lockstep ``finetune_tasks`` call, signed
+    All of these tasks train in one lockstep ``finetune_stream`` call, signed
     methods under the sign vector. A task's bits do not depend on the tasks
-    beside it, so pooling shards changes none.
+    beside it, so pooling shards changes none. Each chunk is folded away as
+    it finishes: a vector is quantized once, for its digest and for its
+    shard's new accumulator (``fold``, from the empty ``merge``), and a
+    signed method keeps its mask. Its float vector is kept only where the
+    method's ``finish`` reads every vector (TALL, EMR, TIES). So a
+    subtracting method holds the vectors of the chunk in hand, not of every
+    task, beside the shards' sums, masks and digests.
     """
     ops = METHODS[system.method.tag]
-    train = [*replay, *(t for c in shards for t in ids[c][0])] if ops.per_task else []
-    trained = dict(zip(train, finetune_tasks(
+    shard_of = {t: c for c in shards for t in ids[c][0]} if ops.per_task else {}
+    train = [*replay, *shard_of]
+    states = {c: merge([], length=len(system.m0)) for c in shards} if ops.per_task else {}
+    kept, masks, digests, replayed = {}, {}, {}, {}
+    for chunk in finetune_stream(
         [system.registry[t] for t in train], system.m0, system.model_spec,
         system.train_cfg, system.sign_vector,
-    ) if train else ()))
+    ) if train else ():
+        for _, tv, mask in chunk:
+            t, quantized = tv.source_task, quantize(tv.delta)
+            digests[t] = _digest(quantized)
+            if t not in shard_of:
+                replayed[t] = quantized
+                continue
+            states[shard_of[t]] = fold(states[shard_of[t]], quantized)
+            if ops.signed:
+                masks[t] = mask
+            if not ops.subtracts:
+                kept[t] = tv
+        chunk = tv = quantized = None  # held through neither the next chunk nor ``finish``
     fresh = []
     for c in shards:
-        vectors = [trained[t][0] for t in ids[c][0]] if ops.per_task else []
-        masks = {t: trained[t][1] for t in ids[c][0]} if ops.signed else None
-        state = merge(vectors, masks or None, length=len(system.m0)) if ops.per_task else None
-        fresh.append(ops.finish(system, ids[c][0], vectors, state))
-    digests = {t: _digest(tv.delta) for t, (tv, _) in trained.items()}
-    return fresh, digests, [trained[t][0] for t in replay]
+        retained = ids[c][0]
+        state = None
+        if ops.per_task:  # masks in id order, as a merge of the id-ordered vectors holds them
+            state = replace(states[c], masks={t: masks[t] for t in retained} if ops.signed else {})
+        # the vectors ``finish`` reads: none where the method subtracts or pools
+        fresh.append(ops.finish(system, retained, [kept[t] for t in retained if t in kept], state))
+    return fresh, digests, [replayed[t] for t in replay]
 
 
 def _finish_merged(system, ids, vectors, state):
@@ -313,7 +342,14 @@ def _serve_central(system: SystemState, shard: Shard, ids: list[int]) -> np.ndar
 
 
 def _broadcast(params: np.ndarray, ids: list[int]) -> np.ndarray:
-    """One served vector as the K rows of a read-only stack, not copied."""
+    """One served vector as the K rows of a read-only stack, not copied; one
+    id gets a one-row view, ~3 us cheaper than ``np.broadcast_to``. The
+    vector itself is made read-only first, as ``MergedState.summed`` is: it
+    is fresh or the shard's stored central parameters, which nothing writes,
+    and a view of a read-only array cannot be made writable."""
+    params.flags.writeable = False
+    if len(ids) == 1:
+        return params[None]
     return np.broadcast_to(params, (len(ids), len(params)))
 
 
@@ -436,7 +472,8 @@ def unlearn(
                 "vector; deterministic replay is broken"
             )
     if subtracts:
-        shard = replace(system.shards[c], merged=unmerge(system.shards[c].merged, *replayed))
+        merged = unmerge(system.shards[c].merged, task_id, *replayed)
+        shard = replace(system.shards[c], merged=merged)
     else:
         # masks / elected signs depend on the merged state, so the shard is
         # rebuilt; a subtracting method's last task is dropped this way for

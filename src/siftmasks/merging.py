@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -135,20 +135,32 @@ def merge(
     elif length is None:
         raise ValueError("merging zero vectors requires an explicit length")
 
-    acc = FxpVector.zeros(length)
+    state = MergedState(FxpVector.zeros(length), 0, {})
     for tv in task_vectors:
-        acc = fxp_add(acc, quantize(tv.delta))
+        state = fold(state, quantize(tv.delta))
 
     if masks is not None and set(masks) != set(ids):
         raise ValueError("masks must cover exactly the merged task ids")
-    return MergedState(accumulator=acc, n_retained=len(ids), masks=dict(masks or {}))
+    return replace(state, masks=dict(masks or {}))
 
 
-def unmerge(state: MergedState, tau_u: TaskVector) -> MergedState:
-    """Subtract one task's quantized vector and drop its mask; the caller
-    checks that the task is retained."""
-    acc = fxp_sub(state.accumulator, quantize(tau_u.delta))
-    masks = {t: m for t, m in state.masks.items() if t != tau_u.source_task}
+def fold(state: MergedState, quantized: FxpVector) -> MergedState:
+    """``state`` with one more quantized vector in its sum, the add that
+    ``merge`` makes for each vector: into a new accumulator, range-checked
+    (``FxpOverflowError``) after the add. The masks are the caller's.
+
+    A sum folded in any order holds the same integers. The check is made on
+    each partial sum, so where every vector's entries share one sign, a sum
+    raises in any order iff its total leaves the range.
+    """
+    return MergedState(fxp_add(state.accumulator, quantized), state.n_retained + 1, state.masks)
+
+
+def unmerge(state: MergedState, task_id: int, quantized: FxpVector) -> MergedState:
+    """Subtract one task's quantized vector (``quantize(delta)``) and drop its
+    mask; the caller checks that the task is retained."""
+    acc = fxp_sub(state.accumulator, quantized)
+    masks = {t: m for t, m in state.masks.items() if t != task_id}
     return MergedState(acc, state.n_retained - 1, masks)
 
 

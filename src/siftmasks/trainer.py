@@ -11,11 +11,13 @@ every optimizer step; optimizer moments are left untouched. The projection
 is branchless, a multiply by the agreement mask and a ``+ 0.0``, and exact
 because a trained delta never holds -0.0 (see ``_zero_disagreeing``).
 
-``finetune_tasks`` trains a list of tasks in lockstep: bounded chunks of
+``finetune_stream`` trains a list of tasks in lockstep: bounded chunks of
 tasks are stacked along a leading axis and stepped together by one loop,
 whose every operation acts on each task's slice alone, so a task's bits are
-those of training it by itself. ``ft_finetune`` and ``sift_finetune`` are
-one-task calls of the same loop.
+those of training it by itself. It yields each chunk as it finishes, so a
+caller that folds the vectors away holds one chunk, not every task.
+``finetune_tasks`` collects the stream into a list in input order, and
+``ft_finetune`` and ``sift_finetune`` are its one-task calls.
 
 The gradient arithmetic exists once, in ``_gradient_kernel``. A chunk checks
 its features once and binds the kernel to its buffers; its batches are drawn
@@ -454,10 +456,27 @@ def finetune_tasks(
     """Finetune every task from m0; sign-fixed under v when given.
 
     Returns (vector, mask) per task in input order; the mask is None without
-    v. Tasks train in lockstep, in chunks of tasks with equal batch rows and
-    at most max(1, MAX_STACKED_ENTRIES // M) tasks. Every operation of a step
+    v. This collects ``finetune_stream``, whose chunks finish in another order.
+    """
+    out: list = [None] * len(tasks)
+    for chunk in finetune_stream(tasks, m0, spec, cfg, v):
+        for i, tv, mask in chunk:
+            out[i] = (tv, mask)
+    return out
+
+
+def finetune_stream(
+    tasks, m0: np.ndarray, spec: ModelSpec, cfg: TrainConfig, v: BitMask | None = None
+):
+    """Finetune every task from m0, sign-fixed under v when given, yielding
+    each chunk as it finishes: a list of (input index, vector, mask), the mask
+    None without v.
+
+    Tasks train in lockstep, in chunks of tasks with equal batch rows and at
+    most max(1, MAX_STACKED_ENTRIES // M) tasks. Every operation of a step
     acts on each task's slice alone, so a task's bits do not depend on the
-    other tasks or on how they are chunked.
+    other tasks or on how they are chunked. The stream keeps no chunk once it
+    is yielded: a consumer that drops a vector frees it.
     """
     if v is not None and v.length != m0.shape[0]:
         raise ValueError("sign vector length does not match parameter count")
@@ -466,15 +485,17 @@ def finetune_tasks(
     by_rows: dict[int, list[int]] = {}
     for i, task in enumerate(tasks):
         by_rows.setdefault(min(cfg.batch_size, task.n_train), []).append(i)
-    out: list = [None] * len(tasks)
     for group in by_rows.values():
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            taus = _finetune_chunk([tasks[i] for i in chunk], m0, spec, cfg, dense)
-            for i, tau in zip(chunk, taus):
-                mask = None if v is None else BitMask.from_bools(tau * dense > 0.0)
-                out[i] = (TaskVector(tau, tasks[i].id, cfg.steps), mask)
-    return out
+            # no local holds the chunk while the next one trains
+            yield [
+                (i, TaskVector(tau, tasks[i].id, cfg.steps),
+                 None if v is None else BitMask.from_bools(tau * dense > 0.0))
+                for i, tau in zip(
+                    chunk, _finetune_chunk([tasks[i] for i in chunk], m0, spec, cfg, dense)
+                )
+            ]
 
 
 def _finetune_chunk(tasks, m0, spec, cfg, dense) -> np.ndarray:

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
 
+from conftest import make_task
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging
 from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
@@ -23,9 +25,25 @@ from siftmasks.engine import (
     unlearn,
     verify_exactness,
 )
-from siftmasks.merging import METHOD_TAGS, LocalizationMethod, serve_merged
-from siftmasks.paramcore import BitMask, FxpVector, dequantize
-from siftmasks.trainer import ModelSpec, TrainConfig, accuracy, ft_finetune, init_params
+from siftmasks.merging import METHOD_TAGS, LocalizationMethod, merge, serve_merged
+from siftmasks.paramcore import (
+    SCALE_BITS,
+    BitMask,
+    FxpOverflowError,
+    FxpVector,
+    dequantize,
+    mask_words,
+    quantize,
+)
+from siftmasks.trainer import (
+    ModelSpec,
+    TaskVector,
+    TrainConfig,
+    accuracy,
+    finetune_tasks,
+    ft_finetune,
+    init_params,
+)
 from test_checkpoint_v2 import DATA as V2_DATA
 from test_checkpoint_v2 import FIXTURES as V2_FIXTURES
 from test_checkpoint_v2 import make_tasks as v2_tasks
@@ -426,6 +444,32 @@ def test_served_after_unlearn_equals_fresh_build(tag, conflicting_tasks):
     assert serve_for_task(system, 3).tobytes() == maskless.tobytes()
 
 
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_one_id_serve_of_one_vector_is_a_read_only_row(tag, conflicting_tasks):
+    """Where a task is served its shard's one vector (a method without masks,
+    or an unlearned task), the one-id serve is a view that is read-only, cannot
+    be made writable and holds row 0 of the stacked serve; in a loaded
+    checkpoint and in a fresh three-shard build, each after a deletion."""
+    built, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
+    built, _, _ = unlearn(built, built.shard_retained(1)[0])
+    loaded = system_from_checkpoint(
+        load_checkpoint(V2_DATA / f"{tag}_deleted1.sftm"), v2_tasks()
+    )
+    ops = METHODS[tag]
+    for system in (built, loaded):
+        served_alone = [t for t in system.assignment
+                        if not ops.stores_masks or t in system.unlearned]
+        assert served_alone
+        for t in served_alone:
+            shard = system.shards[system.assignment[t]]
+            served = serve_for_task(system, t)
+            assert served.base is not None and not served.flags.writeable
+            with pytest.raises(ValueError):
+                served.flags.writeable = True
+            stacked = engine._serve_of(ops, shard, t)(system, shard, [t, t])
+            assert served.tobytes() == stacked[0].tobytes()
+
+
 def test_evaluate_rejects_unknown_mode(conflicting_tasks):
     system, _ = build_system("ft_merge", conflicting_tasks[:2])
     with pytest.raises(ValueError, match="unknown evaluation mode"):
@@ -491,10 +535,10 @@ def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
 def test_each_operation_trains_in_one_call_across_shards(tag, conflicting_tasks, monkeypatch):
     """Over three shards, a per-task method's build, audit, inline-verified
     deletion and plain deletion each train every task they need in one
-    ``finetune_tasks`` call; central trains one pooled task per non-empty
+    ``finetune_stream`` call; central trains one pooled task per non-empty
     shard that the operation builds."""
     per_task = METHODS[tag].per_task
-    name = "finetune_tasks" if per_task else "ft_finetune"
+    name = "finetune_stream" if per_task else "ft_finetune"
     train, calls = getattr(engine, name), []
 
     def recording(tasks, *args):
@@ -519,6 +563,158 @@ def test_each_operation_trains_in_one_call_across_shards(tag, conflicting_tasks,
             assert calls == [sorted([victim, *remaining]) if verify else [victim]]
         else:
             assert calls == [remaining]
+
+
+def mixed_row_tasks(count):
+    """``count`` tasks whose training splits give 6, 9 and 16 batch rows in
+    turn, so lockstep chunks finish out of id order."""
+    rng = np.random.default_rng(count)
+    tasks = []
+    for t in range(count):
+        n_train = (6, 9, 30)[t % 3]
+        x = rng.normal(size=(n_train + 2, SPEC.input_dim))
+        y = np.argmax(x[:, :3] + rng.normal(scale=0.5, size=(n_train + 2, 3)), axis=1)
+        tasks.append(make_task(t, x, y, n_eval=2))
+    return tasks
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", [t for t in METHOD_TAGS if METHODS[t].per_task])
+def test_folded_shards_equal_merge_of_the_same_vectors(tag, clusters, monkeypatch):
+    """Chunks are folded into their shards as they finish, out of id order,
+    and each shard holds the bits of ``merge`` of its vectors in id order:
+    every field for a subtracting method, the sum and count for a rebuild
+    method (its masks come from ``finish``); every digest is that of the
+    quantized vector."""
+    tasks = mixed_row_tasks(9)
+    stream, finished = engine.finetune_stream, []
+
+    def recording(*args):
+        for chunk in stream(*args):
+            finished.extend(tv.source_task for _, tv, _ in chunk)
+            yield chunk
+
+    monkeypatch.setattr(engine, "finetune_stream", recording)
+    system, _ = build_system(tag, tasks, clusters=clusters, cluster_seed=7)
+    assert sorted(finished) == list(range(9)) and finished != sorted(finished)
+    m0, v = system.m0, system.sign_vector
+    for c in range(clusters):
+        ids = system.shard_retained(c)
+        trained = finetune_tasks([tasks[t] for t in ids], m0, SPEC, CFG, v)
+        masks = {t: mask for t, (_, mask) in zip(ids, trained)} if v is not None else None
+        want = merge([tv for tv, _ in trained], masks, length=len(m0))
+        got = system.shards[c].merged
+        if METHODS[tag].subtracts:
+            assert _same_bits(got, want)
+        else:
+            assert _same_bits(got.accumulator, want.accumulator)
+            assert got.n_retained == want.n_retained
+        for t, (tv, _) in zip(ids, trained):
+            assert system.replay_digests[t] == engine._digest(quantize(tv.delta))
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", ["sift_masks", "ft_merge"])
+def test_fold_overflows_where_merge_overflows(tag, clusters, monkeypatch):
+    """Vectors of large entries of one sign: the fold raises
+    ``FxpOverflowError`` exactly where ``merge`` of some shard's vectors does."""
+    tasks = mixed_row_tasks(9)
+    stream = engine.finetune_stream
+    limit = 2.0 ** (62 - SCALE_BITS)  # the accumulator's range, as a float
+    m = SPEC.param_count
+    outcomes = set()
+    for per_task in (limit / 9 - 5, limit / 9, limit / 3 - 10, limit / 3, limit / 2):
+        def large(t):
+            return TaskVector(np.full(m, per_task + t), t, CFG.steps)
+
+        def replaced(*args):
+            for chunk in stream(*args):
+                yield [(i, large(tv.source_task), mask) for i, tv, mask in chunk]
+
+        monkeypatch.setattr(engine, "finetune_stream", replaced)
+        assignment = cluster_random(list(range(9)), clusters, 7)
+        merges_raise = False
+        for c in range(clusters):
+            try:
+                merge([large(t) for t in sorted(assignment) if assignment[t] == c])
+            except FxpOverflowError:
+                merges_raise = True
+        outcomes.add(merges_raise)
+        try:
+            build_system(tag, tasks, clusters=clusters, cluster_seed=7)
+        except FxpOverflowError:
+            assert merges_raise, per_task
+        else:
+            assert not merges_raise, per_task
+    assert outcomes == {False, True}
+
+
+def stored_bytes(system):
+    """Every shard's accumulator and mask bytes, and the served arrays'."""
+    out = []
+    for shard in system.shards:
+        if shard.merged is not None:
+            out.append(shard.merged.accumulator.values.tobytes())
+            out.extend((t, m.words.tobytes()) for t, m in sorted(shard.merged.masks.items()))
+        for served in (shard.central_params, shard.ties_vector):
+            if served is not None:
+                out.append(served.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("tag", [t for t in METHOD_TAGS if METHODS[t].per_task])
+def test_replay_mismatch_leaves_the_stored_state_untouched(tag, verify, monkeypatch):
+    """A replay whose digest mismatches raises before the deletion lands,
+    and the fold wrote into no stored accumulator or mask."""
+    system, _ = build_system(tag, mixed_row_tasks(9), clusters=3, cluster_seed=7)
+    before = stored_bytes(system)
+    monkeypatch.setattr(engine, "_digest", lambda quantized: bytes(32))
+    with pytest.raises(ReplayMismatchError):
+        unlearn(system, system.shard_retained(1)[0], verify=verify)
+    assert stored_bytes(system) == before
+    assert system.unlearned == ()
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", ["sift_masks", "ft_merge"])
+def test_memory_is_bounded_by_the_model_not_the_task_count(tag, clusters):
+    """At M = 8,203, where a chunk holds one task: the ``tracemalloc`` peak of
+    ``build``, ``verify_exactness`` and ``unlearn(verify=True)`` at 64 tasks
+    stays within the T = 8 peak plus the added tasks' masks, digests and data
+    and a fixed margin. Holding every trained vector until the shards were
+    merged took ~64 KB more per task (~3.6 MB for build)."""
+    spec = ModelSpec("mlp", 6, 3, hidden_dim=820)
+    cfg = TrainConfig(steps=2, batch_size=4, seed=5)
+    method = LocalizationMethod(tag)
+    rng = np.random.default_rng(3)
+    tasks = [
+        make_task(t, rng.normal(size=(12, 6)), rng.integers(0, 3, size=12), n_eval=2)
+        for t in range(64)
+    ]
+
+    def peak(operation, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            operation(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def peaks(count):
+        some = tasks[:count]
+        system, _ = build(method, some, spec, cfg, clusters=clusters)
+        return [
+            peak(build, method, some, spec, cfg, clusters=clusters),
+            peak(verify_exactness, system),
+            peak(unlearn, system, 0, verify=True),
+        ]
+
+    mask = 4 * mask_words(spec.param_count) if METHODS[tag].stores_masks else 0
+    data = tasks[0].features.nbytes + tasks[0].labels.nbytes
+    allowance = (64 - 8) * (mask + 32 + data) + (256 << 10)
+    for small, large, name in zip(peaks(8), peaks(64), ("build", "verify", "unlearn")):
+        assert large - small < allowance, name
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)

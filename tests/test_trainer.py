@@ -147,7 +147,7 @@ def test_replay_digest_independent_of_blas_threads():
     script = (
         "from siftmasks.datasets import HeterogeneityRegime, synth_generate\n"
         "from siftmasks.engine import _digest\n"
-        "from siftmasks.paramcore import gen_sign_vector\n"
+        "from siftmasks.paramcore import gen_sign_vector, quantize\n"
         "from siftmasks.trainer import ModelSpec, TrainConfig, init_params, sift_finetune\n"
         "regime = HeterogeneityRegime('conflicting', conflict_rate=0.5, margin=1.0)\n"
         "task = synth_generate(regime, 1, 200, 64, 2, seed=3)[0]\n"
@@ -155,7 +155,7 @@ def test_replay_digest_independent_of_blas_threads():
         "cfg = TrainConfig(steps=10, batch_size=128, seed=4)\n"
         "v = gen_sign_vector(2, spec.param_count)\n"
         "tv, _ = sift_finetune(task, init_params(spec, 1), spec, v, cfg)\n"
-        "print(_digest(tv.delta).hex(), tv.delta.tobytes().hex())\n"
+        "print(_digest(quantize(tv.delta)).hex(), tv.delta.tobytes().hex())\n"
         # a multi-task build, its four tasks stacked in one lockstep chunk
         "import hashlib\n"
         "import siftmasks.trainer as trainer\n"
