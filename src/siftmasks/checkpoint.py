@@ -17,7 +17,9 @@ assignment.
 
 The version number also identifies the training kernel whose bits the stored
 replay digests pin: version 1 files were trained by the per-example gradient
-loop, version 2 files by the batched kernel.
+loop, version 2 files by the batched kernel. The file is written whole by
+``sealed.write_atomic``: a reader sees the old file or the new one, and a
+rewrite is durable once ``save_checkpoint`` returns.
 """
 
 from __future__ import annotations
@@ -29,26 +31,19 @@ from itertools import chain
 
 import numpy as np
 
-from .datasets import write_atomic
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
-from .merging import EmrArtifacts, LocalizationMethod, MergedState
+from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
-from .trainer import ModelSpec, TrainConfig
+from .sealed import write_atomic
+from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
 VERSION = 2
 
-_METHOD_CODES = {
-    "sift_masks": 0,
-    "ft_merge": 1,
-    "tall_masks": 2,
-    "emr": 3,
-    "ties": 4,
-    "central": 5,
-}
-_METHOD_TAGS = {v: k for k, v in _METHOD_CODES.items()}
-_KIND_CODES = {"logistic": 0, "mlp": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# the fixed header, read and written in this order: magic, version, method and
+# model-kind codes (indices into METHOD_TAGS and MODEL_KINDS), a reserved u16,
+# the model spec and SCALE_BITS, the train config, the seeds, ties_density
+_HEADER = "4sIBBHIIIIIIIddddQQQd"
 
 _F_MASKS = 1
 _F_EMR = 2
@@ -121,24 +116,14 @@ def _r_ids(fh) -> list[int]:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     system = ckpt.system
+    spec, cfg, method = system.model_spec, system.train_cfg, system.method
     fh = io.BytesIO()
-    fh.write(MAGIC)
-    _w(fh, "I", VERSION)
-    _w(fh, "BBH", _METHOD_CODES[system.method.tag], _KIND_CODES[system.model_spec.kind], 0)
-    _w(
-        fh,
-        "IIII",
-        system.model_spec.input_dim,
-        system.model_spec.hidden_dim,
-        system.model_spec.num_classes,
-        SCALE_BITS,
-    )
-    cfg = system.train_cfg
-    _w(fh, "III", cfg.steps, cfg.batch_size, system.central_max_steps)
-    _w(fh, "dddd", cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-    _w(fh, "QQQ", system.base_seed, system.sign_seed, cfg.seed)
-    _w(fh, "d", system.method.ties_density)
-    for grid in (system.method.density_grid, system.method.alpha_grid):
+    _w(fh, _HEADER, MAGIC, VERSION, METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind), 0,
+       spec.input_dim, spec.hidden_dim, spec.num_classes, SCALE_BITS,
+       cfg.steps, cfg.batch_size, system.central_max_steps,
+       cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
+       system.base_seed, system.sign_seed, cfg.seed, method.ties_density)
+    for grid in (method.density_grid, method.alpha_grid):
         _w(fh, f"I{len(grid)}d", len(grid), *grid)
     _w(fh, "QQQQ", *astuple(ckpt.ledger))  # declaration order, as the reader builds CostLedger
     _w(fh, "I", len(system.shards))
@@ -188,10 +173,13 @@ def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, dig
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as src:
-        fh = io.BytesIO(src.read())
-    if fh.read(4) != MAGIC:
+        raw = src.read()
+    if not raw.startswith(MAGIC):
         raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
-    (version,) = _r(fh, "I")
+    fh = io.BytesIO(raw)
+    (_, version, method_code, kind_code, _, input_dim, hidden_dim, num_classes, scale_bits,
+     steps, batch_size, central_max_steps, lr, beta1, beta2, eps,
+     base_seed, sign_seed, train_seed, ties_density) = _r(fh, _HEADER)
     if version == 1:
         raise CheckpointFormatError(
             f"{path}: version-1 checkpoint, trained by the per-example gradient loop; "
@@ -200,18 +188,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    method_code, kind_code, _ = _r(fh, "BBH")
-    if method_code not in _METHOD_TAGS:
+    if method_code >= len(METHOD_TAGS):
         raise CheckpointFormatError(f"{path}: unknown method code {method_code}")
-    if kind_code not in _KIND_NAMES:
+    if kind_code >= len(MODEL_KINDS):
         raise CheckpointFormatError(f"{path}: unknown model kind code {kind_code}")
-    input_dim, hidden_dim, num_classes, scale_bits = _r(fh, "IIII")
     if scale_bits != SCALE_BITS:
         raise CheckpointFormatError(f"{path}: scale_bits {scale_bits}, expected {SCALE_BITS}")
-    steps, batch_size, central_max_steps = _r(fh, "III")
-    lr, beta1, beta2, eps = _r(fh, "dddd")
-    base_seed, sign_seed, train_seed = _r(fh, "QQQ")
-    (ties_density,) = _r(fh, "d")
     density_grid = tuple(x for (x,) in _r_table(fh, "d"))
     alpha_grid = tuple(x for (x,) in _r_table(fh, "d"))
     bf, bs, uf, us = _r(fh, "QQQQ")
@@ -223,22 +205,9 @@ def load_checkpoint(path) -> Checkpoint:
         if c >= n_shards:
             raise CheckpointFormatError(f"{path}: task {t} assigned to shard {c} of {n_shards}")
     try:
-        model_spec = ModelSpec(_KIND_NAMES[kind_code], input_dim, num_classes, hidden_dim)
-        method = LocalizationMethod(
-            _METHOD_TAGS[method_code],
-            density_grid=density_grid,
-            alpha_grid=alpha_grid,
-            ties_density=ties_density,
-        )
-        train_cfg = TrainConfig(
-            steps=steps,
-            batch_size=batch_size,
-            learning_rate=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            seed=train_seed,
-        )
+        model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
+        method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
+        train_cfg = TrainConfig(steps, batch_size, lr, beta1, beta2, eps, train_seed)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     # every shard stores an M-entry vector; checked before new_system allocates M entries

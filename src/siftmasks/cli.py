@@ -57,6 +57,7 @@ from .engine import (
 )
 from .merging import METHOD_TAGS
 from .paramcore import FxpOverflowError
+from .sealed import write_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -344,9 +345,7 @@ def cmd_verify(checkpoint, **params):
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 @cli.command("report")

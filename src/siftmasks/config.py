@@ -21,6 +21,7 @@ from .datasets import HeterogeneityRegime, check_synthetic
 from .engine import CENTRAL_MAX_STEPS_DEFAULT, cluster_sizes
 from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, LocalizationMethod
 from .prng import mix_seed
+from .sealed import write_atomic
 from .trainer import ModelSpec, TrainConfig
 
 
@@ -146,8 +147,7 @@ class RunConfig:
             return cls.from_json(fh.read(), **overrides)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(self.to_json())
+        write_atomic(path, self.to_json().encode())
 
 
 def _conforms(value, annotation: str) -> bool:

@@ -24,10 +24,11 @@ File format: JSON lines, one record per example,
 in file order. The held-out split of every task is the last ceil(20%) of its
 records. ``load_tasks`` parses a given file's bytes once: after a parse that
 passed every check it writes a binary copy of the parsed tasks beside the
-file, ``.<name>.parsed``, keyed by the SHA-256 of the bytes it parsed and
-checked by the SHA-256 of its own payload. A later load of the same bytes
-reads the copy; a copy with any other key, version, length or digest is
-ignored and rewritten. The copy is derived: deleting it costs one parse.
+file, ``.<name>.parsed``, keyed by the SHA-256 of the bytes it parsed. The
+copy is a sealed file (``sealed``), so it ends with the SHA-256 of everything
+before it. A later load of the same bytes reads the copy; a copy with any
+other key, magic, version, length or trailer is ignored and rewritten. The
+copy is derived: deleting it costs one parse.
 """
 
 from __future__ import annotations
@@ -45,18 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prng import PrngStream, mix_seed
+from .sealed import SealError, seal, unseal, write_atomic
 
 REGIME_KINDS = ("conflicting", "distinct", "similar")
 CONTEXT_AMP = 4.0  # context feature magnitude in the conflicting regime
 CONTEXT_COORDS = 4  # trailing coordinates reserved for context
 REGION_SPACING = 3.0  # coordinate-0 spacing between private regions
 
-# the parsed copy: magic, version, feature dimension, task count, row count,
-# SHA-256 of the JSONL bytes, SHA-256 of the payload. The payload holds the
-# task ids, the row counts and the labels as <i8, then the features as <f8.
+# the parsed copy's sealed body: feature dimension, task count, row count,
+# SHA-256 of the JSONL bytes, then the payload: the task ids, the row counts
+# and the labels as <i8, then the features as <f8.
 _COPY_MAGIC = b"SFTDATA\0"
-_COPY_VERSION = 1  # bump whenever a parse rule of load_tasks changes
-_COPY_HEADER = struct.Struct("<8sIIQQ32s32s")
+_COPY_VERSION = 2  # bump whenever a parse rule of load_tasks or the layout changes
+_COPY_HEADER = struct.Struct("<IQQ32s")
 
 
 class DataFormatError(ValueError):
@@ -240,26 +242,6 @@ def _gen_similar(regime, num_tasks, n_per_task, d, c, seed):
     return tasks
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
-    file beside it, then rename it over the target. On any failure the target
-    keeps its old bytes and the temporary file is removed."""
-    head, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    # created like open(path, "wb") creates a file: mode 0o666 less the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
 def save_tasks(tasks: list[TaskSpec], path) -> None:
     """Write tasks as JSON lines, grouped by task, examples in stored order."""
     with open(path, "w", encoding="utf8") as fh:
@@ -307,20 +289,13 @@ def _copy_path(path) -> str:
 
 def _copy_bytes(tasks: list[TaskSpec], key: bytes) -> bytes:
     """The parsed copy of these tasks, parsed from the bytes whose SHA-256 is key."""
-    payload = [
-        np.array([t.id for t in tasks], dtype="<i8"),
-        np.array([t.n_examples for t in tasks], dtype="<i8"),
-        *(t.labels.astype("<i8", copy=False) for t in tasks),
-        *(t.features.astype("<f8", copy=False) for t in tasks),
-    ]
-    digest = hashlib.sha256()
-    for part in payload:
-        digest.update(part)
     rows = sum(t.n_examples for t in tasks)
-    header = _COPY_HEADER.pack(
-        _COPY_MAGIC, _COPY_VERSION, tasks[0].input_dim, len(tasks), rows, key, digest.digest()
-    )
-    return b"".join([header, *payload])
+    header = _COPY_HEADER.pack(tasks[0].input_dim, len(tasks), rows, key)
+    return seal(_COPY_MAGIC, _COPY_VERSION, header,
+                np.array([t.id for t in tasks], dtype="<i8"),
+                np.array([t.n_examples for t in tasks], dtype="<i8"),
+                *(t.labels.astype("<i8", copy=False) for t in tasks),
+                *(t.features.astype("<f8", copy=False) for t in tasks))
 
 
 def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
@@ -329,26 +304,20 @@ def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
     try:
         with open(_copy_path(path), "rb") as fh:
             buf = bytearray(os.fstat(fh.fileno()).st_size)
-            if fh.readinto(buf) != len(buf):
-                return None
+            fh.readinto(buf)  # a short read leaves zeros, which the trailer rejects
     except OSError:
         return None
-    start = _COPY_HEADER.size
-    if len(buf) < start:
+    try:
+        body = unseal(buf, _COPY_MAGIC, _COPY_VERSION)
+        dim, n_tasks, n_rows, source = _COPY_HEADER.unpack_from(body)
+    except (SealError, struct.error):
         return None
-    magic, version, dim, n_tasks, n_rows, source, digest = _COPY_HEADER.unpack_from(buf)
-    counts = (n_tasks, n_tasks, n_rows, n_rows * dim)  # ids, row counts, labels, features
-    if (
-        (magic, version, source) != (_COPY_MAGIC, _COPY_VERSION, key)
-        or len(buf) != start + 8 * sum(counts)
-        or hashlib.sha256(memoryview(buf)[start:]).digest() != digest
-    ):
+    n_ints = 2 * n_tasks + n_rows  # ids, row counts and labels, then the features
+    if source != key or len(body) != _COPY_HEADER.size + 8 * (n_ints + n_rows * dim):
         return None
-    parts, at = [], start
-    for dtype, count in zip(("<i8", "<i8", "<i8", "<f8"), counts):
-        parts.append(np.frombuffer(buf, dtype, count, at))
-        at += 8 * count
-    ids, rows, labels, features = parts
+    ints = np.frombuffer(body, "<i8", n_ints, _COPY_HEADER.size)
+    ids, rows, labels = ints[:n_tasks], ints[n_tasks:2 * n_tasks], ints[2 * n_tasks:]
+    features = np.frombuffer(body, "<f8", n_rows * dim, _COPY_HEADER.size + 8 * n_ints)
     features = features.reshape(n_rows, dim)
     ends = np.cumsum(rows).tolist()
     return [

@@ -1,0 +1,69 @@
+"""Sealed files, and the atomic writer of checkpoints, parsed copies and JSON files.
+
+A sealed file is its magic, its format version as a little-endian u32, its
+body, then the SHA-256 of everything before it. ``unseal`` checks all four
+before a caller reads one field of the body.
+"""
+
+import contextlib
+import hashlib
+import os
+import struct
+
+_VERSION = struct.Struct("<I")
+_TRAILER = 32  # bytes of a SHA-256 digest
+
+
+class SealError(ValueError):
+    """The bytes are not a whole sealed file of the expected magic and version."""
+
+
+def seal(magic: bytes, version: int, *parts) -> bytes:
+    """The sealed file of ``magic``, ``version`` and the bytes-like ``parts``, in order."""
+    chunks = [magic, _VERSION.pack(version), *parts]
+    digest = hashlib.sha256()
+    for chunk in chunks:  # hashed part by part, so the file is built once
+        digest.update(chunk)
+    return b"".join([*chunks, digest.digest()])
+
+
+def unseal(buf, magic: bytes, version: int) -> memoryview:
+    """The body of the sealed file ``buf``, as a view of it."""
+    view = memoryview(buf)
+    start = len(magic) + _VERSION.size
+    if len(view) < start + _TRAILER:
+        raise SealError(f"{len(view)} bytes, too short for a sealed file")
+    if view[:len(magic)] != magic:
+        raise SealError("bad magic")
+    (found,) = _VERSION.unpack_from(view, len(magic))
+    if found != version:
+        raise SealError(f"version {found}, expected {version}")
+    if hashlib.sha256(view[:-_TRAILER]).digest() != view[-_TRAILER:]:
+        raise SealError("SHA-256 trailer does not match the contents")
+    return view[start:-_TRAILER]
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
+    file beside it, rename it over the target, then fsync the directory, so
+    the new bytes survive a crash once this returns. On any failure before the
+    rename the target keeps its old bytes and the temporary file is removed."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # created like open(path, "wb") creates a file: mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    fd = os.open(head, os.O_RDONLY)  # the rename is durable once the directory is
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -104,6 +104,8 @@ class TrainConfig:
             raise ValueError("need steps >= 0, batch_size >= 1, finite learning_rate > 0")
         if max(self.steps, self.batch_size) >= 2**32:  # u32 fields in a checkpoint
             raise ValueError("need steps and batch_size < 2**32")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 < self.eps < float("inf")):
+            raise ValueError("need beta1 and beta2 in [0, 1) and finite eps > 0")
 
 
 @dataclass

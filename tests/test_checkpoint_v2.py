@@ -307,13 +307,21 @@ def test_unknown_header_code_report_exits_2(offset, value, message, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+ADAM = "need beta1 and beta2 in [0, 1) and finite eps > 0"
+
+
 @pytest.mark.parametrize(
     "offset, fmt, old, new, message",
     [
         (20, "<I", 3, 1, "need input_dim >= 1 and num_classes >= 2"),
         (108, "<d", 0.3, 2.0, "density grid values must lie in (0, 1]"),
+        (48, "<d", 0.9, 2.0, ADAM),
+        (48, "<d", 0.9, float("nan"), ADAM),
+        (56, "<d", 0.999, 1.0, ADAM),
+        (64, "<d", 1e-8, 0.0, ADAM),
+        (64, "<d", 1e-8, -1.0, ADAM),
     ],
-    ids=["num_classes", "density_grid"],
+    ids=["num_classes", "density_grid", "beta1=2", "beta1=nan", "beta2=1", "eps=0", "eps=-1"],
 )
 def test_invalid_header_value_is_a_format_error_naming_the_file(
     offset, fmt, old, new, message, tmp_path, capsys

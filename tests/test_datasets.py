@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from siftmasks.datasets import (
 )
 from siftmasks.engine import build
 from siftmasks.merging import LocalizationMethod
+from siftmasks.sealed import seal
 from siftmasks.trainer import ModelSpec, TrainConfig, predict_labels
 
 
@@ -334,23 +337,32 @@ def flip(at):
     return lambda raw: raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
 
 
+def resealed(edit):
+    """The copy with its body edited and sealed again: only the checks behind
+    the trailer can reject it."""
+    return lambda raw: seal(b"SFTDATA\0", 2, edit(raw[12:-32]))
+
+
 @pytest.mark.parametrize(
     "damage",
     [lambda raw: b"",
      lambda raw: raw[:-1],
-     lambda raw: raw[:50],
+     lambda raw: raw[:64],
      lambda raw: raw + b"\0" * 8,
      flip(0),  # magic
      flip(8),  # version
      flip(12),  # feature dimension
      flip(32),  # key
-     flip(64),  # payload digest
-     flip(96),  # first task id
-     flip(-1),  # last feature
+     flip(-1),  # SHA-256 trailer
+     flip(64),  # first task id
+     flip(-33),  # last feature
      lambda raw: b"not a parsed copy",
-     lambda raw: bytes(len(raw))],
+     lambda raw: bytes(len(raw)),
+     resealed(lambda body: body[:40]),
+     resealed(lambda body: body[:-8])],
     ids=["empty", "short-by-one", "header-only", "appended", "magic", "version", "dim", "key",
-         "digest", "task-id", "feature", "foreign", "zeros"],
+         "trailer", "task-id", "feature", "foreign", "zeros", "sealed-short-header",
+         "sealed-short-payload"],
 )
 def test_damaged_copy_is_ignored_and_rewritten(damage, dataset, monkeypatch):
     cold = load_tasks(dataset)
@@ -360,6 +372,36 @@ def test_damaged_copy_is_ignored_and_rewritten(damage, dataset, monkeypatch):
     assert copy_of(dataset).read_bytes() == good
     monkeypatch.setattr(datasets, "_parse_jsonl", no_parse)
     load_tasks(dataset)
+
+
+def version_1_copy(tasks, key):
+    """The parsed copy as format version 1 wrote it: a header that ends with
+    the SHA-256 of the payload, then the payload, and no trailer."""
+    payload = b"".join([
+        np.array([t.id for t in tasks], dtype="<i8").tobytes(),
+        np.array([t.n_examples for t in tasks], dtype="<i8").tobytes(),
+        *(t.labels.astype("<i8").tobytes() for t in tasks),
+        *(t.features.astype("<f8").tobytes() for t in tasks),
+    ])
+    rows = sum(t.n_examples for t in tasks)
+    header = struct.pack("<8sIIQQ32s32s", b"SFTDATA\0", 1, tasks[0].input_dim, len(tasks), rows,
+                         key, hashlib.sha256(payload).digest())
+    return header + payload
+
+
+def test_version_1_copy_is_parsed_once_and_rewritten_as_version_2(dataset, monkeypatch):
+    cold = load_tasks(dataset)
+    good = copy_of(dataset).read_bytes()
+    assert struct.unpack_from("<I", good, 8) == (2,)
+    copy_of(dataset).write_bytes(
+        version_1_copy(cold, hashlib.sha256(dataset.read_bytes()).digest()))
+    parses = []
+    parse = datasets._parse_jsonl
+    monkeypatch.setattr(datasets, "_parse_jsonl", lambda *args: parses.append(1) or parse(*args))
+    assert_same_tasks(load_tasks(dataset), cold)
+    assert copy_of(dataset).read_bytes() == good
+    assert_same_tasks(load_tasks(dataset), cold)
+    assert parses == [1]
 
 
 def test_copy_of_another_file_is_ignored(dataset, tmp_path):
