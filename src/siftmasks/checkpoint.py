@@ -10,10 +10,11 @@ reattaches the tasks from the dataset.
 
 Layouts are canonical (ids ascending where order is not semantic), so saving
 a loaded checkpoint reproduces the original bytes. Each shard's block lists
-its retained and unlearned ids, which the assignment and the unlearned ids
-already determine; the writer derives both lists with the engine's rule, and
-the reader rejects a file whose lists, or whose digests, disagree with its
-assignment.
+its retained ids (ascending) and its unlearned ids (deletion order); the
+writer writes the shard's own lists, and the reader rejects a file whose
+lists, or whose digests, disagree with its assignment. The ledger stores
+task-finetune counts and, for each phase, its step count: the count times
+``steps``, which the writer derives and the reader checks.
 
 The version number also identifies the training kernel whose bits the stored
 replay digests pin: version 1 files were trained by the per-example gradient
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .engine import METHODS, CostLedger, Shard, SystemState, new_system, shard_ids
+from .engine import METHODS, CostLedger, Shard, SystemState, new_system
 from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
 from .sealed import write_atomic
@@ -125,22 +126,24 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
        system.base_seed, system.sign_seed, cfg.seed, method.ties_density)
     for grid in (method.density_grid, method.alpha_grid):
         _w(fh, f"I{len(grid)}d", len(grid), *grid)
-    _w(fh, "QQQQ", *astuple(ckpt.ledger))  # declaration order, as the reader builds CostLedger
+    led = ckpt.ledger
+    _w(fh, "QQQQ", led.build_finetunes, led.build_finetunes * cfg.steps,
+       led.unlearn_finetunes, led.unlearn_finetunes * cfg.steps)
     _w(fh, "I", len(system.shards))
     pairs = sorted(system.assignment.items())
     _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
-    ids = shard_ids(system.assignment, system.unlearned)
     digest_ids = [[] for _ in system.shards]
     for t in sorted(system.replay_digests):
         digest_ids[system.assignment[t]].append(t)
-    for c, shard in enumerate(system.shards):
-        _write_shard(fh, system, shard, *ids[c], digest_ids[c])
+    for shard, ids in zip(system.shards, digest_ids):
+        _write_shard(fh, system, shard, ids)
     write_atomic(path, fh.getvalue())
 
 
-def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, digest_ids) -> None:
+def _write_shard(fh, system: SystemState, shard: Shard, digest_ids) -> None:
+    retained = shard.retained
     _w_ids(fh, retained)
-    _w_ids(fh, unlearned)
+    _w_ids(fh, shard.unlearned)
     _w_array(
         fh,
         np.empty(0, dtype=np.int64) if shard.merged is None else shard.merged.accumulator.values,
@@ -174,46 +177,59 @@ def _write_shard(fh, system: SystemState, shard: Shard, retained, unlearned, dig
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as src:
         raw = src.read()
+    try:
+        return _parse(raw)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+
+
+def _parse(raw: bytes) -> Checkpoint:
     if not raw.startswith(MAGIC):
-        raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
+        raise CheckpointFormatError("bad magic, not a checkpoint")
     fh = io.BytesIO(raw)
     (_, version, method_code, kind_code, _, input_dim, hidden_dim, num_classes, scale_bits,
      steps, batch_size, central_max_steps, lr, beta1, beta2, eps,
      base_seed, sign_seed, train_seed, ties_density) = _r(fh, _HEADER)
     if version == 1:
         raise CheckpointFormatError(
-            f"{path}: version-1 checkpoint, trained by the per-example gradient loop; "
+            "version-1 checkpoint, trained by the per-example gradient loop; "
             "its replays cannot match the current trainer, so retrain with "
             "`siftmasks train`"
         )
     if version != VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        raise CheckpointFormatError(f"unsupported version {version}")
     if method_code >= len(METHOD_TAGS):
-        raise CheckpointFormatError(f"{path}: unknown method code {method_code}")
+        raise CheckpointFormatError(f"unknown method code {method_code}")
     if kind_code >= len(MODEL_KINDS):
-        raise CheckpointFormatError(f"{path}: unknown model kind code {kind_code}")
+        raise CheckpointFormatError(f"unknown model kind code {kind_code}")
     if scale_bits != SCALE_BITS:
-        raise CheckpointFormatError(f"{path}: scale_bits {scale_bits}, expected {SCALE_BITS}")
+        raise CheckpointFormatError(f"scale_bits {scale_bits}, expected {SCALE_BITS}")
     density_grid = tuple(x for (x,) in _r_table(fh, "d"))
     alpha_grid = tuple(x for (x,) in _r_table(fh, "d"))
     bf, bs, uf, us = _r(fh, "QQQQ")
+    if (bs, us) != (bf * steps, uf * steps):
+        raise CheckpointFormatError(
+            f"ledger steps ({bs}, {us}) are not its task-finetunes ({bf}, {uf}) x {steps} steps"
+        )
     (n_shards,) = _r(fh, "I")
     pairs = _r_table(fh, "II")
     if any(a >= b for (a, _), (b, _) in zip(pairs, pairs[1:])):
-        raise CheckpointFormatError(f"{path}: assignment task ids are not strictly ascending")
+        raise CheckpointFormatError("assignment task ids are not strictly ascending")
+    assigned = [[] for _ in range(n_shards)]
     for t, c in pairs:
         if c >= n_shards:
-            raise CheckpointFormatError(f"{path}: task {t} assigned to shard {c} of {n_shards}")
+            raise CheckpointFormatError(f"task {t} assigned to shard {c} of {n_shards}")
+        assigned[c].append(t)
     try:
         model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
         method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
         train_cfg = TrainConfig(steps, batch_size, lr, beta1, beta2, eps, train_seed)
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
+        raise CheckpointFormatError(str(exc)) from exc
     # every shard stores an M-entry vector; checked before new_system allocates M entries
-    if not 0 < 8 * model_spec.param_count * n_shards <= len(fh.getbuffer()) - fh.tell():
+    if not 0 < 8 * model_spec.param_count * n_shards <= len(raw) - fh.tell():
         raise CheckpointFormatError(
-            f"{path}: {n_shards} shards of {model_spec.param_count} parameters do not fit the file"
+            f"{n_shards} shards of {model_spec.param_count} parameters do not fit the file"
         )
     system = new_system(
         method,
@@ -225,14 +241,10 @@ def load_checkpoint(path) -> Checkpoint:
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    assigned = shard_ids(system.assignment, ())
-    try:
-        system.shards = tuple(_read_shard(fh, system, c, assigned[c][0]) for c in range(n_shards))
-    except CheckpointFormatError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from None
+    system.shards = tuple(_read_shard(fh, system, c, ids) for c, ids in enumerate(assigned))
     if fh.read(1):
-        raise CheckpointFormatError(f"{path}: trailing bytes after checkpoint")
-    return Checkpoint(system, CostLedger(bf, bs, uf, us))
+        raise CheckpointFormatError("trailing bytes after checkpoint")
+    return Checkpoint(system, CostLedger(bf, uf))
 
 
 def _artifact_flags(tag: str, retains: bool) -> int:
@@ -250,7 +262,7 @@ def _artifact_flags(tag: str, retains: bool) -> int:
 
 
 def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
-    """Read shard ``c``, adding its digests and unlearned ids to ``system``.
+    """Read shard ``c``, adding its digests to ``system``.
 
     ``assigned`` is every task id the assignment routes to the shard,
     ascending; the block's task lists and digests must agree with it, and
@@ -258,16 +270,15 @@ def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
     per task keeps an accumulator and one digest per assigned task; central
     keeps neither.
     """
-    retained = _r_ids(fh)
-    unlearned = _r_ids(fh)
+    retained = tuple(_r_ids(fh))
+    unlearned = tuple(_r_ids(fh))
     gone = set(unlearned)
-    if sorted(retained + unlearned) != assigned or retained != [
+    if sorted(retained + unlearned) != assigned or retained != tuple(
         t for t in assigned if t not in gone
-    ]:
+    ):
         raise CheckpointFormatError(
             f"shard {c}: retained and unlearned ids do not match the assignment"
         )
-    system.unlearned += tuple(unlearned)
     tag, m = system.method.tag, system.model_spec.param_count
     per_task = METHODS[tag].per_task
     accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
@@ -306,12 +317,14 @@ def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
     if flags & _F_TIES:
         ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
     if flags & _F_CENTRAL:
-        return Shard(central_params=_r_array(fh, "<f8", m, f"shard {c}: central parameters"))
+        central = _r_array(fh, "<f8", m, f"shard {c}: central parameters")
+        return Shard(central_params=central, retained=retained, unlearned=unlearned)
     try:
         merged = MergedState(FxpVector(accumulator), len(retained), masks)
     except FxpOverflowError as exc:
         raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
-    return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector)
+    return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector,
+                 retained=retained, unlearned=unlearned)
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:
@@ -322,9 +335,6 @@ def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
     """Reattach task data to a checkpoint. Tasks must cover the retained tasks
     and have the model's feature dimension; a deleted task's data, which only
     held-out evaluation reads, is attached when given.
-
-    The file keeps each shard's deletion order but not the order across
-    shards; ``unlearned`` lists the shards' deletions shard by shard.
     """
     system = ckpt.system
     by_id = {t.id: t for t in tasks}

@@ -50,7 +50,6 @@ from .engine import (
     cluster_sizes,
     evaluate,
     project_total_cost,
-    shard_ids,
     storage_words,
     unlearn,
     verify_exactness,
@@ -227,7 +226,7 @@ def cmd_train(retain, retain_file, **params):
     cfg.save(out / "run_config.json")
     click.echo(
         f"built {cfg.method} over {len(tasks)} tasks: "
-        f"{ledger.task_finetunes} task-finetunes, {ledger.finetune_steps} steps"
+        f"{ledger.task_finetunes} task-finetunes, {ledger.task_finetunes * cfg.steps} steps"
     )
     click.echo(f"wrote {out / 'checkpoint.sftm'}")
 
@@ -304,13 +303,13 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
             ledger.add(delta)
             reports.append((u, report, delta))
         save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
-        tag = system.method.tag
+        tag, steps = system.method.tag, system.train_cfg.steps
         rows = []
         for event, (u, report, delta) in enumerate(reports, base_event + 1):
             rows.append([tag, event, u, "replay_matches", int(report.replay_matches)])
             rows.append([tag, event, u, "state_matches_oracle", int(report.state_matches_oracle)])
             rows.append([tag, event, u, "unlearn_task_finetunes", delta.unlearn_finetunes])
-            rows.append([tag, event, u, "unlearn_finetune_steps", delta.unlearn_steps])
+            rows.append([tag, event, u, "unlearn_finetune_steps", delta.unlearn_finetunes * steps])
         path = out / "exactness.csv"
         _write_rows(path, rows, append=True)
     for u, report, delta in reports:
@@ -358,12 +357,11 @@ def cmd_report(checkpoint, **params):
     out.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(checkpoint)
     system, led = ckpt.system, ckpt.ledger
-    tag, m = system.method.tag, system.model_spec.param_count
-    ids = shard_ids(system.assignment, system.unlearned)
+    tag, m, steps = system.method.tag, system.model_spec.param_count, system.train_cfg.steps
     total_words = 0
     rows = []
-    for c in range(len(system.shards)):
-        words = storage_words(tag, m, [len(ids[c][0])])
+    for c, shard in enumerate(system.shards):
+        words = storage_words(tag, m, [len(shard.retained)])
         total_words += words
         rows.append([tag, c, "", "storage_words", words])
     summary = {
@@ -375,15 +373,15 @@ def cmd_report(checkpoint, **params):
         "storage_words": total_words,
         "ledger": {
             "build_finetunes": led.build_finetunes,
-            "build_steps": led.build_steps,
+            "build_steps": led.build_finetunes * steps,
             "unlearn_finetunes": led.unlearn_finetunes,
-            "unlearn_steps": led.unlearn_steps,
+            "unlearn_steps": led.unlearn_finetunes * steps,
             "task_finetunes": led.task_finetunes,
-            "finetune_steps": led.finetune_steps,
+            "finetune_steps": led.task_finetunes * steps,
         },
     }
     rows.append([tag, "", "", "task_finetunes", led.task_finetunes])
-    rows.append([tag, "", "", "finetune_steps", led.finetune_steps])
+    rows.append([tag, "", "", "finetune_steps", led.task_finetunes * steps])
     _write_rows(out / "report.csv", rows)
     _write_json(out / "report.json", summary)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

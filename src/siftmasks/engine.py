@@ -15,9 +15,10 @@ one task). Build charges one task-finetune per task. Unlearning charges:
 A replay that fails to reproduce the stored digest is a hard error: exactness
 is void once determinism breaks, so the engine refuses to proceed.
 
-Every system is a tuple of shards plus an assignment of task ids to shards; an
-unclustered system is one shard, as in SISA shard retraining. A deletion
-touches only its task's shard. Shards are made in one place,
+Every system is a tuple of shards, each listing the tasks it retains and the
+tasks deleted from it, plus an assignment that routes each task id to its
+shard; an unclustered system is one shard, as in SISA shard retraining. A
+deletion touches only its task's shard. Shards are made in one place,
 ``_fresh_shards``: a build, a rebuild and an audit each train every task they
 need, across shards, in one lockstep call, and fold each chunk into its
 shards as it finishes. Each vector is quantized once, for its digest and its
@@ -81,26 +82,19 @@ class ReplayMismatchError(RuntimeError):
 
 @dataclass
 class CostLedger:
-    """Task-finetune and step counts, split by lifecycle phase."""
+    """Task-finetune counts, split by lifecycle phase; each task-finetune is
+    ``train_cfg.steps`` optimizer steps."""
 
     build_finetunes: int = 0
-    build_steps: int = 0
     unlearn_finetunes: int = 0
-    unlearn_steps: int = 0
 
     @property
     def task_finetunes(self) -> int:
         return self.build_finetunes + self.unlearn_finetunes
 
-    @property
-    def finetune_steps(self) -> int:
-        return self.build_steps + self.unlearn_steps
-
     def add(self, other: "CostLedger") -> None:
         self.build_finetunes += other.build_finetunes
-        self.build_steps += other.build_steps
         self.unlearn_finetunes += other.unlearn_finetunes
-        self.unlearn_steps += other.unlearn_steps
 
 
 @dataclass(frozen=True)
@@ -124,23 +118,27 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class Shard:
-    """What one shard serves: its merged state (or central model) and artifacts."""
+    """What one shard serves: its merged state (or central model) and
+    artifacts; and which tasks it holds: its retained ids (ascending) and its
+    unlearned ids (deletion order)."""
 
     merged: MergedState | None = None
     central_params: np.ndarray | None = None
     emr: EmrArtifacts | None = None
     tall: dict[int, tuple[float, float]] | None = None
     ties_vector: np.ndarray | None = None
+    retained: tuple[int, ...] = ()
+    unlearned: tuple[int, ...] = ()
 
 
 @dataclass
 class SystemState:
     """Everything needed to serve, delete from, and audit one built system.
 
-    The registry, replay digests and unlearned ids are held once, keyed by
-    task id; ``assignment`` routes each task to the shard that serves it and
-    so names the system's tasks. A system loaded from a checkpoint has an
-    empty registry until its tasks are reattached.
+    The registry and replay digests are held once, keyed by task id; each
+    shard lists its own tasks, and ``assignment`` routes each task to the
+    shard that serves it. A system loaded from a checkpoint has an empty
+    registry until its tasks are reattached.
     """
 
     method: LocalizationMethod
@@ -155,34 +153,15 @@ class SystemState:
     replay_digests: dict[int, bytes]
     assignment: dict[int, int]
     shards: tuple[Shard, ...] = ()
-    unlearned: tuple[int, ...] = ()
 
     @property
     def retained(self) -> tuple[int, ...]:
-        gone = set(self.unlearned)
-        return tuple(t for t in sorted(self.assignment) if t not in gone)
+        return tuple(sorted(t for shard in self.shards for t in shard.retained))
 
-    def shard_retained(self, shard: int) -> list[int]:
-        """Retained ids of one shard, ascending."""
-        return shard_ids(self.assignment, self.unlearned)[shard][0]
-
-
-def shard_ids(
-    assignment: dict[int, int], unlearned: tuple[int, ...]
-) -> defaultdict[int, tuple[list[int], list[int]]]:
-    """Each shard's retained ids (ascending) and unlearned ids (deletion order).
-
-    One pass over the tasks whatever the shard count; a shard that holds no
-    task maps to two empty lists.
-    """
-    ids: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    gone = set(unlearned)
-    for t in sorted(assignment):
-        if t not in gone:
-            ids[assignment[t]][0].append(t)
-    for t in unlearned:
-        ids[assignment[t]][1].append(t)
-    return ids
+    @property
+    def unlearned(self) -> tuple[int, ...]:
+        """Deleted ids shard by shard, each shard's in deletion order."""
+        return tuple(t for shard in self.shards for t in shard.unlearned)
 
 
 @dataclass(frozen=True)
@@ -218,10 +197,11 @@ def _digest(quantized: FxpVector) -> bytes:
     return hashlib.sha256(quantized.values.astype("<i8").tobytes()).digest()
 
 
-def _fresh_shards(system: SystemState, ids, shards, replay: tuple[int, ...] = ()):
-    """The given shards built afresh from their retained tasks, the replay
-    digest of every task trained, and the quantized vectors of the ``replay``
-    ids; ``ids`` is the system's ``shard_ids``.
+def _fresh_shards(system: SystemState, members, replay: tuple[int, ...] = ()):
+    """The shards of ``members``, a map from shard to its (retained,
+    unlearned) ids, built afresh from their retained tasks and holding both
+    lists; the replay digest of every task trained; and the quantized vectors
+    of the ``replay`` ids.
 
     All of these tasks train in one lockstep ``finetune_stream`` call, signed
     methods under the sign vector. A task's bits do not depend on the tasks
@@ -234,9 +214,9 @@ def _fresh_shards(system: SystemState, ids, shards, replay: tuple[int, ...] = ()
     task, beside the shards' sums, masks and digests.
     """
     ops = METHODS[system.method.tag]
-    shard_of = {t: c for c in shards for t in ids[c][0]} if ops.per_task else {}
+    shard_of = {t: c for c, (kept, _) in members.items() for t in kept} if ops.per_task else {}
     train = [*replay, *shard_of]
-    states = {c: merge([], length=len(system.m0)) for c in shards} if ops.per_task else {}
+    states = {c: merge([], length=len(system.m0)) for c in members} if ops.per_task else {}
     kept, masks, digests, replayed = {}, {}, {}, {}
     for chunk in finetune_stream(
         [system.registry[t] for t in train], system.m0, system.model_spec,
@@ -255,13 +235,13 @@ def _fresh_shards(system: SystemState, ids, shards, replay: tuple[int, ...] = ()
                 kept[t] = tv
         chunk = tv = quantized = None  # held through neither the next chunk nor ``finish``
     fresh = []
-    for c in shards:
-        retained = ids[c][0]
+    for c, (retained, unlearned) in members.items():
         state = None
         if ops.per_task:  # masks in id order, as a merge of the id-ordered vectors holds them
             state = replace(states[c], masks={t: masks[t] for t in retained} if ops.signed else {})
         # the vectors ``finish`` reads: none where the method subtracts or pools
-        fresh.append(ops.finish(system, retained, [kept[t] for t in retained if t in kept], state))
+        shard = ops.finish(system, retained, [kept[t] for t in retained if t in kept], state)
+        fresh.append(replace(shard, retained=tuple(retained), unlearned=tuple(unlearned)))
     return fresh, digests, [replayed[t] for t in replay]
 
 
@@ -433,12 +413,12 @@ def build(
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    shards, system.replay_digests, _ = _fresh_shards(
-        system, shard_ids(system.assignment, ()), range(clusters)
-    )
+    members = {c: ([], ()) for c in range(clusters)}
+    for t in tasks:  # ascending ids
+        members[system.assignment[t.id]][0].append(t.id)
+    shards, system.replay_digests, _ = _fresh_shards(system, members)
     system.shards = tuple(shards)
-    n = len(tasks)
-    return system, CostLedger(build_finetunes=n, build_steps=n * cfg.steps)
+    return system, CostLedger(build_finetunes=len(tasks))
 
 
 def unlearn(
@@ -453,16 +433,17 @@ def unlearn(
     audit is not charged to the ledger. Without it both flags are True by
     construction and nothing is compared.
     """
-    if task_id not in system.assignment or task_id in system.unlearned:
+    c = system.assignment.get(task_id)
+    if c is None or task_id not in system.shards[c].retained:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
     ops = METHODS[system.method.tag]
-    c = system.assignment[task_id]
-    after = replace(system, unlearned=system.unlearned + (task_id,))
-    ids = shard_ids(after.assignment, after.unlearned)
-    remaining = ids[c][0]
+    old = system.shards[c]
+    remaining = tuple(t for t in old.retained if t != task_id)
     subtracts = ops.subtracts and bool(remaining)
+    gone = old.unlearned + (task_id,)
+    members = {c: (remaining, gone)}
     fresh, digests, replayed = _fresh_shards(
-        after, ids, [c] if verify or not subtracts else [], (task_id,) if subtracts else ()
+        system, members if verify or not subtracts else {}, (task_id,) if subtracts else ()
     )
     # every replay of the deletion itself must match; the audit's are reported
     for t in [task_id] if subtracts else list(digests):
@@ -472,16 +453,15 @@ def unlearn(
                 "vector; deterministic replay is broken"
             )
     if subtracts:
-        merged = unmerge(system.shards[c].merged, task_id, *replayed)
-        shard = replace(system.shards[c], merged=merged)
+        merged = unmerge(old.merged, task_id, *replayed)
+        shard = replace(old, merged=merged, retained=remaining, unlearned=gone)
     else:
         # masks / elected signs depend on the merged state, so the shard is
         # rebuilt; a subtracting method's last task is dropped this way for
         # free, since the accumulator then holds exactly its vector
         shard = fresh[0]
-    n = deletion_finetunes(ops.subtracts, len(remaining))
-    ledger = CostLedger(unlearn_finetunes=n, unlearn_steps=n * system.train_cfg.steps)
-    after.shards = system.shards[:c] + (shard,) + system.shards[c + 1:]
+    after = replace(system, shards=system.shards[:c] + (shard,) + system.shards[c + 1:])
+    ledger = CostLedger(unlearn_finetunes=deletion_finetunes(ops.subtracts, len(remaining)))
     # without the audit the state holds by construction: integer subtraction
     # of a digest-verified vector is exactly inverse to the addition that
     # built the accumulator, and a rebuild is a fresh merge of the retained set
@@ -531,9 +511,8 @@ def verify_exactness(system: SystemState) -> ExactnessReport:
     Every task of every shard trains in one lockstep call. Audit only:
     nothing is charged to any ledger.
     """
-    shards = range(len(system.shards))
-    ids = shard_ids(system.assignment, system.unlearned)
-    return _audit(system, shards, *_fresh_shards(system, ids, shards)[:2])
+    members = {c: (shard.retained, shard.unlearned) for c, shard in enumerate(system.shards)}
+    return _audit(system, members, *_fresh_shards(system, members)[:2])
 
 
 def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
@@ -571,8 +550,8 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
         raise ValueError(f"unknown evaluation mode {mode!r}")
     ops = METHODS[system.method.tag]
     by_shard = {
-        c: kept + gone if mode == "held_out" else kept
-        for c, (kept, gone) in shard_ids(system.assignment, system.unlearned).items()
+        c: shard.retained + shard.unlearned if mode == "held_out" else shard.retained
+        for c, shard in enumerate(system.shards)
     }
     missing = sorted(t for ids in by_shard.values() for t in ids if t not in system.registry)
     if missing:

@@ -2,7 +2,7 @@
 
 The merged state keeps the exact fixed-point sum of quantized task vectors,
 the number of vectors in it and the served masks; which tasks are in it is
-the caller's record (the engine's assignment and unlearned ids). Removing a
+the caller's record (the engine's shards list their own). Removing a
 task by subtraction is bit-identical to never having merged it, regardless
 of order. Serving divides the summed vector by the retained count (an
 unweighted average).
@@ -175,15 +175,7 @@ def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarra
     """Masked average model for one retained task."""
     if task_id not in state.masks:
         raise KeyError(f"no stored mask for task {task_id}")
-    return localize_masked(state, state.masks[task_id], m0)
-
-
-def localize_masked(
-    state: MergedState, mask: BitMask, m0: np.ndarray, alpha: float | None = None
-) -> np.ndarray:
-    """Masked average model under an externally supplied mask and rescale:
-    the one-mask call of ``localize_stack``."""
-    return localize_stack(state, [mask], m0, alpha)[0]
+    return localize_stack(state, [state.masks[task_id]], m0)[0]
 
 
 def localize_stack(
@@ -333,7 +325,7 @@ def tall_tune(
 
     Candidate lambdas hit the density targets; ties break toward the smaller
     density, then the smaller alpha. Returns the winning lambda, alpha and
-    mask. Candidates are built as ``localize_masked`` serves them, in that
+    mask. Candidates are built as ``localize_stack`` serves them, in that
     order, into one stack, and scored by one stacked ``accuracy`` call per
     pass, each row with the bits of scoring it alone. A pass holds
     ``pass_size`` candidates.

@@ -110,6 +110,20 @@ def test_checkpoint_survives_unlearn_resume(tmp_path):
     )
 
 
+def test_unlearned_ids_read_back_as_held_in_memory(tmp_path):
+    """A deletion from shard 2, then one from shard 0: the loaded system
+    lists its unlearned ids in the order the system in memory does."""
+    tasks = synth_generate(HeterogeneityRegime("conflicting"), 6, 30, 10, 3, seed=11)
+    system, ledger = build(LocalizationMethod("sift_masks"), tasks, SPEC, CFG,
+                           base_seed=1, sign_seed=2, clusters=3)
+    for c in (2, 0):
+        system, _, delta = unlearn(system, min(t for t, s in system.assignment.items() if s == c))
+        ledger.add(delta)
+    path = tmp_path / "ck.sftm"
+    save_checkpoint(checkpoint_from_system(system, ledger), path)
+    assert load_checkpoint(path).system.unlearned == system.unlearned
+
+
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.sftm"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -179,7 +179,7 @@ def test_every_truncation_is_a_format_error(name, tmp_path):
     path = tmp_path / "cut.sftm"
     for size in range(len(raw)):
         path.write_bytes(raw[:size])
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
 
@@ -308,6 +308,8 @@ def test_unknown_header_code_report_exits_2(offset, value, message, tmp_path, ca
 
 
 ADAM = "need beta1 and beta2 in [0, 1) and finite eps > 0"
+# the fixture's ledger: 6 build task-finetunes of 4 steps, no deletion
+LEDGER = "ledger steps ({}, {}) are not its task-finetunes (6, 0) x 4 steps"
 
 
 @pytest.mark.parametrize(
@@ -320,8 +322,11 @@ ADAM = "need beta1 and beta2 in [0, 1) and finite eps > 0"
         (56, "<d", 0.999, 1.0, ADAM),
         (64, "<d", 1e-8, 0.0, ADAM),
         (64, "<d", 1e-8, -1.0, ADAM),
+        (152, "<Q", 24, 25, LEDGER.format(25, 0)),
+        (168, "<Q", 0, 4, LEDGER.format(24, 4)),
     ],
-    ids=["num_classes", "density_grid", "beta1=2", "beta1=nan", "beta2=1", "eps=0", "eps=-1"],
+    ids=["num_classes", "density_grid", "beta1=2", "beta1=nan", "beta2=1", "eps=0", "eps=-1",
+         "build_steps", "unlearn_steps"],
 )
 def test_invalid_header_value_is_a_format_error_naming_the_file(
     offset, fmt, old, new, message, tmp_path, capsys

@@ -77,23 +77,40 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
     return refs
 
 
+def _definitions(tree: ast.Module):
+    """(name, qualified name, node) of each top-level function and class but
+    click commands, and of each method, property and annotated field of a
+    top-level class but dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node):
+            yield node.name, node.name, node
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name = member.target.id
+            elif isinstance(member, ast.FunctionDef) and not (
+                member.name.startswith("__") and member.name.endswith("__")
+            ):
+                name = member.name
+            else:
+                continue
+            yield name, f"{node.name}.{name}", member
+
+
 def dead_names(modules: dict[Path, str], callers: dict[Path, str]) -> list[str]:
-    """Top-level functions and classes of ``modules`` that no file in
-    ``callers`` names outside the definition itself; click commands are exempt."""
+    """Definitions of ``modules`` (``_definitions``) that no file in
+    ``callers`` names outside the definition itself."""
     refs = {path: _references(ast.parse(src)) for path, src in callers.items()}
     dead = []
     for path, source in sorted(modules.items()):
-        for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_click_command(node):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        for name, qualified, node in _definitions(ast.parse(source)):
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             used = any(
-                name == node.name and not (p == path and first <= line <= node.end_lineno)
-                for p, found in refs.items()
-                for name, line in found
+                found == name and not (p == path and first <= line <= node.end_lineno)
+                for p, names in refs.items()
+                for found, line in names
             )
             if not used:
-                dead.append(f"{path.stem}.{node.name}")
+                dead.append(f"{path.stem}.{qualified}")
     return dead
 
 
@@ -123,7 +140,17 @@ def test_dead_name_check_flags_and_passes():
         "def recursive(n):\n"
         "    return recursive(n - 1)\n"
         "class Named:\n"
-        "    pass\n"
+        "    size: int\n"
+        "    spare: int\n"
+        "    def __init__(self):\n"
+        "        self.size = 0\n"
+        "    def grow(self):\n"
+        "        return self.grow\n"
+        "    @property\n"
+        "    def total(self):\n"
+        "        return self.size\n"
     )
-    tracer = "TABLE = ('lib', 'Named')\n"
-    assert dead_names({lib: source}, {lib: source, Path("t.py"): tracer}) == ["lib.recursive"]
+    tracer = "TABLE = ('lib', 'Named')\nNamed().total\n"
+    assert dead_names({lib: source}, {lib: source, Path("t.py"): tracer}) == [
+        "lib.recursive", "lib.Named.spare", "lib.Named.grow"
+    ]

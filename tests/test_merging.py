@@ -29,7 +29,6 @@ from siftmasks.merging import (
     _tall_thresholds,
     emr_build,
     emr_localize,
-    localize_masked,
     localize_sift,
     localize_stack,
     merge,
@@ -192,7 +191,7 @@ def test_localize_sift_guards():
     with pytest.raises(KeyError, match="no stored mask"):
         localize_sift(state, 9, np.zeros(3))
     with pytest.raises(ValueError, match="length mismatch"):
-        localize_masked(state, full_mask(1), np.zeros(3))  # would broadcast
+        localize_stack(state, [full_mask(1)], np.zeros(3))  # would broadcast
 
 
 def same_bytes(a, b):
@@ -228,7 +227,8 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
     state = MergedState(FxpVector(np.array(acc, dtype=np.int64)), n, {0: mask})
     for _ in range(2):  # the first call fills the cached sum, the second reads it
         assert same_bytes(
-            localize_masked(state, mask, m0, alpha), frozen_localize_masked(state, mask, m0, alpha)
+            localize_stack(state, [mask], m0, alpha)[0],
+            frozen_localize_masked(state, mask, m0, alpha),
         )
         assert same_bytes(localize_sift(state, 0, m0), frozen_localize_sift(state, 0, m0))
         assert same_bytes(serve_merged(state, m0), frozen_serve_merged(state, m0))
@@ -588,9 +588,10 @@ def test_tall_tuned_beats_fixed_member_of_grid():
     lam, alpha, _ = tall_tune(
         vecs[0], state, (0.1, 0.3, 0.5, 0.7, 0.9), (0.8, 1.0, 1.2, 1.4, 1.6), x, y, spec, m0
     )
-    tuned = accuracy(localize_masked(state, tall_mask(vecs[0], state, lam), m0, alpha), spec, x, y)
-    fixed_lam = tall_lambda_for_density(vecs[0], state, 0.5)
-    fixed = accuracy(localize_masked(state, tall_mask(vecs[0], state, fixed_lam), m0, 1.0), spec, x, y)
+    tuned_mask = tall_mask(vecs[0], state, lam)
+    tuned = accuracy(localize_stack(state, [tuned_mask], m0, alpha)[0], spec, x, y)
+    fixed_mask = tall_mask(vecs[0], state, tall_lambda_for_density(vecs[0], state, 0.5))
+    fixed = accuracy(localize_stack(state, [fixed_mask], m0, 1.0)[0], spec, x, y)
     assert tuned >= fixed  # grid search dominates any fixed grid member
 
 
