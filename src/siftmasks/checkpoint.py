@@ -132,16 +132,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _w(fh, "I", len(system.shards))
     pairs = sorted(system.assignment.items())
     _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
-    digest_ids = [[] for _ in system.shards]
-    for t in sorted(system.replay_digests):
-        digest_ids[system.assignment[t]].append(t)
-    for shard, ids in zip(system.shards, digest_ids):
-        _write_shard(fh, system, shard, ids)
+    for shard in system.shards:
+        _write_shard(fh, system, shard)
     write_atomic(path, fh.getvalue())
 
 
-def _write_shard(fh, system: SystemState, shard: Shard, digest_ids) -> None:
+def _write_shard(fh, system: SystemState, shard: Shard) -> None:
     retained = shard.retained
+    digest_ids = [t for t in sorted(retained + shard.unlearned) if t in system.replay_digests]
     _w_ids(fh, retained)
     _w_ids(fh, shard.unlearned)
     _w_array(
@@ -215,11 +213,9 @@ def _parse(raw: bytes) -> Checkpoint:
     pairs = _r_table(fh, "II")
     if any(a >= b for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise CheckpointFormatError("assignment task ids are not strictly ascending")
-    assigned = [[] for _ in range(n_shards)]
     for t, c in pairs:
         if c >= n_shards:
             raise CheckpointFormatError(f"task {t} assigned to shard {c} of {n_shards}")
-        assigned[c].append(t)
     try:
         model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
         method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
@@ -231,6 +227,9 @@ def _parse(raw: bytes) -> Checkpoint:
         raise CheckpointFormatError(
             f"{n_shards} shards of {model_spec.param_count} parameters do not fit the file"
         )
+    assigned = [[] for _ in range(n_shards)]  # n_shards is bounded by the file from here on
+    for t, c in pairs:
+        assigned[c].append(t)
     system = new_system(
         method,
         model_spec,

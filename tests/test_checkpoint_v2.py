@@ -266,7 +266,7 @@ def test_assignment_not_strictly_ascending_exits_2(change, tmp_path, capsys):
 # the ledger, the shard count and the assignment, then shard 0's retained ids,
 # its unlearned ids and, after its 33-entry accumulator, its digest table
 COUNTS = {
-    "density_grid": (104, 2), "alpha_grid": (124, 2), "assignment": (180, 6),
+    "density_grid": (104, 2), "alpha_grid": (124, 2), "shards": (176, 1), "assignment": (180, 6),
     "retained": (232, 5), "unlearned": (256, 1), "digests": (536, 6),
 }
 
