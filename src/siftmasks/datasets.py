@@ -264,18 +264,20 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
     range-checked against num_classes when it is given, and against 2**63,
     the int64 they are stored as, when it is not.
 
-    The file is read once and its bytes hashed. When the parsed copy beside
-    it (module docstring) was made from those bytes, the tasks come from the
-    copy; otherwise they are parsed and the copy is rewritten. Either way the
-    result is the same, and so is every error.
+    The file is hashed in blocks. When the parsed copy beside it (module
+    docstring) was made from bytes of that hash, the tasks come from the
+    copy, and the file is never held whole; otherwise it is read whole and
+    parsed, and the copy is rewritten, keyed by the bytes parsed. Either way
+    the result is the same, and so is every error.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    key = hashlib.sha256(raw).digest()
-    tasks = _read_copy(path, key)
+        tasks = _read_copy(path, hashlib.file_digest(fh, "sha256").digest())
     # a label out of range is found again by the parse, which names its line
     if tasks and (num_classes is None or max(int(t.labels.max()) for t in tasks) < num_classes):
         return tasks
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = hashlib.sha256(raw).digest()  # of the bytes parsed, should the file have changed
     tasks = _parse_jsonl(raw, path, num_classes)
     with contextlib.suppress(OSError):  # the copy only saves time; a load never needs it
         write_atomic(_copy_path(path), _copy_bytes(tasks, key))

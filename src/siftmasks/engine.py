@@ -521,10 +521,13 @@ def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
     serves one vector to every task of the shard.
 
     A task without a stored mask (an unlearned one) gets its shard's maskless
-    average.
+    average; an id the system never held raises ``UnknownTaskError``.
     """
     ops = METHODS[system.method.tag]
-    shard = system.shards[system.assignment[task_id]]
+    c = system.assignment.get(task_id)
+    if c is None:
+        raise UnknownTaskError(f"task {task_id} is not a task of this system")
+    shard = system.shards[c]
     return _serve_of(ops, shard, task_id)(system, shard, [task_id])[0]
 
 
@@ -542,9 +545,10 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     held_in covers retained tasks, each served by its localized model;
     held_out covers every task, with unlearned tasks served masklessly.
     Tasks are grouped by shard, serve and eval row count, and each group is
-    served and scored in stacked passes of ``pass_size`` tasks: one stacked
-    serve and one ``accuracy`` call on the tasks' own rows per pass, each
-    row with the bits of serving and scoring its task alone.
+    served and scored in stacked passes of ``pass_size`` tasks: per pass,
+    one gather of the tasks' held-out rows (one concatenate per array), one
+    stacked serve and one ``accuracy`` call, each row with the bits of
+    serving and scoring its task alone.
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -556,19 +560,27 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
     missing = sorted(t for ids in by_shard.values() for t in ids if t not in system.registry)
     if missing:
         raise DataFormatError(f"dataset is missing task ids {missing}, read by {mode} evaluation")
-    groups: defaultdict[tuple, list[int]] = defaultdict(list)
+    groups: defaultdict[tuple, list[TaskSpec]] = defaultdict(list)
     for c, ids in by_shard.items():
         for t in ids:
-            groups[c, _serve_of(ops, system.shards[c], t), system.registry[t].n_eval].append(t)
+            task = system.registry[t]
+            groups[c, _serve_of(ops, system.shards[c], t), task.n_eval].append(task)
+    dim = system.model_spec.input_dim
     scores: dict[int, float] = {}
-    for (c, serve, rows), ids in groups.items():
+    for (c, serve, rows), tasks in groups.items():
         size = pass_size(system.model_spec, len(system.m0), rows)
-        for start in range(0, len(ids), size):
-            part = ids[start : start + size]
-            x, y = zip(*(system.registry[t].eval_xy() for t in part))
-            params = serve(system, system.shards[c], part)
-            right = accuracy(params, system.model_spec, np.stack(x), np.stack(y))
-            scores.update(zip(part, right.tolist()))
+        for start in range(0, len(tasks), size):
+            part = tasks[start : start + size]
+            ids = [task.id for task in part]
+            params = serve(system, system.shards[c], ids)
+            # one gather per array, freed with the pass; the given width shapes an empty split
+            shape = (len(part), rows)
+            right = accuracy(
+                params, system.model_spec,
+                np.concatenate([t.features[t.n_train:] for t in part]).reshape(*shape, dim),
+                np.concatenate([t.labels[t.n_train:] for t in part]).reshape(shape),
+            )
+            scores.update(zip(ids, right.tolist()))
     per_task = {t: scores[t] for t in sorted(scores)}  # id order, as aggregate reads it
     aggregate = float(np.mean(list(per_task.values()))) if per_task else 0.0
     return EvalReport(mode=mode, per_task=per_task, aggregate=aggregate)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,3 +453,21 @@ def test_file_that_fails_to_parse_leaves_no_copy(tmp_path):
     with pytest.raises(DataFormatError, match="line 2"):
         load_tasks(path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_load_that_hits_the_copy_never_holds_the_file_whole(tmp_path):
+    """A load that reads the copy hashes the file in blocks: its peak traced
+    memory stays below the file's size, which a whole read alone would reach."""
+    tasks = synth_generate(HeterogeneityRegime("similar"), 4, 200, 20, 2, seed=5)
+    path = tmp_path / "big.jsonl"
+    save_tasks(tasks, path)
+    cold = load_tasks(path)
+    assert copy_of(path).stat().st_size < path.stat().st_size
+    tracemalloc.start()
+    try:
+        warm = load_tasks(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_same_tasks(warm, cold)
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)

@@ -303,14 +303,14 @@ PROBES = {
 
 
 def v2_system(tag, clusters):
-    """The v2 fixture configuration of ``tag``: its one-shard fixture as
-    loaded, or a fresh in-memory build over three shards."""
-    if clusters == 1:
-        return system_from_checkpoint(load_checkpoint(V2_DATA / f"{tag}_fresh.sftm"), v2_tasks())
+    """The v2 fixture configuration of ``tag`` over ``clusters`` shards, built
+    fresh in memory: its floats come from the BLAS kernels that run the test,
+    so an audit of it holds on any kernels. (The fixture files pin bytes
+    trained by one set of kernels; ``test_checkpoint_v2`` tests those.)"""
     method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
     cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
     system, _ = build(method, v2_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
-                      central_max_steps=12, clusters=3, cluster_seed=7)
+                      central_max_steps=12, clusters=clusters, cluster_seed=7)
     return system
 
 
@@ -422,6 +422,9 @@ def test_unlearned_tasks_served_masklessly(conflicting_tasks):
     assert np.array_equal(
         serve_for_task(system, 0), serve_merged(system.shards[0].merged, system.m0)
     )
+    # an id the system never held is named, not a bare KeyError
+    with pytest.raises(UnknownTaskError, match="task 99 is not a task of this system"):
+        serve_for_task(system, 99)
 
 
 @pytest.mark.parametrize("name", V2_FIXTURES)
