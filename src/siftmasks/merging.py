@@ -4,15 +4,15 @@ The merged state keeps the exact fixed-point sum of quantized task vectors,
 the number of vectors in it and the served masks; which tasks are in it is
 the caller's record (the engine's shards list their own). Removing a
 task by subtraction is bit-identical to never having merged it, regardless
-of order. Serving divides the summed vector by the retained count (an
-unweighted average).
+of order. Serving reads the unweighted average: the summed vector divided by
+the retained count, once per state, and cached as ``mean``.
 
 Localization backends:
 
 * sign-fixed masks -- the per-task mask comes out of sign-fixed tuning and
   depends only on local data; localized model is
-  ``m0 + (summed * mask / n_retained + 0.0)``, where ``summed`` is the
-  state's cached ``dequantize(accumulator)`` (``+ 0.0`` keeps -0.0 out).
+  ``m0 + (mean * mask + 0.0)``, with the bytes of ``summed * mask / n_retained``
+  (``+ 0.0`` keeps -0.0 out).
 * TALL masks -- ``bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|``;
   lambda is tuned by targeting mask densities, with an extra rescale alpha.
   Each entry's bit holds up to an exact threshold lambda, so one sort of the
@@ -93,7 +93,8 @@ class MergedState:
     """Exact sum of the retained task vectors, their count, and served masks.
 
     ``n_retained`` is the averaging denominator; ``masks`` holds the mask of
-    each retained task that has one (sift, TALL and EMR masks).
+    each retained task that has one (sift, TALL and EMR masks). ``summed``
+    and ``mean`` are caches that ``==`` ignores and a new state starts without.
     """
 
     accumulator: FxpVector
@@ -110,6 +111,15 @@ class MergedState:
         summed = dequantize(self.accumulator)
         summed.flags.writeable = False
         return summed
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Read-only ``dequantize(accumulator) / max(n_retained, 1)``, filled on
+        first use; dequantized on its own, so sift and ft_merge cache one vector."""
+        mean = dequantize(self.accumulator)
+        mean /= max(self.n_retained, 1)
+        mean.flags.writeable = False
+        return mean
 
 
 def merge(
@@ -165,10 +175,10 @@ def unmerge(state: MergedState, task_id: int, quantized: FxpVector) -> MergedSta
 
 
 def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
-    """Average merged model; the base model when nothing is retained."""
+    """Average merged model ``m0 + mean``; the base model when none is retained."""
     if state.n_retained == 0:
         return m0.copy()
-    return m0 + state.summed / state.n_retained
+    return m0 + state.mean
 
 
 def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarray:
@@ -209,13 +219,17 @@ def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray,
     """``m0 + alpha * (summed where bits, else +0.0) / n``, served and tuned
     alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0.
     Into ``out`` when given: a column of alphas (A, 1) and out (A, M) write
-    each alpha's row with the bits of its own call. Without an alpha the
-    multiply is skipped, a pass over the stack: a product by 1.0 changes no
-    bit, so the bytes are those of alpha 1.0."""
-    term = np.multiply(state.summed, bits, out=out)
-    if alpha is not None:
+    each alpha's row with the bits of its own call. Without an alpha, the
+    bytes of alpha 1.0 come from the cached ``mean * bits``: a product by 1.0
+    changes no bit, and ``(s * b) / n == (s / n) * b`` for b in {0, 1} up to
+    the sign of a zero, which the added 0.0 clears. With one, the division
+    stays last: ``(s * b * alpha) / n`` may differ from ``(s / n) * b * alpha``."""
+    if alpha is None:
+        term = np.multiply(state.mean, bits, out=out)
+    else:
+        term = np.multiply(state.summed, bits, out=out)
         term *= alpha
-    term /= max(state.n_retained, 1)
+        term /= max(state.n_retained, 1)
     term += 0.0
     return np.add(m0, term, out=term)
 

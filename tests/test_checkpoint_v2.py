@@ -8,7 +8,12 @@ sign seed 2, central_max_steps 12, density grid (0.3, 0.7), alpha grid
 configuration is saved fresh, after deleting task 2, and after deleting every
 task in the order 2, 0, 5, 1, 4, 3. These are the configurations of the
 version-1 files under data/v1, retrained by the batched gradient kernel.
-Nothing is retrained by the tests, so they hold on any machine.
+
+Loading and re-saving retrain nothing, but ``verify``'s audit and a rewrite
+of the files (``--check`` and the test that runs it) retrain every task.
+Those hold only on the OpenBLAS kernels that wrote the files (``FIXTURE_CORE``):
+other kernels, as under ``OPENBLAS_CORETYPE=Haswell``, may train other bits,
+and each such failure names both cores.
 
 To rewrite the files (only when the format or the trainer changes on purpose,
 together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v2.py``.
@@ -17,6 +22,7 @@ touching them: ``PYTHONPATH=src python tests/test_checkpoint_v2.py --check``
 (exit 1 naming the first file that differs).
 """
 
+import ctypes
 import os
 import re
 import struct
@@ -49,6 +55,26 @@ CONFIGS = (*METHOD_TAGS, "sift_masks_k3", "central_k3")
 STATES = ("fresh", "deleted1", "empty")
 FIXTURES = [f"{c}_{state}" for c in CONFIGS for state in STATES]
 DELETION_ORDER = (2, 0, 5, 1, 4, 3)
+# The core type of numpy's bundled OpenBLAS whose kernels trained the files
+FIXTURE_CORE = "SkylakeX"
+
+
+def running_core() -> str:
+    """The core type of numpy's bundled OpenBLAS in this process, through
+    ``scipy_openblas_get_corename64_``; "unknown" where that symbol is missing."""
+    for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def cores() -> str:
+    """Both cores, for the message of a test whose bits depend on them."""
+    return f"files written on OpenBLAS core {FIXTURE_CORE}, run on core {running_core()}"
 
 
 def make_tasks():
@@ -102,7 +128,7 @@ def test_v2_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
     save_checkpoint(checkpoint_from_system(system, ckpt.ledger), tmp_path / "rebuilt.sftm")
     assert (tmp_path / "rebuilt.sftm").read_bytes() == raw
     assert set(evaluate(system, "held_out").per_task) == {t.id for t in tasks}
-    assert verify_exactness(system).exact
+    assert verify_exactness(system).exact, cores()
 
 
 def test_loaded_system_names_its_tasks_but_cannot_serve_them_until_reattached():
@@ -131,7 +157,7 @@ def test_three_class_checkpoint_read_from_data_alone(name, command, tmp_path):
     needed to read its dataset."""
     code = main([*command, *cli_data_args(tmp_path),
                  "--checkpoint", str(DATA / f"{name}.sftm"), "--out-dir", str(tmp_path)])
-    assert code == 0
+    assert code == 0, cores()
     if command == ["eval"]:
         rows = (tmp_path / "eval_held_out.csv").read_text().splitlines()
         assert len(rows) == 1 + 6 + 1  # header, per-task, aggregate
@@ -638,7 +664,8 @@ def first_mismatch(expected_dir: Path) -> str | None:
 
 
 def test_current_code_rewrites_every_fixture_byte_for_byte():
-    assert first_mismatch(DATA) is None
+    name = first_mismatch(DATA)
+    assert name is None, f"{name}: differs from what the current code writes ({cores()})"
 
 
 if __name__ == "__main__":
@@ -647,8 +674,8 @@ if __name__ == "__main__":
         expected = Path(args[1]) if len(args) > 1 else DATA
         name = first_mismatch(expected)
         if name is not None:
-            print(f"{expected / name}: differs from what the current code writes",
-                  file=sys.stderr)
+            print(f"{expected / name}: differs from what the current code writes"
+                  f" ({cores()})", file=sys.stderr)
             sys.exit(1)
         print(f"every fixture in {expected} is reproduced byte for byte")
     else:

@@ -436,18 +436,29 @@ def test_every_fixture_serves_frozen_bytes(name):
         assert serve_for_task(system, t).tobytes() == want  # from the filled cache
 
 
+@pytest.mark.parametrize("clusters", [1, 3])
 @pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "tall_masks"])
-def test_served_after_unlearn_equals_fresh_build(tag, conflicting_tasks):
-    tasks = conflicting_tasks[:5]
-    system, _ = build_system(tag, tasks)
-    for t in system.registry:  # fills the cached sum before the deletion
+def test_served_after_unlearn_equals_fresh_build(tag, clusters, conflicting_tasks):
+    """With every shard's cached sum and mean filled before a deletion, the
+    victim's shard serves what a fresh build of its remaining tasks serves,
+    and every other shard keeps its state object and its filled caches."""
+    tasks, victim = conflicting_tasks[:5], 4  # 4 shares its shard at three shards
+    system, _ = build_system(tag, tasks, clusters=clusters, cluster_seed=7)
+    for t in system.registry:
         serve_for_task(system, t)
-    system, _, _ = unlearn(system, 3)
-    fresh, _ = build_system(tag, [t for t in tasks if t.id != 3])
+    cached = [(s.merged, s.merged.summed, s.merged.mean) for s in system.shards]
+    system, _, _ = unlearn(system, victim)
+    c = system.assignment[victim]
+    fresh, _ = build_system(tag, [t for t in tasks if t.id != victim
+                                  and system.assignment[t.id] == c])
     for t in fresh.retained:
         assert serve_for_task(system, t).tobytes() == serve_for_task(fresh, t).tobytes()
     maskless = serve_merged(fresh.shards[0].merged, fresh.m0)
-    assert serve_for_task(system, 3).tobytes() == maskless.tobytes()
+    assert serve_for_task(system, victim).tobytes() == maskless.tobytes()
+    for shard, (merged, summed, mean) in zip(system.shards, cached):
+        if shard is not system.shards[c]:
+            assert shard.merged is merged
+            assert vars(merged)["summed"] is summed and vars(merged)["mean"] is mean
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)

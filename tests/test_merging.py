@@ -236,6 +236,10 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
         rows = localize_stack(state, [mask, other, mask], m0, np.array([[alpha], [1.0], [1.6]]))
         for row, (m, a) in zip(rows, [(mask, alpha), (other, 1.0), (mask, 1.6)]):
             assert same_bytes(row, frozen_localize_masked(state, m, m0, a))
+        # and without alphas, from the cached mean
+        rows = localize_stack(state, [mask, other, mask], m0)
+        for row, m in zip(rows, [mask, other, mask]):
+            assert same_bytes(row, frozen_localize_masked(state, m, m0))
     empty = MergedState(FxpVector.zeros(len(acc)), 0, {})
     assert same_bytes(serve_merged(empty, m0), frozen_serve_merged(empty, m0))
     # EMR: the sum's entries as the unified vector and alpha as a scale
@@ -249,12 +253,15 @@ def test_merged_state_equality_ignores_the_cached_sum():
     a, b = rand_tvs(2, 6)
     state, twin = merge([a, b]), merge([a, b])
     summed = state.summed
-    assert "summed" in vars(state) and "summed" not in vars(twin)
+    serve_merged(state, np.zeros(6))  # fills the cached mean
+    assert {"summed", "mean"} <= set(vars(state)) and not {"summed", "mean"} & set(vars(twin))
     assert state == twin and np.array_equal(summed, dequantize(state.accumulator))
-    assert "summed" not in vars(replace(state, masks={}))
-    assert "summed" not in vars(subtract(state, b))
-    with pytest.raises(ValueError, match="read-only"):
-        summed[0] = 1.0  # every reader of the state shares the one array
+    assert np.array_equal(vars(state)["mean"], dequantize(state.accumulator) / 2)
+    for new in (replace(state, masks={}), subtract(state, b)):
+        assert not {"summed", "mean"} & set(vars(new))
+    for cached in (summed, state.mean):  # every reader of the state shares the one array
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
 
 
 # ---------- TALL ----------
