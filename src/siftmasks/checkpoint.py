@@ -134,7 +134,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
     for shard in system.shards:
         _write_shard(fh, system, shard)
-    write_atomic(path, fh.getvalue())
+    write_atomic(path, [fh.getbuffer()])
 
 
 def _write_shard(fh, system: SystemState, shard: Shard) -> None:

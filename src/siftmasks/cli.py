@@ -344,7 +344,7 @@ def cmd_verify(checkpoint, **params):
 
 
 def _write_json(path, doc) -> None:
-    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 @cli.command("report")

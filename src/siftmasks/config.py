@@ -147,7 +147,7 @@ class RunConfig:
             return cls.from_json(fh.read(), **overrides)
 
     def save(self, path) -> None:
-        write_atomic(path, self.to_json().encode())
+        write_atomic(path, [self.to_json().encode()])
 
 
 def _conforms(value, annotation: str) -> bool:

@@ -22,13 +22,16 @@ Three regimes:
 File format: JSON lines, one record per example,
 ``{"task_id": int, "features": [number...], "label": int}``, grouped by task
 in file order. The held-out split of every task is the last ceil(20%) of its
-records. ``load_tasks`` parses a given file's bytes once: after a parse that
-passed every check it writes a binary copy of the parsed tasks beside the
+records. ``save_tasks`` replaces the file in one step (``sealed.write_atomic``).
+
+``load_tasks`` parses a given file's bytes once, as a stream: after a parse
+that passed every check it writes a binary copy of the parsed tasks beside the
 file, ``.<name>.parsed``, keyed by the SHA-256 of the bytes it parsed. The
 copy is a sealed file (``sealed``), so it ends with the SHA-256 of everything
-before it. A later load of the same bytes reads the copy; a copy with any
-other key, magic, version, length or trailer is ignored and rewritten. The
-copy is derived: deleting it costs one parse.
+before it, and it is written from the tasks' arrays without joining them. A
+later load of the same bytes reads the copy; a copy with any other key, magic,
+version, length or trailer is ignored and rewritten. The copy is derived:
+deleting it costs one parse. Neither the file nor the copy is ever held whole.
 """
 
 from __future__ import annotations
@@ -243,16 +246,27 @@ def _gen_similar(regime, num_tasks, n_per_task, d, c, seed):
 
 
 def save_tasks(tasks: list[TaskSpec], path) -> None:
-    """Write tasks as JSON lines, grouped by task, examples in stored order."""
-    with open(path, "w", encoding="utf8") as fh:
-        for task in tasks:
-            for i in range(task.n_examples):
-                record = {
-                    "task_id": int(task.id),
-                    "features": [float(x) for x in task.features[i]],
-                    "label": int(task.labels[i]),
-                }
-                fh.write(json.dumps(record) + "\n")
+    """Write tasks as JSON lines, grouped by task, examples in stored order.
+
+    Each record is spelled as ``json.dumps`` spells it (``float.__repr__``
+    for a finite feature), one task at a time, and the file is replaced in one
+    step by ``sealed.write_atomic``: a failed write leaves the old file whole.
+    """
+    write_atomic(path, map(_task_jsonl, tasks))
+
+
+def _task_jsonl(task: TaskSpec) -> bytes:
+    """The JSON lines of one task's records."""
+    head = f'{{"task_id": {int(task.id)}, "features": ['
+    text = "".join([
+        f'{head}{", ".join(map(repr, row))}], "label": {label}}}\n'
+        for row, label in zip(task.features.tolist(), task.labels.tolist())
+    ])
+    if not np.isfinite(task.features).all():
+        # repr spells these nan, inf and -inf, which no other token of a record
+        # contains; json spells them NaN, Infinity and -Infinity
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.encode()
 
 
 def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
@@ -266,22 +280,39 @@ def load_tasks(path, num_classes: int | None = None) -> list[TaskSpec]:
 
     The file is hashed in blocks. When the parsed copy beside it (module
     docstring) was made from bytes of that hash, the tasks come from the
-    copy, and the file is never held whole; otherwise it is read whole and
-    parsed, and the copy is rewritten, keyed by the bytes parsed. Either way
-    the result is the same, and so is every error.
+    copy; otherwise the file is parsed as a stream, hashed again as it is
+    read, and the copy is rewritten, keyed by the bytes parsed. The file is
+    never held whole. Either way the result is the same, and so is every
+    error.
     """
     with open(path, "rb") as fh:
         tasks = _read_copy(path, hashlib.file_digest(fh, "sha256").digest())
     # a label out of range is found again by the parse, which names its line
     if tasks and (num_classes is None or max(int(t.labels.max()) for t in tasks) < num_classes):
         return tasks
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    key = hashlib.sha256(raw).digest()  # of the bytes parsed, should the file have changed
-    tasks = _parse_jsonl(raw, path, num_classes)
+    # lines split and decode as in a file opened in text mode, one at a time;
+    # an undecodable byte becomes U+FFFD, so a record it breaks is named by its line
+    with _HashingFile(path) as fh, io.TextIOWrapper(
+            io.BufferedReader(fh), encoding="utf8", errors="replace") as lines:
+        tasks = _parse_jsonl(lines, path, num_classes)
+    key = fh.sha256.digest()  # of the bytes parsed, should the file have changed
     with contextlib.suppress(OSError):  # the copy only saves time; a load never needs it
-        write_atomic(_copy_path(path), _copy_bytes(tasks, key))
+        write_atomic(_copy_path(path), _copy_chunks(tasks, key))
     return tasks
+
+
+class _HashingFile(io.FileIO):
+    """A file opened for reading that feeds each byte read by ``readinto``,
+    as a buffered reader reads, to its ``sha256``."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buf) -> int:
+        n = super().readinto(buf)
+        self.sha256.update(memoryview(buf)[:n])
+        return n
 
 
 def _copy_path(path) -> str:
@@ -289,8 +320,9 @@ def _copy_path(path) -> str:
     return os.path.join(head, f".{name}.parsed")
 
 
-def _copy_bytes(tasks: list[TaskSpec], key: bytes) -> bytes:
-    """The parsed copy of these tasks, parsed from the bytes whose SHA-256 is key."""
+def _copy_chunks(tasks: list[TaskSpec], key: bytes) -> list:
+    """The chunks of the parsed copy of these tasks, parsed from the bytes
+    whose SHA-256 is key: views of the tasks' arrays, never joined."""
     rows = sum(t.n_examples for t in tasks)
     header = _COPY_HEADER.pack(tasks[0].input_dim, len(tasks), rows, key)
     return seal(_COPY_MAGIC, _COPY_VERSION, header,
@@ -328,13 +360,11 @@ def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
     ]
 
 
-def _parse_jsonl(raw: bytes, path, num_classes: int | None) -> list[TaskSpec]:
-    """The tasks of the JSONL bytes ``raw`` of ``path``, by load_tasks's rules."""
+def _parse_jsonl(lines, path, num_classes: int | None) -> list[TaskSpec]:
+    """The tasks of the text ``lines`` of the JSONL file ``path``, read to
+    their end, by load_tasks's rules."""
     groups: dict[int, tuple[array, list[int]]] = {}  # per task: features flat, labels
     dim: int | None = None
-    # lines split and decode as in a file opened in text mode, one at a time;
-    # an undecodable byte becomes U+FFFD, so a record it breaks is named by its line
-    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf8", errors="replace")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

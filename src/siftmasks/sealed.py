@@ -1,8 +1,11 @@
-"""Sealed files, and the atomic writer of checkpoints, parsed copies and JSON files.
+"""Sealed files, and the atomic writer of checkpoints, datasets, parsed copies
+and JSON files.
 
 A sealed file is its magic, its format version as a little-endian u32, its
-body, then the SHA-256 of everything before it. ``unseal`` checks all four
-before a caller reads one field of the body.
+body, then the SHA-256 of everything before it. ``seal`` hands out those
+pieces as chunks, which ``write_atomic`` writes one after another, so no file
+is built whole in memory. ``unseal`` checks all four before a caller reads one
+field of the body.
 """
 
 import contextlib
@@ -18,13 +21,14 @@ class SealError(ValueError):
     """The bytes are not a whole sealed file of the expected magic and version."""
 
 
-def seal(magic: bytes, version: int, *parts) -> bytes:
-    """The sealed file of ``magic``, ``version`` and the bytes-like ``parts``, in order."""
+def seal(magic: bytes, version: int, *parts) -> list:
+    """The chunks of the sealed file of ``magic``, ``version`` and the
+    bytes-like ``parts``, in order: the parts themselves, never joined."""
     chunks = [magic, _VERSION.pack(version), *parts]
     digest = hashlib.sha256()
-    for chunk in chunks:  # hashed part by part, so the file is built once
+    for chunk in chunks:
         digest.update(chunk)
-    return b"".join([*chunks, digest.digest()])
+    return [*chunks, digest.digest()]
 
 
 def unseal(buf, magic: bytes, version: int) -> memoryview:
@@ -43,18 +47,21 @@ def unseal(buf, magic: bytes, version: int) -> memoryview:
     return view[start:-_TRAILER]
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` in one step: write and fsync a temporary
-    file beside it, rename it over the target, then fsync the directory, so
-    the new bytes survive a crash once this returns. On any failure before the
-    rename the target keeps its old bytes and the temporary file is removed."""
+def write_atomic(path, chunks) -> None:
+    """Replace ``path`` by the bytes-like ``chunks``, written in order, in one
+    step: write and fsync a temporary file beside it, rename it over the
+    target, then fsync the directory, so the new bytes survive a crash once
+    this returns. ``chunks`` may be produced lazily; on any failure before the
+    rename, one raised while producing a chunk included, the target keeps its
+    old bytes and the temporary file is removed."""
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     # created like open(path, "wb") creates a file: mode 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as out:
-            out.write(data)
+            for chunk in chunks:
+                out.write(chunk)
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, path)

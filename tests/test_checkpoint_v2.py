@@ -60,21 +60,36 @@ FIXTURE_CORE = "SkylakeX"
 
 
 def running_core() -> str:
-    """The core type of numpy's bundled OpenBLAS in this process, through
-    ``scipy_openblas_get_corename64_``; "unknown" where that symbol is missing."""
+    """What picks the kernels in this process: the core type of numpy's
+    bundled OpenBLAS, through ``scipy_openblas_get_corename64_``; where that
+    symbol is missing, numpy's highest enabled CPU feature group, which is no
+    OpenBLAS core and is labelled as a CPU feature."""
     for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
         try:
             corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
         corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+        return f"OpenBLAS core {corename().decode()}"
+    return cpu_feature_group()
+
+
+def cpu_feature_group() -> str:
+    """numpy's highest enabled CPU feature group: the last of its baseline
+    and dispatch groups, which it lists from lowest to highest, that this
+    CPU supports."""
+    try:
+        from numpy._core import _multiarray_umath as umath  # numpy 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath  # numpy 1
+    groups = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
+    enabled = [group for group in groups if umath.__cpu_features__.get(group)]
+    return f"CPU feature {enabled[-1]}" if enabled else "CPU feature unknown"
 
 
 def cores() -> str:
     """Both cores, for the message of a test whose bits depend on them."""
-    return f"files written on OpenBLAS core {FIXTURE_CORE}, run on core {running_core()}"
+    return f"files written on OpenBLAS core {FIXTURE_CORE}, run on {running_core()}"
 
 
 def make_tasks():
@@ -622,6 +637,7 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
     path.parent.mkdir()
     path.write_bytes((DATA / "sift_masks_fresh.sftm").read_bytes())
     raw = path.read_bytes()
+    data_args = cli_data_args(tmp_path)  # the dataset is written atomically too
 
     def refuse(src, dst):
         raise OSError("rename refused")
@@ -629,7 +645,7 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
         save_checkpoint(load_checkpoint(path), path)
-    code = main(["unlearn", "--id", "1", *cli_data_args(tmp_path),
+    code = main(["unlearn", "--id", "1", *data_args,
                  "--checkpoint", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "rename refused" in capsys.readouterr().err
@@ -661,6 +677,15 @@ def first_mismatch(expected_dir: Path) -> str | None:
             if not (fresh.exists() and kept.exists()) or fresh.read_bytes() != kept.read_bytes():
                 return name
     return None
+
+
+def test_cores_name_a_cpu_feature_group_where_openblas_names_no_core(monkeypatch):
+    def no_library(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert running_core() == cpu_feature_group() != "CPU feature unknown"
+    assert cores() == f"files written on OpenBLAS core SkylakeX, run on {cpu_feature_group()}"
 
 
 def test_current_code_rewrites_every_fixture_byte_for_byte():

@@ -280,6 +280,53 @@ def test_save_load_roundtrip_exact(tmp_path):
         assert loaded.n_eval == orig.n_eval
 
 
+def reference_save_tasks(tasks, path):
+    """The dataset writer as it was first written: one dict and one
+    ``json.dumps`` per record, in a file opened in text mode."""
+    with open(path, "w", encoding="utf8") as fh:
+        for task in tasks:
+            for i in range(task.n_examples):
+                record = {
+                    "task_id": int(task.id),
+                    "features": [float(x) for x in task.features[i]],
+                    "label": int(task.labels[i]),
+                }
+                fh.write(json.dumps(record) + "\n")
+
+
+def test_writer_bytes_match_json_dumps_per_record(tmp_path):
+    odd = TaskSpec(2**32 - 1, [[-0.0, 5e-324, 1e-7, 1e16],
+                               [1e308, 0.1, 2.0, -3.0],
+                               [float("nan"), float("inf"), float("-inf"), 1.0],
+                               [-5e-324, -1e308, 123456789.0, 1e22]],
+                   [0, 1, 2**63 - 1, 7], n_eval=1)
+    tasks = [*synth_generate(HeterogeneityRegime("conflicting"), 3, 15, 8, 3, seed=17),
+             *synth_generate(HeterogeneityRegime("distinct"), 2, 10, 4, 2, seed=3), odd]
+    save_tasks(tasks, tmp_path / "fast.jsonl")
+    reference_save_tasks(tasks, tmp_path / "reference.jsonl")
+    written = (tmp_path / "fast.jsonl").read_bytes()
+    assert written == (tmp_path / "reference.jsonl").read_bytes()
+    assert b"[NaN, Infinity, -Infinity, 1.0]" in written and b"[-0.0, 5e-324, " in written
+
+
+@pytest.mark.parametrize("shift", range(-2, 3))
+def test_records_that_straddle_a_read_block_keep_their_lines(shift, tmp_path):
+    """A CR LF and a two-byte character near byte 8192 and 16384, edges of
+    the blocks the parser reads, split and decode as anywhere else."""
+    good = b'{"task_id": 0, "features": [0.5], "label": 0}'
+    first = good[:-1] + b" " * (8191 + shift - len(good)) + b"}"  # then CR LF at 8191 + shift
+    second = b"{" + b" " * 8188 + '"é": 0, "task_id": 0, "features": [0.25], "label": 0}'.encode()
+    raw = first + b"\r\n" + second + b"\r" + b"\n".join([good] * 3) + b"\n"
+    assert raw[8191 + shift:8193 + shift] == b"\r\n"
+    assert raw[16383 + shift:16385 + shift] == "é".encode()
+    path = tmp_path / "blocks.jsonl"
+    path.write_bytes(raw)
+    assert load_tasks(path)[0].features[:, 0].tolist() == [0.5, 0.25, 0.5, 0.5, 0.5]
+    path.write_bytes(raw + good[:-1] + b"\xc3\n")
+    with pytest.raises(DataFormatError, match="line 6: malformed record"):
+        load_tasks(path)
+
+
 # ---------- the parsed copy ----------
 
 
@@ -341,7 +388,7 @@ def flip(at):
 def resealed(edit):
     """The copy with its body edited and sealed again: only the checks behind
     the trailer can reject it."""
-    return lambda raw: seal(b"SFTDATA\0", 2, edit(raw[12:-32]))
+    return lambda raw: b"".join(seal(b"SFTDATA\0", 2, edit(raw[12:-32])))
 
 
 @pytest.mark.parametrize(
@@ -471,3 +518,46 @@ def test_load_that_hits_the_copy_never_holds_the_file_whole(tmp_path):
         tracemalloc.stop()
     assert_same_tasks(warm, cold)
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_load_that_misses_the_copy_never_holds_the_file_whole(tmp_path):
+    """A load that parses the file reads it as a stream: its peak traced
+    memory stays below the file's size, which a whole read alone would reach."""
+    tasks = synth_generate(HeterogeneityRegime("similar"), 4, 200, 20, 2, seed=5)
+    path = tmp_path / "big.jsonl"
+    save_tasks(tasks, path)
+    tracemalloc.start()
+    try:
+        cold = load_tasks(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_same_tasks(cold, tasks)
+    assert copy_of(path).read_bytes()[32:64] == hashlib.sha256(path.read_bytes()).digest()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_writing_the_copy_never_holds_it_whole(tmp_path, monkeypatch):
+    """The copy is written from the tasks' own arrays, chunk by chunk. Its
+    tasks here come from a stand-in parse of a two-line file, so the write
+    is the only step that could hold as many bytes as the copy."""
+    tasks = synth_generate(HeterogeneityRegime("similar"), 4, 1000, 20, 2, seed=5)
+    path = tmp_path / "small.jsonl"
+    path.write_text('{"task_id": 0, "features": [0.5], "label": 0}\n' * 2)
+
+    parse = datasets._parse_jsonl
+
+    def parse_then_swap(*args):
+        parse(*args)  # reads the file to its end, which the copy's key covers
+        return tasks
+
+    monkeypatch.setattr(datasets, "_parse_jsonl", parse_then_swap)
+    tracemalloc.start()
+    try:
+        load_tasks(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < copy_of(path).stat().st_size, (peak, copy_of(path).stat().st_size)
+    monkeypatch.setattr(datasets, "_parse_jsonl", no_parse)
+    assert_same_tasks(load_tasks(path), tasks)

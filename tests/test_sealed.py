@@ -1,6 +1,6 @@
 """Sealed files and the atomic writer: what ``unseal`` rejects, and what
-``write_atomic`` makes durable for the checkpoint, the parsed copy and the
-CLI's JSON files."""
+``write_atomic`` makes durable for the checkpoint, the dataset, the parsed
+copy and the CLI's JSON files."""
 
 import json
 import os
@@ -21,8 +21,20 @@ BODY = b"head" + np.arange(5, dtype="<i8").tobytes() + b"\x00\xff"
 FIXTURE = Path(__file__).resolve().parent / "data" / "v2" / "sift_masks_fresh.sftm"
 
 
+def sealed_file(magic, version, *parts) -> bytes:
+    """The sealed file whose chunks ``seal`` hands out, joined."""
+    return b"".join(seal(magic, version, *parts))
+
+
+def test_seal_hands_out_the_parts_themselves():
+    chunks = seal(MAGIC, 3, *PARTS)
+    assert chunks[0] is MAGIC and bytes(chunks[1]) == b"\x03\0\0\0"
+    assert all(chunk is part for chunk, part in zip(chunks[2:-1], PARTS))
+    assert len(chunks) == len(PARTS) + 3 and len(chunks[-1]) == 32
+
+
 def test_round_trip_of_several_parts():
-    sealed = seal(MAGIC, 3, *PARTS)
+    sealed = sealed_file(MAGIC, 3, *PARTS)
     assert len(sealed) == len(MAGIC) + 4 + len(BODY) + 32
     body = unseal(bytearray(sealed), MAGIC, 3)
     assert bytes(body) == BODY
@@ -30,11 +42,11 @@ def test_round_trip_of_several_parts():
 
 
 def test_empty_body_round_trips():
-    assert bytes(unseal(seal(MAGIC, 0), MAGIC, 0)) == b""
+    assert bytes(unseal(sealed_file(MAGIC, 0), MAGIC, 0)) == b""
 
 
 def test_every_single_bit_flip_is_rejected():
-    sealed = seal(MAGIC, 3, *PARTS)
+    sealed = sealed_file(MAGIC, 3, *PARTS)
     for at in range(len(sealed)):
         for bit in range(8):
             damaged = bytearray(sealed)
@@ -44,7 +56,7 @@ def test_every_single_bit_flip_is_rejected():
 
 
 def test_every_truncation_and_an_appended_byte_are_rejected():
-    sealed = seal(MAGIC, 3, *PARTS)
+    sealed = sealed_file(MAGIC, 3, *PARTS)
     for end in range(len(sealed)):
         with pytest.raises(SealError):
             unseal(sealed[:end], MAGIC, 3)
@@ -53,13 +65,13 @@ def test_every_truncation_and_an_appended_byte_are_rejected():
 
 
 def test_foreign_magic_and_another_version_are_rejected():
-    sealed = seal(MAGIC, 3, *PARTS)
+    sealed = sealed_file(MAGIC, 3, *PARTS)
     with pytest.raises(SealError, match="bad magic"):
         unseal(sealed, b"TSET", 3)
     with pytest.raises(SealError, match="version 3, expected 4"):
         unseal(sealed, MAGIC, 4)
     with pytest.raises(SealError, match="bad magic"):
-        unseal(seal(b"TSET", 3, *PARTS), MAGIC, 3)
+        unseal(sealed_file(b"TSET", 3, *PARTS), MAGIC, 3)
 
 
 # ---------- write_atomic ----------
@@ -99,9 +111,35 @@ def test_checkpoint_save_fsyncs_the_file_then_the_directory(tmp_path, recorded):
     assert (tmp_path / "out.sftm").read_bytes() == FIXTURE.read_bytes()
 
 
+def test_dataset_write_fsyncs_the_file_then_the_directory(tmp_path, recorded):
+    path = tmp_path / "data.jsonl"
+    save_tasks(synth_generate(HeterogeneityRegime("similar"), 2, 5, 3, 2, seed=1), path)
+    assert_durable_write(recorded, path)
+
+
+def test_dataset_write_that_fails_midway_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"previous\n")
+    tasks = synth_generate(HeterogeneityRegime("similar"), 3, 400, 8, 2, seed=1)
+    written = []
+
+    def tasks_then_failure():
+        yield from tasks[:2]
+        # the first two tasks have gone to the temporary file beside the target
+        written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError, match="disk gone"):
+        save_tasks(tasks_then_failure(), path)
+    assert len(written) == 1 and written[0] > 0
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_parsed_copy_write_fsyncs_the_file_then_the_directory(tmp_path, recorded):
     path = tmp_path / "data.jsonl"
     save_tasks(synth_generate(HeterogeneityRegime("similar"), 2, 5, 3, 2, seed=1), path)
+    recorded.clear()  # the dataset's own write
     load_tasks(path)
     assert_durable_write(recorded, tmp_path / ".data.jsonl.parsed")
 
