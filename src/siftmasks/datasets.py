@@ -70,7 +70,8 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task: examples, of which the last ``n_eval`` are held out."""
+    """One task: examples, of which the last ``n_eval`` are held out. Its
+    training and held-out rows are views made once, at construction."""
 
     id: int
     features: np.ndarray  # (n, d) float64
@@ -86,6 +87,9 @@ class TaskSpec:
             raise DataFormatError(f"task {self.id}: malformed examples")
         if not 0 <= self.n_eval < self.n_examples:
             raise DataFormatError(f"task {self.id}: needs at least one training example")
+        cut = self.n_train
+        object.__setattr__(self, "_train", (f[:cut], y[:cut]))
+        object.__setattr__(self, "_eval", (f[cut:], y[cut:]))
 
     @property
     def n_examples(self) -> int:
@@ -101,11 +105,11 @@ class TaskSpec:
 
     def train_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """The training rows, as views."""
-        return self.features[:self.n_train], self.labels[:self.n_train]
+        return self._train
 
     def eval_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """The held-out rows, as views."""
-        return self.features[self.n_train:], self.labels[self.n_train:]
+        return self._eval
 
 
 @dataclass(frozen=True)

@@ -544,27 +544,29 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
 
     held_in covers retained tasks, each served by its localized model;
     held_out covers every task, with unlearned tasks served masklessly.
-    Tasks are grouped by shard, serve and eval row count, and each group is
-    served and scored in stacked passes of ``pass_size`` tasks: per pass,
-    one gather of the tasks' held-out rows (one concatenate per array), one
-    stacked serve and one ``accuracy`` call, each row with the bits of
-    serving and scoring its task alone.
+    Tasks are grouped shard by shard, by serve (the method's for retained
+    ids; for unlearned ids the maskless average where the method stores
+    masks, else the method's) and eval row count, and each group is served
+    and scored in stacked passes of ``pass_size`` tasks: per pass, one gather
+    of the tasks' held-out views (one concatenate per array), one stacked
+    serve and one ``accuracy`` call, each row with the bits of serving and
+    scoring its task alone.
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     ops = METHODS[system.method.tag]
-    by_shard = {
-        c: shard.retained + shard.unlearned if mode == "held_out" else shard.retained
-        for c, shard in enumerate(system.shards)
-    }
-    missing = sorted(t for ids in by_shard.values() for t in ids if t not in system.registry)
+    by_serve = [(c, ops.serve, shard.retained) for c, shard in enumerate(system.shards)]
+    if mode == "held_out":
+        lost = _serve_merged if ops.stores_masks else ops.serve
+        by_serve += [(c, lost, shard.unlearned) for c, shard in enumerate(system.shards)]
+    missing = sorted(t for *_, ids in by_serve for t in ids if t not in system.registry)
     if missing:
         raise DataFormatError(f"dataset is missing task ids {missing}, read by {mode} evaluation")
     groups: defaultdict[tuple, list[TaskSpec]] = defaultdict(list)
-    for c, ids in by_shard.items():
+    for c, serve, ids in by_serve:
         for t in ids:
             task = system.registry[t]
-            groups[c, _serve_of(ops, system.shards[c], t), task.n_eval].append(task)
+            groups[c, serve, task.n_eval].append(task)
     dim = system.model_spec.input_dim
     scores: dict[int, float] = {}
     for (c, serve, rows), tasks in groups.items():
@@ -575,10 +577,10 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
             params = serve(system, system.shards[c], ids)
             # one gather per array, freed with the pass; the given width shapes an empty split
             shape = (len(part), rows)
+            xs, ys = zip(*(task.eval_xy() for task in part))
             right = accuracy(
                 params, system.model_spec,
-                np.concatenate([t.features[t.n_train:] for t in part]).reshape(*shape, dim),
-                np.concatenate([t.labels[t.n_train:] for t in part]).reshape(shape),
+                np.concatenate(xs).reshape(*shape, dim), np.concatenate(ys).reshape(shape),
             )
             scores.update(zip(ids, right.tolist()))
     per_task = {t: scores[t] for t in sorted(scores)}  # id order, as aggregate reads it

@@ -11,7 +11,7 @@ Localization backends:
 
 * sign-fixed masks -- the per-task mask comes out of sign-fixed tuning and
   depends only on local data; localized model is
-  ``m0 + (mean * mask + 0.0)``, with the bytes of ``summed * mask / n_retained``
+  ``m0 + (mask * mean + 0.0)``, with the bytes of ``summed * mask / n_retained``
   (``+ 0.0`` keeps -0.0 out).
 * TALL masks -- ``bit i set iff |tau_t[i]| >= lambda_t * |tau_bar[i] - tau_t[i]|``;
   lambda is tuned by targeting mask densities, with an extra rescale alpha.
@@ -25,7 +25,8 @@ Localization backends:
   global per-entry sign, and averages the entries that agree with it.
 
 Masked models are served as stacks (K, M) of K tasks, from one unpack of
-their masks' words; row k has the bits of serving task k alone.
+their masks' words, cast once to a float 0/1 mask that the served vector is
+multiplied into; row k has the bits of serving task k alone.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .paramcore import (
     fxp_add,
     fxp_sub,
     mask_apply,
+    mask_words,
     quantize,
     unpack_bits,
 )
@@ -200,12 +202,12 @@ def localize_stack(
 
 def _mask_rows(masks: list[BitMask], length: int) -> np.ndarray:
     """The (K, length) bools of K masks, unpacked in one call; one mask's
-    words are viewed, not copied."""
+    words are viewed, not copied, and no masks give (0, length)."""
     for mask in masks:
         if mask.length != length:
             raise ValueError(f"length mismatch: mask {mask.length} vs state {length}")
     words = masks[0].words[None] if len(masks) == 1 else np.array([m.words for m in masks])
-    return unpack_bits(words, length)
+    return unpack_bits(words.reshape(len(masks), mask_words(length)), length)
 
 
 def pass_size(spec: ModelSpec, length: int, rows: int) -> int:
@@ -218,16 +220,21 @@ def _masked_params(state: MergedState, bits: np.ndarray, m0: np.ndarray,
                    alpha: float | np.ndarray | None, out: np.ndarray | None = None):
     """``m0 + alpha * (summed where bits, else +0.0) / n``, served and tuned
     alike; adding 0.0 turns an unset bit's -0.0 (from a negative sum) to +0.0.
-    Into ``out`` when given: a column of alphas (A, 1) and out (A, M) write
-    each alpha's row with the bits of its own call. Without an alpha, the
-    bytes of alpha 1.0 come from the cached ``mean * bits``: a product by 1.0
-    changes no bit, and ``(s * b) / n == (s / n) * b`` for b in {0, 1} up to
-    the sign of a zero, which the added 0.0 clears. With one, the division
-    stays last: ``(s * b * alpha) / n`` may differ from ``(s / n) * b * alpha``."""
+    The bits are cast once, contiguously, to a float 0/1 mask that the sum is
+    multiplied into (``b * x == x * b``); a product with the bools would cast
+    them chunk by chunk. Into ``out`` when given: a column of alphas (A, 1)
+    and out (A, M) write each alpha's row with the bits of its own call.
+    Without an alpha, the bytes of alpha 1.0 come from the cached ``mean``: a
+    product by 1.0 changes no bit, and ``(s * b) / n == (s / n) * b`` for b in
+    {0, 1} up to the sign of a zero, which the added 0.0 clears. With one, the
+    division stays last: ``(s * b * alpha) / n`` may differ from
+    ``(s / n) * b * alpha``."""
+    term = np.empty(bits.shape) if out is None else out
+    np.copyto(term, bits)
     if alpha is None:
-        term = np.multiply(state.mean, bits, out=out)
+        term *= state.mean
     else:
-        term = np.multiply(state.summed, bits, out=out)
+        term *= state.summed
         term *= alpha
         term /= max(state.n_retained, 1)
     term += 0.0
@@ -410,8 +417,14 @@ def emr_localize(
     emr: EmrArtifacts, task_ids: list[int], masks: list[BitMask], m0: np.ndarray
 ) -> np.ndarray:
     """EMR models (K, M) of K tasks under their masks, from one unpack: row k
-    holds the bytes of ``m0 + scale * mask_apply(mask, unified)``."""
-    term = np.where(_mask_rows(masks, len(emr.unified)), emr.unified, 0.0)
+    holds the bytes of ``m0 + scale * mask_apply(mask, unified)``. The bits
+    are cast to a float 0/1 mask and ``unified`` multiplied in; adding 0.0
+    turns an unset bit's -0.0 (over a negative entry) to the +0.0 that
+    ``mask_apply`` gives, and no set bit sits on a zero entry, as a bit is set
+    only where ``delta * unified > 0``."""
+    term = _mask_rows(masks, len(emr.unified)).astype(np.float64)
+    term *= emr.unified
+    term += 0.0
     term *= np.array([emr.scales[t] for t in task_ids])[:, None]
     return np.add(m0, term, out=term)
 

@@ -170,9 +170,10 @@ def mask_apply(mask: BitMask, x: np.ndarray) -> np.ndarray:
 
 def signs(v: BitMask) -> np.ndarray:
     """Dense float64 view of a sign vector: +1.0 where the bit is set, -1.0
-    elsewhere. ``bits * 2.0 - 1.0`` in place is exact, so these are the bytes
-    of ``np.where(bits, 1.0, -1.0)``."""
-    out = unpack_bits(v.words, v.length) * 2.0
+    elsewhere. The bits are cast once to floats, and ``* 2.0 - 1.0`` in place
+    is exact, so these are the bytes of ``np.where(bits, 1.0, -1.0)``."""
+    out = unpack_bits(v.words, v.length).astype(np.float64)
+    out *= 2.0
     out -= 1.0
     return out
 

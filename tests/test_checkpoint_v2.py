@@ -11,9 +11,11 @@ version-1 files under data/v1, retrained by the batched gradient kernel.
 
 Loading and re-saving retrain nothing, but ``verify``'s audit and a rewrite
 of the files (``--check`` and the test that runs it) retrain every task.
-Those hold only on the OpenBLAS kernels that wrote the files (``FIXTURE_CORE``):
-other kernels, as under ``OPENBLAS_CORETYPE=Haswell``, may train other bits,
-and each such failure names both cores.
+Those hold only on the OpenBLAS kernels and the numpy SIMD dispatch level
+that wrote the files (``FIXTURE_CORE``, ``FIXTURE_DISPATCH``): other kernels,
+as under ``OPENBLAS_CORETYPE=Haswell``, or a lower dispatch level, as under
+``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4``, may train other
+bits, and each such failure names both parts for the files and for the run.
 
 To rewrite the files (only when the format or the trainer changes on purpose,
 together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v2.py``.
@@ -55,41 +57,51 @@ CONFIGS = (*METHOD_TAGS, "sift_masks_k3", "central_k3")
 STATES = ("fresh", "deleted1", "empty")
 FIXTURES = [f"{c}_{state}" for c in CONFIGS for state in STATES]
 DELETION_ORDER = (2, 0, 5, 1, 4, 3)
-# The core type of numpy's bundled OpenBLAS whose kernels trained the files
+# What picked the bits of the files: the core type of numpy's bundled
+# OpenBLAS whose kernels trained them, and numpy's highest enabled SIMD
+# dispatch group, whose exp, log and tanh loops trained them and drew m0
 FIXTURE_CORE = "SkylakeX"
+FIXTURE_DISPATCH = "AVX512_SPR"
 
 
 def running_core() -> str:
-    """What picks the kernels in this process: the core type of numpy's
-    bundled OpenBLAS, through ``scipy_openblas_get_corename64_``; where that
-    symbol is missing, numpy's highest enabled CPU feature group, which is no
-    OpenBLAS core and is labelled as a CPU feature."""
+    """The core type of numpy's bundled OpenBLAS in this process, through
+    ``scipy_openblas_get_corename64_``; "unknown" where that symbol is missing."""
     for lib in sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
         try:
             corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
         corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return f"OpenBLAS core {corename().decode()}"
-    return cpu_feature_group()
+        return corename().decode()
+    return "unknown"
 
 
-def cpu_feature_group() -> str:
-    """numpy's highest enabled CPU feature group: the last of its baseline
-    and dispatch groups, which it lists from lowest to highest, that this
-    CPU supports."""
+def _umath():
     try:
         from numpy._core import _multiarray_umath as umath  # numpy 2
     except ImportError:
         from numpy.core import _multiarray_umath as umath  # numpy 1
+    return umath
+
+
+def cpu_feature_group() -> str:
+    """numpy's highest enabled CPU feature group, the dispatch level of its
+    SIMD loops: the last of its baseline and dispatch groups, which it lists
+    from lowest to highest, that this CPU supports and that
+    ``NPY_DISABLE_CPU_FEATURES`` leaves on."""
+    umath = _umath()
     groups = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
     enabled = [group for group in groups if umath.__cpu_features__.get(group)]
-    return f"CPU feature {enabled[-1]}" if enabled else "CPU feature unknown"
+    return enabled[-1] if enabled else "unknown"
 
 
 def cores() -> str:
-    """Both cores, for the message of a test whose bits depend on them."""
-    return f"files written on OpenBLAS core {FIXTURE_CORE}, run on {running_core()}"
+    """Both parts of what picks the bits, for the files and for this process,
+    for the message of a test whose bits depend on them."""
+    return (f"files written on OpenBLAS core {FIXTURE_CORE} with numpy dispatch"
+            f" {FIXTURE_DISPATCH}, run on OpenBLAS core {running_core()} with numpy"
+            f" dispatch {cpu_feature_group()}")
 
 
 def make_tasks():
@@ -684,8 +696,22 @@ def test_cores_name_a_cpu_feature_group_where_openblas_names_no_core(monkeypatch
         raise OSError(f"{path}: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
-    assert running_core() == cpu_feature_group() != "CPU feature unknown"
-    assert cores() == f"files written on OpenBLAS core SkylakeX, run on {cpu_feature_group()}"
+    group = cpu_feature_group()
+    assert running_core() == "unknown" != group
+    assert cores() == ("files written on OpenBLAS core SkylakeX with numpy dispatch AVX512_SPR,"
+                       f" run on OpenBLAS core unknown with numpy dispatch {group}")
+
+
+def test_cores_name_the_dispatch_group_left_enabled(monkeypatch):
+    """The running dispatch named is the highest group still on, where the
+    top groups are off as ``NPY_DISABLE_CPU_FEATURES`` turns them off."""
+    umath = _umath()
+    groups = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
+    for on in (groups, groups[:-1], groups[:1], []):
+        monkeypatch.setattr(umath, "__cpu_features__", dict.fromkeys(on, True))
+        want = on[-1] if on else "unknown"
+        assert cpu_feature_group() == want
+        assert cores().endswith(f" with numpy dispatch {want}")
 
 
 def test_current_code_rewrites_every_fixture_byte_for_byte():

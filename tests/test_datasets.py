@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,13 @@ def test_train_and_eval_rows_are_views_split_at_n_train():
     assert x_ev.tolist() == features[3:].tolist() and y_ev.tolist() == [3, 4]
     for rows in (x_tr, x_ev):
         assert np.shares_memory(rows, task.features) and rows.flags.c_contiguous
+
+
+def test_split_views_are_made_once_and_remade_by_replace():
+    task = TaskSpec(0, np.arange(10.0).reshape(5, 2), np.arange(5), n_eval=2)
+    assert task.train_xy() is task.train_xy() and task.eval_xy() is task.eval_xy()
+    wider = replace(task, n_eval=4)
+    assert [len(x) for x, _ in (wider.train_xy(), wider.eval_xy())] == [1, 4]
 
 
 @pytest.mark.parametrize(

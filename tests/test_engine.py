@@ -487,6 +487,17 @@ def test_one_id_serve_of_one_vector_is_a_read_only_row(tag, conflicting_tasks):
             assert served.tobytes() == stacked[0].tobytes()
 
 
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_stacked_serve_of_no_ids_is_an_empty_stack(tag, conflicting_tasks):
+    """Every method serves no ids as a (0, M) float stack, with and without a
+    deletion, as it serves K ids as (K, M)."""
+    system, _ = build_system(tag, conflicting_tasks[:3])
+    for system in (system, unlearn(system, 1)[0]):
+        for shard in system.shards:
+            empty = METHODS[tag].serve(system, shard, [])
+            assert empty.shape == (0, SPEC.param_count) and empty.dtype == np.float64
+
+
 def test_evaluate_rejects_unknown_mode(conflicting_tasks):
     system, _ = build_system("ft_merge", conflicting_tasks[:2])
     with pytest.raises(ValueError, match="unknown evaluation mode"):

@@ -249,6 +249,33 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
     assert same_bytes(rows[1], frozen_emr_localize(emr, 1, other, m0))
 
 
+@given(st.integers(0, 2**32), st.sampled_from([1, 12]), st.integers(1, 120))
+@settings(max_examples=10, deadline=None)
+def test_served_bytes_match_frozen_serve_at_serve_delete_size(seed, k, n):
+    # M = 17,154 (MLP 64-256-2) spans several of numpy's 8,192-entry buffers
+    r = np.random.default_rng(seed)
+    m = ModelSpec("mlp", 64, 2, 256).param_count
+    acc = r.integers(-(1 << 40), 1 << 40, size=m)  # sums of either sign
+    acc[r.random(m) < 0.1] = 0
+    m0 = r.normal(size=m)
+    m0[r.random(m) < 0.2] = -0.0
+    m0[r.random(m) < 0.1] = 0.0
+    masks = [BitMask.from_bools(r.random(m) < r.random()) for _ in range(k)]
+    state = MergedState(FxpVector(acc), n, dict(enumerate(masks)))
+    alphas = r.choice(ALPHA_GRID_DEFAULT, size=(k, 1))
+    rows = localize_stack(state, masks, m0, alphas)
+    for row, mask, alpha in zip(rows, masks, alphas[:, 0], strict=True):
+        assert same_bytes(row, frozen_localize_masked(state, mask, m0, alpha))
+    rows = localize_stack(state, masks, m0)
+    for row, mask in zip(rows, masks, strict=True):
+        assert same_bytes(row, frozen_localize_masked(state, mask, m0))
+    # EMR: the sum's entries, of either sign, as the unified vector
+    emr = EmrArtifacts(dequantize(state.accumulator), dict(enumerate(r.uniform(0.5, 2.0, k))))
+    rows = emr_localize(emr, list(range(k)), masks, m0)
+    for t, (row, mask) in enumerate(zip(rows, masks, strict=True)):
+        assert same_bytes(row, frozen_emr_localize(emr, t, mask, m0))
+
+
 def test_merged_state_equality_ignores_the_cached_sum():
     a, b = rand_tvs(2, 6)
     state, twin = merge([a, b]), merge([a, b])
