@@ -2,17 +2,18 @@
 
 A checkpoint is the engine's ``SystemState`` without its task data, plus a
 ledger snapshot. The file stores the method and model configuration, the
-seeds that all randomness derives from, the task-to-shard assignment, and the
-shards as the engine holds them (exact fixed-point accumulator, bit-packed
-masks, method artifacts), plus the per-task replay digests and the unlearned
+seeds that all randomness derives from, a task-to-shard assignment table
+derived from the shards' lists, and the shards as the engine holds them
+(exact fixed-point accumulator, bit-packed masks, method artifacts), plus the per-task replay digests and the unlearned
 ids. A loaded system has an empty registry; ``system_from_checkpoint``
 reattaches the tasks from the dataset.
 
 Layouts are canonical (ids ascending where order is not semantic), so saving
 a loaded checkpoint reproduces the original bytes. Each shard's block lists
 its retained ids (ascending) and its unlearned ids (deletion order); the
-writer writes the shard's own lists, and the reader rejects a file whose
-lists, or whose digests, disagree with its assignment. The ledger stores
+writer writes the shard's own lists and derives the assignment table from
+them, and the reader, which takes the table as outside input, rejects a file
+whose lists, or whose digests, disagree with it. The ledger stores
 task-finetune counts and, for each phase, its step count: the count times
 ``steps``, which the writer derives and the reader checks.
 
@@ -130,7 +131,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _w(fh, "QQQQ", led.build_finetunes, led.build_finetunes * cfg.steps,
        led.unlearn_finetunes, led.unlearn_finetunes * cfg.steps)
     _w(fh, "I", len(system.shards))
-    pairs = sorted(system.assignment.items())
+    pairs = sorted((t, c) for c, s in enumerate(system.shards) for t in s.retained + s.unlearned)
     _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
     for shard in system.shards:
         _write_shard(fh, system, shard)
@@ -235,7 +236,6 @@ def _parse(raw: bytes) -> Checkpoint:
         model_spec,
         train_cfg,
         {},
-        dict(pairs),
         base_seed=base_seed,
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
@@ -263,8 +263,9 @@ def _artifact_flags(tag: str, retains: bool) -> int:
 def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
     """Read shard ``c``, adding its digests to ``system``.
 
-    ``assigned`` is every task id the assignment routes to the shard,
-    ascending; the block's task lists and digests must agree with it, and
+    ``assigned`` is every task id the file's assignment table routes to the
+    shard, ascending; the block's task lists and digests must agree with it,
+    so the lists the loaded system routes by are the table's, and
     its vectors must have the model's parameter count. A method that trains
     per task keeps an accumulator and one digest per assigned task; central
     keeps neither.
@@ -283,8 +284,9 @@ def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
     accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
     digests = _r_table(fh, "I32s")
     digest_ids = [t for t, _ in digests]  # a list, so a repeated id fails the check below
+    members = set(assigned)
     for t in digest_ids:
-        if system.assignment.get(t) != c:
+        if t not in members:
             raise CheckpointFormatError(f"shard {c}: digest of task {t}, not in this shard")
     if digest_ids != (assigned if per_task else []):
         raise CheckpointFormatError(
@@ -340,7 +342,7 @@ def system_from_checkpoint(ckpt: Checkpoint, tasks) -> SystemState:
     missing = sorted(set(system.retained) - set(by_id))
     if missing:
         raise CheckpointFormatError(f"dataset is missing task ids {missing}")
-    registry = {t: by_id[t] for t in sorted(system.assignment) if t in by_id}
+    registry = {t: by_id[t] for t in sorted(system.retained + system.unlearned) if t in by_id}
     dim = system.model_spec.input_dim
     for task in registry.values():
         if task.input_dim != dim:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import fcntl
+import io
 import itertools
 import json
 import os
@@ -137,13 +138,19 @@ def _tasks_for(cfg: RunConfig):
 
 
 def _write_rows(path, rows, append: bool = False) -> None:
+    """Write the header and ``rows`` as a fresh CSV, whole, by ``write_atomic``;
+    or append ``rows``, after the header only when the file is new."""
     path = Path(path)
-    fresh = not (append and path.exists())
-    with open(path, "a" if append else "w", newline="", encoding="utf8") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(["method", "event_index", "task_id", "metric", "value"])
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if not (append and path.exists()):
+        writer.writerow(["method", "event_index", "task_id", "metric", "value"])
+    writer.writerows(rows)
+    if not append:
+        write_atomic(path, [buf.getvalue().encode()])
+        return
+    with open(path, "a", newline="", encoding="utf8") as fh:
+        fh.write(buf.getvalue())
 
 
 def _eval_rows(method: str, event_index: int, report) -> list:
@@ -284,9 +291,8 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
     cfg = _config_from(params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ids = list(task_ids)
-    if ids_file:
-        ids.extend(sorted(_parse_ids(None, ids_file)))
+    # a repeated id is one request: first the --id values, then the file's ascending
+    ids = list(dict.fromkeys([*task_ids, *sorted(_parse_ids(None, ids_file) or ())]))
     if not ids:
         raise click.UsageError("nothing to unlearn: pass --id or --ids-file")
     with _writer_lock(checkpoint):  # held from the read through the CSV append

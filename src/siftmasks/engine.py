@@ -16,9 +16,10 @@ A replay that fails to reproduce the stored digest is a hard error: exactness
 is void once determinism breaks, so the engine refuses to proceed.
 
 Every system is a tuple of shards, each listing the tasks it retains and the
-tasks deleted from it, plus an assignment that routes each task id to its
-shard; an unclustered system is one shard, as in SISA shard retraining. A
-deletion touches only its task's shard. Shards are made in one place,
+tasks deleted from it; those lists are the only record of which shard holds
+a task, and a deletion or serve finds its task's shard by scanning them. An
+unclustered system is one shard, as in SISA shard retraining. A deletion
+touches only its task's shard. Shards are made in one place,
 ``_fresh_shards``: a build, a rebuild and an audit each train every task they
 need, across shards, in one lockstep call, and fold each chunk into its
 shards as it finishes. Each vector is quantized once, for its digest and its
@@ -136,9 +137,9 @@ class SystemState:
     """Everything needed to serve, delete from, and audit one built system.
 
     The registry and replay digests are held once, keyed by task id; each
-    shard lists its own tasks, and ``assignment`` routes each task to the
-    shard that serves it. A system loaded from a checkpoint has an empty
-    registry until its tasks are reattached.
+    shard lists its own tasks, and a task is routed to the shard whose
+    retained or unlearned ids list it. A system loaded from a checkpoint has
+    an empty registry until its tasks are reattached.
     """
 
     method: LocalizationMethod
@@ -151,7 +152,6 @@ class SystemState:
     sign_vector: BitMask | None
     registry: dict[int, TaskSpec]
     replay_digests: dict[int, bytes]
-    assignment: dict[int, int]
     shards: tuple[Shard, ...] = ()
 
     @property
@@ -190,6 +190,12 @@ class MethodOps:
     # each retained task trains alone, in its operation's one lockstep call,
     # and keeps a replay digest; otherwise ``finish`` gets no vectors
     per_task: bool = True
+
+    @property
+    def serve_unlearned(self) -> Callable[[SystemState, Shard, list[int]], np.ndarray]:
+        """The stacked serve of unlearned tasks, which keep no mask: the
+        shard's maskless average where the method stores masks, else its serve."""
+        return _serve_merged if self.stores_masks else self.serve
 
 
 def _digest(quantized: FxpVector) -> bytes:
@@ -352,7 +358,6 @@ def new_system(
     model_spec: ModelSpec,
     train_cfg: TrainConfig,
     registry: dict[int, TaskSpec],
-    assignment: dict[int, int],
     *,
     base_seed: int,
     sign_seed: int,
@@ -373,7 +378,6 @@ def new_system(
         sign_vector=signs,
         registry=registry,
         replay_digests={},
-        assignment=assignment,
     )
 
 
@@ -403,19 +407,18 @@ def build(
         if t.input_dim != model_spec.input_dim:
             raise DataFormatError(f"task {t.id} feature dim != model input_dim")
 
+    members = {c: ([], ()) for c in range(clusters)}
+    for t, c in sorted(cluster_random(ids, clusters, cluster_seed).items()):
+        members[c][0].append(t)  # ascending ids
     system = new_system(
         method,
         model_spec,
         cfg,
         {t.id: t for t in tasks},
-        cluster_random(ids, clusters, cluster_seed),
         base_seed=base_seed,
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    members = {c: ([], ()) for c in range(clusters)}
-    for t in tasks:  # ascending ids
-        members[system.assignment[t.id]][0].append(t.id)
     shards, system.replay_digests, _ = _fresh_shards(system, members)
     system.shards = tuple(shards)
     return system, CostLedger(build_finetunes=len(tasks))
@@ -433,8 +436,8 @@ def unlearn(
     audit is not charged to the ledger. Without it both flags are True by
     construction and nothing is compared.
     """
-    c = system.assignment.get(task_id)
-    if c is None or task_id not in system.shards[c].retained:
+    c = next((c for c, shard in enumerate(system.shards) if task_id in shard.retained), None)
+    if c is None:
         raise UnknownTaskError(f"task {task_id} is unknown or already unlearned")
     ops = METHODS[system.method.tag]
     old = system.shards[c]
@@ -520,23 +523,16 @@ def serve_for_task(system: SystemState, task_id: int) -> np.ndarray:
     method: row 0 of its one-id stacked serve, read-only where the method
     serves one vector to every task of the shard.
 
-    A task without a stored mask (an unlearned one) gets its shard's maskless
-    average; an id the system never held raises ``UnknownTaskError``.
+    The shard is the one whose lists hold the id, and an unlearned task gets
+    ``serve_unlearned``; an id the system never held raises ``UnknownTaskError``.
     """
     ops = METHODS[system.method.tag]
-    c = system.assignment.get(task_id)
-    if c is None:
-        raise UnknownTaskError(f"task {task_id} is not a task of this system")
-    shard = system.shards[c]
-    return _serve_of(ops, shard, task_id)(system, shard, [task_id])[0]
-
-
-def _serve_of(ops: MethodOps, shard: Shard, task_id: int):
-    """The stacked serve of one task of the shard: its method's, or the
-    maskless average where the method stores masks and the task has none."""
-    if ops.stores_masks and task_id not in shard.merged.masks:
-        return _serve_merged
-    return ops.serve
+    for shard in system.shards:
+        if task_id in shard.retained:
+            return ops.serve(system, shard, [task_id])[0]
+        if task_id in shard.unlearned:
+            return ops.serve_unlearned(system, shard, [task_id])[0]
+    raise UnknownTaskError(f"task {task_id} is not a task of this system")
 
 
 def evaluate(system: SystemState, mode: str) -> EvalReport:
@@ -544,21 +540,19 @@ def evaluate(system: SystemState, mode: str) -> EvalReport:
 
     held_in covers retained tasks, each served by its localized model;
     held_out covers every task, with unlearned tasks served masklessly.
-    Tasks are grouped shard by shard, by serve (the method's for retained
-    ids; for unlearned ids the maskless average where the method stores
-    masks, else the method's) and eval row count, and each group is served
-    and scored in stacked passes of ``pass_size`` tasks: per pass, one gather
-    of the tasks' held-out views (one concatenate per array), one stacked
-    serve and one ``accuracy`` call, each row with the bits of serving and
-    scoring its task alone.
+    Tasks are grouped shard by shard, by serve (``serve`` for retained ids,
+    ``serve_unlearned`` for unlearned ones) and eval row count, and each
+    group is served and scored in stacked passes of ``pass_size`` tasks: per
+    pass, one gather of the tasks' held-out views (one concatenate per
+    array), one stacked serve and one ``accuracy`` call, each row with the
+    bits of serving and scoring its task alone.
     """
     if mode not in ("held_in", "held_out"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     ops = METHODS[system.method.tag]
     by_serve = [(c, ops.serve, shard.retained) for c, shard in enumerate(system.shards)]
     if mode == "held_out":
-        lost = _serve_merged if ops.stores_masks else ops.serve
-        by_serve += [(c, lost, shard.unlearned) for c, shard in enumerate(system.shards)]
+        by_serve += [(c, ops.serve_unlearned, s.unlearned) for c, s in enumerate(system.shards)]
     missing = sorted(t for *_, ids in by_serve for t in ids if t not in system.registry)
     if missing:
         raise DataFormatError(f"dataset is missing task ids {missing}, read by {mode} evaluation")

@@ -26,6 +26,11 @@ def conflicting_tasks():
     return synth_generate(regime, 8, 30, 10, 3, seed=11)
 
 
+def routes(system):
+    """Each task id of the system mapped to the shard whose lists hold it."""
+    return {t: c for c, shard in enumerate(system.shards) for t in shard.retained + shard.unlearned}
+
+
 def make_task(task_id, features, labels, n_eval=0):
     return TaskSpec(
         id=task_id,

@@ -32,7 +32,7 @@ def frozen_emr_localize(emr, task_id, mask, m0):
 def frozen_serve_for_task(system, task_id):
     """The engine's per-method dispatch, on the frozen functions above."""
     tag = system.method.tag
-    shard = system.shards[system.assignment[task_id]]
+    shard = next(s for s in system.shards if task_id in s.retained + s.unlearned)
     m0 = system.m0
     if tag == "central":
         return shard.central_params

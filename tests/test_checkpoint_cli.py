@@ -117,7 +117,7 @@ def test_unlearned_ids_read_back_as_held_in_memory(tmp_path):
     system, ledger = build(LocalizationMethod("sift_masks"), tasks, SPEC, CFG,
                            base_seed=1, sign_seed=2, clusters=3)
     for c in (2, 0):
-        system, _, delta = unlearn(system, min(t for t, s in system.assignment.items() if s == c))
+        system, _, delta = unlearn(system, min(system.shards[c].retained))
         ledger.add(delta)
     path = tmp_path / "ck.sftm"
     save_checkpoint(checkpoint_from_system(system, ledger), path)
@@ -371,6 +371,62 @@ def test_cli_unlearn_ids_file(tmp_path):
                    "--ids-file", str(ids), "--out-dir", out) == 0
     ckpt = load_checkpoint(f"{out}/checkpoint.sftm")
     assert ckpt.system.unlearned == (1, 3)
+
+
+def _trained_run(tmp_path):
+    """A run directory holding a trained sift checkpoint; its config, data
+    and checkpoint paths."""
+    out = str(tmp_path / "run")
+    run_cli("gen-data", "--out-dir", out, *BASE_FLAGS)
+    cfg, data = f"{out}/gen_config.json", f"{out}/dataset.jsonl"
+    assert run_cli("train", "--config", cfg, "--data", data, "--out-dir", out) == 0
+    return out, cfg, data, f"{out}/checkpoint.sftm"
+
+
+@pytest.mark.parametrize("form", ["flags", "file", "flag_and_file"])
+def test_cli_unlearn_repeated_id_is_one_deletion(form, tmp_path):
+    """An id given twice, as two --id flags, twice in --ids-file, or once each
+    way, is deleted once: exit 0, one CSV event, and the checkpoint bytes of
+    a single --id."""
+    out, cfg, data, ckpt = _trained_run(tmp_path)
+    common = ["--config", cfg, "--data", data, "--checkpoint", ckpt, "--out-dir", out]
+    trained = Path(ckpt).read_bytes()
+    assert run_cli("unlearn", *common, "--id", "2") == 0
+    single = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(trained)
+    Path(out, "exactness.csv").unlink()
+    ids = tmp_path / "ids.txt"
+    ids.write_text("2\n2\n" if form == "file" else "2\n")
+    args = {"flags": ["--id", "2", "--id", "2"], "file": ["--ids-file", str(ids)],
+            "flag_and_file": ["--id", "2", "--ids-file", str(ids)]}[form]
+    assert run_cli("unlearn", *common, *args) == 0
+    assert Path(ckpt).read_bytes() == single
+    rows = list(csv.reader(Path(out, "exactness.csv").open(newline="")))[1:]
+    assert {(row[1], row[2]) for row in rows} == {("1", "2")}
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "simulate"])
+def test_cli_csv_is_replaced_whole_or_not_at_all(command, tmp_path, monkeypatch, capsys):
+    """A fresh CSV goes through the atomic writer: when its rename fails, the
+    old file keeps its bytes and no temporary file is left beside it."""
+    out, cfg, data, ckpt = _trained_run(tmp_path)
+    name, args = {
+        "eval": ("eval_held_out.csv", ["--config", cfg, "--data", data, "--checkpoint", ckpt]),
+        "report": ("report.csv", ["--checkpoint", ckpt]),
+        "simulate": ("cost_projection.csv", ["--config", cfg]),
+    }[command]
+    old = b"method,event_index,task_id,metric,value\r\nold,1,,row,0\r\n"
+    Path(out, name).write_bytes(old)
+    before = sorted(os.listdir(out))
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run_cli(command, *args, "--out-dir", out) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert Path(out, name).read_bytes() == old
+    assert sorted(os.listdir(out)) == before
 
 
 @pytest.mark.parametrize("regime", ["distinct", "similar"])

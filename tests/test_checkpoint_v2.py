@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import routes
 from siftmasks.checkpoint import (
     _F_MASKS,
     _F_TIES,
@@ -255,7 +256,7 @@ def packed_ids(ids) -> bytes:
 )
 def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path, capsys):
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
-    table = dict(sorted(ckpt.system.assignment.items()))
+    table = dict(sorted(routes(ckpt.system).items()))
     retained = [t for t, c in table.items() if c == 0]
 
     def layout(unlearned) -> bytes:
@@ -281,7 +282,7 @@ def test_task_lists_disagreeing_with_assignment_exit_2(target, command, tmp_path
 
 def test_digest_filed_under_wrong_shard_rejected(tmp_path):
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
-    table = ckpt.system.assignment
+    table = routes(ckpt.system)
     other = next(t for t, c in table.items() if c != table[1])
     digest = ckpt.system.replay_digests[1]
     path = corrupt_copy(
@@ -301,7 +302,7 @@ def test_assignment_not_strictly_ascending_exits_2(change, tmp_path, capsys):
     """Saving such a file would sort and merge its pairs, so it could not
     reproduce its bytes; the reader rejects it."""
     ckpt = load_checkpoint(DATA / "sift_masks_k3_fresh.sftm")
-    pairs = sorted(ckpt.system.assignment.items())
+    pairs = sorted(routes(ckpt.system).items())
     bad = [pairs[1], pairs[0], *pairs[2:]] if change == "swapped" else [pairs[0], *pairs]
     path = corrupt_copy(
         tmp_path, "sift_masks_k3_fresh", assignment_table(pairs), assignment_table(bad)
@@ -669,7 +670,9 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("bad", [2**32, -1, np.int64(2**32)], ids=["2**32", "-1", "np.int64"])
 def test_save_rejects_id_outside_u32_before_writing(bad, tmp_path):
     ckpt = load_checkpoint(DATA / "sift_masks_fresh.sftm")
-    ckpt.system.assignment[bad] = ckpt.system.assignment.pop(5)
+    shard = ckpt.system.shards[0]
+    retained = tuple(bad if t == 5 else t for t in shard.retained)
+    ckpt.system.shards = (replace(shard, retained=retained),)
     ckpt.system.replay_digests[bad] = ckpt.system.replay_digests.pop(5)
     path = tmp_path / "out.sftm"
     with pytest.raises(struct.error):

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import fields as dataclass_fields
 from dataclasses import is_dataclass, replace
@@ -5,7 +6,7 @@ from dataclasses import is_dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import make_task
+from conftest import make_task, routes
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging
 from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
@@ -141,13 +142,23 @@ def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
     assert costs[0] == costs[1] == costs[2] == 3
 
 
-def test_unlearn_unknown_or_repeated_id(conflicting_tasks):
-    system, _ = build_system("ft_merge", conflicting_tasks[:3])
-    with pytest.raises(UnknownTaskError, match="task 99 is unknown or already unlearned"):
-        unlearn(system, 99)
-    system, _, _ = unlearn(system, 1)
-    with pytest.raises(UnknownTaskError, match="task 1 is unknown or already unlearned"):
-        unlearn(system, 1)
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_unlearn_unknown_or_repeated_id(tag, clusters, conflicting_tasks):
+    """A never-held id and an unlearned one raise and leave the state as it
+    was; a retained id of the last shard is found there and deleted from it."""
+    system, _ = build_system(tag, conflicting_tasks[:6], clusters=clusters, cluster_seed=7)
+    victim = system.shards[0].retained[0]
+    system, _, _ = unlearn(system, victim)
+    for t in (99, victim):
+        before = copy.deepcopy(system)
+        with pytest.raises(UnknownTaskError, match=f"task {t} is unknown or already unlearned"):
+            unlearn(system, t)
+        assert _same_bits(system, before)
+    other = system.shards[-1].retained[-1]
+    after, report, _ = unlearn(system, other)
+    assert report.exact and after.shards[-1].unlearned[-1] == other
+    assert all(a is b for a, b in zip(after.shards[:-1], system.shards[:-1]))
 
 
 def test_unlearn_last_task_is_free(conflicting_tasks):
@@ -416,15 +427,27 @@ def test_all_unlearned_serves_base_model(conflicting_tasks):
     assert held_out.per_task == zeroshot
 
 
-def test_unlearned_tasks_served_masklessly(conflicting_tasks):
-    system, _ = build_system("sift_masks", conflicting_tasks)
-    system, _, _ = unlearn(system, 0)
-    assert np.array_equal(
-        serve_for_task(system, 0), serve_merged(system.shards[0].merged, system.m0)
-    )
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_unlearned_tasks_served_masklessly(tag, clusters, conflicting_tasks):
+    """An unlearned task of the last shard gets that shard's maskless
+    average where the method stores masks, else the method's serve; a
+    retained task there gets its own serve; each as the frozen reference
+    serves it."""
+    system, _ = build_system(tag, conflicting_tasks, clusters=clusters, cluster_seed=7)
+    victim = system.shards[-1].retained[0]
+    system, _, _ = unlearn(system, victim)
+    shard = system.shards[-1]
+    for t in (victim, shard.retained[0]):
+        assert serve_for_task(system, t).tobytes() == frozen_serve_for_task(system, t).tobytes()
+    if METHODS[tag].stores_masks:
+        maskless = serve_merged(shard.merged, system.m0)
+        assert serve_for_task(system, victim).tobytes() == maskless.tobytes()
     # an id the system never held is named, not a bare KeyError
+    before = copy.deepcopy(system)
     with pytest.raises(UnknownTaskError, match="task 99 is not a task of this system"):
         serve_for_task(system, 99)
+    assert _same_bits(system, before)
 
 
 @pytest.mark.parametrize("name", V2_FIXTURES)
@@ -448,9 +471,9 @@ def test_served_after_unlearn_equals_fresh_build(tag, clusters, conflicting_task
         serve_for_task(system, t)
     cached = [(s.merged, s.merged.summed, s.merged.mean) for s in system.shards]
     system, _, _ = unlearn(system, victim)
-    c = system.assignment[victim]
+    c = routes(system)[victim]
     fresh, _ = build_system(tag, [t for t in tasks if t.id != victim
-                                  and system.assignment[t.id] == c])
+                                  and routes(system)[t.id] == c])
     for t in fresh.retained:
         assert serve_for_task(system, t).tobytes() == serve_for_task(fresh, t).tobytes()
     maskless = serve_merged(fresh.shards[0].merged, fresh.m0)
@@ -474,16 +497,17 @@ def test_one_id_serve_of_one_vector_is_a_read_only_row(tag, conflicting_tasks):
     )
     ops = METHODS[tag]
     for system in (built, loaded):
-        served_alone = [t for t in system.assignment
+        served_alone = [t for t in routes(system)
                         if not ops.stores_masks or t in system.unlearned]
         assert served_alone
         for t in served_alone:
-            shard = system.shards[system.assignment[t]]
+            shard = system.shards[routes(system)[t]]
             served = serve_for_task(system, t)
             assert served.base is not None and not served.flags.writeable
             with pytest.raises(ValueError):
                 served.flags.writeable = True
-            stacked = engine._serve_of(ops, shard, t)(system, shard, [t, t])
+            serve = ops.serve if t in shard.retained else ops.serve_unlearned
+            stacked = serve(system, shard, [t, t])
             assert served.tobytes() == stacked[0].tobytes()
 
 
@@ -523,7 +547,7 @@ def test_cluster_random_shapes_and_determinism():
 def test_single_cluster_equals_unclustered(conflicting_tasks):
     plain, plain_led = build_system("sift_masks", conflicting_tasks)
     one, led = build_system("sift_masks", conflicting_tasks, clusters=1, cluster_seed=11)
-    assert one.assignment == plain.assignment == {t.id: 0 for t in conflicting_tasks}
+    assert routes(one) == routes(plain) == {t.id: 0 for t in conflicting_tasks}
     (only,), (plain_shard,) = one.shards, plain.shards
     assert np.array_equal(
         only.merged.accumulator.values, plain_shard.merged.accumulator.values
@@ -547,12 +571,12 @@ def test_singleton_clusters_central_equals_local_ft(conflicting_tasks):
 def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
     system, _ = build_system("central", conflicting_tasks, clusters=2, cluster_seed=11)
     target = conflicting_tasks[0].id
-    c = system.assignment[target]
+    c = routes(system)[target]
     other = 1 - c
     before = system.shards[other].central_params.copy()
     after, report, delta = unlearn(system, target)
     assert np.array_equal(after.shards[other].central_params, before)
-    cluster_size = sum(1 for t, ci in system.assignment.items() if ci == c)
+    cluster_size = sum(1 for t, ci in routes(system).items() if ci == c)
     assert delta.unlearn_finetunes == cluster_size - 1
     assert report.exact
     with pytest.raises(UnknownTaskError):
@@ -752,7 +776,7 @@ def test_pooled_shards_match_one_shard_builds(tag, conflicting_tasks):
     of its own tasks, fresh and after one deletion in every shard."""
     system, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
     alone = [
-        build_system(tag, [t for t in conflicting_tasks if system.assignment[t.id] == c])[0]
+        build_system(tag, [t for t in conflicting_tasks if routes(system)[t.id] == c])[0]
         for c in range(3)
     ]
 
@@ -864,7 +888,7 @@ def test_stacked_evaluate_equals_per_task_scoring(tag, clusters, conflicting_tas
     for bound in (merging.MAX_SCORE_ENTRIES, 1):
         monkeypatch.setattr(merging, "MAX_SCORE_ENTRIES", bound)
         for mode in ("held_in", "held_out"):
-            ids = sorted(system.assignment) if mode == "held_out" else list(system.retained)
+            ids = sorted(routes(system)) if mode == "held_out" else list(system.retained)
             want = [accuracy(frozen_serve_for_task(system, t), SPEC, *system.registry[t].eval_xy())
                     for t in ids]
             passes.clear()
@@ -877,7 +901,7 @@ def test_stacked_evaluate_equals_per_task_scoring(tag, clusters, conflicting_tas
             if bound == 1:
                 assert passes == [1] * len(ids)
             else:  # one pass per (shard, served with a mask, eval rows) group
-                shards = [system.assignment[t] for t in ids]
+                shards = [routes(system)[t] for t in ids]
                 masked = [METHODS[tag].stores_masks and t in system.retained for t in ids]
                 rows = [system.registry[t].n_eval for t in ids]
                 assert len(passes) == len(set(zip(shards, masked, rows)))
