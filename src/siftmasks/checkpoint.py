@@ -1,27 +1,45 @@
-"""Binary checkpoint: magic "SFTM", versioned, little-endian throughout.
+"""Binary checkpoint, version 3: a sealed file (``sealed.seal``) of magic
+"SFTM", little-endian throughout, that stores each fact once.
 
 A checkpoint is the engine's ``SystemState`` without its task data, plus a
-ledger snapshot. The file stores the method and model configuration, the
-seeds that all randomness derives from, a task-to-shard assignment table
-derived from the shards' lists, and the shards as the engine holds them
-(exact fixed-point accumulator, bit-packed masks, method artifacts), plus the per-task replay digests and the unlearned
-ids. A loaded system has an empty registry; ``system_from_checkpoint``
-reattaches the tasks from the dataset.
+ledger snapshot. Its body holds, in this order:
 
-Layouts are canonical (ids ascending where order is not semantic), so saving
-a loaded checkpoint reproduces the original bytes. Each shard's block lists
-its retained ids (ascending) and its unlearned ids (deletion order); the
-writer writes the shard's own lists and derives the assignment table from
-them, and the reader, which takes the table as outside input, rejects a file
-whose lists, or whose digests, disagree with it. The ledger stores
-task-finetune counts and, for each phase, its step count: the count times
-``steps``, which the writer derives and the reader checks.
+* the header (``_HEADER``): the method and model-kind codes (indices into
+  METHOD_TAGS and MODEL_KINDS), the model spec and SCALE_BITS, the train
+  config, the seeds and ties_density; then the density and alpha grids, each
+  a u32 count and its floats;
+* the ledger's two task-finetune counts (each is ``steps`` optimizer steps);
+* the shard count, then each shard: its retained ids (a u32 count, then the
+  ids, strictly ascending) and its unlearned ids (count, ids, in deletion
+  order), then what its method keeps, none with a length of its own: where
+  the method trains per task, the exact fixed-point accumulator (M i64) and
+  one 32-byte replay digest per retained id, in retained order; where it
+  stores masks, each retained task's bit-packed mask (ceil(M/32) u32); and
+  the float artifacts its ``finish`` fills (``MethodOps.artifacts``).
 
-The version number also identifies the training kernel whose bits the stored
-replay digests pin: version 1 files were trained by the per-example gradient
-loop, version 2 files by the batched kernel. The file is written whole by
-``sealed.write_atomic``: a reader sees the old file or the new one, and a
-rewrite is durable once ``save_checkpoint`` returns.
+So a shard's layout follows from its method and retained count alone, and a
+task's shard is the one whose lists hold it; no id may appear twice in the
+file. A deleted task keeps its id, which held-out evaluation reads, but not
+its digest, which nothing reads once ``unlearn`` has checked it. Saving a
+loaded checkpoint reproduces its bytes.
+
+The SHA-256 trailer is checked before any field is read, so accidental damage
+(a flipped bit, a cut or an appended byte) fails to load. It does not catch a
+deliberate edit: the file can be resealed, and no hash is kept outside it. So
+the reader still checks every field it can: the codes, the configuration,
+that the shards fit the file before M-entry vectors are allocated, the ids,
+the accumulator's range, the masks' pad bits and that every float is finite.
+
+The version also identifies the training kernel whose bits the stored replay
+digests pin. Version 1 files were trained by an earlier per-example gradient
+loop, whose replays the current trainer cannot match. Version 2 files hold
+the bits of version 3 in a layout that stored some facts twice (an
+assignment table, per-shard flags, digest ids, the digests of deleted tasks,
+the ledger's step counts, vector lengths and a reserved field); reading them
+would take a second reader. Both are refused with a message to retrain with
+``siftmasks train``, which gives a version-2 configuration the same bits.
+The file is written whole by ``sealed.write_atomic``: a reader sees the old
+file or the new one, and a rewrite is durable once ``save_checkpoint`` returns.
 """
 
 from __future__ import annotations
@@ -29,29 +47,44 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system
 from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
-from .sealed import write_atomic
+from .sealed import SealError, seal, unseal, write_atomic
 from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
-VERSION = 2
+VERSION = 3
+# why the files of each earlier version are refused
+_REFUSED = {
+    1: "trained by the per-example gradient loop, whose replays the current trainer cannot match",
+    2: "a layout that stored some facts twice and is no longer read",
+}
 
-# the fixed header, read and written in this order: magic, version, method and
-# model-kind codes (indices into METHOD_TAGS and MODEL_KINDS), a reserved u16,
-# the model spec and SCALE_BITS, the train config, the seeds, ties_density
-_HEADER = "4sIBBHIIIIIIIddddQQQd"
+# the header, read and written in this order after the sealed framing: method
+# and model-kind codes, the model spec and SCALE_BITS, the train config, the
+# seeds, ties_density
+_HEADER = "BBIIIIIIIddddQQQd"
+_DIGEST = 32
 
-_F_MASKS = 1
-_F_EMR = 2
-_F_TALL = 4
-_F_TIES = 8
-_F_CENTRAL = 16
+# Each float artifact a method's ``finish`` fills, by its Shard field: what
+# errors call it, its float count at M parameters and n retained tasks, the
+# floats of a shard, and the field made back from them and the retained ids.
+_ARTIFACTS = {
+    "tall": ("TALL lambdas and alphas", lambda m, n: 2 * n,
+             lambda s: [x for t in s.retained for x in s.tall[t]],
+             lambda v, ids: dict(zip(ids, map(tuple, v.reshape(-1, 2).tolist())))),
+    "emr": ("EMR unified vector and scales", lambda m, n: m + n,
+            lambda s: np.concatenate([s.emr.unified, [s.emr.scales[t] for t in s.retained]]),
+            lambda v, ids: EmrArtifacts(v[:len(v) - len(ids)],
+                                        dict(zip(ids, v[len(v) - len(ids):].tolist())))),
+    "ties_vector": ("TIES vector", lambda m, n: m, lambda s: s.ties_vector, lambda v, ids: v),
+    "central_params": ("central parameters", lambda m, n: m,
+                       lambda s: s.central_params, lambda v, ids: v),
+}
 
 
 class CheckpointFormatError(ValueError):
@@ -72,6 +105,18 @@ def _w(fh, fmt, *vals):
     fh.write(struct.pack("<" + fmt, *vals))
 
 
+def _w_vector(fh, values, dtype: str, length: int, what: str) -> None:
+    """``length`` entries, without a count: the reader knows how many."""
+    data = np.ascontiguousarray(values, dtype=dtype)
+    if data.shape != (length,):
+        raise CheckpointFormatError(f"{what} has {len(data)} entries, expected {length}")
+    fh.write(data)
+
+
+def _w_ids(fh, ids) -> None:
+    _w(fh, f"I{len(ids)}I", len(ids), *ids)
+
+
 def _read_exact(fh, size: int, what: str) -> bytes:
     raw = fh.read(size)
     if len(raw) != size:
@@ -83,94 +128,57 @@ def _r(fh, fmt):
     return struct.unpack("<" + fmt, _read_exact(fh, struct.calcsize("<" + fmt), "checkpoint"))
 
 
-def _w_array(fh, arr: np.ndarray, dtype: str) -> None:
-    data = np.ascontiguousarray(arr, dtype=dtype)
-    _w(fh, "Q", data.shape[0])
-    fh.write(data.tobytes())
-
-
-def _r_array(fh, dtype: str, length: int, what: str) -> np.ndarray:
-    """An array that must hold ``length`` entries; ``what`` names it in errors."""
-    (n,) = _r(fh, "Q")
-    if n != length:
-        raise CheckpointFormatError(f"{what} has {n} entries, expected {length}")
-    raw = _read_exact(fh, n * np.dtype(dtype).itemsize, "array")
+def _r_vector(fh, dtype: str, length: int, what: str) -> np.ndarray:
+    raw = _read_exact(fh, length * np.dtype(dtype).itemsize, what)
     return np.frombuffer(raw, dtype=dtype).copy()
 
 
-def _w_ids(fh, ids) -> None:
-    _w(fh, f"I{len(ids)}I", len(ids), *ids)
-
-
-def _r_table(fh, fmt: str, n: int | None = None) -> list[tuple]:
-    """``n`` entries of ``fmt`` in one read, ``n`` first read as a u32 count
-    when not given; the format is never repeated ``n`` times, since a corrupt
-    count would make that string as long as the count."""
-    if n is None:
-        (n,) = _r(fh, "I")
+def _r_table(fh, fmt: str) -> list[tuple]:
+    """A u32 count, then that many entries of ``fmt`` in one read; the format
+    is never repeated ``n`` times, since a corrupt count would make that
+    string as long as the count."""
+    (n,) = _r(fh, "I")
     raw = _read_exact(fh, n * struct.calcsize("<" + fmt), "table")
     return list(struct.iter_unpack("<" + fmt, raw))
 
 
-def _r_ids(fh) -> list[int]:
-    return [t for (t,) in _r_table(fh, "I")]
+def _r_ids(fh) -> tuple[int, ...]:
+    return tuple(t for (t,) in _r_table(fh, "I"))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     system = ckpt.system
     spec, cfg, method = system.model_spec, system.train_cfg, system.method
     fh = io.BytesIO()
-    _w(fh, _HEADER, MAGIC, VERSION, METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind), 0,
+    _w(fh, _HEADER, METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind),
        spec.input_dim, spec.hidden_dim, spec.num_classes, SCALE_BITS,
        cfg.steps, cfg.batch_size, system.central_max_steps,
        cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
        system.base_seed, system.sign_seed, cfg.seed, method.ties_density)
     for grid in (method.density_grid, method.alpha_grid):
         _w(fh, f"I{len(grid)}d", len(grid), *grid)
-    led = ckpt.ledger
-    _w(fh, "QQQQ", led.build_finetunes, led.build_finetunes * cfg.steps,
-       led.unlearn_finetunes, led.unlearn_finetunes * cfg.steps)
-    _w(fh, "I", len(system.shards))
-    pairs = sorted((t, c) for c, s in enumerate(system.shards) for t in s.retained + s.unlearned)
-    _w(fh, f"I{2 * len(pairs)}I", len(pairs), *chain.from_iterable(pairs))
+    _w(fh, "QQI", ckpt.ledger.build_finetunes, ckpt.ledger.unlearn_finetunes, len(system.shards))
     for shard in system.shards:
         _write_shard(fh, system, shard)
-    write_atomic(path, [fh.getbuffer()])
+    write_atomic(path, seal(MAGIC, VERSION, fh.getbuffer()))
 
 
 def _write_shard(fh, system: SystemState, shard: Shard) -> None:
-    retained = shard.retained
-    digest_ids = [t for t in sorted(retained + shard.unlearned) if t in system.replay_digests]
+    ops, m, retained = METHODS[system.method.tag], system.model_spec.param_count, shard.retained
     _w_ids(fh, retained)
     _w_ids(fh, shard.unlearned)
-    _w_array(
-        fh,
-        np.empty(0, dtype=np.int64) if shard.merged is None else shard.merged.accumulator.values,
-        "<i8",
-    )
-    digests = [system.replay_digests[t] for t in digest_ids]
-    if any(len(d) != 32 for d in digests):
-        raise CheckpointFormatError("digests must be 32 bytes")
-    table = chain.from_iterable(zip(digest_ids, digests))
-    _w(fh, "I" + "I32s" * len(digests), len(digests), *table)
-    flags = _artifact_flags(system.method.tag, bool(retained))
-    _w(fh, "B", flags)
-    m = system.model_spec.param_count
-    if flags & _F_MASKS:
-        for t in retained:
-            words = shard.merged.masks[t].words  # contiguous "<u4", as BitMask stores it
-            if words.shape[0] != mask_words(m):
-                raise CheckpointFormatError("mask word count mismatch")
-            fh.write(words)
-    if flags & _F_EMR:
-        _w_array(fh, shard.emr.unified, "<f8")
-        _w(fh, f"{len(retained)}d", *(shard.emr.scales[t] for t in retained))
-    if flags & _F_TALL:
-        _w(fh, f"{2 * len(retained)}d", *chain.from_iterable(shard.tall[t] for t in retained))
-    if flags & _F_TIES:
-        _w_array(fh, shard.ties_vector, "<f8")
-    if flags & _F_CENTRAL:
-        _w_array(fh, shard.central_params, "<f8")
+    if ops.per_task:
+        _w_vector(fh, shard.merged.accumulator.values, "<i8", m, "accumulator")
+        digests = [system.replay_digests[t] for t in retained]
+        if any(len(d) != _DIGEST for d in digests):
+            raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
+        fh.write(b"".join(digests))
+    if ops.stores_masks:
+        for t in retained:  # contiguous "<u4", as BitMask stores it
+            _w_vector(fh, shard.merged.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
+    for name in ops.artifacts:
+        what, count, floats, _ = _ARTIFACTS[name]
+        _w_vector(fh, floats(shard), "<f8", count(m, len(retained)), what)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -183,20 +191,22 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _parse(raw: bytes) -> Checkpoint:
-    if not raw.startswith(MAGIC):
-        raise CheckpointFormatError("bad magic, not a checkpoint")
-    fh = io.BytesIO(raw)
-    (_, version, method_code, kind_code, _, input_dim, hidden_dim, num_classes, scale_bits,
+    head = raw[:len(MAGIC) + 4]  # an earlier version has no trailer to check first
+    version = int.from_bytes(head[len(MAGIC):], "little")
+    if len(head) == len(MAGIC) + 4 and head.startswith(MAGIC) and version != VERSION:
+        why = _REFUSED.get(version)
+        raise CheckpointFormatError(
+            f"version-{version} checkpoint, {why}; retrain with `siftmasks train`" if why
+            else f"unsupported version {version}"
+        )
+    try:
+        body = unseal(raw, MAGIC, VERSION)
+    except SealError as exc:
+        raise CheckpointFormatError(str(exc)) from None
+    fh = io.BytesIO(body)
+    (method_code, kind_code, input_dim, hidden_dim, num_classes, scale_bits,
      steps, batch_size, central_max_steps, lr, beta1, beta2, eps,
      base_seed, sign_seed, train_seed, ties_density) = _r(fh, _HEADER)
-    if version == 1:
-        raise CheckpointFormatError(
-            "version-1 checkpoint, trained by the per-example gradient loop; "
-            "its replays cannot match the current trainer, so retrain with "
-            "`siftmasks train`"
-        )
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported version {version}")
     if method_code >= len(METHOD_TAGS):
         raise CheckpointFormatError(f"unknown method code {method_code}")
     if kind_code >= len(MODEL_KINDS):
@@ -205,32 +215,19 @@ def _parse(raw: bytes) -> Checkpoint:
         raise CheckpointFormatError(f"scale_bits {scale_bits}, expected {SCALE_BITS}")
     density_grid = tuple(x for (x,) in _r_table(fh, "d"))
     alpha_grid = tuple(x for (x,) in _r_table(fh, "d"))
-    bf, bs, uf, us = _r(fh, "QQQQ")
-    if (bs, us) != (bf * steps, uf * steps):
-        raise CheckpointFormatError(
-            f"ledger steps ({bs}, {us}) are not its task-finetunes ({bf}, {uf}) x {steps} steps"
-        )
-    (n_shards,) = _r(fh, "I")
-    pairs = _r_table(fh, "II")
-    if any(a >= b for (a, _), (b, _) in zip(pairs, pairs[1:])):
-        raise CheckpointFormatError("assignment task ids are not strictly ascending")
-    for t, c in pairs:
-        if c >= n_shards:
-            raise CheckpointFormatError(f"task {t} assigned to shard {c} of {n_shards}")
+    build_finetunes, unlearn_finetunes, n_shards = _r(fh, "QQI")
     try:
         model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
         method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
         train_cfg = TrainConfig(steps, batch_size, lr, beta1, beta2, eps, train_seed)
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from exc
-    # every shard stores an M-entry vector; checked before new_system allocates M entries
-    if not 0 < 8 * model_spec.param_count * n_shards <= len(raw) - fh.tell():
+    # every shard stores an M-entry vector; checked before new_system allocates
+    # M entries, and bounding the shard count by the file from here on
+    if not 0 < 8 * model_spec.param_count * n_shards <= len(body) - fh.tell():
         raise CheckpointFormatError(
             f"{n_shards} shards of {model_spec.param_count} parameters do not fit the file"
         )
-    assigned = [[] for _ in range(n_shards)]  # n_shards is bounded by the file from here on
-    for t, c in pairs:
-        assigned[c].append(t)
     system = new_system(
         method,
         model_spec,
@@ -240,92 +237,50 @@ def _parse(raw: bytes) -> Checkpoint:
         sign_seed=sign_seed,
         central_max_steps=central_max_steps,
     )
-    system.shards = tuple(_read_shard(fh, system, c, ids) for c, ids in enumerate(assigned))
+    listed: set[int] = set()
+    system.shards = tuple(_read_shard(fh, system, c, listed) for c in range(n_shards))
     if fh.read(1):
-        raise CheckpointFormatError("trailing bytes after checkpoint")
-    return Checkpoint(system, CostLedger(bf, uf))
+        raise CheckpointFormatError("trailing bytes after the last shard")
+    return Checkpoint(system, CostLedger(build_finetunes, unlearn_finetunes))
 
 
-def _artifact_flags(tag: str, retains: bool) -> int:
-    """The artifact flags of a shard of method ``tag``: written, and expected.
-
-    Masks are stored iff the method stores them; TALL and EMR artifacts are
-    tuned on the retained tasks, so a shard that retains none has none; a
-    TIES or central shard always keeps its vector.
-    """
-    artifact = {"tall_masks": _F_TALL, "emr": _F_EMR, "ties": _F_TIES, "central": _F_CENTRAL}
-    flags = artifact.get(tag, 0)
-    if not retains and flags in (_F_TALL, _F_EMR):
-        flags = 0
-    return flags | (_F_MASKS if METHODS[tag].stores_masks else 0)
-
-
-def _read_shard(fh, system: SystemState, c: int, assigned: list[int]) -> Shard:
-    """Read shard ``c``, adding its digests to ``system``.
-
-    ``assigned`` is every task id the file's assignment table routes to the
-    shard, ascending; the block's task lists and digests must agree with it,
-    so the lists the loaded system routes by are the table's, and
-    its vectors must have the model's parameter count. A method that trains
-    per task keeps an accumulator and one digest per assigned task; central
-    keeps neither.
-    """
-    retained = tuple(_r_ids(fh))
-    unlearned = tuple(_r_ids(fh))
-    gone = set(unlearned)
-    if sorted(retained + unlearned) != assigned or retained != tuple(
-        t for t in assigned if t not in gone
-    ):
-        raise CheckpointFormatError(
-            f"shard {c}: retained and unlearned ids do not match the assignment"
+def _read_shard(fh, system: SystemState, c: int, listed: set[int]) -> Shard:
+    """Read shard ``c``, adding its digests to ``system``. ``listed`` holds
+    every id the shards before it list, so no id is listed twice in the file."""
+    retained, unlearned = _r_ids(fh), _r_ids(fh)
+    for t in retained + unlearned:
+        if t in listed:
+            raise CheckpointFormatError(f"shard {c}: task {t} is listed twice")
+        listed.add(t)
+    if any(a >= b for a, b in zip(retained, retained[1:])):
+        raise CheckpointFormatError(f"shard {c}: retained ids are not strictly ascending")
+    ops, m = METHODS[system.method.tag], system.model_spec.param_count
+    merged = None
+    if ops.per_task:
+        accumulator = _r_vector(fh, "<i8", m, f"shard {c}: accumulator")
+        digests = _read_exact(fh, _DIGEST * len(retained), f"shard {c}: digests")
+        system.replay_digests.update(
+            (t, digests[i * _DIGEST:(i + 1) * _DIGEST]) for i, t in enumerate(retained)
         )
-    tag, m = system.method.tag, system.model_spec.param_count
-    per_task = METHODS[tag].per_task
-    accumulator = _r_array(fh, "<i8", m if per_task else 0, f"shard {c}: accumulator")
-    digests = _r_table(fh, "I32s")
-    digest_ids = [t for t, _ in digests]  # a list, so a repeated id fails the check below
-    members = set(assigned)
-    for t in digest_ids:
-        if t not in members:
-            raise CheckpointFormatError(f"shard {c}: digest of task {t}, not in this shard")
-    if digest_ids != (assigned if per_task else []):
-        raise CheckpointFormatError(
-            f"shard {c}: digests of tasks {digest_ids}, expected {assigned if per_task else []}"
-        )
-    system.replay_digests.update(digests)
-    (flags,) = _r(fh, "B")
-    expected = _artifact_flags(tag, bool(retained))
-    if flags != expected:
-        raise CheckpointFormatError(
-            f"shard {c}: artifact flags {flags:#04x}, expected {expected:#04x} for {tag}"
-        )
-    masks = {}
-    if flags & _F_MASKS:
-        nw = mask_words(m)
-        for t in retained:
-            raw = _read_exact(fh, 4 * nw, "mask")
+        masks = {}
+        for t in retained if ops.stores_masks else ():
+            words = _r_vector(fh, "<u4", mask_words(m), f"shard {c}: mask")
             try:
-                masks[t] = BitMask(np.frombuffer(raw, dtype="<u4").copy(), m)
+                masks[t] = BitMask(words, m)
             except ValueError as exc:
                 raise CheckpointFormatError(f"shard {c}, task {t}: {exc}") from None
-    emr = None
-    if flags & _F_EMR:
-        unified = _r_array(fh, "<f8", m, f"shard {c}: EMR unified vector")
-        scales = _r_table(fh, "d", len(retained))
-        emr = EmrArtifacts(unified, {t: x for t, (x,) in zip(retained, scales)})
-    tall = dict(zip(retained, _r_table(fh, "dd", len(retained)))) if flags & _F_TALL else None
-    ties_vector = None
-    if flags & _F_TIES:
-        ties_vector = _r_array(fh, "<f8", m, f"shard {c}: TIES vector")
-    if flags & _F_CENTRAL:
-        central = _r_array(fh, "<f8", m, f"shard {c}: central parameters")
-        return Shard(central_params=central, retained=retained, unlearned=unlearned)
-    try:
-        merged = MergedState(FxpVector(accumulator), len(retained), masks)
-    except FxpOverflowError as exc:
-        raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
-    return Shard(merged, emr=emr, tall=tall, ties_vector=ties_vector,
-                 retained=retained, unlearned=unlearned)
+        try:
+            merged = MergedState(FxpVector(accumulator), len(retained), masks)
+        except FxpOverflowError as exc:
+            raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
+    artifacts = {}
+    for name in ops.artifacts:
+        what, count, _, field = _ARTIFACTS[name]
+        floats = _r_vector(fh, "<f8", count(m, len(retained)), f"shard {c}: {what}")
+        if not np.isfinite(floats).all():
+            raise CheckpointFormatError(f"shard {c}: non-finite value in {what}")
+        artifacts[name] = field(floats, retained)
+    return Shard(merged, retained=retained, unlearned=unlearned, **artifacts)
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:

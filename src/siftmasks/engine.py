@@ -136,7 +136,8 @@ class Shard:
 class SystemState:
     """Everything needed to serve, delete from, and audit one built system.
 
-    The registry and replay digests are held once, keyed by task id; each
+    The registry and replay digests are held once, keyed by task id, a
+    digest for each retained task of a method that trains per task; each
     shard lists its own tasks, and a task is routed to the shard whose
     retained or unlearned ids list it. A system loaded from a checkpoint has
     an empty registry until its tasks are reattached.
@@ -190,6 +191,8 @@ class MethodOps:
     # each retained task trains alone, in its operation's one lockstep call,
     # and keeps a replay digest; otherwise ``finish`` gets no vectors
     per_task: bool = True
+    # the Shard fields of the float artifacts ``finish`` fills, on an empty shard too
+    artifacts: tuple[str, ...] = ()
 
     @property
     def serve_unlearned(self) -> Callable[[SystemState, Shard, list[int]], np.ndarray]:
@@ -257,8 +260,6 @@ def _finish_merged(system, ids, vectors, state):
 
 def _finish_tall(system, ids, vectors, state):
     """Grid-search each task's (lambda, alpha, mask) on its training split."""
-    if not vectors:  # every task deleted: an empty shard keeps no artifacts
-        return Shard(state)
     method = system.method
     params: dict[int, tuple[float, float]] = {}
     masks = {}
@@ -273,8 +274,8 @@ def _finish_tall(system, ids, vectors, state):
 
 
 def _finish_emr(system, ids, vectors, state):
-    if not vectors:
-        return Shard(state)
+    if not vectors:  # every task deleted: a zero unified vector, as TIES keeps
+        return Shard(state, emr=EmrArtifacts(np.zeros(state.length), {}))
     art, masks = emr_build(vectors)
     return Shard(replace(state, masks=masks), emr=art)
 
@@ -344,11 +345,18 @@ METHODS: dict[str, MethodOps] = {
         _finish_merged, _serve_sift, subtracts=True, stores_masks=True, signed=True
     ),
     "ft_merge": MethodOps(_finish_merged, _serve_merged, subtracts=True, stores_masks=False),
-    "tall_masks": MethodOps(_finish_tall, _serve_tall, subtracts=False, stores_masks=True),
-    "emr": MethodOps(_finish_emr, _serve_emr, subtracts=False, stores_masks=True),
-    "ties": MethodOps(_finish_ties, _serve_ties, subtracts=False, stores_masks=False),
+    "tall_masks": MethodOps(
+        _finish_tall, _serve_tall, subtracts=False, stores_masks=True, artifacts=("tall",)
+    ),
+    "emr": MethodOps(
+        _finish_emr, _serve_emr, subtracts=False, stores_masks=True, artifacts=("emr",)
+    ),
+    "ties": MethodOps(
+        _finish_ties, _serve_ties, subtracts=False, stores_masks=False, artifacts=("ties_vector",)
+    ),
     "central": MethodOps(
-        _finish_central, _serve_central, subtracts=False, stores_masks=False, per_task=False
+        _finish_central, _serve_central, subtracts=False, stores_masks=False, per_task=False,
+        artifacts=("central_params",),
     ),
 }
 
@@ -463,7 +471,12 @@ def unlearn(
         # rebuilt; a subtracting method's last task is dropped this way for
         # free, since the accumulator then holds exactly its vector
         shard = fresh[0]
-    after = replace(system, shards=system.shards[:c] + (shard,) + system.shards[c + 1:])
+    # the deleted task's digest goes: nothing reads it once its replay is checked
+    after = replace(
+        system,
+        shards=system.shards[:c] + (shard,) + system.shards[c + 1:],
+        replay_digests={t: d for t, d in system.replay_digests.items() if t != task_id},
+    )
     ledger = CostLedger(unlearn_finetunes=deletion_finetunes(ops.subtracts, len(remaining)))
     # without the audit the state holds by construction: integer subtraction
     # of a digest-verified vector is exactly inverse to the addition that

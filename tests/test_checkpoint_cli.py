@@ -742,11 +742,9 @@ def probe_files(tmp_path_factory):
         )
     out = str(root / "run")
     assert run_cli("train", *BASE_FLAGS, "--data", str(root / "data.jsonl"), "--out-dir", out) == 0
-    path = Path(out, "checkpoint.sftm")
-    raw = bytearray(path.read_bytes())
-    at = raw.find(load_checkpoint(path).system.shards[0].merged.accumulator.values.tobytes())
-    raw[at:at + 8] = (2**62 + 5).to_bytes(8, "little")
-    (root / "overflow.sftm").write_bytes(bytes(raw))
+    ckpt = load_checkpoint(Path(out, "checkpoint.sftm"))
+    ckpt.system.shards[0].merged.accumulator.values[0] = 2**62 + 5  # saved unchecked, sealed
+    save_checkpoint(ckpt, root / "overflow.sftm")
     return root
 
 

@@ -26,7 +26,7 @@ from siftmasks.engine import (
     unlearn,
     verify_exactness,
 )
-from siftmasks.merging import METHOD_TAGS, LocalizationMethod, merge, serve_merged
+from siftmasks.merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, merge, serve_merged
 from siftmasks.paramcore import (
     SCALE_BITS,
     BitMask,
@@ -45,9 +45,9 @@ from siftmasks.trainer import (
     ft_finetune,
     init_params,
 )
-from test_checkpoint_v2 import DATA as V2_DATA
-from test_checkpoint_v2 import FIXTURES as V2_FIXTURES
-from test_checkpoint_v2 import make_tasks as v2_tasks
+from test_checkpoint_v3 import DATA as V3_DATA
+from test_checkpoint_v3 import FIXTURES as V3_FIXTURES
+from test_checkpoint_v3 import make_tasks as v3_tasks
 
 SPEC = ModelSpec("logistic", 10, 3)
 CFG = TrainConfig(steps=20, batch_size=16, learning_rate=0.05, seed=99)
@@ -187,6 +187,44 @@ def test_replay_mismatch_is_hard_error(conflicting_tasks):
         unlearn(system, 2)
 
 
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_unlearn_drops_the_deleted_digest_in_a_new_dict(tag, verify, conflicting_tasks):
+    """The new state keeps a digest for each retained task of a per-task
+    method and none for the deleted one; the old state's digests stay."""
+    system, _ = build_system(tag, conflicting_tasks[:3])
+    before = dict(system.replay_digests)
+    after, report, _ = unlearn(system, 1, verify=verify)
+    assert report.exact
+    assert system.replay_digests == before
+    assert set(after.replay_digests) == (set(after.retained) if METHODS[tag].per_task else set())
+    assert all(after.replay_digests[t] == before[t] for t in after.replay_digests)
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_every_finish_fills_the_artifacts_its_row_names_on_an_empty_shard_too(
+    tag, conflicting_tasks
+):
+    """A shard holds exactly the artifacts ``METHODS`` says its ``finish``
+    fills, with tasks and once every task is deleted: TALL then keeps no
+    pairs, EMR a zero unified vector and no scales, TIES a zero vector and
+    central the base model."""
+    system, _ = build_system(tag, conflicting_tasks[:2])
+    emptied = unlearn(unlearn(system, 0)[0], 1)[0]
+    fields = ("tall", "emr", "ties_vector", "central_params")
+    for shard in (system.shards[0], emptied.shards[0]):
+        filled = {f for f in fields if getattr(shard, f) is not None}
+        assert filled == set(METHODS[tag].artifacts)
+    empty, zeros = emptied.shards[0], np.zeros(len(system.m0))
+    assert _same_bits(empty, {
+        "tall_masks": replace(empty, tall={}),
+        "emr": replace(empty, emr=EmrArtifacts(zeros, {})),
+        "ties": replace(empty, ties_vector=zeros),
+        "central": replace(empty, central_params=system.m0),
+    }.get(tag, empty))
+    assert verify_exactness(emptied).exact
+
+
 # ---------- unlearning: rebuild family ----------
 
 
@@ -264,7 +302,7 @@ def test_verify_central(conflicting_tasks):
 
 def test_verify_catches_a_doubled_tall_alpha():
     system = system_from_checkpoint(
-        load_checkpoint(V2_DATA / "tall_masks_fresh.sftm"), v2_tasks()
+        load_checkpoint(V3_DATA / "tall_masks_fresh.sftm"), v3_tasks()
     )
     (shard,) = system.shards
     tall = dict(shard.tall)
@@ -313,14 +351,14 @@ PROBES = {
 }
 
 
-def v2_system(tag, clusters):
-    """The v2 fixture configuration of ``tag`` over ``clusters`` shards, built
+def v3_system(tag, clusters):
+    """The v3 fixture configuration of ``tag`` over ``clusters`` shards, built
     fresh in memory: its floats come from the BLAS kernels that run the test,
     so an audit of it holds on any kernels. (The fixture files pin bytes
-    trained by one set of kernels; ``test_checkpoint_v2`` tests those.)"""
+    trained by one set of kernels; ``test_checkpoint_v3`` tests those.)"""
     method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
     cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
-    system, _ = build(method, v2_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
+    system, _ = build(method, v3_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
                       central_max_steps=12, clusters=clusters, cluster_seed=7)
     return system
 
@@ -329,7 +367,7 @@ def v2_system(tag, clusters):
 @pytest.mark.parametrize("probe", sorted(PROBES))
 def test_verify_catches_every_served_artifact_probe(probe, clusters):
     tag, change = PROBES[probe]
-    system = v2_system(tag, clusters)
+    system = v3_system(tag, clusters)
     assert verify_exactness(system).exact
     c = 1 if clusters == 3 else 0
     shards = list(system.shards)
@@ -375,7 +413,7 @@ def one_entry_changes(value):
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_verify_audits_every_field_of_a_shard(tag):
-    system = v2_system(tag, 1)
+    system = v3_system(tag, 1)
     (shard,) = system.shards
     # which tasks the shard holds, not what it serves: an edited id would
     # retrain a task the registry does not know
@@ -398,7 +436,7 @@ def test_unlearn_with_inline_verify(conflicting_tasks):
 
 
 def test_inline_verify_reports_a_remaining_replay_mismatch():
-    system = v2_system("sift_masks", 1)
+    system = v3_system("sift_masks", 1)
     system.replay_digests[3] = bytes(32)  # a task that stays, never replayed by the deletion
     after, report, _ = unlearn(system, 1, verify=True)
     assert not report.replay_matches and report.state_matches_oracle
@@ -450,9 +488,9 @@ def test_unlearned_tasks_served_masklessly(tag, clusters, conflicting_tasks):
     assert _same_bits(system, before)
 
 
-@pytest.mark.parametrize("name", V2_FIXTURES)
+@pytest.mark.parametrize("name", V3_FIXTURES)
 def test_every_fixture_serves_frozen_bytes(name):
-    system = system_from_checkpoint(load_checkpoint(V2_DATA / f"{name}.sftm"), v2_tasks())
+    system = system_from_checkpoint(load_checkpoint(V3_DATA / f"{name}.sftm"), v3_tasks())
     for t in sorted(system.registry):  # held-out: unlearned tasks too
         want = frozen_serve_for_task(system, t).tobytes()
         assert serve_for_task(system, t).tobytes() == want
@@ -493,7 +531,7 @@ def test_one_id_serve_of_one_vector_is_a_read_only_row(tag, conflicting_tasks):
     built, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
     built, _, _ = unlearn(built, built.shards[1].retained[0])
     loaded = system_from_checkpoint(
-        load_checkpoint(V2_DATA / f"{tag}_deleted1.sftm"), v2_tasks()
+        load_checkpoint(V3_DATA / f"{tag}_deleted1.sftm"), v3_tasks()
     )
     ops = METHODS[tag]
     for system in (built, loaded):

@@ -18,7 +18,7 @@ from siftmasks.sealed import SealError, seal, unseal
 MAGIC = b"TEST"
 PARTS = (b"head", np.arange(5, dtype="<i8"), bytearray(b"\x00\xff"), b"")
 BODY = b"head" + np.arange(5, dtype="<i8").tobytes() + b"\x00\xff"
-FIXTURE = Path(__file__).resolve().parent / "data" / "v2" / "sift_masks_fresh.sftm"
+FIXTURE = Path(__file__).resolve().parent / "data" / "v3" / "sift_masks_fresh.sftm"
 
 
 def sealed_file(magic, version, *parts) -> bytes:
