@@ -38,13 +38,15 @@ assignment table, per-shard flags, digest ids, the digests of deleted tasks,
 the ledger's step counts, vector lengths and a reserved field); reading them
 would take a second reader. Both are refused with a message to retrain with
 ``siftmasks train``, which gives a version-2 configuration the same bits.
-The file is written whole by ``sealed.write_atomic``: a reader sees the old
-file or the new one, and a rewrite is durable once ``save_checkpoint`` returns.
+The file is written by ``sealed.write_atomic`` from chunks, the shards' arrays
+themselves among them: a reader sees the old file or the new one, and a
+rewrite is durable once ``save_checkpoint`` returns. The reader walks the body
+with ``sealed.Body`` and copies each array out: after the 94-byte header every
+field sits at 2 mod 4, so a view would be unaligned, and read-only besides.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, replace
 
@@ -53,7 +55,7 @@ import numpy as np
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system
 from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
-from .sealed import SealError, seal, unseal, write_atomic
+from .sealed import Body, SealError, seal, unseal, write_atomic
 from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
@@ -67,7 +69,9 @@ _REFUSED = {
 # the header, read and written in this order after the sealed framing: method
 # and model-kind codes, the model spec and SCALE_BITS, the train config, the
 # seeds, ties_density
-_HEADER = "BBIIIIIIIddddQQQd"
+_HEADER = struct.Struct("<BBIIIIIIIddddQQQd")
+_LEDGER = struct.Struct("<QQI")  # the two task-finetune counts, then the shard count
+_COUNT = struct.Struct("<I")  # of a table's entries
 _DIGEST = 32
 
 # Each float artifact a method's ``finish`` fills, by its Shard field: what
@@ -99,86 +103,54 @@ class Checkpoint:
     ledger: CostLedger
 
 
-def _w(fh, fmt, *vals):
-    """Pack ``vals`` little-endian in one call, so a whole table is one write;
-    an integer that does not fit its field raises ``struct.error``."""
-    fh.write(struct.pack("<" + fmt, *vals))
+def _pack(fmt, *vals) -> bytes:
+    """``vals`` packed little-endian in one call, so a whole table is one
+    chunk; an integer that does not fit its field raises ``struct.error``."""
+    return struct.pack("<" + fmt, *vals)
 
 
-def _w_vector(fh, values, dtype: str, length: int, what: str) -> None:
-    """``length`` entries, without a count: the reader knows how many."""
+def _vector(values, dtype: str, length: int, what: str) -> np.ndarray:
+    """``values`` as ``length`` contiguous ``dtype`` entries, the array itself
+    where it is one already; stored without a count, which the reader knows."""
     data = np.ascontiguousarray(values, dtype=dtype)
     if data.shape != (length,):
         raise CheckpointFormatError(f"{what} has {len(data)} entries, expected {length}")
-    fh.write(data)
-
-
-def _w_ids(fh, ids) -> None:
-    _w(fh, f"I{len(ids)}I", len(ids), *ids)
-
-
-def _read_exact(fh, size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise CheckpointFormatError(f"truncated {what}")
-    return raw
-
-
-def _r(fh, fmt):
-    return struct.unpack("<" + fmt, _read_exact(fh, struct.calcsize("<" + fmt), "checkpoint"))
-
-
-def _r_vector(fh, dtype: str, length: int, what: str) -> np.ndarray:
-    raw = _read_exact(fh, length * np.dtype(dtype).itemsize, what)
-    return np.frombuffer(raw, dtype=dtype).copy()
-
-
-def _r_table(fh, fmt: str) -> list[tuple]:
-    """A u32 count, then that many entries of ``fmt`` in one read; the format
-    is never repeated ``n`` times, since a corrupt count would make that
-    string as long as the count."""
-    (n,) = _r(fh, "I")
-    raw = _read_exact(fh, n * struct.calcsize("<" + fmt), "table")
-    return list(struct.iter_unpack("<" + fmt, raw))
-
-
-def _r_ids(fh) -> tuple[int, ...]:
-    return tuple(t for (t,) in _r_table(fh, "I"))
+    return data
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     system = ckpt.system
     spec, cfg, method = system.model_spec, system.train_cfg, system.method
-    fh = io.BytesIO()
-    _w(fh, _HEADER, METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind),
-       spec.input_dim, spec.hidden_dim, spec.num_classes, SCALE_BITS,
-       cfg.steps, cfg.batch_size, system.central_max_steps,
-       cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
-       system.base_seed, system.sign_seed, cfg.seed, method.ties_density)
-    for grid in (method.density_grid, method.alpha_grid):
-        _w(fh, f"I{len(grid)}d", len(grid), *grid)
-    _w(fh, "QQI", ckpt.ledger.build_finetunes, ckpt.ledger.unlearn_finetunes, len(system.shards))
+    chunks = [_HEADER.pack(METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind),
+                           spec.input_dim, spec.hidden_dim, spec.num_classes, SCALE_BITS,
+                           cfg.steps, cfg.batch_size, system.central_max_steps,
+                           cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
+                           system.base_seed, system.sign_seed, cfg.seed, method.ties_density)]
+    chunks += [_pack(f"I{len(g)}d", len(g), *g) for g in (method.density_grid, method.alpha_grid)]
+    chunks.append(_LEDGER.pack(ckpt.ledger.build_finetunes, ckpt.ledger.unlearn_finetunes,
+                               len(system.shards)))
     for shard in system.shards:
-        _write_shard(fh, system, shard)
-    write_atomic(path, seal(MAGIC, VERSION, fh.getbuffer()))
+        chunks += _shard_chunks(system, shard)
+    write_atomic(path, seal(MAGIC, VERSION, *chunks))
 
 
-def _write_shard(fh, system: SystemState, shard: Shard) -> None:
+def _shard_chunks(system: SystemState, shard: Shard) -> list:
+    """The chunks of one shard: its id tables packed, its arrays themselves."""
     ops, m, retained = METHODS[system.method.tag], system.model_spec.param_count, shard.retained
-    _w_ids(fh, retained)
-    _w_ids(fh, shard.unlearned)
+    chunks = [_pack(f"I{len(ids)}I", len(ids), *ids) for ids in (retained, shard.unlearned)]
     if ops.per_task:
-        _w_vector(fh, shard.merged.accumulator.values, "<i8", m, "accumulator")
+        chunks.append(_vector(shard.merged.accumulator.values, "<i8", m, "accumulator"))
         digests = [system.replay_digests[t] for t in retained]
         if any(len(d) != _DIGEST for d in digests):
             raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
-        fh.write(b"".join(digests))
+        chunks.append(b"".join(digests))
     if ops.stores_masks:
-        for t in retained:  # contiguous "<u4", as BitMask stores it
-            _w_vector(fh, shard.merged.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
+        chunks += [_vector(shard.merged.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
+                   for t in retained]
     for name in ops.artifacts:
         what, count, floats, _ = _ARTIFACTS[name]
-        _w_vector(fh, floats(shard), "<f8", count(m, len(retained)), what)
+        chunks.append(_vector(floats(shard), "<f8", count(m, len(retained)), what))
+    return chunks
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -186,8 +158,14 @@ def load_checkpoint(path) -> Checkpoint:
         raw = src.read()
     try:
         return _parse(raw)
-    except CheckpointFormatError as exc:
+    except (CheckpointFormatError, SealError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from None
+
+
+def _table(body: Body, dtype: str) -> tuple:
+    """A u32 count, then that many entries of ``dtype``."""
+    (n,) = body.unpack(_COUNT, "checkpoint")
+    return tuple(body.array(dtype, n, "table").tolist())
 
 
 def _parse(raw: bytes) -> Checkpoint:
@@ -199,23 +177,18 @@ def _parse(raw: bytes) -> Checkpoint:
             f"version-{version} checkpoint, {why}; retrain with `siftmasks train`" if why
             else f"unsupported version {version}"
         )
-    try:
-        body = unseal(raw, MAGIC, VERSION)
-    except SealError as exc:
-        raise CheckpointFormatError(str(exc)) from None
-    fh = io.BytesIO(body)
+    body = Body(unseal(raw, MAGIC, VERSION))
     (method_code, kind_code, input_dim, hidden_dim, num_classes, scale_bits,
      steps, batch_size, central_max_steps, lr, beta1, beta2, eps,
-     base_seed, sign_seed, train_seed, ties_density) = _r(fh, _HEADER)
+     base_seed, sign_seed, train_seed, ties_density) = body.unpack(_HEADER, "checkpoint")
     if method_code >= len(METHOD_TAGS):
         raise CheckpointFormatError(f"unknown method code {method_code}")
     if kind_code >= len(MODEL_KINDS):
         raise CheckpointFormatError(f"unknown model kind code {kind_code}")
     if scale_bits != SCALE_BITS:
         raise CheckpointFormatError(f"scale_bits {scale_bits}, expected {SCALE_BITS}")
-    density_grid = tuple(x for (x,) in _r_table(fh, "d"))
-    alpha_grid = tuple(x for (x,) in _r_table(fh, "d"))
-    build_finetunes, unlearn_finetunes, n_shards = _r(fh, "QQI")
+    density_grid, alpha_grid = _table(body, "<f8"), _table(body, "<f8")
+    build_finetunes, unlearn_finetunes, n_shards = body.unpack(_LEDGER, "checkpoint")
     try:
         model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
         method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
@@ -224,7 +197,7 @@ def _parse(raw: bytes) -> Checkpoint:
         raise CheckpointFormatError(str(exc)) from exc
     # every shard stores an M-entry vector; checked before new_system allocates
     # M entries, and bounding the shard count by the file from here on
-    if not 0 < 8 * model_spec.param_count * n_shards <= len(body) - fh.tell():
+    if not 0 < 8 * model_spec.param_count * n_shards <= len(body.rest):
         raise CheckpointFormatError(
             f"{n_shards} shards of {model_spec.param_count} parameters do not fit the file"
         )
@@ -238,16 +211,16 @@ def _parse(raw: bytes) -> Checkpoint:
         central_max_steps=central_max_steps,
     )
     listed: set[int] = set()
-    system.shards = tuple(_read_shard(fh, system, c, listed) for c in range(n_shards))
-    if fh.read(1):
+    system.shards = tuple(_read_shard(body, system, c, listed) for c in range(n_shards))
+    if len(body.rest):
         raise CheckpointFormatError("trailing bytes after the last shard")
     return Checkpoint(system, CostLedger(build_finetunes, unlearn_finetunes))
 
 
-def _read_shard(fh, system: SystemState, c: int, listed: set[int]) -> Shard:
+def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Shard:
     """Read shard ``c``, adding its digests to ``system``. ``listed`` holds
     every id the shards before it list, so no id is listed twice in the file."""
-    retained, unlearned = _r_ids(fh), _r_ids(fh)
+    retained, unlearned = _table(body, "<u4"), _table(body, "<u4")
     for t in retained + unlearned:
         if t in listed:
             raise CheckpointFormatError(f"shard {c}: task {t} is listed twice")
@@ -257,14 +230,13 @@ def _read_shard(fh, system: SystemState, c: int, listed: set[int]) -> Shard:
     ops, m = METHODS[system.method.tag], system.model_spec.param_count
     merged = None
     if ops.per_task:
-        accumulator = _r_vector(fh, "<i8", m, f"shard {c}: accumulator")
-        digests = _read_exact(fh, _DIGEST * len(retained), f"shard {c}: digests")
-        system.replay_digests.update(
-            (t, digests[i * _DIGEST:(i + 1) * _DIGEST]) for i, t in enumerate(retained)
-        )
+        accumulator = body.array("<i8", m, f"shard {c}: accumulator").copy()
+        # numpy's "V" keeps a digest's trailing NUL bytes, which "S" would strip
+        digests = body.array(f"V{_DIGEST}", len(retained), f"shard {c}: digests")
+        system.replay_digests.update(zip(retained, digests.tolist()))
         masks = {}
         for t in retained if ops.stores_masks else ():
-            words = _r_vector(fh, "<u4", mask_words(m), f"shard {c}: mask")
+            words = body.array("<u4", mask_words(m), f"shard {c}: mask").copy()
             try:
                 masks[t] = BitMask(words, m)
             except ValueError as exc:
@@ -276,7 +248,7 @@ def _read_shard(fh, system: SystemState, c: int, listed: set[int]) -> Shard:
     artifacts = {}
     for name in ops.artifacts:
         what, count, _, field = _ARTIFACTS[name]
-        floats = _r_vector(fh, "<f8", count(m, len(retained)), f"shard {c}: {what}")
+        floats = body.array("<f8", count(m, len(retained)), f"shard {c}: {what}").copy()
         if not np.isfinite(floats).all():
             raise CheckpointFormatError(f"shard {c}: non-finite value in {what}")
         artifacts[name] = field(floats, retained)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prng import PrngStream, mix_seed
-from .sealed import SealError, seal, unseal, write_atomic
+from .sealed import Body, SealError, seal, unseal, write_atomic
 
 REGIME_KINDS = ("conflicting", "distinct", "similar")
 CONTEXT_AMP = 4.0  # context feature magnitude in the conflicting regime
@@ -346,17 +346,16 @@ def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
     except OSError:
         return None
     try:
-        body = unseal(buf, _COPY_MAGIC, _COPY_VERSION)
-        dim, n_tasks, n_rows, source = _COPY_HEADER.unpack_from(body)
-    except (SealError, struct.error):
+        body = Body(unseal(buf, _COPY_MAGIC, _COPY_VERSION))
+        dim, n_tasks, n_rows, source = body.unpack(_COPY_HEADER, "header")
+        ids = body.array("<i8", n_tasks, "task ids")
+        rows = body.array("<i8", n_tasks, "row counts")
+        labels = body.array("<i8", n_rows, "labels")
+        features = body.array("<f8", n_rows * dim, "features").reshape(n_rows, dim)
+    except SealError:
         return None
-    n_ints = 2 * n_tasks + n_rows  # ids, row counts and labels, then the features
-    if source != key or len(body) != _COPY_HEADER.size + 8 * (n_ints + n_rows * dim):
+    if source != key or len(body.rest):
         return None
-    ints = np.frombuffer(body, "<i8", n_ints, _COPY_HEADER.size)
-    ids, rows, labels = ints[:n_tasks], ints[n_tasks:2 * n_tasks], ints[2 * n_tasks:]
-    features = np.frombuffer(body, "<f8", n_rows * dim, _COPY_HEADER.size + 8 * n_ints)
-    features = features.reshape(n_rows, dim)
     ends = np.cumsum(rows).tolist()
     return [
         _split_task(int(task_id), features[end - n:end], labels[end - n:end])

@@ -6,12 +6,18 @@ body, then the SHA-256 of everything before it. ``seal`` hands out those
 pieces as chunks, which ``write_atomic`` writes one after another, so no file
 is built whole in memory. ``unseal`` checks all four before a caller reads one
 field of the body.
+
+``Body`` cuts a body into fields: each read takes the next bytes, as a
+struct's values or a numpy view, and one past the end raises
+``SealError("truncated <what>")`` before anything is allocated.
 """
 
 import contextlib
 import hashlib
 import os
 import struct
+
+import numpy as np
 
 _VERSION = struct.Struct("<I")
 _TRAILER = 32  # bytes of a SHA-256 digest
@@ -47,6 +53,27 @@ def unseal(buf, magic: bytes, version: int) -> memoryview:
     return view[start:-_TRAILER]
 
 
+class Body:
+    """A cursor over a sealed body: each read takes the next bytes, and
+    ``rest`` is the view of those no read has taken."""
+
+    def __init__(self, view):
+        self.rest = memoryview(view)
+
+    def _take(self, size: int, what: str) -> memoryview:
+        if size > len(self.rest):
+            raise SealError(f"truncated {what}")
+        taken, self.rest = self.rest[:size], self.rest[size:]
+        return taken
+
+    def unpack(self, fmt: struct.Struct, what: str) -> tuple:
+        return fmt.unpack(self._take(fmt.size, what))
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """The next ``count`` entries of ``dtype``, as a view of the body."""
+        return np.frombuffer(self._take(count * np.dtype(dtype).itemsize, what), dtype)
+
+
 def write_atomic(path, chunks) -> None:
     """Replace ``path`` by the bytes-like ``chunks``, written in order, in one
     step: write and fsync a temporary file beside it, rename it over the
@@ -59,7 +86,8 @@ def write_atomic(path, chunks) -> None:
     # created like open(path, "wb") creates a file: mode 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as out:
+        # 64 KiB gathers small chunks (a mask is ~2 KB) into few system calls
+        with os.fdopen(fd, "wb", buffering=1 << 16) as out:
             for chunk in chunks:
                 out.write(chunk)
             out.flush()

@@ -381,6 +381,21 @@ def test_every_truncation_is_a_format_error(name, tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_resealed_cut_and_an_appended_byte_are_format_errors(name, tmp_path):
+    """The body cut at every offset, or one byte longer, and sealed again: the
+    trailer passes, so the parser itself must reject each one."""
+    body = (DATA / f"{name}.sftm").read_bytes()[len(MAGIC) + 4:-32]
+    path = tmp_path / "resealed.sftm"
+    for size in range(len(body)):
+        path.write_bytes(b"".join(seal(MAGIC, VERSION, body[:size])))
+        with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+    path.write_bytes(b"".join(seal(MAGIC, VERSION, body + b"\0")))
+    with pytest.raises(CheckpointFormatError, match="trailing bytes after the last shard"):
+        load_checkpoint(path)
+
+
 def corrupt_copy(tmp_path: Path, name: str, old: bytes, new: bytes) -> Path:
     """Copies a fixture with its one occurrence of ``old`` replaced by
     ``new``, resealed."""
@@ -761,6 +776,15 @@ def test_failed_checkpoint_rename_keeps_old_bytes(tmp_path, monkeypatch, capsys)
     assert path.read_bytes() == raw
     assert [p.name for p in path.parent.iterdir()] == ["sift.sftm"]
     assert not (tmp_path / "exactness.csv").exists()
+
+
+def test_digest_ending_in_nul_bytes_survives_save_and_load(tmp_path):
+    ckpt = load_checkpoint(DATA / "sift_masks_k3_deleted1.sftm")
+    digests = ckpt.system.replay_digests
+    for t in digests:
+        digests[t] = digests[t][:30] + b"\0\0"
+    save_checkpoint(ckpt, tmp_path / "nul.sftm")
+    assert load_checkpoint(tmp_path / "nul.sftm").system.replay_digests == digests
 
 
 @pytest.mark.parametrize("bad", [2**32, -1, np.int64(2**32)], ids=["2**32", "-1", "np.int64"])

@@ -415,10 +415,11 @@ def resealed(edit):
      lambda raw: b"not a parsed copy",
      lambda raw: bytes(len(raw)),
      resealed(lambda body: body[:40]),
-     resealed(lambda body: body[:-8])],
+     resealed(lambda body: body[:-8]),
+     resealed(lambda body: body + b"\0" * 8)],
     ids=["empty", "short-by-one", "header-only", "appended", "magic", "version", "dim", "key",
          "trailer", "task-id", "feature", "foreign", "zeros", "sealed-short-header",
-         "sealed-short-payload"],
+         "sealed-short-payload", "sealed-long-payload"],
 )
 def test_damaged_copy_is_ignored_and_rewritten(damage, dataset, monkeypatch):
     cold = load_tasks(dataset)

@@ -4,21 +4,23 @@ copy and the CLI's JSON files."""
 
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siftmasks import cli
+from siftmasks import checkpoint, cli
 from siftmasks.checkpoint import load_checkpoint, save_checkpoint
 from siftmasks.config import RunConfig
 from siftmasks.datasets import HeterogeneityRegime, load_tasks, save_tasks, synth_generate
-from siftmasks.sealed import SealError, seal, unseal
+from siftmasks.sealed import Body, SealError, seal, unseal
 
 MAGIC = b"TEST"
 PARTS = (b"head", np.arange(5, dtype="<i8"), bytearray(b"\x00\xff"), b"")
 BODY = b"head" + np.arange(5, dtype="<i8").tobytes() + b"\x00\xff"
 FIXTURE = Path(__file__).resolve().parent / "data" / "v3" / "sift_masks_fresh.sftm"
+K3_FIXTURE = FIXTURE.with_name("sift_masks_k3_deleted1.sftm")
 
 
 def sealed_file(magic, version, *parts) -> bytes:
@@ -74,6 +76,39 @@ def test_foreign_magic_and_another_version_are_rejected():
         unseal(sealed_file(b"TSET", 3, *PARTS), MAGIC, 3)
 
 
+# ---------- Body ----------
+
+
+def test_body_reads_fields_in_order_as_views():
+    buf = bytearray(BODY)
+    body = Body(memoryview(buf))
+    assert body.unpack(struct.Struct("<4s"), "head") == (b"head",)
+    numbers = body.array("<i8", 5, "numbers")
+    assert numbers.tolist() == [0, 1, 2, 3, 4] and bytes(body.rest) == b"\x00\xff"
+    assert body.array("u1", 2, "tail").tolist() == [0, 255] and len(body.rest) == 0
+    numbers[0] = 7  # a view of the buffer, not a copy
+    assert buf[4] == 7
+
+
+def test_body_read_past_the_end_names_what():
+    body = Body(BODY)
+    body.array("u1", 4, "head")
+    with pytest.raises(SealError, match="^truncated numbers$"):
+        body.array("<i8", 6, "numbers")
+    with pytest.raises(SealError, match="^truncated count$"):
+        Body(b"abc").unpack(struct.Struct("<I"), "count")
+    with pytest.raises(SealError, match="^truncated huge$"):
+        Body(BODY).array("<f8", 2**61, "huge")
+
+
+def test_body_zero_count_read_at_the_end_succeeds():
+    body = Body(BODY)
+    body.array("u1", len(BODY), "all")
+    assert body.array("<f8", 0, "nothing").shape == (0,)
+    assert body.unpack(struct.Struct("<"), "nothing") == ()
+    assert len(body.rest) == 0
+
+
 # ---------- write_atomic ----------
 
 
@@ -109,6 +144,22 @@ def test_checkpoint_save_fsyncs_the_file_then_the_directory(tmp_path, recorded):
     save_checkpoint(ckpt, tmp_path / "out.sftm")
     assert_durable_write(recorded, tmp_path / "out.sftm")
     assert (tmp_path / "out.sftm").read_bytes() == FIXTURE.read_bytes()
+
+
+def test_checkpoint_save_streams_the_shard_arrays(tmp_path, monkeypatch):
+    """The chunks handed to the writer include each shard's accumulator and
+    masks themselves, not a copy of them inside one joined body."""
+    ckpt = load_checkpoint(K3_FIXTURE)
+    written = []
+    monkeypatch.setattr(checkpoint, "write_atomic", lambda path, chunks: written.extend(chunks))
+    save_checkpoint(ckpt, tmp_path / "out.sftm")
+    assert b"".join(written) == K3_FIXTURE.read_bytes()
+    shards = ckpt.system.shards
+    arrays = [a for s in shards for a in (s.merged.accumulator.values,
+                                          *(m.words for m in s.merged.masks.values()))]
+    assert len(arrays) == len(shards) + sum(len(s.retained) for s in shards) > len(shards)
+    for array in arrays:
+        assert any(np.shares_memory(chunk, array) for chunk in written)
 
 
 def test_dataset_write_fsyncs_the_file_then_the_directory(tmp_path, recorded):
