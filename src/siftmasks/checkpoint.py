@@ -145,7 +145,7 @@ def _shard_chunks(system: SystemState, shard: Shard) -> list:
             raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
         chunks.append(b"".join(digests))
     if ops.stores_masks:
-        chunks += [_vector(shard.merged.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
+        chunks += [_vector(shard.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
                    for t in retained]
     for name in ops.artifacts:
         what, count, floats, _ = _ARTIFACTS[name]
@@ -228,23 +228,24 @@ def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Sh
     if any(a >= b for a, b in zip(retained, retained[1:])):
         raise CheckpointFormatError(f"shard {c}: retained ids are not strictly ascending")
     ops, m = METHODS[system.method.tag], system.model_spec.param_count
-    merged = None
+    merged = masks = None
     if ops.per_task:
         accumulator = body.array("<i8", m, f"shard {c}: accumulator").copy()
         # numpy's "V" keeps a digest's trailing NUL bytes, which "S" would strip
         digests = body.array(f"V{_DIGEST}", len(retained), f"shard {c}: digests")
         system.replay_digests.update(zip(retained, digests.tolist()))
+        try:
+            merged = MergedState(FxpVector(accumulator), len(retained))
+        except FxpOverflowError as exc:
+            raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
+    if ops.stores_masks:
         masks = {}
-        for t in retained if ops.stores_masks else ():
+        for t in retained:
             words = body.array("<u4", mask_words(m), f"shard {c}: mask").copy()
             try:
                 masks[t] = BitMask(words, m)
             except ValueError as exc:
                 raise CheckpointFormatError(f"shard {c}, task {t}: {exc}") from None
-        try:
-            merged = MergedState(FxpVector(accumulator), len(retained), masks)
-        except FxpOverflowError as exc:
-            raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
     artifacts = {}
     for name in ops.artifacts:
         what, count, _, field = _ARTIFACTS[name]
@@ -252,7 +253,7 @@ def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Sh
         if not np.isfinite(floats).all():
             raise CheckpointFormatError(f"shard {c}: non-finite value in {what}")
         artifacts[name] = field(floats, retained)
-    return Shard(merged, retained=retained, unlearned=unlearned, **artifacts)
+    return Shard(merged, masks, retained=retained, unlearned=unlearned, **artifacts)
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:

@@ -138,19 +138,16 @@ def _tasks_for(cfg: RunConfig):
 
 
 def _write_rows(path, rows, append: bool = False) -> None:
-    """Write the header and ``rows`` as a fresh CSV, whole, by ``write_atomic``;
-    or append ``rows``, after the header only when the file is new."""
-    path = Path(path)
+    """Replace ``path``, whole, by ``write_atomic``: with the header and
+    ``rows``, or with ``append`` its old bytes and then ``rows``, after the
+    header only when the file is new."""
+    old = Path(path).read_bytes() if append and os.path.exists(path) else None
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if not (append and path.exists()):
+    if old is None:
         writer.writerow(["method", "event_index", "task_id", "metric", "value"])
     writer.writerows(rows)
-    if not append:
-        write_atomic(path, [buf.getvalue().encode()])
-        return
-    with open(path, "a", newline="", encoding="utf8") as fh:
-        fh.write(buf.getvalue())
+    write_atomic(path, [old or b"", buf.getvalue().encode()])
 
 
 def _eval_rows(method: str, event_index: int, report) -> list:
@@ -295,7 +292,7 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
     ids = list(dict.fromkeys([*task_ids, *sorted(_parse_ids(None, ids_file) or ())]))
     if not ids:
         raise click.UsageError("nothing to unlearn: pass --id or --ids-file")
-    with _writer_lock(checkpoint):  # held from the read through the CSV append
+    with _writer_lock(checkpoint):  # held from the read through the CSV rewrite
         ckpt, system = _load_system(cfg, checkpoint)
         ledger = ckpt.ledger
         base_event = len(system.unlearned)

@@ -30,8 +30,9 @@ file, ``.<name>.parsed``, keyed by the SHA-256 of the bytes it parsed. The
 copy is a sealed file (``sealed``), so it ends with the SHA-256 of everything
 before it, and it is written from the tasks' arrays without joining them. A
 later load of the same bytes reads the copy; a copy with any other key, magic,
-version, length or trailer is ignored and rewritten. The copy is derived:
-deleting it costs one parse. Neither the file nor the copy is ever held whole.
+version, length or trailer, or one that breaks a rule the parse enforces, is
+ignored and rewritten. The copy is derived: deleting it costs one parse.
+Neither the file nor the copy is ever held whole.
 """
 
 from __future__ import annotations
@@ -338,7 +339,10 @@ def _copy_chunks(tasks: list[TaskSpec], key: bytes) -> list:
 
 def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
     """The tasks of the parsed copy beside ``path``, as writable arrays; None
-    unless the copy is whole and was made from the bytes whose SHA-256 is key."""
+    unless the copy is whole, was made from the bytes whose SHA-256 is key and
+    keeps the parse's rules, as a resealed copy may not: tasks of 2 or more
+    rows (``_split_task``) summing to the header's count, distinct u32 ids,
+    labels >= 0 and finite features."""
     try:
         with open(_copy_path(path), "rb") as fh:
             buf = bytearray(os.fstat(fh.fileno()).st_size)
@@ -354,12 +358,15 @@ def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
         features = body.array("<f8", n_rows * dim, "features").reshape(n_rows, dim)
     except SealError:
         return None
-    if source != key or len(body.rest):
+    ids, rows = ids.tolist(), rows.tolist()
+    if (source != key or len(body.rest) or not ids or min(rows) < 2 or sum(rows) != n_rows
+            or len(set(ids)) != n_tasks or not 0 <= min(ids) <= max(ids) < 2**32
+            or (labels < 0).any() or not np.isfinite(features).all()):
         return None
     ends = np.cumsum(rows).tolist()
     return [
-        _split_task(int(task_id), features[end - n:end], labels[end - n:end])
-        for task_id, n, end in zip(ids.tolist(), rows.tolist(), ends)
+        _split_task(task_id, features[end - n:end], labels[end - n:end])
+        for task_id, n, end in zip(ids, rows, ends)
     ]
 
 

@@ -119,11 +119,14 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class Shard:
-    """What one shard serves: its merged state (or central model) and
-    artifacts; and which tasks it holds: its retained ids (ascending) and its
-    unlearned ids (deletion order)."""
+    """What one shard serves: its merged state (or central model), the mask
+    of each retained task in retained order (None where the method stores no
+    masks: the one map from task ids to masks) and its artifacts; and which
+    tasks it holds: its retained ids (ascending) and its unlearned ids
+    (deletion order)."""
 
     merged: MergedState | None = None
+    masks: dict[int, BitMask] | None = None
     central_params: np.ndarray | None = None
     emr: EmrArtifacts | None = None
     tall: dict[int, tuple[float, float]] | None = None
@@ -245,11 +248,11 @@ def _fresh_shards(system: SystemState, members, replay: tuple[int, ...] = ()):
         chunk = tv = quantized = None  # held through neither the next chunk nor ``finish``
     fresh = []
     for c, (retained, unlearned) in members.items():
-        state = None
-        if ops.per_task:  # masks in id order, as a merge of the id-ordered vectors holds them
-            state = replace(states[c], masks={t: masks[t] for t in retained} if ops.signed else {})
         # the vectors ``finish`` reads: none where the method subtracts or pools
-        shard = ops.finish(system, retained, [kept[t] for t in retained if t in kept], state)
+        vectors = [kept[t] for t in retained if t in kept]
+        shard = ops.finish(system, retained, vectors, states.get(c))
+        if ops.signed:  # in retained order, as ``finish`` lists TALL's and EMR's
+            shard = replace(shard, masks={t: masks[t] for t in retained})
         fresh.append(replace(shard, retained=tuple(retained), unlearned=tuple(unlearned)))
     return fresh, digests, [replayed[t] for t in replay]
 
@@ -270,14 +273,14 @@ def _finish_tall(system, ids, vectors, state):
             x_tr, y_tr, system.model_spec, system.m0,
         )
         params[tv.source_task] = (lam, alpha)
-    return Shard(replace(state, masks=masks), tall=params)
+    return Shard(state, masks, tall=params)
 
 
 def _finish_emr(system, ids, vectors, state):
     if not vectors:  # every task deleted: a zero unified vector, as TIES keeps
-        return Shard(state, emr=EmrArtifacts(np.zeros(state.length), {}))
+        return Shard(state, {}, emr=EmrArtifacts(np.zeros(state.length), {}))
     art, masks = emr_build(vectors)
-    return Shard(replace(state, masks=masks), emr=art)
+    return Shard(state, masks, emr=art)
 
 
 def _finish_ties(system, ids, vectors, state):
@@ -308,16 +311,16 @@ def _serve_merged(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarr
 
 
 def _serve_sift(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
-    return localize_stack(shard.merged, [shard.merged.masks[t] for t in ids], system.m0)
+    return localize_stack(shard.merged, [shard.masks[t] for t in ids], system.m0)
 
 
 def _serve_tall(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
     alphas = np.array([shard.tall[t][1] for t in ids])[:, None]
-    return localize_stack(shard.merged, [shard.merged.masks[t] for t in ids], system.m0, alphas)
+    return localize_stack(shard.merged, [shard.masks[t] for t in ids], system.m0, alphas)
 
 
 def _serve_emr(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
-    return emr_localize(shard.emr, ids, [shard.merged.masks[t] for t in ids], system.m0)
+    return emr_localize(shard.emr, ids, [shard.masks[t] for t in ids], system.m0)
 
 
 def _serve_ties(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
@@ -463,9 +466,10 @@ def unlearn(
                 f"replayed task {t} does not reproduce its build-time "
                 "vector; deterministic replay is broken"
             )
-    if subtracts:
-        merged = unmerge(old.merged, task_id, *replayed)
-        shard = replace(old, merged=merged, retained=remaining, unlearned=gone)
+    if subtracts:  # the deleted task's mask goes with its vector
+        masks = None if old.masks is None else {t: old.masks[t] for t in remaining}
+        shard = replace(old, merged=unmerge(old.merged, *replayed), masks=masks,
+                        retained=remaining, unlearned=gone)
     else:
         # masks / elected signs depend on the merged state, so the shard is
         # rebuilt; a subtracting method's last task is dropped this way for

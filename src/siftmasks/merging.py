@@ -1,11 +1,12 @@
 """Merging and unmerging of task vectors, plus localization backends.
 
-The merged state keeps the exact fixed-point sum of quantized task vectors,
-the number of vectors in it and the served masks; which tasks are in it is
-the caller's record (the engine's shards list their own). Removing a
-task by subtraction is bit-identical to never having merged it, regardless
-of order. Serving reads the unweighted average: the summed vector divided by
-the retained count, once per state, and cached as ``mean``.
+The merged state keeps the exact fixed-point sum of quantized task vectors
+and the number of vectors in it, nothing more: which tasks are in it and
+their masks are the caller's record (the engine's shards hold both).
+``unmerge`` is the exact inverse of ``fold``, so removing a task by
+subtraction is bit-identical to never having merged it, regardless of order.
+Serving reads the unweighted average: the summed vector divided by the
+retained count, once per state, and cached as ``mean``.
 
 Localization backends:
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +67,7 @@ ALPHA_GRID_DEFAULT = (0.8, 1.0, 1.2, 1.4, 1.6)
 # The bound holds a lifecycle grid of 25, or 50 tasks of 20 eval rows, in one
 # pass, and a pass's buffers stay near 1 MB each.
 MAX_SCORE_ENTRIES = 1 << 17
+TALL_BISECTION_STEPS = 60  # halvings of the TALL lambda bracket
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,14 @@ class LocalizationMethod:
 
 @dataclass(frozen=True)
 class MergedState:
-    """Exact sum of the retained task vectors, their count, and served masks.
+    """Exact sum of the retained task vectors and their count.
 
-    ``n_retained`` is the averaging denominator; ``masks`` holds the mask of
-    each retained task that has one (sift, TALL and EMR masks). ``summed``
-    and ``mean`` are caches that ``==`` ignores and a new state starts without.
+    ``n_retained`` is the averaging denominator. ``summed`` and ``mean`` are
+    caches that ``==`` ignores and a new state starts without.
     """
 
     accumulator: FxpVector
     n_retained: int
-    masks: dict[int, BitMask]
 
     @property
     def length(self) -> int:
@@ -124,16 +124,10 @@ class MergedState:
         return mean
 
 
-def merge(
-    task_vectors: list[TaskVector],
-    masks: dict[int, BitMask] | None = None,
-    *,
-    length: int | None = None,
-) -> MergedState:
+def merge(task_vectors: list[TaskVector], *, length: int | None = None) -> MergedState:
     """Fold task vectors into an exact fixed-point sum.
 
-    The accumulator is invariant to the order of task_vectors. Masks, when
-    given, must cover exactly the merged ids.
+    The accumulator is invariant to the order of task_vectors.
     """
     ids = [tv.source_task for tv in task_vectors]
     if len(set(ids)) != len(ids):
@@ -147,33 +141,29 @@ def merge(
     elif length is None:
         raise ValueError("merging zero vectors requires an explicit length")
 
-    state = MergedState(FxpVector.zeros(length), 0, {})
+    state = MergedState(FxpVector.zeros(length), 0)
     for tv in task_vectors:
         state = fold(state, quantize(tv.delta))
-
-    if masks is not None and set(masks) != set(ids):
-        raise ValueError("masks must cover exactly the merged task ids")
-    return replace(state, masks=dict(masks or {}))
+    return state
 
 
 def fold(state: MergedState, quantized: FxpVector) -> MergedState:
     """``state`` with one more quantized vector in its sum, the add that
     ``merge`` makes for each vector: into a new accumulator, range-checked
-    (``FxpOverflowError``) after the add. The masks are the caller's.
+    (``FxpOverflowError``) after the add.
 
     A sum folded in any order holds the same integers. The check is made on
     each partial sum, so where every vector's entries share one sign, a sum
     raises in any order iff its total leaves the range.
     """
-    return MergedState(fxp_add(state.accumulator, quantized), state.n_retained + 1, state.masks)
+    return MergedState(fxp_add(state.accumulator, quantized), state.n_retained + 1)
 
 
-def unmerge(state: MergedState, task_id: int, quantized: FxpVector) -> MergedState:
-    """Subtract one task's quantized vector (``quantize(delta)``) and drop its
-    mask; the caller checks that the task is retained."""
-    acc = fxp_sub(state.accumulator, quantized)
-    masks = {t: m for t, m in state.masks.items() if t != task_id}
-    return MergedState(acc, state.n_retained - 1, masks)
+def unmerge(state: MergedState, quantized: FxpVector) -> MergedState:
+    """``state`` with one quantized vector (``quantize(delta)``) taken out of
+    its sum: the exact inverse of ``fold``. The caller checks that the vector
+    is in the sum."""
+    return MergedState(fxp_sub(state.accumulator, quantized), state.n_retained - 1)
 
 
 def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
@@ -183,11 +173,9 @@ def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
     return m0 + state.mean
 
 
-def localize_sift(state: MergedState, task_id: int, m0: np.ndarray) -> np.ndarray:
-    """Masked average model for one retained task."""
-    if task_id not in state.masks:
-        raise KeyError(f"no stored mask for task {task_id}")
-    return localize_stack(state, [state.masks[task_id]], m0)[0]
+def localize_sift(state: MergedState, mask: BitMask, m0: np.ndarray) -> np.ndarray:
+    """Masked average model under one task's mask."""
+    return localize_stack(state, [mask], m0)[0]
 
 
 def localize_stack(
@@ -282,7 +270,7 @@ def _tall_thresholds(tau: np.ndarray, rest: np.ndarray) -> list[float]:
     return np.sort(lo.view(np.float64)).tolist()
 
 
-def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60) -> float:
+def _tall_lambda(thresholds: list[float], target_density: float) -> float:
     """Bisect lambda so the TALL mask density lands closest to the target.
 
     Mask density is non-increasing in lambda; lambda = 0 gives the full mask.
@@ -304,7 +292,7 @@ def _tall_lambda(thresholds: list[float], target_density: float, iters: int = 60
     lo, hi = 0.0, 1.0
     while hi <= cutoff and hi < 1e12:
         hi *= 2.0
-    for _ in range(iters):
+    for _ in range(TALL_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid <= cutoff:
             lo = mid
@@ -322,14 +310,12 @@ def tall_mask(tau_t: TaskVector, state: MergedState, lambda_t: float) -> BitMask
     return BitMask.from_bools(tau >= lambda_t * rest)
 
 
-def tall_lambda_for_density(
-    tau_t: TaskVector, state: MergedState, target_density: float, iters: int = 60
-) -> float:
+def tall_lambda_for_density(tau_t: TaskVector, state: MergedState, target_density: float) -> float:
     """Bisect lambda so the TALL mask density lands closest to the target;
     the lambda tall_tune tries for that target.
     Kept as the tests' reference for ``tall_tune``'s lambdas; perfbench/spans.py wraps it."""
     tau, rest = _tall_terms(tau_t, state)
-    return _tall_lambda(_tall_thresholds(tau, rest), target_density, iters)
+    return _tall_lambda(_tall_thresholds(tau, rest), target_density)
 
 
 def tall_tune(
@@ -381,7 +367,8 @@ def tall_tune(
 class EmrArtifacts:
     """Sign-elected unified vector and per-task l1 rescales.
 
-    The per-task masks are served from the shard's ``MergedState.masks``.
+    The per-task masks that ``emr_build`` returns beside these are kept and
+    served by the caller (the engine's ``Shard.masks``).
     """
 
     unified: np.ndarray

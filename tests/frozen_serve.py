@@ -21,8 +21,8 @@ def frozen_localize_masked(state, mask, m0, alpha=1.0):
     return m0 + alpha * masked / max(state.n_retained, 1)
 
 
-def frozen_localize_sift(state, task_id, m0):
-    return frozen_localize_masked(state, state.masks[task_id], m0)
+def frozen_localize_sift(state, mask, m0):
+    return frozen_localize_masked(state, mask, m0)
 
 
 def frozen_emr_localize(emr, task_id, mask, m0):
@@ -38,11 +38,11 @@ def frozen_serve_for_task(system, task_id):
         return shard.central_params
     if tag == "ties":
         return m0 + shard.ties_vector
-    masks = shard.merged.masks
+    masks = shard.masks
     if tag == "ft_merge" or task_id not in masks:
         return frozen_serve_merged(shard.merged, m0)
     if tag == "sift_masks":
-        return frozen_localize_sift(shard.merged, task_id, m0)
+        return frozen_localize_sift(shard.merged, masks[task_id], m0)
     if tag == "tall_masks":
         return frozen_localize_masked(shard.merged, masks[task_id], m0, shard.tall[task_id][1])
     return frozen_emr_localize(shard.emr, task_id, masks[task_id], m0)

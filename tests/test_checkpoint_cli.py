@@ -405,21 +405,29 @@ def test_cli_unlearn_repeated_id_is_one_deletion(form, tmp_path):
     assert {(row[1], row[2]) for row in rows} == {("1", "2")}
 
 
-@pytest.mark.parametrize("command", ["eval", "report", "simulate"])
+@pytest.mark.parametrize("command", ["eval", "report", "simulate", "unlearn"])
 def test_cli_csv_is_replaced_whole_or_not_at_all(command, tmp_path, monkeypatch, capsys):
-    """A fresh CSV goes through the atomic writer: when its rename fails, the
-    old file keeps its bytes and no temporary file is left beside it."""
+    """Every CSV goes through the atomic writer, ``exactness.csv`` too, which
+    ``unlearn`` rewrites as its old bytes and the new rows: when its rename
+    fails, the old file keeps its bytes and no temporary file is left beside
+    it. For ``unlearn`` only that rename fails; its checkpoint is replaced
+    before it."""
     out, cfg, data, ckpt = _trained_run(tmp_path)
+    common = ["--config", cfg, "--data", data, "--checkpoint", ckpt]
     name, args = {
-        "eval": ("eval_held_out.csv", ["--config", cfg, "--data", data, "--checkpoint", ckpt]),
+        "eval": ("eval_held_out.csv", common),
         "report": ("report.csv", ["--checkpoint", ckpt]),
         "simulate": ("cost_projection.csv", ["--config", cfg]),
+        "unlearn": ("exactness.csv", [*common, "--id", "2"]),
     }[command]
     old = b"method,event_index,task_id,metric,value\r\nold,1,,row,0\r\n"
     Path(out, name).write_bytes(old)
     before = sorted(os.listdir(out))
+    rename = os.replace
 
     def refuse(src, dst):
+        if command == "unlearn" and Path(dst).name != name:
+            return rename(src, dst)
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)

@@ -185,7 +185,7 @@ def stored_sections(system) -> list[bytes]:
             sections.append(shard.merged.accumulator.values.tobytes())
             sections += [system.replay_digests[t] for t in retained]
         if ops.stores_masks:
-            sections += [shard.merged.masks[t].words.tobytes() for t in retained]
+            sections += [shard.masks[t].words.tobytes() for t in retained]
         if shard.tall is not None:
             sections.append(np.array([shard.tall[t] for t in retained], "<f8").tobytes())
         if shard.emr is not None and retained:
@@ -661,7 +661,7 @@ def test_save_refuses_a_short_vector_before_writing(name, change, message, tmp_p
 
 
 def flip_mask_bit(ckpt) -> None:
-    masks = ckpt.system.shards[0].merged.masks
+    masks = ckpt.system.shards[0].masks
     words = masks[1].words.copy()
     words[0] ^= 1
     masks[1] = BitMask(words, masks[1].length)
@@ -733,7 +733,7 @@ def mask_block(name: str) -> tuple[bytes, int, int]:
     """A one-shard fixture's bytes, and the offset and size of its masks,
     which come before its artifacts and the 32-byte trailer."""
     raw = (DATA / f"{name}.sftm").read_bytes()
-    masks = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].merged.masks
+    masks = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].masks
     size = sum(m.words.nbytes for m in masks.values())
     return raw, len(raw) - 32 - TAIL[name] - size, size
 
@@ -742,7 +742,7 @@ def mask_block(name: str) -> tuple[bytes, int, int]:
 @pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
 def test_mask_pad_bit_set_exits_2(name, command, tmp_path, capsys):
     raw, at, _ = mask_block(name)
-    mask = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].merged.masks[0]
+    mask = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].masks[0]
     assert raw[at:at + 8] == mask.words.tobytes()  # task 0's mask comes first
     path = tmp_path / f"padbit_{name}.sftm"
     # bit 63 of 64 stored: past M = 33, a pad bit

@@ -9,7 +9,12 @@ import pytest
 from conftest import make_task, routes
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging
-from siftmasks.checkpoint import load_checkpoint, system_from_checkpoint
+from siftmasks.checkpoint import (
+    checkpoint_from_system,
+    load_checkpoint,
+    save_checkpoint,
+    system_from_checkpoint,
+)
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.engine import (
     METHODS,
@@ -122,7 +127,7 @@ def test_unlearn_matches_fresh_build_bit_exact(conflicting_tasks):
     assert np.array_equal(
         shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
-    assert shard.merged.masks.keys() == fresh_shard.merged.masks.keys()
+    assert shard.masks.keys() == fresh_shard.masks.keys()
 
 
 def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
@@ -243,7 +248,7 @@ def test_rebuild_family_matches_fresh_build(tag, conflicting_tasks):
     if tag == "tall_masks":
         assert shard.tall == fresh_shard.tall
         for t in fresh.retained:
-            assert shard.merged.masks[t] == fresh_shard.merged.masks[t]
+            assert shard.masks[t] == fresh_shard.masks[t]
     elif tag == "emr":
         assert np.array_equal(shard.emr.unified, fresh_shard.emr.unified)
         assert shard.emr.scales == fresh_shard.emr.scales
@@ -313,10 +318,9 @@ def test_verify_catches_a_doubled_tall_alpha():
 
 
 def with_flipped_mask_bit(shard, t):
-    words = shard.merged.masks[t].words.copy()
+    words = shard.masks[t].words.copy()
     words[0] ^= 1
-    masks = {**shard.merged.masks, t: BitMask(words, shard.merged.masks[t].length)}
-    return replace(shard, merged=replace(shard.merged, masks=masks))
+    return replace(shard, masks={**shard.masks, t: BitMask(words, shard.masks[t].length)})
 
 
 def with_tall(shard, t, change):
@@ -427,6 +431,36 @@ def test_verify_audits_every_field_of_a_shard(tag):
         assert not verify_exactness(system).exact, path
     system.shards = (shard,)
     assert verify_exactness(system).exact
+
+
+def assert_masks_list_the_retained_ids(system):
+    """Where the method stores masks, each shard's masks are keyed by exactly
+    its retained ids, in retained order; elsewhere they are None."""
+    for shard in system.shards:
+        if METHODS[system.method.tag].stores_masks:
+            assert list(shard.masks) == list(shard.retained)
+            assert all(m.length == len(system.m0) for m in shard.masks.values())
+        else:
+            assert shard.masks is None
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_shard_masks_follow_the_retained_ids(tag, clusters, tmp_path):
+    """After the build, after each deletion down to empty shards, and after
+    a save and a load of each of those states."""
+    system, ledger = build_system(tag, mixed_row_tasks(6), clusters=clusters, cluster_seed=7)
+    path = tmp_path / "masks.sftm"
+    for task_id in (None, 4, 0, 5, 1, 3, 2):
+        if task_id is not None:
+            system, _, _ = unlearn(system, task_id)
+            assert all(task_id not in (s.masks or {}) for s in system.shards)
+        assert_masks_list_the_retained_ids(system)
+        save_checkpoint(checkpoint_from_system(system, ledger), path)
+        loaded = load_checkpoint(path).system
+        assert_masks_list_the_retained_ids(loaded)
+        assert all(_same_bits(a.masks, b.masks) for a, b in zip(loaded.shards, system.shards))
+    assert system.retained == ()
 
 
 def test_unlearn_with_inline_verify(conflicting_tasks):
@@ -590,7 +624,7 @@ def test_single_cluster_equals_unclustered(conflicting_tasks):
     assert np.array_equal(
         only.merged.accumulator.values, plain_shard.merged.accumulator.values
     )
-    assert only.merged.masks == plain_shard.merged.masks
+    assert only.masks == plain_shard.masks
     assert led.task_finetunes == plain_led.task_finetunes
     assert evaluate(one, "held_in").per_task == evaluate(plain, "held_in").per_task
 
@@ -673,9 +707,9 @@ def mixed_row_tasks(count):
 def test_folded_shards_equal_merge_of_the_same_vectors(tag, clusters, monkeypatch):
     """Chunks are folded into their shards as they finish, out of id order,
     and each shard holds the bits of ``merge`` of its vectors in id order:
-    every field for a subtracting method, the sum and count for a rebuild
-    method (its masks come from ``finish``); every digest is that of the
-    quantized vector."""
+    with the trained masks (sift) or none for a subtracting method, the sum
+    and count for a rebuild method (its masks come from ``finish``); every
+    digest is that of the quantized vector."""
     tasks = mixed_row_tasks(9)
     stream, finished = engine.finetune_stream, []
 
@@ -691,11 +725,12 @@ def test_folded_shards_equal_merge_of_the_same_vectors(tag, clusters, monkeypatc
     for c in range(clusters):
         ids = system.shards[c].retained
         trained = finetune_tasks([tasks[t] for t in ids], m0, SPEC, CFG, v)
-        masks = {t: mask for t, (_, mask) in zip(ids, trained)} if v is not None else None
-        want = merge([tv for tv, _ in trained], masks, length=len(m0))
+        want = merge([tv for tv, _ in trained], length=len(m0))
         got = system.shards[c].merged
         if METHODS[tag].subtracts:
             assert _same_bits(got, want)
+            masks = {t: mask for t, (_, mask) in zip(ids, trained)} if v is not None else None
+            assert _same_bits(system.shards[c].masks, masks)
         else:
             assert _same_bits(got.accumulator, want.accumulator)
             assert got.n_retained == want.n_retained
@@ -745,7 +780,7 @@ def stored_bytes(system):
     for shard in system.shards:
         if shard.merged is not None:
             out.append(shard.merged.accumulator.values.tobytes())
-            out.extend((t, m.words.tobytes()) for t, m in sorted(shard.merged.masks.items()))
+            out.extend((t, m.words.tobytes()) for t, m in sorted((shard.masks or {}).items()))
         for served in (shard.central_params, shard.ties_vector):
             if served is not None:
                 out.append(served.tobytes())

@@ -156,7 +156,7 @@ def test_checkpoint_save_streams_the_shard_arrays(tmp_path, monkeypatch):
     assert b"".join(written) == K3_FIXTURE.read_bytes()
     shards = ckpt.system.shards
     arrays = [a for s in shards for a in (s.merged.accumulator.values,
-                                          *(m.words for m in s.merged.masks.values()))]
+                                          *(m.words for m in s.masks.values()))]
     assert len(arrays) == len(shards) + sum(len(s.retained) for s in shards) > len(shards)
     for array in arrays:
         assert any(np.shares_memory(chunk, array) for chunk in written)

@@ -165,10 +165,10 @@ def test_replay_digest_independent_of_blas_threads():
         "tasks = synth_generate(regime, 4, 200, 64, 2, seed=5)\n"
         "system, _ = build(LocalizationMethod('sift_masks'), tasks, spec, cfg,\n"
         "                  base_seed=1, sign_seed=2)\n"
-        "merged = system.shards[0].merged\n"
+        "shard = system.shards[0]\n"
         "print(sorted((t, d.hex()) for t, d in system.replay_digests.items()))\n"
-        "print(hashlib.sha256(merged.accumulator.values.tobytes()).hexdigest())\n"
-        "print([merged.masks[t].words.tobytes().hex() for t in sorted(merged.masks)])\n"
+        "print(hashlib.sha256(shard.merged.accumulator.values.tobytes()).hexdigest())\n"
+        "print([shard.masks[t].words.tobytes().hex() for t in sorted(shard.masks)])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
