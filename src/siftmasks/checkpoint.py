@@ -14,8 +14,10 @@ ledger snapshot. Its body holds, in this order:
   order), then what its method keeps, none with a length of its own: where
   the method trains per task, the exact fixed-point accumulator (M i64) and
   one 32-byte replay digest per retained id, in retained order; where it
-  stores masks, each retained task's bit-packed mask (ceil(M/32) u32); and
-  the float artifacts its ``finish`` fills (``MethodOps.artifacts``).
+  stores masks, the mask table (``Shard.masks``: per retained id, in
+  retained order, its bit-packed mask of ceil(M/32) u32); and the float
+  artifacts its ``finish`` fills (``MethodOps.artifacts``): TALL's (lambda,
+  alpha) table, EMR's unified vector then its scales column, or one vector.
 
 So a shard's layout follows from its method and retained count alone, and a
 task's shard is the one whose lists hold it; no id may appear twice in the
@@ -38,11 +40,12 @@ assignment table, per-shard flags, digest ids, the digests of deleted tasks,
 the ledger's step counts, vector lengths and a reserved field); reading them
 would take a second reader. Both are refused with a message to retrain with
 ``siftmasks train``, which gives a version-2 configuration the same bits.
-The file is written by ``sealed.write_atomic`` from chunks, the shards' arrays
-themselves among them: a reader sees the old file or the new one, and a
-rewrite is durable once ``save_checkpoint`` returns. The reader walks the body
-with ``sealed.Body`` and copies each array out: after the 94-byte header every
-field sits at 2 mod 4, so a view would be unaligned, and read-only besides.
+The file is written by ``sealed.write_atomic`` from chunks, each of a shard's
+arrays and tables one chunk, the array itself: a reader sees the old file or
+the new one, and a rewrite is durable once ``save_checkpoint`` returns. The
+reader walks the body with ``sealed.Body``, reads each table in one piece and
+copies it out: after the 94-byte header every field sits at 2 mod 4, so a view
+would be unaligned, and read-only besides.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system
 from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
-from .paramcore import SCALE_BITS, BitMask, FxpOverflowError, FxpVector, mask_words
+from .paramcore import SCALE_BITS, FxpOverflowError, FxpVector, mask_words
 from .sealed import Body, SealError, seal, unseal, write_atomic
 from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
 
@@ -75,19 +78,16 @@ _COUNT = struct.Struct("<I")  # of a table's entries
 _DIGEST = 32
 
 # Each float artifact a method's ``finish`` fills, by its Shard field: what
-# errors call it, its float count at M parameters and n retained tasks, the
-# floats of a shard, and the field made back from them and the retained ids.
+# errors call it, the shape of its floats at M parameters and n retained
+# tasks, the floats of a shard, and the field made back from them.
 _ARTIFACTS = {
-    "tall": ("TALL lambdas and alphas", lambda m, n: 2 * n,
-             lambda s: [x for t in s.retained for x in s.tall[t]],
-             lambda v, ids: dict(zip(ids, map(tuple, v.reshape(-1, 2).tolist())))),
-    "emr": ("EMR unified vector and scales", lambda m, n: m + n,
-            lambda s: np.concatenate([s.emr.unified, [s.emr.scales[t] for t in s.retained]]),
-            lambda v, ids: EmrArtifacts(v[:len(v) - len(ids)],
-                                        dict(zip(ids, v[len(v) - len(ids):].tolist())))),
-    "ties_vector": ("TIES vector", lambda m, n: m, lambda s: s.ties_vector, lambda v, ids: v),
-    "central_params": ("central parameters", lambda m, n: m,
-                       lambda s: s.central_params, lambda v, ids: v),
+    "tall": ("TALL lambdas and alphas", lambda m, n: (n, 2), lambda s: s.tall, lambda v, n: v),
+    "emr": ("EMR unified vector and scales", lambda m, n: (m + n,),
+            lambda s: np.concatenate([s.emr.unified, s.emr.scales]),
+            lambda v, n: EmrArtifacts(*np.split(v, [len(v) - n]))),
+    "ties_vector": ("TIES vector", lambda m, n: (m,), lambda s: s.ties_vector, lambda v, n: v),
+    "central_params": ("central parameters", lambda m, n: (m,),
+                       lambda s: s.central_params, lambda v, n: v),
 }
 
 
@@ -109,12 +109,13 @@ def _pack(fmt, *vals) -> bytes:
     return struct.pack("<" + fmt, *vals)
 
 
-def _vector(values, dtype: str, length: int, what: str) -> np.ndarray:
-    """``values`` as ``length`` contiguous ``dtype`` entries, the array itself
+def _vector(values, dtype: str, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as contiguous ``dtype`` entries of ``shape``, the array itself
     where it is one already; stored without a count, which the reader knows."""
     data = np.ascontiguousarray(values, dtype=dtype)
-    if data.shape != (length,):
-        raise CheckpointFormatError(f"{what} has {len(data)} entries, expected {length}")
+    if data.shape != shape:
+        found, want = (" x ".join(map(str, dims)) for dims in (data.shape, shape))
+        raise CheckpointFormatError(f"{what} has {found} entries, expected {want}")
     return data
 
 
@@ -139,17 +140,16 @@ def _shard_chunks(system: SystemState, shard: Shard) -> list:
     ops, m, retained = METHODS[system.method.tag], system.model_spec.param_count, shard.retained
     chunks = [_pack(f"I{len(ids)}I", len(ids), *ids) for ids in (retained, shard.unlearned)]
     if ops.per_task:
-        chunks.append(_vector(shard.merged.accumulator.values, "<i8", m, "accumulator"))
+        chunks.append(_vector(shard.merged.accumulator.values, "<i8", (m,), "accumulator"))
         digests = [system.replay_digests[t] for t in retained]
         if any(len(d) != _DIGEST for d in digests):
             raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
         chunks.append(b"".join(digests))
     if ops.stores_masks:
-        chunks += [_vector(shard.masks[t].words, "<u4", mask_words(m), f"task {t}'s mask")
-                   for t in retained]
+        chunks.append(_vector(shard.masks, "<u4", (len(retained), mask_words(m)), "masks"))
     for name in ops.artifacts:
-        what, count, floats, _ = _ARTIFACTS[name]
-        chunks.append(_vector(floats(shard), "<f8", count(m, len(retained)), what))
+        what, shape, floats, _ = _ARTIFACTS[name]
+        chunks.append(_vector(floats(shard), "<f8", shape(m, len(retained)), what))
     return chunks
 
 
@@ -239,20 +239,18 @@ def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Sh
         except FxpOverflowError as exc:
             raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
     if ops.stores_masks:
-        masks = {}
-        for t in retained:
-            words = body.array("<u4", mask_words(m), f"shard {c}: mask").copy()
-            try:
-                masks[t] = BitMask(words, m)
-            except ValueError as exc:
-                raise CheckpointFormatError(f"shard {c}, task {t}: {exc}") from None
+        masks = body.array("<u4", (len(retained), mask_words(m)), f"shard {c}: masks").copy()
+        padded = np.flatnonzero(masks[:, -1] >> m % 32) if m % 32 else []
+        if len(padded):
+            raise CheckpointFormatError(f"shard {c}, task {retained[padded[0]]}: "
+                                        f"mask of length {m} has nonzero pad bits")
     artifacts = {}
     for name in ops.artifacts:
-        what, count, _, field = _ARTIFACTS[name]
-        floats = body.array("<f8", count(m, len(retained)), f"shard {c}: {what}").copy()
+        what, shape, _, field = _ARTIFACTS[name]
+        floats = body.array("<f8", shape(m, len(retained)), f"shard {c}: {what}").copy()
         if not np.isfinite(floats).all():
             raise CheckpointFormatError(f"shard {c}: non-finite value in {what}")
-        artifacts[name] = field(floats, retained)
+        artifacts[name] = field(floats, len(retained))
     return Shard(merged, masks, retained=retained, unlearned=unlearned, **artifacts)
 
 

@@ -355,7 +355,7 @@ def _read_copy(path, key: bytes) -> list[TaskSpec] | None:
         ids = body.array("<i8", n_tasks, "task ids")
         rows = body.array("<i8", n_tasks, "row counts")
         labels = body.array("<i8", n_rows, "labels")
-        features = body.array("<f8", n_rows * dim, "features").reshape(n_rows, dim)
+        features = body.array("<f8", (n_rows, dim), "features")
     except SealError:
         return None
     ids, rows = ids.tolist(), rows.tolist()

@@ -25,9 +25,9 @@ Localization backends:
 * TIES -- trims each vector to its top-density entries by magnitude, elects a
   global per-entry sign, and averages the entries that agree with it.
 
-Masked models are served as stacks (K, M) of K tasks, from one unpack of
-their masks' words, cast once to a float 0/1 mask that the served vector is
-multiplied into; row k has the bits of serving task k alone.
+Masked models are served as stacks (K, M) of K tasks, from one unpack of a
+mask word table (K, ceil(M/32)), cast once to a float 0/1 mask that the
+served vector is multiplied into; row k has the bits of serving task k alone.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .paramcore import (
     mask_words,
     quantize,
     unpack_bits,
+    word_table,
 )
 from .trainer import ModelSpec, TaskVector, accuracy
 
@@ -175,27 +176,26 @@ def serve_merged(state: MergedState, m0: np.ndarray) -> np.ndarray:
 
 def localize_sift(state: MergedState, mask: BitMask, m0: np.ndarray) -> np.ndarray:
     """Masked average model under one task's mask."""
-    return localize_stack(state, [mask], m0)[0]
+    if mask.length != state.length:
+        raise ValueError(f"length mismatch: mask {mask.length} vs state {state.length}")
+    return localize_stack(state, mask.words[None], m0)[0]
 
 
 def localize_stack(
-    state: MergedState, masks: list[BitMask], m0: np.ndarray,
+    state: MergedState, masks: np.ndarray, m0: np.ndarray,
     alpha: float | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Masked average models (K, M) of K masks, from one unpack of their words
-    and one ``_masked_params`` call; ``alpha`` is one rescale, a column (K, 1)
-    of them, or None for none."""
+    """Masked average models (K, M) of the K masks of a word table, from one
+    unpack and one ``_masked_params`` call; ``alpha`` is one rescale, a
+    column (K, 1) of them, or None for none."""
     return _masked_params(state, _mask_rows(masks, state.length), m0, alpha)
 
 
-def _mask_rows(masks: list[BitMask], length: int) -> np.ndarray:
-    """The (K, length) bools of K masks, unpacked in one call; one mask's
-    words are viewed, not copied, and no masks give (0, length)."""
-    for mask in masks:
-        if mask.length != length:
-            raise ValueError(f"length mismatch: mask {mask.length} vs state {length}")
-    words = masks[0].words[None] if len(masks) == 1 else np.array([m.words for m in masks])
-    return unpack_bits(words.reshape(len(masks), mask_words(length)), length)
+def _mask_rows(masks: np.ndarray, length: int) -> np.ndarray:
+    """The (K, length) bools of a (K, ceil(length/32)) word table, unpacked in one call."""
+    if masks.shape[-1] != mask_words(length):
+        raise ValueError(f"length mismatch: masks of {masks.shape[-1]} words vs state {length}")
+    return unpack_bits(masks, length)
 
 
 def pass_size(spec: ModelSpec, length: int, rows: int) -> int:
@@ -365,22 +365,20 @@ def tall_tune(
 
 @dataclass(frozen=True)
 class EmrArtifacts:
-    """Sign-elected unified vector and per-task l1 rescales.
-
-    The per-task masks that ``emr_build`` returns beside these are kept and
-    served by the caller (the engine's ``Shard.masks``).
-    """
+    """Sign-elected unified vector (M,) and the per-task l1 rescales, a
+    column (K,) in the row order of the mask word table that ``emr_build``
+    returns beside them, which the caller keeps (the engine's ``Shard.masks``)."""
 
     unified: np.ndarray
-    scales: dict[int, float]
+    scales: np.ndarray
 
 
-def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, dict[int, BitMask]]:
+def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, np.ndarray]:
     """Elect signs from the sum, keep max aligned magnitudes, rescale per task.
 
-    Returns the artifacts and each task's sign-agreement mask. Entries whose
-    summed sign is exactly zero are dropped from the unified vector and from
-    every mask.
+    Returns the artifacts and the word table of the sign-agreement masks,
+    both with a row per vector in input order. Entries whose summed sign is
+    exactly zero are dropped from the unified vector and from every mask.
     """
     if not task_vectors:
         raise ValueError("emr needs at least one task vector")
@@ -389,30 +387,26 @@ def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, dict[int, B
     aligned = np.where(np.sign(deltas) == elected, np.abs(deltas), 0.0)
     unified = elected * aligned.max(axis=0)
 
-    masks: dict[int, BitMask] = {}
-    scales: dict[int, float] = {}
-    for tv in task_vectors:
-        mask = BitMask.from_bools(tv.delta * unified > 0.0)
-        kept = np.linalg.norm(mask_apply(mask, unified), ord=1)
-        scale = float(np.linalg.norm(tv.delta, ord=1) / kept) if kept > 0 else 1.0
-        masks[tv.source_task] = mask
-        scales[tv.source_task] = scale
-    return EmrArtifacts(unified=unified, scales=scales), masks
+    masks = [BitMask.from_bools(tv.delta * unified > 0.0) for tv in task_vectors]
+    kept = [np.linalg.norm(mask_apply(mask, unified), ord=1) for mask in masks]
+    scales = [float(np.linalg.norm(tv.delta, ord=1) / k) if k > 0 else 1.0
+              for tv, k in zip(task_vectors, kept)]
+    return EmrArtifacts(unified, np.array(scales)), word_table(masks, len(unified))
 
 
 def emr_localize(
-    emr: EmrArtifacts, task_ids: list[int], masks: list[BitMask], m0: np.ndarray
+    emr: EmrArtifacts, masks: np.ndarray, rows: list[int], m0: np.ndarray
 ) -> np.ndarray:
-    """EMR models (K, M) of K tasks under their masks, from one unpack: row k
-    holds the bytes of ``m0 + scale * mask_apply(mask, unified)``. The bits
-    are cast to a float 0/1 mask and ``unified`` multiplied in; adding 0.0
-    turns an unset bit's -0.0 (over a negative entry) to the +0.0 that
-    ``mask_apply`` gives, and no set bit sits on a zero entry, as a bit is set
-    only where ``delta * unified > 0``."""
-    term = _mask_rows(masks, len(emr.unified)).astype(np.float64)
+    """EMR models (K, M) of the tasks at K ``rows`` of the word table ``masks``
+    and of ``emr.scales``, from one unpack: row k holds the bytes of ``m0 +
+    scale * mask_apply(mask, unified)``. The bits are cast to a float 0/1 mask
+    and ``unified`` multiplied in; adding 0.0 turns an unset bit's -0.0 (over a
+    negative entry) to the +0.0 that ``mask_apply`` gives, and no set bit sits
+    on a zero entry, as a bit is set only where ``delta * unified > 0``."""
+    term = _mask_rows(masks.take(rows, 0), len(emr.unified)).astype(np.float64)
     term *= emr.unified
     term += 0.0
-    term *= np.array([emr.scales[t] for t in task_ids])[:, None]
+    term *= emr.scales.take(rows)[:, None]
     return np.add(m0, term, out=term)
 
 

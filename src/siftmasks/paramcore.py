@@ -160,6 +160,11 @@ class BitMask:
         )
 
 
+def word_table(masks: list[BitMask], length: int) -> np.ndarray:
+    """The (K, ceil(length/32)) ``<u4`` words of K masks, a row each; (0, words) for none."""
+    return np.array([m.words for m in masks], dtype="<u4").reshape(len(masks), mask_words(length))
+
+
 def mask_apply(mask: BitMask, x: np.ndarray) -> np.ndarray:
     """Entry i of the result is x[i] where the bit is set, else zero."""
     x = np.asarray(x)

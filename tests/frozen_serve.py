@@ -7,7 +7,7 @@ served bytes of the library against these.
 
 import numpy as np
 
-from siftmasks.paramcore import FxpVector, dequantize, mask_apply
+from siftmasks.paramcore import BitMask, FxpVector, dequantize, mask_apply
 
 
 def frozen_serve_merged(state, m0):
@@ -25,8 +25,8 @@ def frozen_localize_sift(state, mask, m0):
     return frozen_localize_masked(state, mask, m0)
 
 
-def frozen_emr_localize(emr, task_id, mask, m0):
-    return m0 + emr.scales[task_id] * mask_apply(mask, emr.unified)
+def frozen_emr_localize(emr, row, mask, m0):
+    return m0 + emr.scales[row] * mask_apply(mask, emr.unified)
 
 
 def frozen_serve_for_task(system, task_id):
@@ -38,11 +38,12 @@ def frozen_serve_for_task(system, task_id):
         return shard.central_params
     if tag == "ties":
         return m0 + shard.ties_vector
-    masks = shard.masks
-    if tag == "ft_merge" or task_id not in masks:
+    if tag == "ft_merge" or task_id not in shard.retained:
         return frozen_serve_merged(shard.merged, m0)
+    row = shard.retained.index(task_id)
+    mask = BitMask(shard.masks[row], len(m0))
     if tag == "sift_masks":
-        return frozen_localize_sift(shard.merged, masks[task_id], m0)
+        return frozen_localize_sift(shard.merged, mask, m0)
     if tag == "tall_masks":
-        return frozen_localize_masked(shard.merged, masks[task_id], m0, shard.tall[task_id][1])
-    return frozen_emr_localize(shard.emr, task_id, masks[task_id], m0)
+        return frozen_localize_masked(shard.merged, mask, m0, shard.tall[row][1])
+    return frozen_emr_localize(shard.emr, row, mask, m0)

@@ -28,7 +28,7 @@ from siftmasks.merging import (
     tall_mask,
     ties_merge,
 )
-from siftmasks.paramcore import dequantize, gen_sign_vector, signs
+from siftmasks.paramcore import dequantize, gen_sign_vector, signs, unpack_bits
 from siftmasks.trainer import (
     ModelSpec,
     TaskVector,
@@ -274,7 +274,7 @@ def test_baseline_formula_conformance():
 
     art, masks = emr_build([_tv([1.0, -2.0], 0), _tv([3.0, 1.0], 1)])
     assert art.unified.tolist() == [3.0, -2.0]
-    assert masks[0].to_bools().tolist() == [True, True]
+    assert unpack_bits(masks[0], 2).tolist() == [True, True]
     assert art.scales[0] == pytest.approx(0.6)
 
     assert ties_merge([_tv([2.0, -1.0], 0), _tv([-1.0, -3.0], 1)], 1.0).tolist() == [2.0, -2.0]

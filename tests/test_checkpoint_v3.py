@@ -59,7 +59,7 @@ from siftmasks.cli import main
 from siftmasks.datasets import DataFormatError, HeterogeneityRegime, save_tasks, synth_generate
 from siftmasks.engine import METHODS, build, evaluate, unlearn, verify_exactness
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
-from siftmasks.paramcore import BitMask, FxpVector
+from siftmasks.paramcore import FxpVector
 from siftmasks.sealed import seal
 from siftmasks.trainer import ModelSpec, TrainConfig
 
@@ -185,12 +185,11 @@ def stored_sections(system) -> list[bytes]:
             sections.append(shard.merged.accumulator.values.tobytes())
             sections += [system.replay_digests[t] for t in retained]
         if ops.stores_masks:
-            sections += [shard.masks[t].words.tobytes() for t in retained]
+            sections += [row.tobytes() for row in shard.masks]
         if shard.tall is not None:
-            sections.append(np.array([shard.tall[t] for t in retained], "<f8").tobytes())
+            sections.append(shard.tall.tobytes())
         if shard.emr is not None and retained:
-            scales = [shard.emr.scales[t] for t in retained]
-            sections.append(np.concatenate([shard.emr.unified, scales]).tobytes())
+            sections.append(np.concatenate([shard.emr.unified, shard.emr.scales]).tobytes())
         for vector in (shard.ties_vector, shard.central_params):
             if vector is not None:
                 sections.append(vector.tobytes())
@@ -584,9 +583,8 @@ def set_entry(get, key):
 def set_tall(i: int):
     """A change that sets item ``i`` (0 lambda, 1 alpha) of task 1's TALL pair."""
     def change(ckpt, value):
-        pair = list(ckpt.system.shards[0].tall[1])
-        pair[i] = value
-        ckpt.system.shards[0].tall[1] = tuple(pair)
+        shard = ckpt.system.shards[0]
+        shard.tall[shard.rows([1]), i] = value
     return change
 
 
@@ -661,15 +659,13 @@ def test_save_refuses_a_short_vector_before_writing(name, change, message, tmp_p
 
 
 def flip_mask_bit(ckpt) -> None:
-    masks = ckpt.system.shards[0].masks
-    words = masks[1].words.copy()
-    words[0] ^= 1
-    masks[1] = BitMask(words, masks[1].length)
+    shard = ckpt.system.shards[0]
+    shard.masks[shard.rows([1]), 0] ^= 1
 
 
 def double_tall_alpha(ckpt) -> None:
-    lam, alpha = ckpt.system.shards[0].tall[1]
-    ckpt.system.shards[0].tall[1] = (lam, 2 * alpha)
+    shard = ckpt.system.shards[0]
+    shard.tall[shard.rows([1]), 1] *= 2
 
 
 def verify_changed(tmp_path: Path, name: str, change) -> int:
@@ -733,21 +729,24 @@ def mask_block(name: str) -> tuple[bytes, int, int]:
     """A one-shard fixture's bytes, and the offset and size of its masks,
     which come before its artifacts and the 32-byte trailer."""
     raw = (DATA / f"{name}.sftm").read_bytes()
-    masks = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].masks
-    size = sum(m.words.nbytes for m in masks.values())
+    size = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].masks.nbytes
     return raw, len(raw) - 32 - TAIL[name] - size, size
 
 
+@pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("name", sorted(TAIL))
 @pytest.mark.parametrize("command", [["eval"], ["verify"]], ids=["eval", "verify"])
-def test_mask_pad_bit_set_exits_2(name, command, tmp_path, capsys):
+def test_mask_pad_bit_set_exits_2(name, command, row, tmp_path, capsys):
+    """A pad bit set in the first or the last retained task's mask row."""
     raw, at, _ = mask_block(name)
-    mask = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].masks[0]
-    assert raw[at:at + 8] == mask.words.tobytes()  # task 0's mask comes first
+    shard = load_checkpoint(DATA / f"{name}.sftm").system.shards[0]
+    t = shard.retained[row]
+    at += 8 * shard.rows([t])[0]  # task t's row: 2 words, 8 bytes
+    assert raw[at:at + 8] == shard.masks[row].tobytes()
     path = tmp_path / f"padbit_{name}.sftm"
     # bit 63 of 64 stored: past M = 33, a pad bit
     path.write_bytes(resealed(raw[:at + 7] + bytes([raw[at + 7] | 0x80]) + raw[at + 8:]))
-    message = "shard 0, task 0: mask of length 33 has nonzero pad bits"
+    message = f"shard 0, task {t}: mask of length 33 has nonzero pad bits"
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(path)
     code = main([*command, *cli_data_args(tmp_path),

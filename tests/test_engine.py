@@ -34,12 +34,12 @@ from siftmasks.engine import (
 from siftmasks.merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, merge, serve_merged
 from siftmasks.paramcore import (
     SCALE_BITS,
-    BitMask,
     FxpOverflowError,
     FxpVector,
     dequantize,
     mask_words,
     quantize,
+    word_table,
 )
 from siftmasks.trainer import (
     ModelSpec,
@@ -127,7 +127,8 @@ def test_unlearn_matches_fresh_build_bit_exact(conflicting_tasks):
     assert np.array_equal(
         shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
-    assert shard.masks.keys() == fresh_shard.masks.keys()
+    assert shard.retained == fresh_shard.retained
+    assert _same_bits(shard.masks, fresh_shard.masks)
 
 
 def test_unlearn_order_independent_state_and_cost(conflicting_tasks):
@@ -222,8 +223,8 @@ def test_every_finish_fills_the_artifacts_its_row_names_on_an_empty_shard_too(
         assert filled == set(METHODS[tag].artifacts)
     empty, zeros = emptied.shards[0], np.zeros(len(system.m0))
     assert _same_bits(empty, {
-        "tall_masks": replace(empty, tall={}),
-        "emr": replace(empty, emr=EmrArtifacts(zeros, {})),
+        "tall_masks": replace(empty, tall=np.zeros((0, 2))),
+        "emr": replace(empty, emr=EmrArtifacts(zeros, np.zeros(0))),
         "ties": replace(empty, ties_vector=zeros),
         "central": replace(empty, central_params=system.m0),
     }.get(tag, empty))
@@ -245,13 +246,13 @@ def test_rebuild_family_matches_fresh_build(tag, conflicting_tasks):
     assert np.array_equal(
         shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
+    assert shard.retained == fresh_shard.retained
     if tag == "tall_masks":
-        assert shard.tall == fresh_shard.tall
-        for t in fresh.retained:
-            assert shard.masks[t] == fresh_shard.masks[t]
+        assert np.array_equal(shard.tall, fresh_shard.tall)
+        assert np.array_equal(shard.masks, fresh_shard.masks)
     elif tag == "emr":
         assert np.array_equal(shard.emr.unified, fresh_shard.emr.unified)
-        assert shard.emr.scales == fresh_shard.emr.scales
+        assert np.array_equal(shard.emr.scales, fresh_shard.emr.scales)
     else:
         assert np.array_equal(shard.ties_vector, fresh_shard.ties_vector)
 
@@ -310,21 +311,31 @@ def test_verify_catches_a_doubled_tall_alpha():
         load_checkpoint(V3_DATA / "tall_masks_fresh.sftm"), v3_tasks()
     )
     (shard,) = system.shards
-    tall = dict(shard.tall)
-    lam, alpha = tall[0]
-    tall[0] = (lam, 2 * alpha)
+    tall = shard.tall.copy()
+    (row,) = shard.rows([0])
+    lam, alpha = tall[row]
+    tall[row] = (lam, 2 * alpha)
     system.shards = (replace(shard, tall=tall),)
     assert not verify_exactness(system).exact
 
 
 def with_flipped_mask_bit(shard, t):
-    words = shard.masks[t].words.copy()
-    words[0] ^= 1
-    return replace(shard, masks={**shard.masks, t: BitMask(words, shard.masks[t].length)})
+    masks = shard.masks.copy()
+    masks[shard.rows([t]), 0] ^= 1
+    return replace(shard, masks=masks)
 
 
 def with_tall(shard, t, change):
-    return replace(shard, tall={**shard.tall, t: change(*shard.tall[t])})
+    tall = shard.tall.copy()
+    (row,) = shard.rows([t])
+    tall[row] = change(*tall[row])
+    return replace(shard, tall=tall)
+
+
+def doubled_at(vector, row):
+    out = vector.copy()
+    out[row] *= 2
+    return out
 
 
 def with_emr(shard, **changes):
@@ -346,7 +357,7 @@ PROBES = {
     "tall_alpha_doubled": ("tall_masks", lambda s, t: with_tall(
         s, t, lambda lam, alpha: (lam, 2 * alpha))),
     "emr_scale_doubled": ("emr", lambda s, t: with_emr(
-        s, scales={**s.emr.scales, t: 2 * s.emr.scales[t]})),
+        s, scales=doubled_at(s.emr.scales, s.rows([t])))),
     "emr_unified_plus_one": ("emr", lambda s, t: with_emr(
         s, unified=plus_one_at_0(s.emr.unified))),
     "emr_mask_bit": ("emr", with_flipped_mask_bit),
@@ -383,15 +394,12 @@ def test_verify_catches_every_served_artifact_probe(probe, clusters):
 
 def one_entry_changes(value):
     """(path, changed copy) for each leaf of a served value, changed at one
-    entry: a float, or a float array's first entry, by one ulp; an int or a
-    fixed-point vector's first entry by one; a mask's first bit. Dataclass
-    fields, dict entries (the first key) and tuple items are followed down
-    to their leaves."""
-    if isinstance(value, BitMask):
-        words = value.words.copy()
-        words[0] ^= 1
-        yield (), BitMask(words, value.length)
-    elif isinstance(value, FxpVector):
+    entry: a float, or a float vector's first entry, by one ulp; an int or a
+    fixed-point vector's first entry by one; a table's first row at each of
+    its entries, a float by one ulp and a mask word at its first bit.
+    Dataclass fields, dict entries (the first key) and tuple items are
+    followed down to their leaves."""
+    if isinstance(value, FxpVector):
         yield (), FxpVector(plus_one_at_0(value.values))
     elif is_dataclass(value):
         for f in dataclass_fields(value):
@@ -406,9 +414,10 @@ def one_entry_changes(value):
             for path, changed in one_entry_changes(item):
                 yield (i, *path), value[:i] + (changed,) + value[i + 1:]
     elif isinstance(value, np.ndarray):
-        out = value.copy()
-        out[0] = np.nextafter(out[0], np.inf)
-        yield (), out
+        for at in [(0, i) for i in range(value.shape[1])] if value.ndim == 2 else [(0,)]:
+            out = value.copy()
+            out[at] = out[at] ^ 1 if out.dtype.kind == "u" else np.nextafter(out[at], np.inf)
+            yield at[1:], out
     elif isinstance(value, float):
         yield (), float(np.nextafter(value, np.inf))
     elif isinstance(value, int):
@@ -433,33 +442,63 @@ def test_verify_audits_every_field_of_a_shard(tag):
     assert verify_exactness(system).exact
 
 
-def assert_masks_list_the_retained_ids(system):
-    """Where the method stores masks, each shard's masks are keyed by exactly
-    its retained ids, in retained order; elsewhere they are None."""
+def per_task_tables(shard):
+    """The per-task tables a shard holds: masks, TALL pairs and EMR scales."""
+    emr_scales = None if shard.emr is None else shard.emr.scales
+    return [t for t in (shard.masks, shard.tall, emr_scales) if t is not None]
+
+
+def assert_tables_follow_the_retained_ids(system):
+    """Each shard holds the per-task tables its method fills, each with one
+    row per retained id: ceil(M/32) ``<u4`` mask words, a ``<f8`` (lambda,
+    alpha) pair, a ``<f8`` EMR scale."""
+    ops = METHODS[system.method.tag]
     for shard in system.shards:
-        if METHODS[system.method.tag].stores_masks:
-            assert list(shard.masks) == list(shard.retained)
-            assert all(m.length == len(system.m0) for m in shard.masks.values())
-        else:
-            assert shard.masks is None
+        k = len(shard.retained)
+        assert (shard.masks is not None) == ops.stores_masks
+        assert (shard.tall is not None) == ("tall" in ops.artifacts)
+        assert (shard.emr is not None) == ("emr" in ops.artifacts)
+        for table in per_task_tables(shard):
+            assert len(table) == k
+        if shard.masks is not None:
+            assert shard.masks.dtype == "<u4"
+            assert shard.masks.shape == (k, mask_words(len(system.m0)))
+        if shard.tall is not None:
+            assert shard.tall.dtype == "<f8" and shard.tall.shape == (k, 2)
+        if shard.emr is not None:
+            assert shard.emr.scales.dtype == "<f8" and shard.emr.scales.shape == (k,)
+
+
+def mask_rows(system):
+    """The bytes of each retained task's mask row, by task id."""
+    return {t: shard.masks[row].tobytes() for shard in system.shards if shard.masks is not None
+            for row, t in enumerate(shard.retained)}
 
 
 @pytest.mark.parametrize("clusters", [1, 3])
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_shard_masks_follow_the_retained_ids(tag, clusters, tmp_path):
-    """After the build, after each deletion down to empty shards, and after
-    a save and a load of each of those states."""
+    """Every per-task table (masks, TALL pairs, EMR scales) has a row per
+    retained id: after the build, after each deletion down to empty shards,
+    and after a save and a load of each of those states. A sift task that
+    remains keeps its mask row's bytes through each deletion."""
     system, ledger = build_system(tag, mixed_row_tasks(6), clusters=clusters, cluster_seed=7)
     path = tmp_path / "masks.sftm"
     for task_id in (None, 4, 0, 5, 1, 3, 2):
         if task_id is not None:
+            before = mask_rows(system)
             system, _, _ = unlearn(system, task_id)
-            assert all(task_id not in (s.masks or {}) for s in system.shards)
-        assert_masks_list_the_retained_ids(system)
+            assert task_id not in mask_rows(system)
+            if tag == "sift_masks":
+                assert mask_rows(system) == {t: b for t, b in before.items() if t != task_id}
+        assert_tables_follow_the_retained_ids(system)
         save_checkpoint(checkpoint_from_system(system, ledger), path)
         loaded = load_checkpoint(path).system
-        assert_masks_list_the_retained_ids(loaded)
-        assert all(_same_bits(a.masks, b.masks) for a, b in zip(loaded.shards, system.shards))
+        assert_tables_follow_the_retained_ids(loaded)
+        for a, b in zip(loaded.shards, system.shards, strict=True):
+            tables = per_task_tables(a), per_task_tables(b)
+            assert len(tables[0]) == len(tables[1])
+            assert all(map(_same_bits, *tables))
     assert system.retained == ()
 
 
@@ -624,7 +663,7 @@ def test_single_cluster_equals_unclustered(conflicting_tasks):
     assert np.array_equal(
         only.merged.accumulator.values, plain_shard.merged.accumulator.values
     )
-    assert only.masks == plain_shard.masks
+    assert np.array_equal(only.masks, plain_shard.masks)
     assert led.task_finetunes == plain_led.task_finetunes
     assert evaluate(one, "held_in").per_task == evaluate(plain, "held_in").per_task
 
@@ -729,7 +768,7 @@ def test_folded_shards_equal_merge_of_the_same_vectors(tag, clusters, monkeypatc
         got = system.shards[c].merged
         if METHODS[tag].subtracts:
             assert _same_bits(got, want)
-            masks = {t: mask for t, (_, mask) in zip(ids, trained)} if v is not None else None
+            masks = None if v is None else word_table([mask for _, mask in trained], len(m0))
             assert _same_bits(system.shards[c].masks, masks)
         else:
             assert _same_bits(got.accumulator, want.accumulator)
@@ -780,7 +819,8 @@ def stored_bytes(system):
     for shard in system.shards:
         if shard.merged is not None:
             out.append(shard.merged.accumulator.values.tobytes())
-            out.extend((t, m.words.tobytes()) for t, m in sorted((shard.masks or {}).items()))
+            if shard.masks is not None:
+                out.append((shard.retained, shard.masks.tobytes()))
         for served in (shard.central_params, shard.ties_vector):
             if served is not None:
                 out.append(served.tobytes())
@@ -1000,7 +1040,8 @@ def test_tall_build_dequantizes_accumulator_once(conflicting_tasks, monkeypatch)
     monkeypatch.setattr(merging, "dequantize", counting)
     system, _ = build_system("tall_masks", conflicting_tasks[:5])
     assert calls == [SPEC.param_count]
-    assert set(system.shards[0].tall) == {0, 1, 2, 3, 4}
+    assert system.shards[0].retained == (0, 1, 2, 3, 4)
+    assert system.shards[0].tall.shape == (5, 2)
 
 
 def test_projection_rejects_bad_arguments():

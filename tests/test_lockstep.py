@@ -339,4 +339,4 @@ def test_build_independent_of_chunk_size(tag, monkeypatch):
         assert other.replay_digests == first.replay_digests
         assert np.array_equal(other.shards[0].merged.accumulator.values,
                               first.shards[0].merged.accumulator.values)
-        assert other.shards[0].masks == first.shards[0].masks
+        assert np.array_equal(other.shards[0].masks, first.shards[0].masks)

@@ -40,7 +40,16 @@ from siftmasks.merging import (
     ties_trim,
     unmerge,
 )
-from siftmasks.paramcore import BitMask, FxpVector, dequantize, gen_sign_vector, quantize, signs
+from siftmasks.paramcore import (
+    BitMask,
+    FxpVector,
+    dequantize,
+    gen_sign_vector,
+    quantize,
+    signs,
+    unpack_bits,
+    word_table,
+)
 from siftmasks.trainer import (
     ModelSpec,
     TaskVector,
@@ -189,7 +198,9 @@ def test_localize_sift_zero_mask_returns_base():
 def test_localize_sift_guards():
     state = merge([tv(np.ones(3), 0)])
     with pytest.raises(ValueError, match="length mismatch"):
-        localize_stack(state, [full_mask(1)], np.zeros(3))  # would broadcast
+        localize_sift(state, full_mask(1), np.zeros(3))  # would broadcast
+    with pytest.raises(ValueError, match="length mismatch"):
+        localize_stack(state, full_mask(33).words[None], np.zeros(3))  # a word too many
 
 
 def same_bytes(a, b):
@@ -225,24 +236,25 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
     state = MergedState(FxpVector(np.array(acc, dtype=np.int64)), n)
     for _ in range(2):  # the first call fills the cached sum, the second reads it
         assert same_bytes(
-            localize_stack(state, [mask], m0, alpha)[0],
+            localize_stack(state, mask.words[None], m0, alpha)[0],
             frozen_localize_masked(state, mask, m0, alpha),
         )
         assert same_bytes(localize_sift(state, mask, m0), frozen_localize_sift(state, mask, m0))
         assert same_bytes(serve_merged(state, m0), frozen_serve_merged(state, m0))
         # a stack's rows: each mask with its own alpha, as served one at a time
-        rows = localize_stack(state, [mask, other, mask], m0, np.array([[alpha], [1.0], [1.6]]))
+        table = word_table([mask, other, mask], len(acc))
+        rows = localize_stack(state, table, m0, np.array([[alpha], [1.0], [1.6]]))
         for row, (m, a) in zip(rows, [(mask, alpha), (other, 1.0), (mask, 1.6)]):
             assert same_bytes(row, frozen_localize_masked(state, m, m0, a))
         # and without alphas, from the cached mean
-        rows = localize_stack(state, [mask, other, mask], m0)
+        rows = localize_stack(state, table, m0)
         for row, m in zip(rows, [mask, other, mask]):
             assert same_bytes(row, frozen_localize_masked(state, m, m0))
     empty = MergedState(FxpVector.zeros(len(acc)), 0)
     assert same_bytes(serve_merged(empty, m0), frozen_serve_merged(empty, m0))
     # EMR: the sum's entries as the unified vector and alpha as a scale
-    emr = EmrArtifacts(dequantize(state.accumulator), {0: alpha, 1: 1.0 / n})
-    rows = emr_localize(emr, [0, 1], [mask, other], m0)
+    emr = EmrArtifacts(dequantize(state.accumulator), np.array([alpha, 1.0 / n]))
+    rows = emr_localize(emr, word_table([mask, other], len(acc)), [0, 1], m0)
     assert same_bytes(rows[0], frozen_emr_localize(emr, 0, mask, m0))
     assert same_bytes(rows[1], frozen_emr_localize(emr, 1, other, m0))
 
@@ -261,15 +273,16 @@ def test_served_bytes_match_frozen_serve_at_serve_delete_size(seed, k, n):
     masks = [BitMask.from_bools(r.random(m) < r.random()) for _ in range(k)]
     state = MergedState(FxpVector(acc), n)
     alphas = r.choice(ALPHA_GRID_DEFAULT, size=(k, 1))
-    rows = localize_stack(state, masks, m0, alphas)
+    table = word_table(masks, m)
+    rows = localize_stack(state, table, m0, alphas)
     for row, mask, alpha in zip(rows, masks, alphas[:, 0], strict=True):
         assert same_bytes(row, frozen_localize_masked(state, mask, m0, alpha))
-    rows = localize_stack(state, masks, m0)
+    rows = localize_stack(state, table, m0)
     for row, mask in zip(rows, masks, strict=True):
         assert same_bytes(row, frozen_localize_masked(state, mask, m0))
     # EMR: the sum's entries, of either sign, as the unified vector
-    emr = EmrArtifacts(dequantize(state.accumulator), dict(enumerate(r.uniform(0.5, 2.0, k))))
-    rows = emr_localize(emr, list(range(k)), masks, m0)
+    emr = EmrArtifacts(dequantize(state.accumulator), r.uniform(0.5, 2.0, k))
+    rows = emr_localize(emr, table, list(range(k)), m0)
     for t, (row, mask) in enumerate(zip(rows, masks, strict=True)):
         assert same_bytes(row, frozen_emr_localize(emr, t, mask, m0))
 
@@ -624,9 +637,9 @@ def test_tall_tuned_beats_fixed_member_of_grid():
         vecs[0], state, (0.1, 0.3, 0.5, 0.7, 0.9), (0.8, 1.0, 1.2, 1.4, 1.6), x, y, spec, m0
     )
     tuned_mask = tall_mask(vecs[0], state, lam)
-    tuned = accuracy(localize_stack(state, [tuned_mask], m0, alpha)[0], spec, x, y)
+    tuned = accuracy(localize_stack(state, tuned_mask.words[None], m0, alpha)[0], spec, x, y)
     fixed_mask = tall_mask(vecs[0], state, tall_lambda_for_density(vecs[0], state, 0.5))
-    fixed = accuracy(localize_stack(state, [fixed_mask], m0, 1.0)[0], spec, x, y)
+    fixed = accuracy(localize_stack(state, fixed_mask.words[None], m0, 1.0)[0], spec, x, y)
     assert tuned >= fixed  # grid search dominates any fixed grid member
 
 
@@ -636,9 +649,9 @@ def test_tall_tuned_beats_fixed_member_of_grid():
 def test_emr_hand_example():
     art, masks = emr_build([tv([1.0, -2.0], 0), tv([3.0, 1.0], 1)])
     assert art.unified.tolist() == [3.0, -2.0]
-    assert masks[0].to_bools().tolist() == [True, True]
+    assert unpack_bits(masks[0], 2).tolist() == [True, True]
     assert art.scales[0] == pytest.approx(3 / 5)
-    (local,) = emr_localize(art, [0], [masks[0]], np.zeros(2))
+    (local,) = emr_localize(art, masks, [0], np.zeros(2))
     assert np.allclose(local, [1.8, -1.2])
 
 
@@ -647,17 +660,17 @@ def test_emr_singleton_exact_recovery():
     delta[3] = 0.0
     art, masks = emr_build([tv(delta, 0)])
     assert np.array_equal(art.unified, delta)
-    assert np.array_equal(masks[0].to_bools(), delta != 0)
+    assert np.array_equal(unpack_bits(masks[0], 20), delta != 0)
     assert art.scales[0] == 1.0
     m0 = rng.normal(size=20)
-    assert np.array_equal(emr_localize(art, [0], [masks[0]], m0)[0], m0 + delta)
+    assert np.array_equal(emr_localize(art, masks, [0], m0)[0], m0 + delta)
 
 
 def test_emr_zero_sum_entry_dropped():
     art, masks = emr_build([tv([1.0, 2.0], 0), tv([-1.0, 1.0], 1)])
     assert art.unified[0] == 0.0
-    assert not masks[0].to_bools()[0]
-    assert not masks[1].to_bools()[0]
+    assert not unpack_bits(masks[0], 2)[0]
+    assert not unpack_bits(masks[1], 2)[0]
 
 
 def test_emr_zero_norm_scale_guard():
@@ -753,7 +766,7 @@ def test_brute_force_equivalence_1000_trials():
         unified, masks, scales = brute_emr(deltas)
         assert np.allclose(art.unified, unified, atol=1e-12)
         for i in range(n):
-            assert art_masks[i].to_bools().tolist() == masks[i]
+            assert unpack_bits(art_masks[i], m).tolist() == masks[i]
             assert art.scales[i] == pytest.approx(scales[i])
 
         density = float(check_rng.uniform(0.05, 1.0))

@@ -148,16 +148,15 @@ def test_checkpoint_save_fsyncs_the_file_then_the_directory(tmp_path, recorded):
 
 def test_checkpoint_save_streams_the_shard_arrays(tmp_path, monkeypatch):
     """The chunks handed to the writer include each shard's accumulator and
-    masks themselves, not a copy of them inside one joined body."""
+    mask table themselves, not a copy of them inside one joined body."""
     ckpt = load_checkpoint(K3_FIXTURE)
     written = []
     monkeypatch.setattr(checkpoint, "write_atomic", lambda path, chunks: written.extend(chunks))
     save_checkpoint(ckpt, tmp_path / "out.sftm")
     assert b"".join(written) == K3_FIXTURE.read_bytes()
     shards = ckpt.system.shards
-    arrays = [a for s in shards for a in (s.merged.accumulator.values,
-                                          *(m.words for m in s.masks.values()))]
-    assert len(arrays) == len(shards) + sum(len(s.retained) for s in shards) > len(shards)
+    arrays = [a for s in shards for a in (s.merged.accumulator.values, s.masks)]
+    assert len(arrays) == 2 * len(shards) and all(len(s.masks) for s in shards)
     for array in arrays:
         assert any(np.shares_memory(chunk, array) for chunk in written)
 

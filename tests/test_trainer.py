@@ -168,7 +168,7 @@ def test_replay_digest_independent_of_blas_threads():
         "shard = system.shards[0]\n"
         "print(sorted((t, d.hex()) for t, d in system.replay_digests.items()))\n"
         "print(hashlib.sha256(shard.merged.accumulator.values.tobytes()).hexdigest())\n"
-        "print([shard.masks[t].words.tobytes().hex() for t in sorted(shard.masks)])\n"
+        "print([row.tobytes().hex() for row in shard.masks])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
