@@ -1,4 +1,4 @@
-"""Binary checkpoint, version 3: a sealed file (``sealed.seal``) of magic
+"""Binary checkpoint, version 4: a sealed file (``sealed.seal``) of magic
 "SFTM", little-endian throughout, that stores each fact once.
 
 A checkpoint is the engine's ``SystemState`` without its task data, plus a
@@ -11,13 +11,13 @@ ledger snapshot. Its body holds, in this order:
 * the ledger's two task-finetune counts (each is ``steps`` optimizer steps);
 * the shard count, then each shard: its retained ids (a u32 count, then the
   ids, strictly ascending) and its unlearned ids (count, ids, in deletion
-  order), then what its method keeps, none with a length of its own: where
-  the method trains per task, the exact fixed-point accumulator (M i64) and
-  one 32-byte replay digest per retained id, in retained order; where it
-  stores masks, the mask table (``Shard.masks``: per retained id, in
-  retained order, its bit-packed mask of ceil(M/32) u32); and the float
-  artifacts its ``finish`` fills (``MethodOps.artifacts``): TALL's (lambda,
-  alpha) table, EMR's unified vector then its scales column, or one vector.
+  order), then what its method keeps, none with a length of its own: the
+  fixed-point accumulator (M i64), central's of its one pooled vector; where
+  the method trains per task, a 32-byte replay digest per retained id, in
+  retained order; where it stores masks, the mask table (``Shard.masks``: per
+  retained id, in retained order, its bit-packed mask of ceil(M/32) u32); and
+  the float artifacts its ``finish`` fills (``MethodOps.artifacts``): TALL's
+  (lambda, alpha) table, EMR's unified vector then its scales, or a vector.
 
 So a shard's layout follows from its method and retained count alone, and a
 task's shard is the one whose lists hold it; no id may appear twice in the
@@ -38,8 +38,9 @@ loop, whose replays the current trainer cannot match. Version 2 files hold
 the bits of version 3 in a layout that stored some facts twice (an
 assignment table, per-shard flags, digest ids, the digests of deleted tasks,
 the ledger's step counts, vector lengths and a reserved field); reading them
-would take a second reader. Both are refused with a message to retrain with
-``siftmasks train``, which gives a version-2 configuration the same bits.
+would take a second reader. Version 3 files derived float artifacts from raw
+deltas that no digest checks, and kept central's parameters, not its sum. All
+are refused, saying to retrain (``siftmasks train``: v2's and v3's digests hold).
 The file is written by ``sealed.write_atomic`` from chunks, each of a shard's
 arrays and tables one chunk, the array itself: a reader sees the old file or
 the new one, and a rewrite is durable once ``save_checkpoint`` returns. The
@@ -62,11 +63,12 @@ from .sealed import Body, SealError, seal, unseal, write_atomic
 from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
-VERSION = 3
+VERSION = 4
 # why the files of each earlier version are refused
 _REFUSED = {
     1: "trained by the per-example gradient loop, whose replays the current trainer cannot match",
     2: "a layout that stored some facts twice and is no longer read",
+    3: "its float artifacts derived from float deltas that no digest checks",
 }
 
 # the header, read and written in this order after the sealed framing: method
@@ -86,8 +88,6 @@ _ARTIFACTS = {
             lambda s: np.concatenate([s.emr.unified, s.emr.scales]),
             lambda v, n: EmrArtifacts(*np.split(v, [len(v) - n]))),
     "ties_vector": ("TIES vector", lambda m, n: (m,), lambda s: s.ties_vector, lambda v, n: v),
-    "central_params": ("central parameters", lambda m, n: (m,),
-                       lambda s: s.central_params, lambda v, n: v),
 }
 
 
@@ -139,8 +139,8 @@ def _shard_chunks(system: SystemState, shard: Shard) -> list:
     """The chunks of one shard: its id tables packed, its arrays themselves."""
     ops, m, retained = METHODS[system.method.tag], system.model_spec.param_count, shard.retained
     chunks = [_pack(f"I{len(ids)}I", len(ids), *ids) for ids in (retained, shard.unlearned)]
+    chunks.append(_vector(shard.merged.accumulator.values, "<i8", (m,), "accumulator"))
     if ops.per_task:
-        chunks.append(_vector(shard.merged.accumulator.values, "<i8", (m,), "accumulator"))
         digests = [system.replay_digests[t] for t in retained]
         if any(len(d) != _DIGEST for d in digests):
             raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
@@ -228,16 +228,17 @@ def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Sh
     if any(a >= b for a, b in zip(retained, retained[1:])):
         raise CheckpointFormatError(f"shard {c}: retained ids are not strictly ascending")
     ops, m = METHODS[system.method.tag], system.model_spec.param_count
-    merged = masks = None
+    accumulator = body.array("<i8", m, f"shard {c}: accumulator").copy()
     if ops.per_task:
-        accumulator = body.array("<i8", m, f"shard {c}: accumulator").copy()
         # numpy's "V" keeps a digest's trailing NUL bytes, which "S" would strip
         digests = body.array(f"V{_DIGEST}", len(retained), f"shard {c}: digests")
         system.replay_digests.update(zip(retained, digests.tolist()))
-        try:
-            merged = MergedState(FxpVector(accumulator), len(retained))
-        except FxpOverflowError as exc:
-            raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
+    try:  # central's count is of the vectors folded: its one pooled vector, if any
+        n = len(retained) if ops.per_task else min(len(retained), 1)
+        merged = MergedState(FxpVector(accumulator), n)
+    except FxpOverflowError as exc:
+        raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
+    masks = None
     if ops.stores_masks:
         masks = body.array("<u4", (len(retained), mask_words(m)), f"shard {c}: masks").copy()
         padded = np.flatnonzero(masks[:, -1] >> m % 32) if m % 32 else []

@@ -332,7 +332,7 @@ def cmd_verify(checkpoint, **params):
 
     Each replay digest must match, and the accumulator, masks and method
     artifacts (TALL lambdas and alphas, EMR unified vector and scales, TIES
-    vector, central parameters) must equal the stored ones bit for bit.
+    vector) must equal the stored ones bit for bit.
     """
     cfg = _config_from(params)
     _, system = _load_system(cfg, checkpoint)

@@ -9,8 +9,8 @@ one task). Build charges one task-finetune per task. Unlearning charges:
 * TALL / EMR / TIES: the masks (or elected signs) depend on the merged state,
   so every remaining task is retrained and the state rebuilt; charges one
   task-finetune per remaining task.
-* central: retrain on the pooled retain set; charged as one task-finetune per
-  remaining task.
+* central: retrain on the pooled retain set, folded as one vector; charged
+  as one task-finetune per remaining task.
 
 A replay that fails to reproduce the stored digest is a hard error: exactness
 is void once determinism breaks, so the engine refuses to proceed.
@@ -26,9 +26,10 @@ shards as it finishes. Each vector is quantized once, for its digest and its
 shard's sum, so a subtracting method's memory is bounded by the model and the
 chunk, not by the task count; a deletion subtracts the replay's quantized
 vector. TALL, EMR and TIES keep every vector of a shard they build, since
-their ``finish`` reads them all. Serving is stacked: a method's
-serve gives K tasks of one shard their parameters at once, ``serve_for_task``
-is its one-id call, and ``evaluate`` serves and scores in bounded stacked
+their ``finish`` reads them all, each dequantized from the integers its
+digest checks, never the raw delta. Serving is stacked: a method's serve
+gives K tasks of one shard their parameters at once, ``serve_for_task`` is
+its one-id call, and ``evaluate`` serves and scores in bounded stacked
 passes. What differs between methods lives in one table, ``METHODS``.
 """
 
@@ -59,7 +60,8 @@ from .merging import (
     ties_merge,
     unmerge,
 )
-from .paramcore import BitMask, FxpVector, gen_sign_vector, mask_words, quantize, word_table
+from .paramcore import BitMask, FxpVector, dequantize, gen_sign_vector, mask_words, quantize
+from .paramcore import word_table
 from .prng import PrngStream
 from .trainer import (
     ModelSpec,
@@ -120,15 +122,14 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class Shard:
-    """What one shard serves: its merged state (or central model) and its
+    """What one shard serves: its merged state (every method's) and its
     artifacts; and which tasks it holds: its retained ids (ascending) and its
     unlearned ids (deletion order). Per-task facts are tables of a row per
     retained id (``rows``): (K, ceil(M/32)) ``<u4`` mask words, None where the
     method stores none; TALL's (K, 2) ``<f8`` (lambda, alpha); EMR's scales."""
 
-    merged: MergedState | None = None
+    merged: MergedState
     masks: np.ndarray | None = None
-    central_params: np.ndarray | None = None
     emr: EmrArtifacts | None = None
     tall: np.ndarray | None = None
     ties_vector: np.ndarray | None = None
@@ -182,10 +183,10 @@ class MethodOps:
     benchmark's tracer does) sees every method's calls.
     """
 
-    # one shard's served state from its retained ids and, for a method that
-    # trains per task, their trained vectors (id order) and merged state;
-    # TALL, EMR and TIES add their artifacts, central trains its pooled task
-    finish: Callable[[SystemState, list[int], list[TaskVector], MergedState | None], Shard]
+    # one shard's served state from its retained ids, the merged state of
+    # their trained vectors and, for TALL, EMR and TIES, those vectors (id
+    # order), dequantized, to derive their artifacts; central folds its pooled task
+    finish: Callable[[SystemState, list[int], list[TaskVector], MergedState], Shard]
     # parameters (K, M) served for K tasks of one shard, each with a stored
     # mask, or any tasks when the method stores none; row k is task k's
     serve: Callable[[SystemState, Shard, list[int]], np.ndarray]
@@ -197,7 +198,7 @@ class MethodOps:
     # tasks train under the global sign vector
     signed: bool = False
     # each retained task trains alone, in its operation's one lockstep call,
-    # and keeps a replay digest; otherwise ``finish`` gets no vectors
+    # and keeps a replay digest; otherwise ``finish`` gets an empty state
     per_task: bool = True
     # the Shard fields of the float artifacts ``finish`` fills, on an empty shard too
     artifacts: tuple[str, ...] = ()
@@ -225,15 +226,15 @@ def _fresh_shards(system: SystemState, members, replay: tuple[int, ...] = ()):
     beside it, so pooling shards changes none. Each chunk is folded away as
     it finishes: a vector is quantized once, for its digest and for its
     shard's new accumulator (``fold``, from the empty ``merge``), and a
-    signed method keeps its mask. Its float vector is kept only where the
-    method's ``finish`` reads every vector (TALL, EMR, TIES). So a
-    subtracting method holds the vectors of the chunk in hand, not of every
-    task, beside the shards' sums, masks and digests.
+    signed method keeps its mask. Where ``finish`` reads every vector (TALL,
+    EMR, TIES), it reads them dequantized, holding only digest-checked bits.
+    So a subtracting method holds the vectors of the chunk in hand, not of
+    every task, beside the shards' sums, masks and digests.
     """
     ops = METHODS[system.method.tag]
     shard_of = {t: c for c, (kept, _) in members.items() for t in kept} if ops.per_task else {}
     train = [*replay, *shard_of]
-    states = {c: merge([], length=len(system.m0)) for c in members} if ops.per_task else {}
+    states = {c: merge([], length=len(system.m0)) for c in members}
     kept, masks, digests, replayed = {}, {}, {}, {}
     for chunk in finetune_stream(
         [system.registry[t] for t in train], system.m0, system.model_spec,
@@ -249,13 +250,13 @@ def _fresh_shards(system: SystemState, members, replay: tuple[int, ...] = ()):
             if ops.signed:
                 masks[t] = mask
             if not ops.subtracts:
-                kept[t] = tv
+                kept[t] = TaskVector(dequantize(quantized), t, tv.steps_used)
         chunk = tv = quantized = None  # held through neither the next chunk nor ``finish``
     fresh = []
     for c, (retained, unlearned) in members.items():
         # the vectors ``finish`` reads: none where the method subtracts or pools
         vectors = [kept[t] for t in retained if t in kept]
-        shard = ops.finish(system, retained, vectors, states.get(c))
+        shard = ops.finish(system, retained, vectors, states[c])
         if ops.signed:  # in retained order, as ``finish`` lists TALL's and EMR's
             shard = replace(shard, masks=word_table([masks[t] for t in retained], len(system.m0)))
         fresh.append(replace(shard, retained=tuple(retained), unlearned=tuple(unlearned)))
@@ -297,13 +298,14 @@ def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
 
 
 def _finish_central(system, ids, vectors, state):
+    """The pooled task's quantized vector folded into the empty ``state``."""
     if not ids:
-        return Shard(central_params=system.m0.copy())
+        return Shard(state)
     cfg = system.train_cfg
     pooled = _pooled_task([system.registry[t] for t in ids])
     run_cfg = replace(cfg, steps=min(cfg.steps * len(ids), system.central_max_steps))
     delta = ft_finetune(pooled, system.m0, system.model_spec, run_cfg).delta
-    return Shard(central_params=system.m0 + delta)
+    return Shard(fold(state, quantize(delta)))
 
 
 def _serve_merged(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
@@ -327,16 +329,11 @@ def _serve_ties(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray
     return _broadcast(system.m0 + shard.ties_vector, ids)
 
 
-def _serve_central(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
-    return _broadcast(shard.central_params, ids)
-
-
 def _broadcast(params: np.ndarray, ids: list[int]) -> np.ndarray:
     """One served vector as the K rows of a read-only stack, not copied; one
     id gets a one-row view, ~3 us cheaper than ``np.broadcast_to``. The
     vector itself is made read-only first, as ``MergedState.summed`` is: it
-    is fresh or the shard's stored central parameters, which nothing writes,
-    and a view of a read-only array cannot be made writable."""
+    is fresh, and a view of a read-only array cannot be made writable."""
     params.flags.writeable = False
     if len(ids) == 1:
         return params[None]
@@ -358,8 +355,7 @@ METHODS: dict[str, MethodOps] = {
         _finish_ties, _serve_ties, subtracts=False, stores_masks=False, artifacts=("ties_vector",)
     ),
     "central": MethodOps(
-        _finish_central, _serve_central, subtracts=False, stores_masks=False, per_task=False,
-        artifacts=("central_params",),
+        _finish_central, _serve_merged, subtracts=False, stores_masks=False, per_task=False
     ),
 }
 

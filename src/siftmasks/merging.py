@@ -383,6 +383,8 @@ def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, np.ndarray]
     if not task_vectors:
         raise ValueError("emr needs at least one task vector")
     deltas = np.stack([tv.delta for tv in task_vectors])
+    # the engine's vectors are dequantized: this sum and the l1 norms below are exact in
+    # any order, so at any dispatch level, while below 2**(53 - SCALE_BITS) = 2**21
     elected = np.sign(deltas.sum(axis=0))
     aligned = np.where(np.sign(deltas) == elected, np.abs(deltas), 0.0)
     unified = elected * aligned.max(axis=0)
@@ -433,6 +435,7 @@ def ties_merge(task_vectors: list[TaskVector], density: float) -> np.ndarray:
     if not task_vectors:
         raise ValueError("ties needs at least one task vector")
     trimmed = np.stack([ties_trim(tv.delta, density) for tv in task_vectors])
+    # exact in any order for the engine's dequantized vectors, as in emr_build
     elected = np.sign(trimmed.sum(axis=0))
     agree = (np.sign(trimmed) == elected) & (elected != 0)
     counts = agree.sum(axis=0)

@@ -34,11 +34,9 @@ def frozen_serve_for_task(system, task_id):
     tag = system.method.tag
     shard = next(s for s in system.shards if task_id in s.retained + s.unlearned)
     m0 = system.m0
-    if tag == "central":
-        return shard.central_params
     if tag == "ties":
         return m0 + shard.ties_vector
-    if tag == "ft_merge" or task_id not in shard.retained:
+    if tag in ("ft_merge", "central") or task_id not in shard.retained:
         return frozen_serve_merged(shard.merged, m0)
     row = shard.retained.index(task_id)
     mask = BitMask(shard.masks[row], len(m0))

@@ -1,35 +1,41 @@
-"""Frozen version-3 checkpoints: loading and re-saving must keep their bytes.
+"""Frozen checkpoints of the current version: loading and re-saving must
+keep their bytes.
 
-The files under data/v3 pin the on-disk format across refactors. Their
-configuration: a logistic 10 -> 3 model (M = 33), the six tasks below,
-TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99), base seed 1,
-sign seed 2, central_max_steps 12, density grid (0.3, 0.7), alpha grid
-(1.0, 1.4), and for the ``_k3`` files three shards from cluster seed 7. Each
-configuration is saved fresh, after deleting task 2, and after deleting every
-task in the order 2, 0, 5, 1, 4, 3.
+The files under data/v{VERSION} (``DATA``, from ``checkpoint.VERSION``) pin
+the on-disk format across refactors. Their configuration: a logistic 10 -> 3
+model (M = 33), the six tasks below, TrainConfig(steps=4, batch_size=8,
+learning_rate=0.05, seed=99), base seed 1, sign seed 2, central_max_steps 12,
+density grid (0.3, 0.7), alpha grid (1.0, 1.4), and for the ``_k3`` files
+three shards from cluster seed 7. Each configuration is saved fresh, after
+deleting task 2, and after deleting every task in the order 2, 0, 5, 1, 4, 3.
 
-The files under data/v2 hold the same configurations in the version-2
-layout, which stored some facts twice. No reader of it is kept: they stay as
-proof that version 3 moved no bit, since every accumulator, mask, digest and
-float artifact of a v3 file occurs verbatim in its v2 counterpart, and as
-files that must be refused. data/v1 keeps one version-1 file, trained by the
-per-example gradient loop, which must be refused too.
+The files under data/v3 hold the same configurations in the version-3
+layout, whose TALL, EMR and TIES artifacts were derived from raw float deltas
+and whose central shards held parameters, not an accumulator. No reader of
+it is kept: they stay as proof of which bits version 4 did not move (every
+sift_masks and ft_merge body is unchanged, and every accumulator, digest
+and mask of a TALL, EMR or TIES file occurs verbatim in its v3 counterpart),
+and as files that must be refused. data/v2 holds them in the version-2
+layout, which stored some facts twice, and data/v1 keeps one version-1 file,
+trained by the per-example gradient loop; both must be refused too.
 
 Loading and re-saving retrain nothing, but ``verify``'s audit and a rewrite
-of the files (``--check`` and the test that runs it) retrain every task.
-Those hold only on the OpenBLAS kernels and the numpy SIMD dispatch level
-that wrote the files (``FIXTURE_CORE``, ``FIXTURE_DISPATCH``): other kernels,
-as under ``OPENBLAS_CORETYPE=Haswell``, or a lower dispatch level, as under
-``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4``, may train other
-bits, and each such failure names both parts for the files and for the run.
+of the files (``--check`` and the tests that run it) retrain every task.
+Every stored bit derives from the quantized vectors that the replay digests
+check, so they hold on other OpenBLAS kernels, as under
+``OPENBLAS_CORETYPE=Haswell``, and at a lower numpy SIMD dispatch level, as
+under ``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4``, wherever
+those train the same integers; a failure names the OpenBLAS core and the
+dispatch level of the files (``FIXTURE_CORE``, ``FIXTURE_DISPATCH``) and of
+the run.
 
 A test that corrupts a field reseals the file (``resealed``), so that the
 corruption reaches the check it targets rather than the SHA-256 trailer.
 
 To rewrite the files (only when the format or the trainer changes on purpose,
-together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_v3.py``.
+together with a version bump): ``PYTHONPATH=src python tests/test_checkpoint_fixtures.py``.
 To check that the current code still writes them byte for byte, without
-touching them: ``PYTHONPATH=src python tests/test_checkpoint_v3.py --check``
+touching them: ``PYTHONPATH=src python tests/test_checkpoint_fixtures.py --check``
 (exit 1 naming the first file that differs and the offset of its first
 differing byte).
 """
@@ -38,6 +44,7 @@ import ctypes
 import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -57,13 +64,14 @@ from siftmasks.checkpoint import (
 )
 from siftmasks.cli import main
 from siftmasks.datasets import DataFormatError, HeterogeneityRegime, save_tasks, synth_generate
-from siftmasks.engine import METHODS, build, evaluate, unlearn, verify_exactness
+from siftmasks.engine import build, evaluate, unlearn, verify_exactness
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
 from siftmasks.paramcore import FxpVector
 from siftmasks.sealed import seal
 from siftmasks.trainer import ModelSpec, TrainConfig
 
-DATA = Path(__file__).resolve().parent / "data" / "v3"
+DATA = Path(__file__).resolve().parent / "data" / f"v{VERSION}"
+V3 = DATA.parent / "v3"
 V2 = DATA.parent / "v2"
 V1 = DATA.parent / "v1"
 CONFIGS = (*METHOD_TAGS, "sift_masks_k3", "central_k3")
@@ -158,7 +166,7 @@ def tasks():
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_v3_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
+def test_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
     raw = (DATA / f"{name}.sftm").read_bytes()
     ckpt = load_checkpoint(DATA / f"{name}.sftm")
     save_checkpoint(ckpt, tmp_path / "resaved.sftm")
@@ -171,54 +179,54 @@ def test_v3_checkpoint_bytes_survive_load_and_reattach(name, tasks, tmp_path):
     assert verify_exactness(system).exact, cores()
 
 
-def stored_sections(system) -> list[bytes]:
-    """The bytes of what each shard of ``system`` stores beside its ids: its
-    accumulator, retained digests and masks, and its float artifacts, each
-    as the v2 layout laid it out (TALL's pairs and EMR's unified vector with
-    its scales each in one run). An empty EMR shard's zero unified vector is
-    left out: v2 stored no EMR artifacts for an empty shard."""
-    ops = METHODS[system.method.tag]
-    sections = []
-    for shard in system.shards:
-        retained = shard.retained
-        if ops.per_task:
-            sections.append(shard.merged.accumulator.values.tobytes())
-            sections += [system.replay_digests[t] for t in retained]
-        if ops.stores_masks:
-            sections += [row.tobytes() for row in shard.masks]
-        if shard.tall is not None:
-            sections.append(shard.tall.tobytes())
-        if shard.emr is not None and retained:
-            sections.append(np.concatenate([shard.emr.unified, shard.emr.scales]).tobytes())
-        for vector in (shard.ties_vector, shard.central_params):
-            if vector is not None:
-                sections.append(vector.tobytes())
-    return sections
+# the configurations whose every stored bit version 4 left as version 3
+# wrote it (they read no float delta), and those whose float artifacts moved
+UNMOVED = [f"{c}_{state}" for c in ("sift_masks", "sift_masks_k3", "ft_merge") for state in STATES]
+REBUILT = [f"{c}_{state}" for c in ("tall_masks", "emr", "ties") for state in STATES]
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_every_v3_section_occurs_verbatim_in_its_v2_file(name):
-    """No trained, stored or served bit moved from v2 to v3."""
-    v2 = (V2 / f"{name}.sftm").read_bytes()
+def framing(raw: bytes) -> tuple[bytes, int, bytes, bytes]:
+    """A sealed file's magic, version, body and trailer."""
+    head = len(MAGIC) + 4
+    version = int.from_bytes(raw[len(MAGIC):head], "little")
+    return raw[:len(MAGIC)], version, raw[head:-32], raw[-32:]
+
+
+@pytest.mark.parametrize("name", UNMOVED)
+def test_subtracting_method_body_equals_its_v3_body(name):
+    """sift_masks and ft_merge read no float delta, so a file differs from its
+    version-3 counterpart in the version field and the trailer alone."""
+    magic, version, body, trailer = framing((DATA / f"{name}.sftm").read_bytes())
+    v3_magic, v3_version, v3_body, v3_trailer = framing((V3 / f"{name}.sftm").read_bytes())
+    assert magic == v3_magic == MAGIC
+    assert (version, v3_version) == (VERSION, 3)
+    assert body == v3_body
+    assert trailer != v3_trailer
+
+
+@pytest.mark.parametrize("name", REBUILT)
+def test_every_integer_section_occurs_verbatim_in_its_v3_file(name):
+    """TALL, EMR and TIES derive their float artifacts from the dequantized
+    vectors now, which moved no accumulator, digest or mask table."""
+    v3 = (V3 / f"{name}.sftm").read_bytes()
     system = load_checkpoint(DATA / f"{name}.sftm").system
-    sections = stored_sections(system)
-    assert sections
-    for section in sections:
-        assert section in v2
-    for shard in system.shards:  # the one section v2 did not store
-        if shard.emr is not None and not shard.retained:
-            assert shard.emr.unified.tobytes() == bytes(8 * 33)
+    for shard in system.shards:
+        assert shard.merged.accumulator.values.tobytes() in v3
+        assert b"".join(system.replay_digests[t] for t in shard.retained) in v3
+        if shard.masks is not None:
+            assert shard.masks.tobytes() in v3
 
 
 @pytest.mark.parametrize("config", [c for c in CONFIGS if not c.startswith("central")])
-def test_no_deleted_task_digest_in_any_v3_file(config):
-    """A v3 file keeps the digests of its retained tasks only; each digest
-    is the one the v2 file stores after the task's id. (Central keeps none.)"""
-    fresh = load_checkpoint(DATA / f"{config}_fresh.sftm").system.replay_digests
-    v2 = (V2 / f"{config}_fresh.sftm").read_bytes()
+def test_no_deleted_task_digest_in_any_fixture(config):
+    """A file keeps the digests of its retained tasks only; each shard's run
+    of digests is the one its version-3 file stores. (Central keeps none.)"""
+    system = load_checkpoint(DATA / f"{config}_fresh.sftm").system
+    fresh = system.replay_digests
+    v3 = (V3 / f"{config}_fresh.sftm").read_bytes()
     assert sorted(fresh) == sorted(DELETION_ORDER)
-    for t, digest in fresh.items():
-        assert v2.count(struct.pack("<I", t) + digest) == 1
+    for shard in system.shards:
+        assert v3.count(b"".join(fresh[t] for t in shard.retained)) == 1
     for state, gone in (("deleted1", DELETION_ORDER[:1]), ("empty", DELETION_ORDER)):
         raw = (DATA / f"{config}_{state}.sftm").read_bytes()
         system = load_checkpoint(DATA / f"{config}_{state}.sftm").system
@@ -230,20 +238,21 @@ def test_no_deleted_task_digest_in_any_v3_file(config):
 RETRAIN = {
     1: r"version-1 checkpoint, trained by the per-example gradient loop.*`siftmasks train`",
     2: r"version-2 checkpoint, a layout that stored some facts twice.*`siftmasks train`",
+    3: r"version-3 checkpoint, its float artifacts derived from float deltas that no digest "
+       r"checks.*`siftmasks train`",
 }
+EARLIER = [V1 / "sift_masks_fresh.sftm",
+           *(old / f"{name}.sftm" for old in (V2, V3) for name in FIXTURES)]
 
 
-@pytest.mark.parametrize(
-    "path", [V1 / "sift_masks_fresh.sftm", *(V2 / f"{name}.sftm" for name in FIXTURES)],
-    ids=["v1-sift_masks_fresh", *(f"v2-{name}" for name in FIXTURES)],
-)
+@pytest.mark.parametrize("path", EARLIER, ids=[f"{p.parent.name}-{p.stem}" for p in EARLIER])
 def test_earlier_version_refused_saying_to_retrain(path):
     version = int(path.parent.name[1:])
     with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: {RETRAIN[version]}"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize("command", [["eval", "--mode", "held_in"], ["unlearn", "--id", "2"]],
                          ids=["eval", "unlearn"])
 def test_cli_on_earlier_version_exits_2(version, command, tmp_path, capsys):
@@ -532,13 +541,20 @@ def test_invalid_header_value_is_a_format_error_naming_the_file(
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [2**62 + 5, -(2**62) - 5], ids=["above", "below"])
+@pytest.mark.parametrize("name", ["sift_masks_fresh", "central_fresh"])
 @pytest.mark.parametrize("command", [["report"], ["verify"]], ids=["report", "verify"])
-def test_accumulator_out_of_range_is_a_format_error_naming_the_file(command, tmp_path, capsys):
-    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
-    merged = load_checkpoint(DATA / "sift_masks_fresh.sftm").system.shards[0].merged
+def test_accumulator_out_of_range_is_a_format_error_naming_the_file(
+    command, name, value, tmp_path, capsys
+):
+    """Loaded, such a file would serve parameters no fold can reach, and
+    ``verify`` would blame determinism (exit 3); the reader refuses it, for
+    central's one pooled vector as for a per-task sum."""
+    raw = bytearray((DATA / f"{name}.sftm").read_bytes())
+    merged = load_checkpoint(DATA / f"{name}.sftm").system.shards[0].merged
     at = raw.find(merged.accumulator.values.tobytes())
     assert at > 0
-    struct.pack_into("<q", raw, at, 2**62 + 5)  # entry 0, past the fixed-point range
+    struct.pack_into("<q", raw, at, value)  # entry 0, past the fixed-point range
     path = tmp_path / "overflow.sftm"
     path.write_bytes(resealed(raw))
     message = f"{path}: shard 0: accumulator: fixed-point overflow at index 0"
@@ -595,8 +611,6 @@ NON_FINITE = {
     "emr_unified": ("emr_fresh", set_entry(lambda s: s.emr.unified, 0), EMR),
     "emr_scale": ("emr_fresh", set_entry(lambda s: s.emr.scales, 1), EMR),
     "ties_vector": ("ties_fresh", set_entry(lambda s: s.ties_vector, 0), "TIES vector"),
-    "central_params": ("central_fresh", set_entry(lambda s: s.central_params, 0),
-                       "central parameters"),
 }
 
 
@@ -635,17 +649,12 @@ def shorten_emr(ckpt) -> None:
     ckpt.system.shards = (replace(ckpt.system.shards[0], emr=emr),)
 
 
-def shorten_central(ckpt) -> None:
-    shard = ckpt.system.shards[0]
-    ckpt.system.shards = (replace(shard, central_params=shard.central_params[:32]),)
-
-
 @pytest.mark.parametrize(
     "name, change, message",
     [("sift_masks_fresh", shorten_accumulator, "accumulator has 32 entries, expected 33"),
      ("ties_fresh", shorten_ties, "TIES vector has 32 entries, expected 33"),
      ("emr_fresh", shorten_emr, "EMR unified vector and scales has 38 entries, expected 39"),
-     ("central_fresh", shorten_central, "central parameters has 32 entries, expected 33")],
+     ("central_fresh", shorten_accumulator, "accumulator has 32 entries, expected 33")],
     ids=["accumulator", "ties", "emr", "central"],
 )
 def test_save_refuses_a_short_vector_before_writing(name, change, message, tmp_path):
@@ -859,6 +868,46 @@ def test_cores_name_the_dispatch_group_left_enabled(monkeypatch):
 def test_current_code_rewrites_every_fixture_byte_for_byte():
     mismatch = first_mismatch(DATA)
     assert mismatch is None, f"{mismatch} ({cores()})"
+
+
+X86_V4_AND_ABOVE = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+OTHER_KERNELS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "x86_v4_off": {"NPY_DISABLE_CPU_FEATURES": ",".join(X86_V4_AND_ABOVE)},
+}
+
+
+def why_unchanged(setting: str) -> str | None:
+    """Why ``setting`` would train on the kernels this process trains on, or
+    could not run here; None where it trains on others."""
+    if setting == "x86_v4_off":
+        if cpu_feature_group() not in X86_V4_AND_ABOVE:
+            return f"numpy dispatch here tops out at {cpu_feature_group()}, below X86_V4"
+        return None
+    if running_core() == "unknown":
+        return "numpy's OpenBLAS names no core here, so its Haswell kernels cannot be told apart"
+    if running_core() == "Haswell":
+        return "OpenBLAS already runs its Haswell kernels here"
+    if not all(_umath().__cpu_features__.get(f) for f in ("AVX2", "FMA3")):
+        return "this CPU lacks AVX2 or FMA3, which the Haswell kernels need"
+    return None
+
+
+@pytest.mark.parametrize("setting", sorted(OTHER_KERNELS))
+def test_fixture_check_exits_0_on_other_kernels(setting):
+    """``--check`` in a process that trains on other OpenBLAS kernels, or at
+    a lower numpy dispatch level, than the ones that wrote the files: every
+    stored bit derives from integers that its digest checks, so each fixture
+    is rewritten byte for byte."""
+    reason = why_unchanged(setting)
+    if reason:
+        pytest.skip(reason)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, __file__, "--check"], capture_output=True, text=True,
+                          env={**os.environ, **OTHER_KERNELS[setting], "PYTHONPATH": path},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":

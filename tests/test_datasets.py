@@ -20,7 +20,7 @@ from siftmasks.datasets import (
     save_tasks,
     synth_generate,
 )
-from siftmasks.engine import build
+from siftmasks.engine import build, serve_for_task
 from siftmasks.merging import LocalizationMethod
 from siftmasks.sealed import seal
 from siftmasks.trainer import ModelSpec, TrainConfig, predict_labels
@@ -98,7 +98,7 @@ def test_pooled_bayes_bound_for_balanced_camps():
     accs = []
     for t in tasks:
         x, y = t.train_xy()
-        accs.append(float((predict_labels(system.shards[0].central_params, spec, x) == y).mean()))
+        accs.append(float((predict_labels(serve_for_task(system, t.id), spec, x) == y).mean()))
     assert np.mean(accs) <= bayes + slack
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_task, routes
 from frozen_serve import frozen_serve_for_task
-from siftmasks import engine, merging
+from siftmasks import engine, merging, trainer
 from siftmasks.checkpoint import (
     checkpoint_from_system,
     load_checkpoint,
@@ -31,7 +31,14 @@ from siftmasks.engine import (
     unlearn,
     verify_exactness,
 )
-from siftmasks.merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, merge, serve_merged
+from siftmasks.merging import (
+    METHOD_TAGS,
+    EmrArtifacts,
+    LocalizationMethod,
+    MergedState,
+    merge,
+    serve_merged,
+)
 from siftmasks.paramcore import (
     SCALE_BITS,
     FxpOverflowError,
@@ -50,9 +57,9 @@ from siftmasks.trainer import (
     ft_finetune,
     init_params,
 )
-from test_checkpoint_v3 import DATA as V3_DATA
-from test_checkpoint_v3 import FIXTURES as V3_FIXTURES
-from test_checkpoint_v3 import make_tasks as v3_tasks
+from test_checkpoint_fixtures import DATA as FIXTURE_DATA
+from test_checkpoint_fixtures import FIXTURES
+from test_checkpoint_fixtures import make_tasks as fixture_tasks
 
 SPEC = ModelSpec("logistic", 10, 3)
 CFG = TrainConfig(steps=20, batch_size=16, learning_rate=0.05, seed=99)
@@ -213,20 +220,21 @@ def test_every_finish_fills_the_artifacts_its_row_names_on_an_empty_shard_too(
 ):
     """A shard holds exactly the artifacts ``METHODS`` says its ``finish``
     fills, with tasks and once every task is deleted: TALL then keeps no
-    pairs, EMR a zero unified vector and no scales, TIES a zero vector and
-    central the base model."""
+    pairs, EMR a zero unified vector and no scales, TIES a zero vector; and
+    every method's emptied shard holds the empty merged state, so it serves
+    the base model."""
     system, _ = build_system(tag, conflicting_tasks[:2])
     emptied = unlearn(unlearn(system, 0)[0], 1)[0]
-    fields = ("tall", "emr", "ties_vector", "central_params")
+    fields = ("tall", "emr", "ties_vector")
     for shard in (system.shards[0], emptied.shards[0]):
         filled = {f for f in fields if getattr(shard, f) is not None}
         assert filled == set(METHODS[tag].artifacts)
     empty, zeros = emptied.shards[0], np.zeros(len(system.m0))
+    assert _same_bits(empty.merged, merge([], length=len(system.m0)))
     assert _same_bits(empty, {
         "tall_masks": replace(empty, tall=np.zeros((0, 2))),
         "emr": replace(empty, emr=EmrArtifacts(zeros, np.zeros(0))),
         "ties": replace(empty, ties_vector=zeros),
-        "central": replace(empty, central_params=system.m0),
     }.get(tag, empty))
     assert verify_exactness(emptied).exact
 
@@ -263,9 +271,9 @@ def test_central_unlearn_matches_fresh_build(conflicting_tasks):
     system, report, delta = unlearn(system, 3)
     assert delta.unlearn_finetunes == 4
     fresh, _ = build_system("central", [t for t in tasks if t.id != 3])
-    assert np.array_equal(
-        system.shards[0].central_params, fresh.shards[0].central_params
-    )
+    assert _same_bits(system.shards[0].merged, fresh.shards[0].merged)
+    for t in fresh.retained:
+        assert serve_for_task(system, t).tobytes() == serve_for_task(fresh, t).tobytes()
     assert report.exact
 
 
@@ -302,13 +310,14 @@ def test_verify_central(conflicting_tasks):
     system, _ = build_system("central", conflicting_tasks[:4])
     assert verify_exactness(system).exact
     (shard,) = system.shards
-    system.shards = (replace(shard, central_params=shard.central_params + 1e-9),)
+    moved = FxpVector(shard.merged.accumulator.values + 1)
+    system.shards = (replace(shard, merged=replace(shard.merged, accumulator=moved)),)
     assert not verify_exactness(system).exact
 
 
 def test_verify_catches_a_doubled_tall_alpha():
     system = system_from_checkpoint(
-        load_checkpoint(V3_DATA / "tall_masks_fresh.sftm"), v3_tasks()
+        load_checkpoint(FIXTURE_DATA / "tall_masks_fresh.sftm"), fixture_tasks()
     )
     (shard,) = system.shards
     tall = shard.tall.copy()
@@ -366,14 +375,14 @@ PROBES = {
 }
 
 
-def v3_system(tag, clusters):
-    """The v3 fixture configuration of ``tag`` over ``clusters`` shards, built
+def fixture_system(tag, clusters):
+    """The fixture configuration of ``tag`` over ``clusters`` shards, built
     fresh in memory: its floats come from the BLAS kernels that run the test,
     so an audit of it holds on any kernels. (The fixture files pin bytes
-    trained by one set of kernels; ``test_checkpoint_v3`` tests those.)"""
+    trained by one set of kernels; ``test_checkpoint_fixtures`` tests those.)"""
     method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
     cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
-    system, _ = build(method, v3_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
+    system, _ = build(method, fixture_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
                       central_max_steps=12, clusters=clusters, cluster_seed=7)
     return system
 
@@ -382,7 +391,7 @@ def v3_system(tag, clusters):
 @pytest.mark.parametrize("probe", sorted(PROBES))
 def test_verify_catches_every_served_artifact_probe(probe, clusters):
     tag, change = PROBES[probe]
-    system = v3_system(tag, clusters)
+    system = fixture_system(tag, clusters)
     assert verify_exactness(system).exact
     c = 1 if clusters == 3 else 0
     shards = list(system.shards)
@@ -424,9 +433,33 @@ def one_entry_changes(value):
         yield (), value + 1
 
 
+@pytest.mark.parametrize("clusters", [1, 3])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_stored_state_depends_only_on_the_integers(tag, clusters, monkeypatch):
+    """A build audited with every trained delta moved off the quantization
+    grid by a quarter step, toward its sign: each entry keeps its integer
+    and its sign (so sift's masks too) while its float moves, as on kernels
+    that train other low bits. The audit must hold, so no stored bit reads
+    a float the digests leave unchecked."""
+    system = fixture_system(tag, clusters)
+    chunk, moved = trainer._finetune_chunk, []
+
+    def off_grid(*args):
+        tau = chunk(*args)
+        off = np.rint(tau * 2.0**SCALE_BITS) * 2.0**-SCALE_BITS
+        off += np.sign(tau) * 2.0 ** -(SCALE_BITS + 2)
+        moved.append(not np.array_equal(off, tau))
+        return off
+
+    monkeypatch.setattr(trainer, "_finetune_chunk", off_grid)
+    report = verify_exactness(system)
+    assert moved and all(moved)
+    assert report.replay_matches and report.state_matches_oracle
+
+
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_verify_audits_every_field_of_a_shard(tag):
-    system = v3_system(tag, 1)
+    system = fixture_system(tag, 1)
     (shard,) = system.shards
     # which tasks the shard holds, not what it serves: an edited id would
     # retrain a task the registry does not know
@@ -509,7 +542,7 @@ def test_unlearn_with_inline_verify(conflicting_tasks):
 
 
 def test_inline_verify_reports_a_remaining_replay_mismatch():
-    system = v3_system("sift_masks", 1)
+    system = fixture_system("sift_masks", 1)
     system.replay_digests[3] = bytes(32)  # a task that stays, never replayed by the deletion
     after, report, _ = unlearn(system, 1, verify=True)
     assert not report.replay_matches and report.state_matches_oracle
@@ -561,9 +594,11 @@ def test_unlearned_tasks_served_masklessly(tag, clusters, conflicting_tasks):
     assert _same_bits(system, before)
 
 
-@pytest.mark.parametrize("name", V3_FIXTURES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_every_fixture_serves_frozen_bytes(name):
-    system = system_from_checkpoint(load_checkpoint(V3_DATA / f"{name}.sftm"), v3_tasks())
+    system = system_from_checkpoint(
+        load_checkpoint(FIXTURE_DATA / f"{name}.sftm"), fixture_tasks()
+    )
     for t in sorted(system.registry):  # held-out: unlearned tasks too
         want = frozen_serve_for_task(system, t).tobytes()
         assert serve_for_task(system, t).tobytes() == want
@@ -604,7 +639,7 @@ def test_one_id_serve_of_one_vector_is_a_read_only_row(tag, conflicting_tasks):
     built, _ = build_system(tag, conflicting_tasks, clusters=3, cluster_seed=7)
     built, _, _ = unlearn(built, built.shards[1].retained[0])
     loaded = system_from_checkpoint(
-        load_checkpoint(V3_DATA / f"{tag}_deleted1.sftm"), v3_tasks()
+        load_checkpoint(FIXTURE_DATA / f"{tag}_deleted1.sftm"), fixture_tasks()
     )
     ops = METHODS[tag]
     for system in (built, loaded):
@@ -675,8 +710,9 @@ def test_singleton_clusters_central_equals_local_ft(conflicting_tasks):
     for c, shard in enumerate(system.shards):
         (tid,) = system.shards[c].retained
         task = next(t for t in tasks if t.id == tid)
-        local = m0 + ft_finetune(task, m0, SPEC, CFG).delta
-        assert np.array_equal(shard.central_params, local)
+        quantized = quantize(ft_finetune(task, m0, SPEC, CFG).delta)
+        assert _same_bits(shard.merged, MergedState(quantized, 1))
+        assert np.array_equal(serve_for_task(system, tid), m0 + dequantize(quantized))
 
 
 def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
@@ -684,9 +720,10 @@ def test_clustered_unlearn_touches_one_cluster(conflicting_tasks):
     target = conflicting_tasks[0].id
     c = routes(system)[target]
     other = 1 - c
-    before = system.shards[other].central_params.copy()
+    before = system.shards[other].merged.accumulator.values.copy()
     after, report, delta = unlearn(system, target)
-    assert np.array_equal(after.shards[other].central_params, before)
+    assert np.array_equal(after.shards[other].merged.accumulator.values, before)
+    assert after.shards[other].merged.n_retained == 1
     cluster_size = sum(1 for t, ci in routes(system).items() if ci == c)
     assert delta.unlearn_finetunes == cluster_size - 1
     assert report.exact
@@ -814,16 +851,14 @@ def test_fold_overflows_where_merge_overflows(tag, clusters, monkeypatch):
 
 
 def stored_bytes(system):
-    """Every shard's accumulator and mask bytes, and the served arrays'."""
+    """Every shard's accumulator and mask bytes, and the TIES vector's."""
     out = []
     for shard in system.shards:
-        if shard.merged is not None:
-            out.append(shard.merged.accumulator.values.tobytes())
-            if shard.masks is not None:
-                out.append((shard.retained, shard.masks.tobytes()))
-        for served in (shard.central_params, shard.ties_vector):
-            if served is not None:
-                out.append(served.tobytes())
+        out.append(shard.merged.accumulator.values.tobytes())
+        if shard.masks is not None:
+            out.append((shard.retained, shard.masks.tobytes()))
+        if shard.ties_vector is not None:
+            out.append(shard.ties_vector.tobytes())
     return out
 
 

@@ -19,7 +19,8 @@ from siftmasks.sealed import Body, SealError, seal, unseal
 MAGIC = b"TEST"
 PARTS = (b"head", np.arange(5, dtype="<i8"), bytearray(b"\x00\xff"), b"")
 BODY = b"head" + np.arange(5, dtype="<i8").tobytes() + b"\x00\xff"
-FIXTURE = Path(__file__).resolve().parent / "data" / "v3" / "sift_masks_fresh.sftm"
+DATA = Path(__file__).resolve().parent / "data" / f"v{checkpoint.VERSION}"
+FIXTURE = DATA / "sift_masks_fresh.sftm"
 K3_FIXTURE = FIXTURE.with_name("sift_masks_k3_deleted1.sftm")
 
 
