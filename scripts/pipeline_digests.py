@@ -5,9 +5,12 @@ Usage: scripts/pipeline_digests.py DIR
 
 Runs the README's CLI quickstart in this process, once into DIR/k1 and once
 into DIR/k3 (``--clusters 3``): gen-data, train, eval, unlearn --verify,
-verify, report and simulate, their own output sent to stderr. Then prints
-one line per file under DIR, the datasets' parsed copies included: its
-SHA-256 and its path below DIR, in path order. DIR must be new or empty.
+verify, report and simulate, which train sift_masks. Then, on the same
+dataset and shards, each other method's train, eval held_out, unlearn
+--verify and verify, into DIR/k1/<method> and DIR/k3/<method>. The
+commands' own output goes to stderr. Then prints one line per file under
+DIR, the datasets' parsed copies included: its SHA-256 and its path below
+DIR, in path order. DIR must be new or empty.
 
 Two checkouts that write the same bytes print the same lines when each runs
 into the same DIR (remove it between the runs): the configs the commands
@@ -22,8 +25,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from siftmasks.cli import main as cli_main
+from siftmasks.merging import METHOD_TAGS
 
 SHARDS = (1, 3)
+OTHERS = tuple(tag for tag in METHOD_TAGS if tag != "sift_masks")
 
 
 def pipeline(out: Path, clusters: int) -> list[list[str]]:
@@ -45,6 +50,21 @@ def pipeline(out: Path, clusters: int) -> list[list[str]]:
     ]
 
 
+def method_chain(out: Path, clusters: int, method: str) -> list[list[str]]:
+    """One other method's commands on the quickstart's dataset in ``out``,
+    writing into ``out/method``."""
+    dest = out / method
+    data = ["--config", f"{dest}/run_config.json", "--data", f"{out}/dataset.jsonl"]
+    ckpt = ["--checkpoint", f"{dest}/checkpoint.sftm"]
+    return [
+        ["train", "--config", f"{out}/gen_config.json", "--data", f"{out}/dataset.jsonl",
+         "--out-dir", str(dest), "--clusters", str(clusters), "--method", method],
+        ["eval", *data, *ckpt, "--mode", "held_out", "--out-dir", str(dest)],
+        ["unlearn", *data, *ckpt, "--id", "3", "--id", "17", "--verify", "--out-dir", str(dest)],
+        ["verify", *data, *ckpt, "--out-dir", str(dest)],
+    ]
+
+
 def sha256(path: Path) -> str:
     with open(path, "rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
@@ -59,7 +79,11 @@ def main(argv: list[str]) -> int:
         print(f"{root} is not empty", file=sys.stderr)
         return 2
     for clusters in SHARDS:
-        for args in pipeline(root / f"k{clusters}", clusters):
+        out = root / f"k{clusters}"
+        commands = pipeline(out, clusters)
+        for method in OTHERS:
+            commands += method_chain(out, clusters, method)
+        for args in commands:
             with contextlib.redirect_stdout(sys.stderr):
                 code = cli_main(args)
             if code:

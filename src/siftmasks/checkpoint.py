@@ -14,10 +14,10 @@ ledger snapshot. Its body holds, in this order:
   order), then what its method keeps, none with a length of its own: the
   fixed-point accumulator (M i64), central's of its one pooled vector; where
   the method trains per task, a 32-byte replay digest per retained id, in
-  retained order; where it stores masks, the mask table (``Shard.masks``: per
-  retained id, in retained order, its bit-packed mask of ceil(M/32) u32); and
-  the float artifacts its ``finish`` fills (``MethodOps.artifacts``): TALL's
-  (lambda, alpha) table, EMR's unified vector then its scales, or a vector.
+  retained order; then the arrays its method names, in ``MethodOps.artifacts``
+  order, each of the dtype and shape ``_ARTIFACTS`` gives: the mask table (a
+  retained id's bit-packed mask of ceil(M/32) u32 per row), TALL's (lambda,
+  alpha) table, EMR's unified vector and scales, or TIES's vector.
 
 So a shard's layout follows from its method and retained count alone, and a
 task's shard is the one whose lists hold it; no id may appear twice in the
@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import METHODS, CostLedger, Shard, SystemState, new_system
-from .merging import METHOD_TAGS, EmrArtifacts, LocalizationMethod, MergedState
+from .merging import METHOD_TAGS, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, FxpOverflowError, FxpVector, mask_words
 from .sealed import Body, SealError, seal, unseal, write_atomic
 from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
@@ -79,15 +79,15 @@ _LEDGER = struct.Struct("<QQI")  # the two task-finetune counts, then the shard 
 _COUNT = struct.Struct("<I")  # of a table's entries
 _DIGEST = 32
 
-# Each float artifact a method's ``finish`` fills, by its Shard field: what
-# errors call it, the shape of its floats at M parameters and n retained
-# tasks, the floats of a shard, and the field made back from them.
+# Each array a shard stores beside its merged state, by its Shard field (the
+# names of ``MethodOps.artifacts``): what errors call it, its dtype, and its
+# shape at M parameters and K retained tasks.
 _ARTIFACTS = {
-    "tall": ("TALL lambdas and alphas", lambda m, n: (n, 2), lambda s: s.tall, lambda v, n: v),
-    "emr": ("EMR unified vector and scales", lambda m, n: (m + n,),
-            lambda s: np.concatenate([s.emr.unified, s.emr.scales]),
-            lambda v, n: EmrArtifacts(*np.split(v, [len(v) - n]))),
-    "ties_vector": ("TIES vector", lambda m, n: (m,), lambda s: s.ties_vector, lambda v, n: v),
+    "masks": ("masks", "<u4", lambda m, k: (k, mask_words(m))),
+    "tall": ("TALL lambdas and alphas", "<f8", lambda m, k: (k, 2)),
+    "unified": ("EMR unified vector", "<f8", lambda m, k: (m,)),
+    "scales": ("EMR scales", "<f8", lambda m, k: (k,)),
+    "ties_vector": ("TIES vector", "<f8", lambda m, k: (m,)),
 }
 
 
@@ -145,11 +145,9 @@ def _shard_chunks(system: SystemState, shard: Shard) -> list:
         if any(len(d) != _DIGEST for d in digests):
             raise CheckpointFormatError(f"digests must be {_DIGEST} bytes")
         chunks.append(b"".join(digests))
-    if ops.stores_masks:
-        chunks.append(_vector(shard.masks, "<u4", (len(retained), mask_words(m)), "masks"))
     for name in ops.artifacts:
-        what, shape, floats, _ = _ARTIFACTS[name]
-        chunks.append(_vector(floats(shard), "<f8", shape(m, len(retained)), what))
+        what, dtype, shape = _ARTIFACTS[name]
+        chunks.append(_vector(getattr(shard, name), dtype, shape(m, len(retained)), what))
     return chunks
 
 
@@ -238,21 +236,17 @@ def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Sh
         merged = MergedState(FxpVector(accumulator), n)
     except FxpOverflowError as exc:
         raise CheckpointFormatError(f"shard {c}: accumulator: {exc}") from None
-    masks = None
-    if ops.stores_masks:
-        masks = body.array("<u4", (len(retained), mask_words(m)), f"shard {c}: masks").copy()
-        padded = np.flatnonzero(masks[:, -1] >> m % 32) if m % 32 else []
+    arrays = {}
+    for name in ops.artifacts:
+        what, dtype, shape = _ARTIFACTS[name]
+        arrays[name] = body.array(dtype, shape(m, len(retained)), f"shard {c}: {what}").copy()
+        padded = np.flatnonzero(arrays[name][:, -1] >> m % 32) if name == "masks" and m % 32 else []
         if len(padded):
             raise CheckpointFormatError(f"shard {c}, task {retained[padded[0]]}: "
                                         f"mask of length {m} has nonzero pad bits")
-    artifacts = {}
-    for name in ops.artifacts:
-        what, shape, _, field = _ARTIFACTS[name]
-        floats = body.array("<f8", shape(m, len(retained)), f"shard {c}: {what}").copy()
-        if not np.isfinite(floats).all():
+        if dtype == "<f8" and not np.isfinite(arrays[name]).all():
             raise CheckpointFormatError(f"shard {c}: non-finite value in {what}")
-        artifacts[name] = field(floats, len(retained))
-    return Shard(merged, masks, retained=retained, unlearned=unlearned, **artifacts)
+    return Shard(merged, retained=retained, unlearned=unlearned, **arrays)
 
 
 def checkpoint_from_system(system: SystemState, ledger: CostLedger) -> Checkpoint:

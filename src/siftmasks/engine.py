@@ -46,7 +46,6 @@ import numpy as np
 
 from .datasets import DataFormatError, TaskSpec
 from .merging import (
-    EmrArtifacts,
     LocalizationMethod,
     MergedState,
     emr_build,
@@ -122,16 +121,17 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class Shard:
-    """What one shard serves: its merged state (every method's) and its
-    artifacts; and which tasks it holds: its retained ids (ascending) and its
-    unlearned ids (deletion order). Per-task facts are tables of a row per
-    retained id (``rows``): (K, ceil(M/32)) ``<u4`` mask words, None where the
-    method stores none; TALL's (K, 2) ``<f8`` (lambda, alpha); EMR's scales."""
+    """What one shard serves: its merged state (every method's) and the arrays
+    its method names (``MethodOps.artifacts``; None for the others), in the
+    dtypes and shapes ``checkpoint._ARTIFACTS`` gives, a per-task array with a
+    row per retained id (``rows``); and which tasks it holds: its retained ids
+    (ascending) and its unlearned ids (deletion order)."""
 
     merged: MergedState
     masks: np.ndarray | None = None
-    emr: EmrArtifacts | None = None
     tall: np.ndarray | None = None
+    unified: np.ndarray | None = None
+    scales: np.ndarray | None = None
     ties_vector: np.ndarray | None = None
     retained: tuple[int, ...] = ()
     unlearned: tuple[int, ...] = ()
@@ -193,15 +193,18 @@ class MethodOps:
     # a deletion replays the task and subtracts it; otherwise the shard is
     # rebuilt from its remaining tasks
     subtracts: bool
-    # per-task masks are stored (M/32 words each) and served
-    stores_masks: bool
+    # the Shard fields of every array a shard stores beside its merged state, in
+    # file order, on an empty shard too; ``finish`` fills all but a signed method's masks
+    artifacts: tuple[str, ...] = ()
     # tasks train under the global sign vector
     signed: bool = False
     # each retained task trains alone, in its operation's one lockstep call,
     # and keeps a replay digest; otherwise ``finish`` gets an empty state
     per_task: bool = True
-    # the Shard fields of the float artifacts ``finish`` fills, on an empty shard too
-    artifacts: tuple[str, ...] = ()
+
+    @property
+    def stores_masks(self) -> bool:  # per-task masks are stored and served
+        return "masks" in self.artifacts
 
     @property
     def serve_unlearned(self) -> Callable[[SystemState, Shard, list[int]], np.ndarray]:
@@ -279,9 +282,9 @@ def _finish_tall(system, ids, vectors, state):
 def _finish_emr(system, ids, vectors, state):
     if not vectors:  # every task deleted: a zero unified vector, as TIES keeps
         return Shard(state, word_table([], state.length),
-                     emr=EmrArtifacts(np.zeros(state.length), np.zeros(0)))
-    art, masks = emr_build(vectors)
-    return Shard(state, masks, emr=art)
+                     unified=np.zeros(state.length), scales=np.zeros(0))
+    unified, scales, masks = emr_build(vectors)
+    return Shard(state, masks, unified=unified, scales=scales)
 
 
 def _finish_ties(system, ids, vectors, state):
@@ -322,7 +325,7 @@ def _serve_tall(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray
 
 
 def _serve_emr(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
-    return emr_localize(shard.emr, shard.masks, shard.rows(ids), system.m0)
+    return emr_localize(shard.unified, shard.scales, shard.masks, shard.rows(ids), system.m0)
 
 
 def _serve_ties(system: SystemState, shard: Shard, ids: list[int]) -> np.ndarray:
@@ -342,21 +345,17 @@ def _broadcast(params: np.ndarray, ids: list[int]) -> np.ndarray:
 
 METHODS: dict[str, MethodOps] = {
     "sift_masks": MethodOps(
-        _finish_merged, _serve_sift, subtracts=True, stores_masks=True, signed=True
+        _finish_merged, _serve_sift, subtracts=True, artifacts=("masks",), signed=True
     ),
-    "ft_merge": MethodOps(_finish_merged, _serve_merged, subtracts=True, stores_masks=False),
+    "ft_merge": MethodOps(_finish_merged, _serve_merged, subtracts=True),
     "tall_masks": MethodOps(
-        _finish_tall, _serve_tall, subtracts=False, stores_masks=True, artifacts=("tall",)
+        _finish_tall, _serve_tall, subtracts=False, artifacts=("masks", "tall")
     ),
     "emr": MethodOps(
-        _finish_emr, _serve_emr, subtracts=False, stores_masks=True, artifacts=("emr",)
+        _finish_emr, _serve_emr, subtracts=False, artifacts=("masks", "unified", "scales")
     ),
-    "ties": MethodOps(
-        _finish_ties, _serve_ties, subtracts=False, stores_masks=False, artifacts=("ties_vector",)
-    ),
-    "central": MethodOps(
-        _finish_central, _serve_merged, subtracts=False, stores_masks=False, per_task=False
-    ),
+    "ties": MethodOps(_finish_ties, _serve_ties, subtracts=False, artifacts=("ties_vector",)),
+    "central": MethodOps(_finish_central, _serve_merged, subtracts=False, per_task=False),
 }
 
 
@@ -462,10 +461,11 @@ def unlearn(
                 f"replayed task {t} does not reproduce its build-time "
                 "vector; deterministic replay is broken"
             )
-    if subtracts:  # the deleted task's mask row goes with its vector
-        masks = None if old.masks is None else np.delete(old.masks, old.rows([task_id]), axis=0)
-        shard = replace(old, merged=unmerge(old.merged, *replayed), masks=masks,
-                        retained=remaining, unlearned=gone)
+    if subtracts:  # a subtracting method stores per-task arrays only: the task's rows go
+        arrays = {name: np.delete(getattr(old, name), old.rows([task_id]), axis=0)
+                  for name in ops.artifacts}
+        shard = replace(old, merged=unmerge(old.merged, *replayed),
+                        retained=remaining, unlearned=gone, **arrays)
     else:
         # masks / elected signs depend on the merged state, so the shard is
         # rebuilt; a subtracting method's last task is dropped this way for

@@ -363,22 +363,13 @@ def tall_tune(
     return lams[t], alphas[j], BitMask.from_bools(bits[t])
 
 
-@dataclass(frozen=True)
-class EmrArtifacts:
-    """Sign-elected unified vector (M,) and the per-task l1 rescales, a
-    column (K,) in the row order of the mask word table that ``emr_build``
-    returns beside them, which the caller keeps (the engine's ``Shard.masks``)."""
-
-    unified: np.ndarray
-    scales: np.ndarray
-
-
-def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, np.ndarray]:
+def emr_build(task_vectors: list[TaskVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elect signs from the sum, keep max aligned magnitudes, rescale per task.
 
-    Returns the artifacts and the word table of the sign-agreement masks,
-    both with a row per vector in input order. Entries whose summed sign is
-    exactly zero are dropped from the unified vector and from every mask.
+    Returns the sign-elected unified vector (M,), the per-task l1 rescales
+    (K,) and the word table of the sign-agreement masks (K, ceil(M/32)), with
+    a row per vector in input order. Entries whose summed sign is exactly zero
+    are dropped from the unified vector and from every mask.
     """
     if not task_vectors:
         raise ValueError("emr needs at least one task vector")
@@ -393,22 +384,22 @@ def emr_build(task_vectors: list[TaskVector]) -> tuple[EmrArtifacts, np.ndarray]
     kept = [np.linalg.norm(mask_apply(mask, unified), ord=1) for mask in masks]
     scales = [float(np.linalg.norm(tv.delta, ord=1) / k) if k > 0 else 1.0
               for tv, k in zip(task_vectors, kept)]
-    return EmrArtifacts(unified, np.array(scales)), word_table(masks, len(unified))
+    return unified, np.array(scales), word_table(masks, len(unified))
 
 
 def emr_localize(
-    emr: EmrArtifacts, masks: np.ndarray, rows: list[int], m0: np.ndarray
+    unified: np.ndarray, scales: np.ndarray, masks: np.ndarray, rows: list[int], m0: np.ndarray
 ) -> np.ndarray:
     """EMR models (K, M) of the tasks at K ``rows`` of the word table ``masks``
-    and of ``emr.scales``, from one unpack: row k holds the bytes of ``m0 +
+    and of ``scales``, from one unpack: row k holds the bytes of ``m0 +
     scale * mask_apply(mask, unified)``. The bits are cast to a float 0/1 mask
     and ``unified`` multiplied in; adding 0.0 turns an unset bit's -0.0 (over a
     negative entry) to the +0.0 that ``mask_apply`` gives, and no set bit sits
     on a zero entry, as a bit is set only where ``delta * unified > 0``."""
-    term = _mask_rows(masks.take(rows, 0), len(emr.unified)).astype(np.float64)
-    term *= emr.unified
+    term = _mask_rows(masks.take(rows, 0), len(unified)).astype(np.float64)
+    term *= unified
     term += 0.0
-    term *= emr.scales.take(rows)[:, None]
+    term *= scales.take(rows)[:, None]
     return np.add(m0, term, out=term)
 
 

@@ -25,8 +25,8 @@ def frozen_localize_sift(state, mask, m0):
     return frozen_localize_masked(state, mask, m0)
 
 
-def frozen_emr_localize(emr, row, mask, m0):
-    return m0 + emr.scales[row] * mask_apply(mask, emr.unified)
+def frozen_emr_localize(unified, scale, mask, m0):
+    return m0 + scale * mask_apply(mask, unified)
 
 
 def frozen_serve_for_task(system, task_id):
@@ -44,4 +44,4 @@ def frozen_serve_for_task(system, task_id):
         return frozen_localize_sift(shard.merged, mask, m0)
     if tag == "tall_masks":
         return frozen_localize_masked(shard.merged, mask, m0, shard.tall[row][1])
-    return frozen_emr_localize(shard.emr, row, mask, m0)
+    return frozen_emr_localize(shard.unified, shard.scales[row], mask, m0)

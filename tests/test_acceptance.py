@@ -272,10 +272,10 @@ def test_baseline_formula_conformance():
     state = merge([_tv([1.0, 0.1], 0), _tv([2.0, 3.0], 1)])
     assert tall_mask(_tv([1.0, 0.1], 0), state, 0.4).to_bools().tolist() == [True, False]
 
-    art, masks = emr_build([_tv([1.0, -2.0], 0), _tv([3.0, 1.0], 1)])
-    assert art.unified.tolist() == [3.0, -2.0]
+    unified, scales, masks = emr_build([_tv([1.0, -2.0], 0), _tv([3.0, 1.0], 1)])
+    assert unified.tolist() == [3.0, -2.0]
     assert unpack_bits(masks[0], 2).tolist() == [True, True]
-    assert art.scales[0] == pytest.approx(0.6)
+    assert scales[0] == pytest.approx(0.6)
 
     assert ties_merge([_tv([2.0, -1.0], 0), _tv([-1.0, -3.0], 1)], 1.0).tolist() == [2.0, -2.0]
 
@@ -294,11 +294,11 @@ def test_baseline_formula_conformance():
         expect = [abs(t) >= lam * abs(s - t) for t, s in zip(deltas[0], merged_sum)]
         assert tall_mask(vecs[0], state, lam).to_bools().tolist() == expect
 
-        art, _ = emr_build(vecs)
+        unified, _, _ = emr_build(vecs)
         for j in range(m):
             s = np.sign(deltas[:, j].sum())
             aligned = [abs(d) for d in deltas[:, j] if np.sign(d) == s and s != 0]
-            assert art.unified[j] == pytest.approx(s * max(aligned) if aligned else 0.0)
+            assert unified[j] == pytest.approx(s * max(aligned) if aligned else 0.0)
 
         density = float(rng.uniform(0.05, 1.0))
         got = ties_merge(vecs, density)

@@ -604,12 +604,11 @@ def set_tall(i: int):
     return change
 
 
-EMR = "EMR unified vector and scales"
 NON_FINITE = {
     "tall_lambda": ("tall_masks_fresh", set_tall(0), "TALL lambdas and alphas"),
     "tall_alpha": ("tall_masks_fresh", set_tall(1), "TALL lambdas and alphas"),
-    "emr_unified": ("emr_fresh", set_entry(lambda s: s.emr.unified, 0), EMR),
-    "emr_scale": ("emr_fresh", set_entry(lambda s: s.emr.scales, 1), EMR),
+    "emr_unified": ("emr_fresh", set_entry(lambda s: s.unified, 0), "EMR unified vector"),
+    "emr_scale": ("emr_fresh", set_entry(lambda s: s.scales, 1), "EMR scales"),
     "ties_vector": ("ties_fresh", set_entry(lambda s: s.ties_vector, 0), "TIES vector"),
 }
 
@@ -644,22 +643,33 @@ def shorten_ties(ckpt) -> None:
     ckpt.system.shards = (replace(shard, ties_vector=shard.ties_vector[:32]),)
 
 
-def shorten_emr(ckpt) -> None:
-    emr = replace(ckpt.system.shards[0].emr, unified=ckpt.system.shards[0].emr.unified[:32])
-    ckpt.system.shards = (replace(ckpt.system.shards[0], emr=emr),)
+def misalign_emr(ckpt) -> None:
+    """EMR's unified vector one entry short and its scales one entry long, so
+    that the two still hold M + K floats between them."""
+    shard = ckpt.system.shards[0]
+    scales = np.append(shard.scales, shard.unified[-1])
+    ckpt.system.shards = (replace(shard, unified=shard.unified[:-1], scales=scales),)
+
+
+def shorten_emr_scales(ckpt) -> None:
+    shard = ckpt.system.shards[0]
+    ckpt.system.shards = (replace(shard, scales=shard.scales[:-1]),)
 
 
 @pytest.mark.parametrize(
     "name, change, message",
     [("sift_masks_fresh", shorten_accumulator, "accumulator has 32 entries, expected 33"),
      ("ties_fresh", shorten_ties, "TIES vector has 32 entries, expected 33"),
-     ("emr_fresh", shorten_emr, "EMR unified vector and scales has 38 entries, expected 39"),
+     ("emr_fresh", misalign_emr, "EMR unified vector has 32 entries, expected 33"),
+     ("emr_fresh", shorten_emr_scales, "EMR scales has 5 entries, expected 6"),
      ("central_fresh", shorten_accumulator, "accumulator has 32 entries, expected 33")],
-    ids=["accumulator", "ties", "emr", "central"],
+    ids=["accumulator", "ties", "emr", "emr_scales", "central"],
 )
 def test_save_refuses_a_short_vector_before_writing(name, change, message, tmp_path):
     """The layout stores no vector lengths, so a vector of another length
-    could not be read back; the writer refuses it and writes nothing."""
+    could not be read back; the writer checks each array against its own
+    shape, refuses it and writes nothing. (Checked as one joined vector,
+    EMR's misaligned pair would be written, and read back split at M.)"""
     ckpt = load_checkpoint(DATA / f"{name}.sftm")
     change(ckpt)
     with pytest.raises(CheckpointFormatError, match=re.escape(message)):

@@ -10,6 +10,7 @@ from conftest import make_task, routes
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging, trainer
 from siftmasks.checkpoint import (
+    _ARTIFACTS,
     checkpoint_from_system,
     load_checkpoint,
     save_checkpoint,
@@ -20,6 +21,7 @@ from siftmasks.engine import (
     METHODS,
     CostLedger,
     ReplayMismatchError,
+    Shard,
     UnknownTaskError,
     _same_bits,
     build,
@@ -33,7 +35,6 @@ from siftmasks.engine import (
 )
 from siftmasks.merging import (
     METHOD_TAGS,
-    EmrArtifacts,
     LocalizationMethod,
     MergedState,
     merge,
@@ -218,22 +219,20 @@ def test_unlearn_drops_the_deleted_digest_in_a_new_dict(tag, verify, conflicting
 def test_every_finish_fills_the_artifacts_its_row_names_on_an_empty_shard_too(
     tag, conflicting_tasks
 ):
-    """A shard holds exactly the artifacts ``METHODS`` says its ``finish``
-    fills, with tasks and once every task is deleted: TALL then keeps no
-    pairs, EMR a zero unified vector and no scales, TIES a zero vector; and
-    every method's emptied shard holds the empty merged state, so it serves
-    the base model."""
+    """A shard holds exactly the arrays ``METHODS`` names for its method, in
+    the checkpoint's dtypes and shapes, with tasks and once every task is
+    deleted: masks and TALL then keep no rows, EMR a zero unified vector and
+    no scales, TIES a zero vector; and every method's emptied shard holds the
+    empty merged state, so it serves the base model."""
     system, _ = build_system(tag, conflicting_tasks[:2])
     emptied = unlearn(unlearn(system, 0)[0], 1)[0]
-    fields = ("tall", "emr", "ties_vector")
-    for shard in (system.shards[0], emptied.shards[0]):
-        filled = {f for f in fields if getattr(shard, f) is not None}
-        assert filled == set(METHODS[tag].artifacts)
+    for held in (system, emptied):
+        assert_shards_hold_the_arrays_their_method_names(held)
     empty, zeros = emptied.shards[0], np.zeros(len(system.m0))
     assert _same_bits(empty.merged, merge([], length=len(system.m0)))
     assert _same_bits(empty, {
         "tall_masks": replace(empty, tall=np.zeros((0, 2))),
-        "emr": replace(empty, emr=EmrArtifacts(zeros, np.zeros(0))),
+        "emr": replace(empty, unified=zeros, scales=np.zeros(0)),
         "ties": replace(empty, ties_vector=zeros),
     }.get(tag, empty))
     assert verify_exactness(emptied).exact
@@ -255,14 +254,8 @@ def test_rebuild_family_matches_fresh_build(tag, conflicting_tasks):
         shard.merged.accumulator.values, fresh_shard.merged.accumulator.values
     )
     assert shard.retained == fresh_shard.retained
-    if tag == "tall_masks":
-        assert np.array_equal(shard.tall, fresh_shard.tall)
-        assert np.array_equal(shard.masks, fresh_shard.masks)
-    elif tag == "emr":
-        assert np.array_equal(shard.emr.unified, fresh_shard.emr.unified)
-        assert np.array_equal(shard.emr.scales, fresh_shard.emr.scales)
-    else:
-        assert np.array_equal(shard.ties_vector, fresh_shard.ties_vector)
+    for name in METHODS[tag].artifacts:
+        assert np.array_equal(getattr(shard, name), getattr(fresh_shard, name)), name
 
 
 def test_central_unlearn_matches_fresh_build(conflicting_tasks):
@@ -347,10 +340,6 @@ def doubled_at(vector, row):
     return out
 
 
-def with_emr(shard, **changes):
-    return replace(shard, emr=replace(shard.emr, **changes))
-
-
 def plus_one_at_0(vector):
     out = vector.copy()
     out[0] += 1.0
@@ -365,10 +354,10 @@ PROBES = {
         s, t, lambda lam, alpha: (float(np.nextafter(lam, np.inf)), alpha))),
     "tall_alpha_doubled": ("tall_masks", lambda s, t: with_tall(
         s, t, lambda lam, alpha: (lam, 2 * alpha))),
-    "emr_scale_doubled": ("emr", lambda s, t: with_emr(
-        s, scales=doubled_at(s.emr.scales, s.rows([t])))),
-    "emr_unified_plus_one": ("emr", lambda s, t: with_emr(
-        s, unified=plus_one_at_0(s.emr.unified))),
+    "emr_scale_doubled": ("emr", lambda s, t: replace(
+        s, scales=doubled_at(s.scales, s.rows([t])))),
+    "emr_unified_plus_one": ("emr", lambda s, t: replace(
+        s, unified=plus_one_at_0(s.unified))),
     "emr_mask_bit": ("emr", with_flipped_mask_bit),
     "ties_entry_plus_one": ("ties", lambda s, t: replace(
         s, ties_vector=plus_one_at_0(s.ties_vector))),
@@ -475,31 +464,27 @@ def test_verify_audits_every_field_of_a_shard(tag):
     assert verify_exactness(system).exact
 
 
-def per_task_tables(shard):
-    """The per-task tables a shard holds: masks, TALL pairs and EMR scales."""
-    emr_scales = None if shard.emr is None else shard.emr.scales
-    return [t for t in (shard.masks, shard.tall, emr_scales) if t is not None]
+# every Shard field that holds an array beside the merged state
+ARRAY_FIELDS = [f.name for f in dataclass_fields(Shard)
+                if f.name not in ("merged", "retained", "unlearned")]
 
 
-def assert_tables_follow_the_retained_ids(system):
-    """Each shard holds the per-task tables its method fills, each with one
-    row per retained id: ceil(M/32) ``<u4`` mask words, a ``<f8`` (lambda,
-    alpha) pair, a ``<f8`` EMR scale."""
-    ops = METHODS[system.method.tag]
-    for shard in system.shards:
-        k = len(shard.retained)
-        assert (shard.masks is not None) == ops.stores_masks
-        assert (shard.tall is not None) == ("tall" in ops.artifacts)
-        assert (shard.emr is not None) == ("emr" in ops.artifacts)
-        for table in per_task_tables(shard):
-            assert len(table) == k
-        if shard.masks is not None:
-            assert shard.masks.dtype == "<u4"
-            assert shard.masks.shape == (k, mask_words(len(system.m0)))
-        if shard.tall is not None:
-            assert shard.tall.dtype == "<f8" and shard.tall.shape == (k, 2)
-        if shard.emr is not None:
-            assert shard.emr.scales.dtype == "<f8" and shard.emr.scales.shape == (k,)
+def assert_shards_hold_the_arrays_their_method_names(system):
+    """Each shard holds every array ``METHODS`` names for its method, of the
+    dtype and shape the checkpoint's table gives at M parameters and the
+    shard's K retained ids: a per-task array has a row per retained id, an
+    (M,) vector stays (M,). Every array field the method does not name is None."""
+    names, m = METHODS[system.method.tag].artifacts, len(system.m0)
+    assert set(names) <= set(ARRAY_FIELDS)
+    for c, shard in enumerate(system.shards):
+        for name in ARRAY_FIELDS:
+            value = getattr(shard, name)
+            if name in names:
+                _, dtype, shape = _ARTIFACTS[name]
+                assert value.dtype == dtype, (c, name)
+                assert value.shape == shape(m, len(shard.retained)), (c, name)
+            else:
+                assert value is None, (c, name)
 
 
 def mask_rows(system):
@@ -511,10 +496,11 @@ def mask_rows(system):
 @pytest.mark.parametrize("clusters", [1, 3])
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_shard_masks_follow_the_retained_ids(tag, clusters, tmp_path):
-    """Every per-task table (masks, TALL pairs, EMR scales) has a row per
-    retained id: after the build, after each deletion down to empty shards,
-    and after a save and a load of each of those states. A sift task that
-    remains keeps its mask row's bytes through each deletion."""
+    """Every shard holds the arrays its method names, each of its checkpoint
+    dtype and shape, a per-task array with a row per retained id: after the
+    build, after each deletion down to empty shards, and after a save and a
+    load of each of those states, which holds the same bits. A sift task
+    that remains keeps its mask row's bytes through each deletion."""
     system, ledger = build_system(tag, mixed_row_tasks(6), clusters=clusters, cluster_seed=7)
     path = tmp_path / "masks.sftm"
     for task_id in (None, 4, 0, 5, 1, 3, 2):
@@ -524,14 +510,12 @@ def test_shard_masks_follow_the_retained_ids(tag, clusters, tmp_path):
             assert task_id not in mask_rows(system)
             if tag == "sift_masks":
                 assert mask_rows(system) == {t: b for t, b in before.items() if t != task_id}
-        assert_tables_follow_the_retained_ids(system)
+        assert_shards_hold_the_arrays_their_method_names(system)
         save_checkpoint(checkpoint_from_system(system, ledger), path)
         loaded = load_checkpoint(path).system
-        assert_tables_follow_the_retained_ids(loaded)
+        assert_shards_hold_the_arrays_their_method_names(loaded)
         for a, b in zip(loaded.shards, system.shards, strict=True):
-            tables = per_task_tables(a), per_task_tables(b)
-            assert len(tables[0]) == len(tables[1])
-            assert all(map(_same_bits, *tables))
+            assert all(_same_bits(getattr(a, name), getattr(b, name)) for name in ARRAY_FIELDS)
     assert system.retained == ()
 
 

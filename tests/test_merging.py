@@ -23,7 +23,6 @@ from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
     ALPHA_GRID_DEFAULT,
     DENSITY_GRID_DEFAULT,
-    EmrArtifacts,
     MergedState,
     _tall_lambda,
     _tall_thresholds,
@@ -253,10 +252,10 @@ def test_served_bytes_match_frozen_serve(case, n, alpha):
     empty = MergedState(FxpVector.zeros(len(acc)), 0)
     assert same_bytes(serve_merged(empty, m0), frozen_serve_merged(empty, m0))
     # EMR: the sum's entries as the unified vector and alpha as a scale
-    emr = EmrArtifacts(dequantize(state.accumulator), np.array([alpha, 1.0 / n]))
-    rows = emr_localize(emr, word_table([mask, other], len(acc)), [0, 1], m0)
-    assert same_bytes(rows[0], frozen_emr_localize(emr, 0, mask, m0))
-    assert same_bytes(rows[1], frozen_emr_localize(emr, 1, other, m0))
+    unified, scales = dequantize(state.accumulator), np.array([alpha, 1.0 / n])
+    rows = emr_localize(unified, scales, word_table([mask, other], len(acc)), [0, 1], m0)
+    assert same_bytes(rows[0], frozen_emr_localize(unified, scales[0], mask, m0))
+    assert same_bytes(rows[1], frozen_emr_localize(unified, scales[1], other, m0))
 
 
 @given(st.integers(0, 2**32), st.sampled_from([1, 12]), st.integers(1, 120))
@@ -281,10 +280,10 @@ def test_served_bytes_match_frozen_serve_at_serve_delete_size(seed, k, n):
     for row, mask in zip(rows, masks, strict=True):
         assert same_bytes(row, frozen_localize_masked(state, mask, m0))
     # EMR: the sum's entries, of either sign, as the unified vector
-    emr = EmrArtifacts(dequantize(state.accumulator), r.uniform(0.5, 2.0, k))
-    rows = emr_localize(emr, table, list(range(k)), m0)
-    for t, (row, mask) in enumerate(zip(rows, masks, strict=True)):
-        assert same_bytes(row, frozen_emr_localize(emr, t, mask, m0))
+    unified, scales = dequantize(state.accumulator), r.uniform(0.5, 2.0, k)
+    rows = emr_localize(unified, scales, table, list(range(k)), m0)
+    for row, mask, scale in zip(rows, masks, scales, strict=True):
+        assert same_bytes(row, frozen_emr_localize(unified, scale, mask, m0))
 
 
 def test_merged_state_equality_ignores_the_cached_sum():
@@ -647,36 +646,36 @@ def test_tall_tuned_beats_fixed_member_of_grid():
 
 
 def test_emr_hand_example():
-    art, masks = emr_build([tv([1.0, -2.0], 0), tv([3.0, 1.0], 1)])
-    assert art.unified.tolist() == [3.0, -2.0]
+    unified, scales, masks = emr_build([tv([1.0, -2.0], 0), tv([3.0, 1.0], 1)])
+    assert unified.tolist() == [3.0, -2.0]
     assert unpack_bits(masks[0], 2).tolist() == [True, True]
-    assert art.scales[0] == pytest.approx(3 / 5)
-    (local,) = emr_localize(art, masks, [0], np.zeros(2))
+    assert scales[0] == pytest.approx(3 / 5)
+    (local,) = emr_localize(unified, scales, masks, [0], np.zeros(2))
     assert np.allclose(local, [1.8, -1.2])
 
 
 def test_emr_singleton_exact_recovery():
     delta = rng.normal(size=20)
     delta[3] = 0.0
-    art, masks = emr_build([tv(delta, 0)])
-    assert np.array_equal(art.unified, delta)
+    unified, scales, masks = emr_build([tv(delta, 0)])
+    assert np.array_equal(unified, delta)
     assert np.array_equal(unpack_bits(masks[0], 20), delta != 0)
-    assert art.scales[0] == 1.0
+    assert scales[0] == 1.0
     m0 = rng.normal(size=20)
-    assert np.array_equal(emr_localize(art, masks, [0], m0)[0], m0 + delta)
+    assert np.array_equal(emr_localize(unified, scales, masks, [0], m0)[0], m0 + delta)
 
 
 def test_emr_zero_sum_entry_dropped():
-    art, masks = emr_build([tv([1.0, 2.0], 0), tv([-1.0, 1.0], 1)])
-    assert art.unified[0] == 0.0
+    unified, _, masks = emr_build([tv([1.0, 2.0], 0), tv([-1.0, 1.0], 1)])
+    assert unified[0] == 0.0
     assert not unpack_bits(masks[0], 2)[0]
     assert not unpack_bits(masks[1], 2)[0]
 
 
 def test_emr_zero_norm_scale_guard():
-    art, _ = emr_build([tv([1.0, -1.0], 0), tv([-1.0, 1.0], 1)])
-    assert not art.unified.any()
-    assert art.scales[0] == 1.0
+    unified, scales, _ = emr_build([tv([1.0, -1.0], 0), tv([-1.0, 1.0], 1)])
+    assert not unified.any()
+    assert scales[0] == 1.0
 
 
 # ---------- TIES ----------
@@ -762,12 +761,12 @@ def test_brute_force_equivalence_1000_trials():
         got = tall_mask(vecs[0], state, lam).to_bools().tolist()
         assert got == brute_tall_mask(deltas[0], merged_sum, lam)
 
-        art, art_masks = emr_build(vecs)
+        got_unified, got_scales, got_masks = emr_build(vecs)
         unified, masks, scales = brute_emr(deltas)
-        assert np.allclose(art.unified, unified, atol=1e-12)
+        assert np.allclose(got_unified, unified, atol=1e-12)
         for i in range(n):
-            assert unpack_bits(art_masks[i], m).tolist() == masks[i]
-            assert art.scales[i] == pytest.approx(scales[i])
+            assert unpack_bits(got_masks[i], m).tolist() == masks[i]
+            assert got_scales[i] == pytest.approx(scales[i])
 
         density = float(check_rng.uniform(0.05, 1.0))
         assert np.allclose(ties_merge(vecs, density), brute_ties(deltas, density), atol=1e-12)

@@ -1,6 +1,6 @@
-"""The pipeline-digest script runs the README pipeline at 1 and 3 shards and
-prints one SHA-256 line per file written, the same lines on a second run
-into the same directory."""
+"""The pipeline-digest script runs the README pipeline, then every other
+method's chain, at 1 and 3 shards and prints one SHA-256 line per file
+written, the same lines on a second run into the same directory."""
 
 import re
 import shutil
@@ -8,10 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from siftmasks.merging import METHOD_TAGS
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pipeline_digests.py"
-FILES = (".dataset.jsonl.parsed", "checkpoint.sftm", "cost_projection.csv",
-         "cost_projection.json", "dataset.jsonl", "eval_held_in.csv", "exactness.csv",
-         "gen_config.json", "report.csv", "report.json", "run_config.json")
+QUICKSTART = (".dataset.jsonl.parsed", "checkpoint.sftm", "cost_projection.csv",
+              "cost_projection.json", "dataset.jsonl", "eval_held_in.csv", "exactness.csv",
+              "gen_config.json", "report.csv", "report.json", "run_config.json")
+# what each other method's chain writes into its own directory
+CHAIN = ("checkpoint.sftm", "eval_held_out.csv", "exactness.csv", "run_config.json")
+FILES = sorted([*QUICKSTART, *(f"{method}/{name}" for method in METHOD_TAGS
+                               if method != "sift_masks" for name in CHAIN)],
+               key=lambda name: name.split("/"))  # in path order, as the script lists them
 
 
 def run(out):
