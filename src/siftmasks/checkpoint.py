@@ -112,6 +112,8 @@ def _pack(fmt, *vals) -> bytes:
 def _vector(values, dtype: str, shape: tuple, what: str) -> np.ndarray:
     """``values`` as contiguous ``dtype`` entries of ``shape``, the array itself
     where it is one already; stored without a count, which the reader knows."""
+    if values is None:
+        raise CheckpointFormatError(f"{what} is missing")
     data = np.ascontiguousarray(values, dtype=dtype)
     if data.shape != shape:
         found, want = (" x ".join(map(str, dims)) for dims in (data.shape, shape))

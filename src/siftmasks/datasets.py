@@ -2,7 +2,8 @@
 
 Three regimes:
 
-* ``conflicting`` -- every task sees the same pool of inputs. A seeded
+* ``conflicting`` -- every task sees the same pool of inputs: one read-only
+  array, held once (``replace(task, features=copy)`` edits one task). A seeded
   fraction of the pool is contested: those inputs carry a context block
   (trailing coordinates set to +-CONTEXT_AMP) and each task labels them by
   the context sign read through its own camp orientation, so the two camps
@@ -205,19 +206,17 @@ def _gen_conflicting(regime, num_tasks, n_per_task, d, c, seed):
     context_sign = np.where(pool_stream.uniform_block(n) < 0.5, -1.0, 1.0)
     context_sign[0] = 1.0
     features[conflict, core:] = (CONTEXT_AMP * context_sign[conflict])[:, None]
+    features.flags.writeable = False  # the one pool every task holds; labels are per task
 
     # contested inputs are disputed between one fixed pair of classes, so the
     # context sign maps to a label consistently within each camp
     k0 = int(rule_stream.randint_block(1, c)[0])
     k1 = (k0 + 1 + int(rule_stream.randint_block(1, c - 1)[0])) % c
 
-    tasks = []
-    for t in range(num_tasks):
-        labels = base_labels.copy()
-        picks_k1 = camp_sign(t) * context_sign > 0
-        labels[conflict] = np.where(picks_k1, k1, k0)[conflict]
-        tasks.append(_split_task(t, features.copy(), labels))
-    return tasks
+    # each camp's labels, drawn once; every task holds a copy of its camp's
+    camps = {sign: np.where(conflict, np.where(sign * context_sign > 0, k1, k0), base_labels)
+             for sign in (1, -1)}
+    return [_split_task(t, features, camps[camp_sign(t)].copy()) for t in range(num_tasks)]
 
 
 def _gen_distinct(num_tasks, n_per_task, d, c, seed):

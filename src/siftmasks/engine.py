@@ -215,7 +215,7 @@ class MethodOps:
 
 def _digest(quantized: FxpVector) -> bytes:
     """A task's replay digest: the SHA-256 of its quantized vector."""
-    return hashlib.sha256(quantized.values.astype("<i8").tobytes()).digest()
+    return hashlib.sha256(np.ascontiguousarray(quantized.values, "<i8")).digest()
 
 
 def _fresh_shards(system: SystemState, members, replay: tuple[int, ...] = ()):

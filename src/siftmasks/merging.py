@@ -23,7 +23,8 @@ Localization backends:
   aligned magnitude as a unified vector, masks by sign agreement, and rescales
   to match each task's l1 norm.
 * TIES -- trims each vector to its top-density entries by magnitude, elects a
-  global per-entry sign, and averages the entries that agree with it.
+  global per-entry sign, and averages the entries that agree with it. EMR and
+  TIES build from one vector at a time, in running sums, maxima and counts.
 
 Masked models are served as stacks (K, M) of K tasks, from one unpack of a
 mask word table (K, ceil(M/32)), cast once to a float 0/1 mask that the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -373,12 +374,11 @@ def emr_build(task_vectors: list[TaskVector]) -> tuple[np.ndarray, np.ndarray, n
     """
     if not task_vectors:
         raise ValueError("emr needs at least one task vector")
-    deltas = np.stack([tv.delta for tv in task_vectors])
     # the engine's vectors are dequantized: this sum and the l1 norms below are exact in
     # any order, so at any dispatch level, while below 2**(53 - SCALE_BITS) = 2**21
-    elected = np.sign(deltas.sum(axis=0))
-    aligned = np.where(np.sign(deltas) == elected, np.abs(deltas), 0.0)
-    unified = elected * aligned.max(axis=0)
+    elected = np.sign(reduce(np.add, (tv.delta for tv in task_vectors)))
+    # the aligned magnitudes are the entries of delta * elected > 0; + 0.0 clears a -0.0 max
+    unified = elected * (reduce(np.maximum, (tv.delta * elected for tv in task_vectors), 0.0) + 0.0)
 
     masks = [BitMask.from_bools(tv.delta * unified > 0.0) for tv in task_vectors]
     kept = [np.linalg.norm(mask_apply(mask, unified), ord=1) for mask in masks]
@@ -412,11 +412,10 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     k = int(np.ceil(density * m))
     if k >= m:
         return delta.copy()
-    order = np.argsort(-np.abs(delta), kind="stable")
-    out = np.zeros_like(delta)
-    keep = order[:k]
-    out[keep] = delta[keep]
-    return out
+    mags = np.abs(delta)  # the cut, the k-th largest magnitude, by a partition: linear in M
+    keep = mags > (cut := np.partition(mags, m - k)[m - k])
+    keep[np.flatnonzero(mags == cut)[: k - np.count_nonzero(keep)]] = True
+    return np.where(keep, delta, 0.0)
 
 
 def ties_merge(task_vectors: list[TaskVector], density: float) -> np.ndarray:
@@ -425,10 +424,11 @@ def ties_merge(task_vectors: list[TaskVector], density: float) -> np.ndarray:
         raise ValueError("density must lie in (0, 1]")
     if not task_vectors:
         raise ValueError("ties needs at least one task vector")
-    trimmed = np.stack([ties_trim(tv.delta, density) for tv in task_vectors])
     # exact in any order for the engine's dequantized vectors, as in emr_build
-    elected = np.sign(trimmed.sum(axis=0))
-    agree = (np.sign(trimmed) == elected) & (elected != 0)
-    counts = agree.sum(axis=0)
-    sums = np.where(agree, trimmed, 0.0).sum(axis=0)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    elected = np.sign(reduce(np.add, (ties_trim(tv.delta, density) for tv in task_vectors)))
+    sums, counts = np.zeros(len(elected)), np.zeros(len(elected), np.int64)
+    for tv in task_vectors:  # trimmed afresh; the agreeing magnitudes: trimmed * elected > 0
+        aligned = np.maximum(ties_trim(tv.delta, density) * elected, 0.0)
+        sums += aligned
+        counts += aligned != 0.0
+    return np.where(counts > 0, elected * sums / np.maximum(counts, 1), 0.0)

@@ -677,6 +677,21 @@ def test_save_refuses_a_short_vector_before_writing(name, change, message, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, field, what",
+    [("sift_masks_fresh", "masks", "masks"), ("emr_fresh", "unified", "EMR unified vector")],
+    ids=["u4_masks", "f8_unified"],
+)
+def test_save_names_a_missing_array_before_writing(name, field, what, tmp_path):
+    """A shard without an array its method stores is refused by that array's
+    name, for a word table and a float vector alike, and nothing is written."""
+    ckpt = load_checkpoint(DATA / f"{name}.sftm")
+    ckpt.system.shards = (replace(ckpt.system.shards[0], **{field: None}),)
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(what)} is missing$"):
+        save_checkpoint(ckpt, tmp_path / "out.sftm")
+    assert list(tmp_path.iterdir()) == []
+
+
 def flip_mask_bit(ckpt) -> None:
     shard = ckpt.system.shards[0]
     shard.masks[shard.rows([1]), 0] ^= 1

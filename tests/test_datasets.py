@@ -13,6 +13,7 @@ from siftmasks import datasets
 from siftmasks.datasets import (
     CONTEXT_COORDS,
     DataFormatError,
+    REGIME_KINDS,
     HeterogeneityRegime,
     TaskSpec,
     camp_sign,
@@ -113,6 +114,51 @@ def test_conflicting_context_block_structure():
     assert np.all(ctx[~contested] == 0)
     per_row = np.abs(ctx[contested])
     assert np.all(per_row == per_row[0, 0])
+
+
+def test_conflicting_pool_is_one_read_only_array():
+    """Every task holds the pool's one array, so a write to it raises rather
+    than editing every task; ``replace`` gives one task inputs of its own."""
+    tasks = synth_generate(HeterogeneityRegime("conflicting"), 4, 20, 8, 2, seed=3)
+    pool = tasks[0].features
+    assert all(t.features is pool for t in tasks) and not pool.flags.writeable
+    for rows in (pool, tasks[2].train_xy()[0], tasks[2].eval_xy()[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+    edited = pool.copy()
+    edited[0, 0] += 1.0
+    own = replace(tasks[2], features=edited)
+    assert own.train_xy()[0][0, 0] == pool[0, 0] + 1.0
+    assert tasks[2].features is pool and pool[0, 0] == edited[0, 0] - 1.0
+
+
+def test_conflicting_generation_holds_the_pool_once():
+    """From 8 to 64 tasks of 100 rows and 64 features, the traced peak of
+    ``synth_generate`` grows by less than one pool (n * d * 8 bytes) per
+    added task, which a copy of the pool per task would take alone."""
+    regime = HeterogeneityRegime("conflicting")
+
+    def peak(num_tasks):
+        tracemalloc.start()
+        try:
+            synth_generate(regime, num_tasks, 100, 64, 2, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(64) - peak(8)
+    assert growth < (64 - 8) * 100 * 64 * 8, growth
+
+
+@pytest.mark.parametrize("kind", REGIME_KINDS)
+def test_saved_bytes_do_not_depend_on_shared_arrays(kind, tmp_path):
+    """``save_tasks`` writes the same bytes for generated tasks as for the
+    same tasks each holding copies of its arrays."""
+    tasks = synth_generate(HeterogeneityRegime(kind), 5, 20, 8, 3, seed=11)
+    copies = [replace(t, features=t.features.copy(), labels=t.labels.copy()) for t in tasks]
+    save_tasks(tasks, tmp_path / "generated.jsonl")
+    save_tasks(copies, tmp_path / "copies.jsonl")
+    assert (tmp_path / "generated.jsonl").read_bytes() == (tmp_path / "copies.jsonl").read_bytes()
 
 
 def test_similar_regime_supports_pooled_training():

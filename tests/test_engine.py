@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_task, routes
+from frozen_merge import frozen_emr_build, frozen_ties_merge, frozen_ties_trim
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging, trainer
 from siftmasks.checkpoint import (
@@ -37,8 +38,11 @@ from siftmasks.merging import (
     METHOD_TAGS,
     LocalizationMethod,
     MergedState,
+    emr_build,
     merge,
     serve_merged,
+    ties_merge,
+    ties_trim,
 )
 from siftmasks.paramcore import (
     SCALE_BITS,
@@ -861,13 +865,15 @@ def test_replay_mismatch_leaves_the_stored_state_untouched(tag, verify, monkeypa
 
 
 @pytest.mark.parametrize("clusters", [1, 3])
-@pytest.mark.parametrize("tag", ["sift_masks", "ft_merge"])
+@pytest.mark.parametrize("tag", ["sift_masks", "ft_merge", "emr", "ties"])
 def test_memory_is_bounded_by_the_model_not_the_task_count(tag, clusters):
     """At M = 8,203, where a chunk holds one task: the ``tracemalloc`` peak of
     ``build``, ``verify_exactness`` and ``unlearn(verify=True)`` at 64 tasks
     stays within the T = 8 peak plus the added tasks' masks, digests and data
-    and a fixed margin. Holding every trained vector until the shards were
-    merged took ~64 KB more per task (~3.6 MB for build)."""
+    and a fixed margin, and for EMR and TIES, whose ``finish`` reads every
+    vector, one vector each. Holding every trained vector until the shards
+    were merged took ~64 KB more per task (~3.6 MB for build); building EMR
+    and TIES from stacks of every vector took several vectors more per task."""
     spec = ModelSpec("mlp", 6, 3, hidden_dim=820)
     cfg = TrainConfig(steps=2, batch_size=4, seed=5)
     method = LocalizationMethod(tag)
@@ -894,11 +900,36 @@ def test_memory_is_bounded_by_the_model_not_the_task_count(tag, clusters):
             peak(unlearn, system, 0, verify=True),
         ]
 
+    vector = 0 if METHODS[tag].subtracts else 8 * spec.param_count
     mask = 4 * mask_words(spec.param_count) if METHODS[tag].stores_masks else 0
     data = tasks[0].features.nbytes + tasks[0].labels.nbytes
-    allowance = (64 - 8) * (mask + 32 + data) + (256 << 10)
+    allowance = (64 - 8) * (vector + mask + 32 + data) + (256 << 10)
     for small, large, name in zip(peaks(8), peaks(64), ("build", "verify", "unlearn")):
         assert large - small < allowance, name
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["floats", "dequantized"])
+@pytest.mark.parametrize("count, length", [(3, 50), (8, 738), (50, 738), (64, 8203)])
+def test_emr_and_ties_built_one_vector_at_a_time_keep_the_stacked_bytes(count, length, grid):
+    """``emr_build`` and ``ties_merge`` walk the vectors in id order and give
+    the bytes of the stacked code they replaced (``frozen_merge``): for floats
+    rounded to 1e-3, whose sums depend on order and which hold signed zeros
+    and magnitude ties, and for the dequantized grid values the engine hands
+    them. Some entries sum to exactly zero, where no sign is elected. The
+    trim by partition keeps the entries of the trim by a stable sort."""
+    rng = np.random.default_rng(count * length)
+    deltas = np.round(rng.normal(scale=1e-2, size=(count, length)), 3)
+    deltas[:, :3] = (0.0, -0.0, 0.0)
+    deltas[:2, 2] = (1e-3, -1e-3)
+    if grid:
+        deltas = np.stack([dequantize(quantize(d)) for d in deltas])
+    vectors = [TaskVector(d, t, 1) for t, d in enumerate(deltas)]
+    for got, want in zip(emr_build(vectors), frozen_emr_build(vectors)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    for density in (1.0, 0.3):
+        assert ties_merge(vectors, density).tobytes() == frozen_ties_merge(vectors, density).tobytes()
+        for delta in deltas:
+            assert ties_trim(delta, density).tobytes() == frozen_ties_trim(delta, density).tobytes()
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
