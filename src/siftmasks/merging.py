@@ -412,10 +412,11 @@ def ties_trim(delta: np.ndarray, density: float) -> np.ndarray:
     k = int(np.ceil(density * m))
     if k >= m:
         return delta.copy()
-    mags = np.abs(delta)  # the cut, the k-th largest magnitude, by a partition: linear in M
-    keep = mags > (cut := np.partition(mags, m - k)[m - k])
-    keep[np.flatnonzero(mags == cut)[: k - np.count_nonzero(keep)]] = True
-    return np.where(keep, delta, 0.0)
+    order = np.argsort(-np.abs(delta), kind="stable")
+    out = np.zeros_like(delta)
+    keep = order[:k]
+    out[keep] = delta[keep]
+    return out
 
 
 def ties_merge(task_vectors: list[TaskVector], density: float) -> np.ndarray:

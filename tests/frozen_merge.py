@@ -1,5 +1,4 @@
-"""Reference copies of EMR and TIES as they were built from stacked vectors,
-and of the TIES trim by a stable sort.
+"""Reference copies of EMR and TIES as they were built from stacked vectors.
 
 Each function stacks every vector into one (T, M) array and elects, aligns
 and averages over the stack. Tests compare the bytes of the library's
@@ -8,6 +7,7 @@ one-vector-at-a-time builds against these.
 
 import numpy as np
 
+from siftmasks.merging import ties_trim
 from siftmasks.paramcore import BitMask, mask_apply, word_table
 
 
@@ -24,20 +24,8 @@ def frozen_emr_build(task_vectors):
     return unified, np.array(scales), word_table(masks, len(unified))
 
 
-def frozen_ties_trim(delta, density):
-    m = delta.shape[0]
-    k = int(np.ceil(density * m))
-    if k >= m:
-        return delta.copy()
-    order = np.argsort(-np.abs(delta), kind="stable")
-    out = np.zeros_like(delta)
-    keep = order[:k]
-    out[keep] = delta[keep]
-    return out
-
-
 def frozen_ties_merge(task_vectors, density):
-    trimmed = np.stack([frozen_ties_trim(tv.delta, density) for tv in task_vectors])
+    trimmed = np.stack([ties_trim(tv.delta, density) for tv in task_vectors])
     elected = np.sign(trimmed.sum(axis=0))
     agree = (np.sign(trimmed) == elected) & (elected != 0)
     counts = agree.sum(axis=0)

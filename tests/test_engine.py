@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_task, routes
-from frozen_merge import frozen_emr_build, frozen_ties_merge, frozen_ties_trim
+from frozen_merge import frozen_emr_build, frozen_ties_merge
 from frozen_serve import frozen_serve_for_task
 from siftmasks import engine, merging, trainer
 from siftmasks.checkpoint import (
@@ -42,7 +42,6 @@ from siftmasks.merging import (
     merge,
     serve_merged,
     ties_merge,
-    ties_trim,
 )
 from siftmasks.paramcore import (
     SCALE_BITS,
@@ -915,8 +914,7 @@ def test_emr_and_ties_built_one_vector_at_a_time_keep_the_stacked_bytes(count, l
     the bytes of the stacked code they replaced (``frozen_merge``): for floats
     rounded to 1e-3, whose sums depend on order and which hold signed zeros
     and magnitude ties, and for the dequantized grid values the engine hands
-    them. Some entries sum to exactly zero, where no sign is elected. The
-    trim by partition keeps the entries of the trim by a stable sort."""
+    them. Some entries sum to exactly zero, where no sign is elected."""
     rng = np.random.default_rng(count * length)
     deltas = np.round(rng.normal(scale=1e-2, size=(count, length)), 3)
     deltas[:, :3] = (0.0, -0.0, 0.0)
@@ -928,8 +926,6 @@ def test_emr_and_ties_built_one_vector_at_a_time_keep_the_stacked_bytes(count, l
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     for density in (1.0, 0.3):
         assert ties_merge(vectors, density).tobytes() == frozen_ties_merge(vectors, density).tobytes()
-        for delta in deltas:
-            assert ties_trim(delta, density).tobytes() == frozen_ties_trim(delta, density).tobytes()
 
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
