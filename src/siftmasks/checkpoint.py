@@ -6,8 +6,8 @@ ledger snapshot. Its body holds, in this order:
 
 * the header (``_HEADER``): the method and model-kind codes (indices into
   METHOD_TAGS and MODEL_KINDS), the model spec and SCALE_BITS, the train
-  config, the seeds and ties_density; then the density and alpha grids, each
-  a u32 count and its floats;
+  config with central's cap and Adam's constants, the seeds and ties_density;
+  then the density and alpha grids, each a u32 count and its floats;
 * the ledger's two task-finetune counts (each is ``steps`` optimizer steps);
 * the shard count, then each shard: its retained ids (a u32 count, then the
   ids, strictly ascending) and its unlearned ids (count, ids, in deletion
@@ -28,9 +28,12 @@ loaded checkpoint reproduces its bytes.
 The SHA-256 trailer is checked before any field is read, so accidental damage
 (a flipped bit, a cut or an appended byte) fails to load. It does not catch a
 deliberate edit: the file can be resealed, and no hash is kept outside it. So
-the reader still checks every field it can: the codes, the configuration,
-that the shards fit the file before M-entry vectors are allocated, the ids,
-the accumulator's range, the masks' pad bits and that every float is finite.
+the reader still checks every field it can: the codes, the configuration
+(SCALE_BITS and the Adam doubles must equal the code's constants), that the
+shards fit the file before M-entry vectors are allocated, the ids, the
+accumulator's range, the masks' pad bits, that every float is finite, and
+that the ledger is the one the shard lists imply (``engine.ledger_of``), which
+the writer checks too.
 
 The version also identifies the training kernel whose bits the stored replay
 digests pin. Version 1 files were trained by an earlier per-example gradient
@@ -56,11 +59,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import METHODS, CostLedger, Shard, SystemState, new_system
+from .engine import METHODS, CostLedger, Shard, SystemState, ledger_of, new_system
 from .merging import METHOD_TAGS, LocalizationMethod, MergedState
 from .paramcore import SCALE_BITS, FxpOverflowError, FxpVector, mask_words
 from .sealed import Body, SealError, seal, unseal, write_atomic
-from .trainer import MODEL_KINDS, ModelSpec, TrainConfig
+from .trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MODEL_KINDS, ModelSpec, TrainConfig
 
 MAGIC = b"SFTM"
 VERSION = 4
@@ -72,8 +75,8 @@ _REFUSED = {
 }
 
 # the header, read and written in this order after the sealed framing: method
-# and model-kind codes, the model spec and SCALE_BITS, the train config, the
-# seeds, ties_density
+# and model-kind codes, the model spec and SCALE_BITS, steps, batch size,
+# central's cap, learning rate, Adam's constants, the seeds, ties_density
 _HEADER = struct.Struct("<BBIIIIIIIddddQQQd")
 _LEDGER = struct.Struct("<QQI")  # the two task-finetune counts, then the shard count
 _COUNT = struct.Struct("<I")  # of a table's entries
@@ -123,11 +126,12 @@ def _vector(values, dtype: str, shape: tuple, what: str) -> np.ndarray:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     system = ckpt.system
+    _checked(ckpt.ledger, system)  # before any byte is written
     spec, cfg, method = system.model_spec, system.train_cfg, system.method
     chunks = [_HEADER.pack(METHOD_TAGS.index(method.tag), MODEL_KINDS.index(spec.kind),
                            spec.input_dim, spec.hidden_dim, spec.num_classes, SCALE_BITS,
-                           cfg.steps, cfg.batch_size, system.central_max_steps,
-                           cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
+                           cfg.steps, cfg.batch_size, method.central_max_steps,
+                           cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                            system.base_seed, system.sign_seed, cfg.seed, method.ties_density)]
     chunks += [_pack(f"I{len(g)}d", len(g), *g) for g in (method.density_grid, method.alpha_grid)]
     chunks.append(_LEDGER.pack(ckpt.ledger.build_finetunes, ckpt.ledger.unlearn_finetunes,
@@ -187,12 +191,17 @@ def _parse(raw: bytes) -> Checkpoint:
         raise CheckpointFormatError(f"unknown model kind code {kind_code}")
     if scale_bits != SCALE_BITS:
         raise CheckpointFormatError(f"scale_bits {scale_bits}, expected {SCALE_BITS}")
+    for name, value, want in zip(("beta1", "beta2", "eps"), (beta1, beta2, eps),
+                                 (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)):
+        if value != want:  # a NaN included
+            raise CheckpointFormatError(f"Adam {name} {value}, expected {want}")
     density_grid, alpha_grid = _table(body, "<f8"), _table(body, "<f8")
     build_finetunes, unlearn_finetunes, n_shards = body.unpack(_LEDGER, "checkpoint")
     try:
         model_spec = ModelSpec(MODEL_KINDS[kind_code], input_dim, num_classes, hidden_dim)
-        method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid, ties_density)
-        train_cfg = TrainConfig(steps, batch_size, lr, beta1, beta2, eps, train_seed)
+        method = LocalizationMethod(METHOD_TAGS[method_code], density_grid, alpha_grid,
+                                    ties_density, central_max_steps)
+        train_cfg = TrainConfig(steps, batch_size, lr, seed=train_seed)
     except ValueError as exc:
         raise CheckpointFormatError(str(exc)) from exc
     # every shard stores an M-entry vector; checked before new_system allocates
@@ -201,20 +210,19 @@ def _parse(raw: bytes) -> Checkpoint:
         raise CheckpointFormatError(
             f"{n_shards} shards of {model_spec.param_count} parameters do not fit the file"
         )
-    system = new_system(
-        method,
-        model_spec,
-        train_cfg,
-        {},
-        base_seed=base_seed,
-        sign_seed=sign_seed,
-        central_max_steps=central_max_steps,
-    )
+    system = new_system(method, model_spec, train_cfg, {}, base_seed=base_seed, sign_seed=sign_seed)
     listed: set[int] = set()
     system.shards = tuple(_read_shard(body, system, c, listed) for c in range(n_shards))
     if len(body.rest):
         raise CheckpointFormatError("trailing bytes after the last shard")
-    return Checkpoint(system, CostLedger(build_finetunes, unlearn_finetunes))
+    return Checkpoint(system, _checked(CostLedger(build_finetunes, unlearn_finetunes), system))
+
+
+def _checked(ledger: CostLedger, system: SystemState) -> CostLedger:
+    """``ledger``, refused unless it is the one the shard lists imply."""
+    if ledger != (want := ledger_of(system)):
+        raise CheckpointFormatError(f"ledger {ledger}, expected {want} from the shard lists")
+    return ledger
 
 
 def _read_shard(body: Body, system: SystemState, c: int, listed: set[int]) -> Shard:

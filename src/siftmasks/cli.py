@@ -36,8 +36,8 @@ from pathlib import Path
 import click
 
 from .checkpoint import (
+    Checkpoint,
     CheckpointFormatError,
-    checkpoint_from_system,
     load_checkpoint,
     save_checkpoint,
     system_from_checkpoint,
@@ -222,11 +222,10 @@ def cmd_train(retain, retain_file, **params):
     system, ledger = build(
         cfg.localization, tasks, cfg.model_spec, cfg.train_cfg,
         base_seed=cfg.init_seed, sign_seed=cfg.sign_seed,
-        central_max_steps=cfg.central_max_steps,
         clusters=cfg.clusters, cluster_seed=cfg.cluster_seed,
     )
     with _writer_lock(out / "checkpoint.sftm"):
-        save_checkpoint(checkpoint_from_system(system, ledger), out / "checkpoint.sftm")
+        save_checkpoint(Checkpoint(system, ledger), out / "checkpoint.sftm")
     cfg.save(out / "run_config.json")
     click.echo(
         f"built {cfg.method} over {len(tasks)} tasks: "
@@ -305,7 +304,7 @@ def cmd_unlearn(checkpoint, task_ids, ids_file, do_verify, **params):
                 )
             ledger.add(delta)
             reports.append((u, report, delta))
-        save_checkpoint(checkpoint_from_system(system, ledger), checkpoint)
+        save_checkpoint(Checkpoint(system, ledger), checkpoint)
         tag, steps = system.method.tag, system.train_cfg.steps
         rows = []
         for event, (u, report, delta) in enumerate(reports, base_event + 1):

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 from .datasets import HeterogeneityRegime, check_synthetic
-from .engine import CENTRAL_MAX_STEPS_DEFAULT, cluster_sizes
-from .merging import ALPHA_GRID_DEFAULT, DENSITY_GRID_DEFAULT, LocalizationMethod
+from .engine import cluster_sizes
+from .merging import ALPHA_GRID_DEFAULT, CENTRAL_MAX_STEPS_DEFAULT, DENSITY_GRID_DEFAULT
+from .merging import LocalizationMethod
 from .prng import mix_seed
 from .sealed import write_atomic
 from .trainer import ModelSpec, TrainConfig
@@ -65,12 +66,11 @@ class RunConfig:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(value))
-        if not 0 <= self.central_max_steps < 2**32:  # a u32 checkpoint field
-            raise ConfigError("config field 'central_max_steps' must lie in [0, 2**32)")
         checks = {
             "model_kind, input_dim, num_classes, hidden_dim": lambda: self.model_spec,
             "steps, batch_size, learning_rate": lambda: self.train_cfg,
-            "method, density_grid, alpha_grid, ties_density": lambda: self.localization,
+            "method, density_grid, alpha_grid, ties_density, central_max_steps":
+                lambda: self.localization,
         }
         if self.data is None:  # a synthetic run: its tasks must be drawable
             checks["regime, conflict_rate, margin"] = lambda: self.heterogeneity
@@ -96,7 +96,8 @@ class RunConfig:
 
     @cached_property
     def localization(self) -> LocalizationMethod:
-        return LocalizationMethod(self.method, self.density_grid, self.alpha_grid, self.ties_density)
+        return LocalizationMethod(self.method, self.density_grid, self.alpha_grid,
+                                  self.ties_density, self.central_max_steps)
 
     @cached_property
     def heterogeneity(self) -> HeterogeneityRegime:

@@ -9,8 +9,9 @@ one task). Build charges one task-finetune per task. Unlearning charges:
 * TALL / EMR / TIES: the masks (or elected signs) depend on the merged state,
   so every remaining task is retrained and the state rebuilt; charges one
   task-finetune per remaining task.
-* central: retrain on the pooled retain set, folded as one vector; charged
-  as one task-finetune per remaining task.
+* central: retrain on the pooled retain set, for at most the method's
+  ``central_max_steps`` steps, folded as one vector; charged as one
+  task-finetune per remaining task.
 
 A replay that fails to reproduce the stored digest is a hard error: exactness
 is void once determinism breaks, so the engine refuses to proceed.
@@ -71,9 +72,6 @@ from .trainer import (
     ft_finetune,
     init_params,
 )
-
-CENTRAL_MAX_STEPS_DEFAULT = 800
-
 
 class UnknownTaskError(KeyError):
     """The requested task id is not currently retained."""
@@ -157,7 +155,6 @@ class SystemState:
     train_cfg: TrainConfig
     base_seed: int
     sign_seed: int
-    central_max_steps: int
     m0: np.ndarray
     sign_vector: BitMask | None
     registry: dict[int, TaskSpec]
@@ -301,12 +298,13 @@ def _pooled_task(tasks: list[TaskSpec]) -> TaskSpec:
 
 
 def _finish_central(system, ids, vectors, state):
-    """The pooled task's quantized vector folded into the empty ``state``."""
+    """The pooled task's quantized vector folded into the empty ``state``,
+    trained for at most ``system.method.central_max_steps`` steps."""
     if not ids:
         return Shard(state)
     cfg = system.train_cfg
     pooled = _pooled_task([system.registry[t] for t in ids])
-    run_cfg = replace(cfg, steps=min(cfg.steps * len(ids), system.central_max_steps))
+    run_cfg = replace(cfg, steps=min(cfg.steps * len(ids), system.method.central_max_steps))
     delta = ft_finetune(pooled, system.m0, system.model_spec, run_cfg).delta
     return Shard(fold(state, quantize(delta)))
 
@@ -367,7 +365,6 @@ def new_system(
     *,
     base_seed: int,
     sign_seed: int,
-    central_max_steps: int,
 ) -> SystemState:
     """A system without shards yet; base parameters and signs come from the seeds."""
     signs = None
@@ -379,7 +376,6 @@ def new_system(
         train_cfg=train_cfg,
         base_seed=base_seed,
         sign_seed=sign_seed,
-        central_max_steps=central_max_steps,
         m0=init_params(model_spec, base_seed),
         sign_vector=signs,
         registry=registry,
@@ -395,7 +391,6 @@ def build(
     *,
     base_seed: int = 0,
     sign_seed: int = 0,
-    central_max_steps: int = CENTRAL_MAX_STEPS_DEFAULT,
     clusters: int = 1,
     cluster_seed: int = 0,
 ) -> tuple[SystemState, CostLedger]:
@@ -423,7 +418,6 @@ def build(
         {t.id: t for t in tasks},
         base_seed=base_seed,
         sign_seed=sign_seed,
-        central_max_steps=central_max_steps,
     )
     shards, system.replay_digests, _ = _fresh_shards(system, members)
     system.shards = tuple(shards)
@@ -490,6 +484,17 @@ def deletion_finetunes(subtracts: bool, remaining: int) -> int:
     tasks: one replay where the method subtracts and a task remains, else a
     rebuild from the remaining tasks (free once none remains)."""
     return 1 if subtracts and remaining else remaining
+
+
+def ledger_of(system: SystemState) -> CostLedger:
+    """The ledger the shard lists imply: a build per listed id, then each deletion's cost."""
+    subtracts, ledger = METHODS[system.method.tag].subtracts, CostLedger()
+    for shard in system.shards:
+        kept = len(shard.retained)
+        ledger.build_finetunes += kept + len(shard.unlearned)
+        ledger.unlearn_finetunes += sum(deletion_finetunes(subtracts, kept + i)
+                                        for i in range(len(shard.unlearned)))
+    return ledger
 
 
 def _audit(system: SystemState, shards, fresh: list[Shard], digests) -> ExactnessReport:

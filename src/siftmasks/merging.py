@@ -58,6 +58,7 @@ METHOD_TAGS = ("sift_masks", "ft_merge", "tall_masks", "emr", "ties", "central")
 
 DENSITY_GRID_DEFAULT = (0.1, 0.3, 0.5, 0.7, 0.9)
 ALPHA_GRID_DEFAULT = (0.8, 1.0, 1.2, 1.4, 1.6)
+CENTRAL_MAX_STEPS_DEFAULT = 800  # central's cap on one pooled run's steps
 # Bound on the entries of one stacked scoring pass, where a parameter vector
 # costs its M entries and its widest activation, rows x the widest layer. It
 # bounds both users: tall_tune's passes over a task's candidates and
@@ -78,6 +79,7 @@ class LocalizationMethod:
     density_grid: tuple[float, ...] = DENSITY_GRID_DEFAULT
     alpha_grid: tuple[float, ...] = ALPHA_GRID_DEFAULT
     ties_density: float = 1.0
+    central_max_steps: int = CENTRAL_MAX_STEPS_DEFAULT
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
@@ -90,6 +92,8 @@ class LocalizationMethod:
             raise ValueError("alpha grid values must be finite and > 0")
         if not (0.0 < self.ties_density <= 1.0):
             raise ValueError("ties density must lie in (0, 1]")
+        if not 0 <= self.central_max_steps < 2**32:  # a u32 checkpoint field
+            raise ValueError("central_max_steps must lie in [0, 2**32)")
         object.__setattr__(self, "density_grid", tuple(self.density_grid))
         object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
 

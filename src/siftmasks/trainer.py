@@ -49,6 +49,9 @@ MODEL_KINDS = ("logistic", "mlp")
 # rows)) steps, so a block's index arrays hold at most max(MAX_STACKED_ENTRIES,
 # K x rows) entries whatever the step count.
 MAX_STACKED_ENTRIES = 8192
+# Adam's constants (Kingma & Ba's defaults): fixed by the code, not set by a
+# run, since every replay must repeat the build's optimizer exactly
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's training settings; Adam's constants are the module's ``ADAM_*``."""
+
     steps: int = 20
     batch_size: int = 32
     learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -104,8 +106,6 @@ class TrainConfig:
             raise ValueError("need steps >= 0, batch_size >= 1, finite learning_rate > 0")
         if max(self.steps, self.batch_size) >= 2**32:  # u32 fields in a checkpoint
             raise ValueError("need steps and batch_size < 2**32")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and 0 < self.eps < float("inf")):
-            raise ValueError("need beta1 and beta2 in [0, 1) and finite eps > 0")
 
 
 @dataclass
@@ -351,11 +351,9 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update, in place on params and state.
+    """One bias-corrected Adam update under ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``, in place on params and state.
 
     Every operation is elementwise, so a stacked (K, M) update gives each
     row the bits of a lone (M,) update. Returns params and state.
@@ -366,17 +364,17 @@ def adam_step(
         raise DataFormatError("non-finite gradient: training diverged")
     state.t += 1
     m, v = state.m, state.v
-    step = (1.0 - beta1) * grad
-    m *= beta1
+    step = (1.0 - ADAM_BETA1) * grad
+    m *= ADAM_BETA1
     m += step
-    np.multiply(grad, 1.0 - beta2, out=step)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
     step *= grad
-    v *= beta2
+    v *= ADAM_BETA2
     v += step
-    denom = v / (1.0 - beta2**state.t)
+    denom = v / (1.0 - ADAM_BETA2**state.t)
     np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(m, 1.0 - beta1**state.t, out=step)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**state.t, out=step)
     step *= lr
     step /= denom
     params -= step
@@ -530,7 +528,7 @@ def _finetune_chunk(tasks, m0, spec, cfg, dense) -> np.ndarray:
             for rows, picks in zip(batches, positions):
                 np.add(m0, tau, out=params)
                 gradient(x_pool[rows], picks)
-                adam_step(tau, grad, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_step(tau, grad, state, cfg.learning_rate)
                 if dense is not None:
                     _zero_disagreeing(tau, dense)
     return tau

@@ -779,7 +779,7 @@ PROBES = [
         (["--input-dim", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
         (["--hidden-dim", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
         (["--num-classes", "4294967296"], "need input_dim, hidden_dim and num_classes < 2**32"),
-        (["--central-max-steps", "4294967296"], "central_max_steps' must lie in [0, 2**32)")]],
+        (["--central-max-steps", "4294967296"], "central_max_steps must lie in [0, 2**32)")]],
     (["simulate", "--num-tasks", "0"], 1, ["num_tasks"]),
     (["train", *BASE_FLAGS, "--data", "{root}/one_record.jsonl"], 2, ["task 7"]),
     (["train", *BASE_FLAGS, "--data", "{root}/data.jsonl", "--input-dim", "15"], 2,

@@ -56,6 +56,7 @@ import pytest
 from siftmasks.checkpoint import (
     MAGIC,
     VERSION,
+    Checkpoint,
     CheckpointFormatError,
     checkpoint_from_system,
     load_checkpoint,
@@ -64,7 +65,7 @@ from siftmasks.checkpoint import (
 )
 from siftmasks.cli import main
 from siftmasks.datasets import DataFormatError, HeterogeneityRegime, save_tasks, synth_generate
-from siftmasks.engine import build, evaluate, unlearn, verify_exactness
+from siftmasks.engine import CostLedger, build, evaluate, unlearn, verify_exactness
 from siftmasks.merging import METHOD_TAGS, LocalizationMethod
 from siftmasks.paramcore import FxpVector
 from siftmasks.sealed import seal
@@ -138,10 +139,11 @@ def write_fixtures(out_dir: Path) -> None:
     cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
     for config in CONFIGS:
         tag, clusters = (config[:-3], 3) if config.endswith("_k3") else (config, 1)
-        method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
+        method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4),
+                                    central_max_steps=12)
         system, ledger = build(
             method, tasks, spec, cfg, base_seed=1, sign_seed=2,
-            central_max_steps=12, clusters=clusters, cluster_seed=7,
+            clusters=clusters, cluster_seed=7,
         )
         save_checkpoint(checkpoint_from_system(system, ledger), out_dir / f"{config}_fresh.sftm")
         for i, task_id in enumerate(DELETION_ORDER):
@@ -510,19 +512,16 @@ def test_unknown_header_code_report_exits_2(offset, value, message, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
-ADAM = "need beta1 and beta2 in [0, 1) and finite eps > 0"
-
-
 @pytest.mark.parametrize(
     "offset, fmt, old, new, message",
     [
         (18, "<I", 3, 1, "need input_dim >= 1 and num_classes >= 2"),
         (106, "<d", 0.3, 2.0, "density grid values must lie in (0, 1]"),
-        (46, "<d", 0.9, 2.0, ADAM),
-        (46, "<d", 0.9, float("nan"), ADAM),
-        (54, "<d", 0.999, 1.0, ADAM),
-        (62, "<d", 1e-8, 0.0, ADAM),
-        (62, "<d", 1e-8, -1.0, ADAM),
+        (46, "<d", 0.9, 2.0, "Adam beta1 2.0, expected 0.9"),
+        (46, "<d", 0.9, float("nan"), "Adam beta1 nan, expected 0.9"),
+        (54, "<d", 0.999, 1.0, "Adam beta2 1.0, expected 0.999"),
+        (62, "<d", 1e-8, 0.0, "Adam eps 0.0, expected 1e-08"),
+        (62, "<d", 1e-8, -1.0, "Adam eps -1.0, expected 1e-08"),
     ],
     ids=["num_classes", "density_grid", "beta1=2", "beta1=nan", "beta2=1", "eps=0", "eps=-1"],
 )
@@ -539,6 +538,77 @@ def test_invalid_header_value_is_a_format_error_naming_the_file(
     code = main(["report", "--checkpoint", str(path), "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "offset, old, new, message",
+    [(46, 0.9, 0.5, "Adam beta1 0.5, expected 0.9"),
+     (54, 0.999, 0.99, "Adam beta2 0.99, expected 0.999"),
+     (62, 1e-8, 1e-7, "Adam eps 1e-07, expected 1e-08")],
+    ids=["beta1", "beta2", "eps"],
+)
+def test_resealed_adam_constant_verify_exits_2_and_keeps_the_file(
+    offset, old, new, message, tmp_path, capsys
+):
+    """An in-range Adam value other than the trainer's constant is refused at
+    load, naming the field; retrained under it, ``verify`` would blame the
+    replay (exit 3)."""
+    raw = bytearray((DATA / "sift_masks_fresh.sftm").read_bytes())
+    assert struct.unpack_from("<d", raw, offset) == (old,)
+    struct.pack_into("<d", raw, offset, new)
+    path = tmp_path / "adam.sftm"
+    path.write_bytes(resealed(raw))
+    raw = path.read_bytes()
+    code = main(["verify", *cli_data_args(tmp_path), "--checkpoint", str(path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+
+
+# where the ledger's two counts sit in a fixture: after the framing, the
+# 94-byte header and the two two-entry grids
+LEDGER_AT = len(MAGIC) + 4 + 94 + 2 * (4 + 2 * 8)
+
+
+@pytest.mark.parametrize(
+    "command", [["report"], ["eval"], ["verify"], ["unlearn", "--id", "1"]],
+    ids=["report", "eval", "verify", "unlearn"],
+)
+def test_resealed_ledger_exits_2_and_keeps_the_file(command, tmp_path, capsys):
+    """The stored task-finetune counts must be the ones the shard lists imply:
+    a build finetune per listed id, one replay for the deletion of task 2."""
+    raw = bytearray((DATA / "sift_masks_deleted1.sftm").read_bytes())
+    assert struct.unpack_from("<QQ", raw, LEDGER_AT) == (6, 1)
+    struct.pack_into("<Q", raw, LEDGER_AT + 8, 4000)
+    path = tmp_path / "ledger.sftm"
+    path.write_bytes(resealed(raw))
+    raw = path.read_bytes()
+    data = [] if command == ["report"] else cli_data_args(tmp_path)
+    code = main([*command, *data, "--checkpoint", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    message = ("ledger CostLedger(build_finetunes=6, unlearn_finetunes=4000), expected "
+               "CostLedger(build_finetunes=6, unlearn_finetunes=1) from the shard lists")
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("stale", [(6, 0), (5, 1)], ids=["unlearn", "build"])
+def test_stale_ledger_save_raises_and_writes_nothing(stale, tmp_path):
+    """A deletion whose cost was not added: nothing is written, not even a
+    temporary file beside the target."""
+    system = load_checkpoint(DATA / "sift_masks_deleted1.sftm").system
+    with pytest.raises(CheckpointFormatError, match="^ledger CostLedger"):
+        save_checkpoint(Checkpoint(system, CostLedger(*stale)), tmp_path / "stale.sftm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_central_cap_is_a_method_setting_read_back_from_the_file():
+    """The fixtures build central under a cap of 12 steps (the default is 800)."""
+    for name in ("central_fresh", "central_k3_deleted1"):
+        method = load_checkpoint(DATA / f"{name}.sftm").system.method
+        assert method.central_max_steps == 12
+    assert load_checkpoint(DATA / "sift_masks_fresh.sftm").system.method.central_max_steps == 12
 
 
 @pytest.mark.parametrize("value", [2**62 + 5, -(2**62) - 5], ids=["above", "below"])

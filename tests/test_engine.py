@@ -372,10 +372,11 @@ def fixture_system(tag, clusters):
     fresh in memory: its floats come from the BLAS kernels that run the test,
     so an audit of it holds on any kernels. (The fixture files pin bytes
     trained by one set of kernels; ``test_checkpoint_fixtures`` tests those.)"""
-    method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4))
+    method = LocalizationMethod(tag, density_grid=(0.3, 0.7), alpha_grid=(1.0, 1.4),
+                                central_max_steps=12)
     cfg = TrainConfig(steps=4, batch_size=8, learning_rate=0.05, seed=99)
     system, _ = build(method, fixture_tasks(), SPEC, cfg, base_seed=1, sign_seed=2,
-                      central_max_steps=12, clusters=clusters, cluster_seed=7)
+                      clusters=clusters, cluster_seed=7)
     return system
 
 
@@ -509,7 +510,8 @@ def test_shard_masks_follow_the_retained_ids(tag, clusters, tmp_path):
     for task_id in (None, 4, 0, 5, 1, 3, 2):
         if task_id is not None:
             before = mask_rows(system)
-            system, _, _ = unlearn(system, task_id)
+            system, _, cost = unlearn(system, task_id)
+            ledger.add(cost)
             assert task_id not in mask_rows(system)
             if tag == "sift_masks":
                 assert mask_rows(system) == {t: b for t, b in before.items() if t != task_id}

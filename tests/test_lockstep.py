@@ -60,11 +60,12 @@ def single_task_reference(task, m0, spec, cfg, v=None):
             idx = stream.randint_block(cfg.batch_size, n)
             xb, yb = x_train[idx], y_train[idx]
         _, grad = frozen_loss_and_grad(m0 + tau, spec, xb, yb)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        s2 = cfg.beta2 * s2 + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = s2 / (1.0 - cfg.beta2**t)
-        tau = tau - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        beta1, beta2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+        m = beta1 * m + (1.0 - beta1) * grad
+        s2 = beta2 * s2 + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = s2 / (1.0 - beta2**t)
+        tau = tau - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
         if v is not None:
             tau = np.where(tau * signs(v) < 0.0, 0.0, tau)
     return tau

@@ -22,7 +22,9 @@ from siftmasks import merging
 from siftmasks.datasets import HeterogeneityRegime, synth_generate
 from siftmasks.merging import (
     ALPHA_GRID_DEFAULT,
+    CENTRAL_MAX_STEPS_DEFAULT,
     DENSITY_GRID_DEFAULT,
+    LocalizationMethod,
     MergedState,
     _tall_lambda,
     _tall_thresholds,
@@ -702,6 +704,15 @@ def test_ties_rejects_bad_density():
         ties_merge([tv([1.0], 0)], 0.0)
     with pytest.raises(ValueError):
         ties_merge([tv([1.0], 0)], 1.5)
+
+
+@pytest.mark.parametrize("cap", [-1, 2**32])
+def test_central_cap_is_checked_on_its_method(cap):
+    """The cap is a u32 checkpoint field; the method, its one home, bounds it."""
+    with pytest.raises(ValueError, match=r"central_max_steps must lie in \[0, 2\*\*32\)"):
+        LocalizationMethod("central", central_max_steps=cap)
+    assert LocalizationMethod("central", central_max_steps=2**32 - 1).central_max_steps == 2**32 - 1
+    assert LocalizationMethod("central").central_max_steps == CENTRAL_MAX_STEPS_DEFAULT == 800
 
 
 # ---------- randomized brute-force equivalence ----------
